@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from corhorn import corpus, parser, printer, syntax as S, values as V
@@ -130,3 +132,91 @@ def test_duplicate_function_rejected():
     )
     with pytest.raises(parser.ParseError, match="duplicate function"):
         parser.parse_program(src)
+
+
+# SHA-256 over "kind text line col" lines of each corpus file's token list.
+TOKENS_SHA256 = {
+    "inc_max": "51327b552f6f999c4cf15d9559646563fb64516bcb4a4caf5af399e7142c56b3",
+    "inc_max_unsafe": "69b1f602bf3c4918802dd67d10ea9119633023cb55d2e3d1f72463ae67613461",
+    "just_rec": "c3380384db5757543bd2de9efdbd2e0a450c30380305fef1bd4e48335c1c97fd",
+    "just_rec_unsafe": "d2c7ec1d38adcef376d2e5651498012a06e4db1b488f9bb08ece125730cf690a",
+    "linger_dec": "68d931fec7170076090122d8445ef3ca1c440fd14c31fc688a6784ffb42023bf",
+    "linger_dec_unsafe": "12027fdabac6c549eaa20af926e63e7cd29bc96917ccf112ded4ae5187718bc9",
+    "inc_some": "f10a99b02fd09c921ad1f897283688a2bac1be64e3df459962f1180eedd56f97",
+    "inc_some_unsafe": "2c715e71f222d1afc89b46de866f75b6d3514860a4bffc5119735a94a4d03c3c",
+    "inc_some_t": "a41cdc10b4950c3dc4a2cedec8c68eb4c8557f755f5b16a8904d60de2f29d3c3",
+    "inc_some_t_unsafe": "c2da6ce19c5bf7609da913f1f28845c2f08596bd85f3a502b65d5febda174a23",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOKENS_SHA256))
+def test_corpus_tokens_pinned(name):
+    toks = parser.tokenize(corpus.source_path(name).read_text())
+    blob = "\n".join(f"{t.kind} {t.text} {t.line} {t.col}" for t in toks)
+    assert hashlib.sha256(blob.encode()).hexdigest() == TOKENS_SHA256[name]
+
+
+@pytest.mark.parametrize(
+    "parse, src, message",
+    [
+        (parser.parse_program, "fn f() -> unit {\n  L0: let *x = ();\n  @ goto L0;\n}\n",
+         "3:3: unexpected character '@'"),
+        (parser.parse_program, "fn f<'1a>() -> unit {\n}\n", "1:6: bad lifetime name"),
+        (parser.parse_program, "'", "1:1: bad lifetime name"),
+        (parser.parse_value, "⟩", "1:1: expected a value literal (got '⟩')"),
+        (parser.parse_value, "// only a comment", "1:1: expected a value literal (got '')"),
+        (parser.parse_program, "fn f() ->", "1:10: expected a type (got '')"),
+        (parser.parse_program, "fn f(x: int) ->\n", "2:1: expected a type (got '')"),
+        (parser.parse_program, "fn f() -> unit { L: x ! y; }", "1:23: unexpected character '!'"),
+        (parser.parse_program, "fn f() / ", "1:8: unexpected character '/'"),
+        (parser.parse_program, "½", "1:1: unexpected character '½'"),
+    ],
+)
+def test_parse_error_messages_pinned(parse, src, message):
+    with pytest.raises(parser.ParseError) as exc:
+        parse(src)
+    assert str(exc.value) == message
+
+
+def test_comment_only_input_parses_empty():
+    assert parser.parse_program("// only a comment").functions == {}
+    assert parser.tokenize("a // c") == [
+        parser.Token("ident", "a", 1, 1), parser.Token("eof", "", 1, 3)
+    ]
+
+
+def _expected_tokens(src):
+    """Token (kind, text) pairs by the str predicates that define the
+    lexical classes: ints are runs of isdigit, identifiers start with
+    isalpha or '_' and continue with isalnum or '_'."""
+    out, i = [], 0
+    while i < len(src):
+        c, j = src[i], i + 1
+        if c.isdigit():
+            while j < len(src) and src[j].isdigit():
+                j += 1
+            out.append(("int", src[i:j]))
+        elif c.isalpha() or c == "_":
+            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            out.append(("ident", src[i:j]))
+        else:
+            return out + [("error", c)]
+        i = j
+    return out
+
+
+def test_word_classes_follow_str_predicates():
+    # every character that can take part in an int or identifier token,
+    # alone and after a digit and a letter
+    for cp in range(0x110000):
+        c = chr(cp)
+        if not (c.isalnum() or c == "_"):
+            continue
+        for src in (c, "1" + c, "a" + c):
+            try:
+                got = [(t.kind, t.text) for t in parser.tokenize(src)[:-1]]
+            except parser.ParseError as e:
+                got = [(t.kind, t.text) for t in parser.tokenize(src[:e.col - 1])[:-1]]
+                got.append(("error", src[e.col - 1]))
+            assert got == _expected_tokens(src), (hex(cp), src)

@@ -1,3 +1,4 @@
+import hashlib
 import stat
 import textwrap
 
@@ -117,3 +118,28 @@ def test_fixture_systems_emit():
         sys, _ = builder()
         script = smtlib.emit_smt2(sys)
         assert script.startswith("(set-logic HORN)")
+
+
+# SHA-256 of emit_smt2 for each corpus program with its corpus goal.  The
+# script is the contract with external solvers: any change to sort naming,
+# RecN numbering or declaration order must show up here.
+SCRIPT_SHA256 = {
+    "inc_max": "51f79d0a59351cf42beddf5ebdf34b09fa7ba37dc8ddee02865e2d91207cf13c",
+    "inc_max_unsafe": "0e780077adda43eb6746685e9f2242c12792e77291f62216a6403528332b9747",
+    "just_rec": "3fb292697f3168c06213a1994662154fd5a6da76e4d961c744c128b94ae71d8a",
+    "just_rec_unsafe": "4b73bdc1ee96b58eed3a171b12349e25b2d3e5ccc0ee9ee7808969bd705807a2",
+    "linger_dec": "29400a8bb15b5c40bb9d9e5dcce52bfe8c55e3c31f9a5f7a6a4d90a20964b368",
+    "linger_dec_unsafe": "d135dcd894a68708cf0b21e5eb588110204c10719b9e4b016ee8856f1e1804ef",
+    "inc_some": "4d066940e36ac8b0904ebcc6c5062f1ea3cab0123235b548c64159c275ddc116",
+    "inc_some_unsafe": "98b2cb9576ce505020e83d54066a88adb57e8070fa230116a8ae64bc00b05672",
+    "inc_some_t": "2a986d5c75dcd73c80d98c93ef6e1814b354a675dc6ed89175984fd60d2a635a",
+    "inc_some_t_unsafe": "90ffbc9ee8a545506618d64bacf65b67d006a19b6e8e4710134c924192441189",
+}
+
+
+@pytest.mark.parametrize("entry", corpus.CORPUS, ids=lambda e: e.name)
+def test_corpus_script_bytes_pinned(entry):
+    prog = corpus.load(entry.name)
+    sys = T.attach_goal(T.translate_program(prog), prog, T.GoalSpec.parse(entry.goal))
+    digest = hashlib.sha256(smtlib.emit_smt2(sys).encode()).hexdigest()
+    assert digest == SCRIPT_SHA256[entry.name]

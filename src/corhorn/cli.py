@@ -124,10 +124,13 @@ def cmd_solve(args) -> int:
     sys_ = T.attach_goal(sys_, prog, T.GoalSpec.parse(args.goal))
     script = smtlib.emit_smt2(sys_)
     command = args.solver_cmd or os.environ.get("CORHORN_SOLVER")
-    if not command:
-        print("no solver: pass --solver-cmd or set CORHORN_SOLVER", file=_sys.stderr)
+    if command:
+        cfg = smtlib.solver_from_command(command, timeout=args.timeout)
+    else:
+        cfg = smtlib.find_solver(args.timeout)
+    if cfg is None:
+        print("no solver: pass --solver-cmd, set CORHORN_SOLVER or install z3 or hoice", file=_sys.stderr)
         return EXIT_ERROR
-    cfg = smtlib.solver_from_command(command, timeout=args.timeout)
     verdict = smtlib.run_solver(cfg, script)
     payload = {"verdict": verdict.status, "solver": list(cfg.command)}
     if verdict.holds is True:

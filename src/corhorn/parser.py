@@ -7,8 +7,8 @@ value-literal syntax used by the CLI (`box(4)`, `inj1 ()`, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import re
+from typing import NamedTuple, Optional
 
 from . import syntax as S
 from . import values as V
@@ -21,18 +21,23 @@ class ParseError(S.CorError):
         self.col = col
 
 
-PUNCT = [
-    "->", "=>", ">=", "<=", "==", "!=",
-    "<", ">", "(", ")", "{", "}", ",", ":", ";", "=", "*", "+", "-", "|", ".",
-]
-
 # unicode angle brackets are accepted in value literals as aliases for box/mut
 ANGLE_OPEN = "⟨"
 ANGLE_CLOSE = "⟩"
 
+# Ints are runs of str.isdigit characters: \d (str.isdecimal) plus the
+# non-decimal digits listed here.  \w is exactly str.isalnum plus '_'.
+_DIGIT = (r"\d\u00b2\u00b3\u00b9\u1369-\u1371\u19da\u2070\u2074-\u2079\u2080-\u2089"
+          r"\u2460-\u2468\u2474-\u247c\u2488-\u2490\u24ea\u24f5-\u24fd\u24ff"
+          r"\u2776-\u277e\u2780-\u2788\u278a-\u2792\U00010a40-\U00010a43"
+          r"\U00010e60-\U00010e68\U00011052-\U0001105a\U0001f100-\U0001f10a")
+_TOKEN_RE = re.compile(
+    rf"(?P<nl>\n)|(?P<space>[ \t\r]+)|(?P<comment>//[^\n]*)|'(?P<lft>\w*)|(?P<int>[{_DIGIT}]+)"
+    r"|(?P<ident>\w+)|(?P<punct>->|=>|>=|<=|==|!=|[<>(){},:;=*+\-|.⟨⟩])|(?P<bad>.)"
+)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # 'ident' | 'lft' | 'int' | 'punct' | 'eof'
     text: str
     line: int
@@ -41,66 +46,24 @@ class Token:
 
 def tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-
-    def err(msg: str):
-        raise ParseError(msg, line, col)
-
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        if kind == "comment":
+            continue  # runs to the newline; an eof right after it keeps its column
+        end = m.end()
+        if kind == "nl":
+            line, line_start = line + 1, end
+        if kind in ("nl", "space"):
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c == "'":
-            j = i + 1
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            name = src[i + 1 : j]
-            if not S.IDENT_RE.match(name):
-                err("bad lifetime name")
-            toks.append(Token("lft", name, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(Token("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in (ANGLE_OPEN, ANGLE_CLOSE):
-            toks.append(Token("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        for p in PUNCT:
-            if src.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            err(f"unexpected character {c!r}")
-    toks.append(Token("eof", "", line, col))
+        text = m.group(kind)
+        col = m.start() - line_start + 1
+        if kind == "lft" and not S.IDENT_RE.match(text):
+            raise ParseError("bad lifetime name", line, col)
+        if kind == "bad" or (kind == "ident" and not (text[0].isalpha() or text[0] == "_")):
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        toks.append(Token(kind, text, line, col))
+    toks.append(Token("eof", "", line, end - line_start + 1))
     return toks
 
 
@@ -278,8 +241,6 @@ class _Parser:
                 self.expect("ident", "goto")
                 target = self.ident("label")
                 arms[idx] = (binder, target)
-                if idx == 0 if len(arms) == 1 else False:
-                    pass
                 if len(arms) == 1:
                     self.expect("punct", ",")
             self.expect("punct", "}")

@@ -9,6 +9,7 @@ equations in the body, the standard shape CHC solvers accept.
 
 from __future__ import annotations
 
+import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -25,69 +26,86 @@ class EmitError(S.CorError):
     pass
 
 
+_NAME_PREFIX = {L.UnitSort: "Unit", L.BoxS: "Box", L.MutS: "Mut", L.SumS: "Sum", L.ProdS: "Prod"}
+
+
+def _components(s: Sort) -> list[Sort]:
+    if isinstance(s, (L.BoxS, L.MutS)):
+        return [s.inner]
+    if isinstance(s, (L.SumS, L.ProdS)):
+        return [s.left, s.right]
+    return []
+
+
+def _shape(s: Sort, depth: int = 3) -> tuple:
+    """Constructor tags of s unfolded to a fixed depth.  Equivalent sorts
+    unfold to the same tree, so they have equal shapes."""
+    s = L.whnf_sort(s)
+    return (type(s), tuple(_shape(c, depth - 1) for c in _components(s)) if depth else ())
+
+
 class SortTable:
     """Names for sorts, deduplicated up to sort equivalence.
 
     Names are descriptive (Box_Int, Sum_Unit_Unit, ...) except where a
     sort's name would depend on itself through its components; such a
     sort gets an opaque RecN name, assigned the moment the cycle closes.
+
+    `reps` is append-only and a sort is named after the *first* rep it is
+    equivalent to, so a name, once returned, never changes.  That makes
+    the per-sort memo exact, and so is searching only the reps of the
+    same shape: an equivalent rep always has the sort's shape, and a
+    bucket keeps the order of `reps`.
     """
 
     def __init__(self):
         self.reps: list[tuple[Sort, str]] = []
+        self._buckets: dict[tuple, list[tuple[Sort, str]]] = {}
+        self._memo: dict[Sort, str] = {}
         self.mu_count = 0
         self._in_progress: set = set()
 
-    def _lookup(self, s: Sort):
-        for rep, name in self.reps:
+    def _lookup(self, s: Sort, shape: tuple):
+        for rep, name in self._buckets.get(shape, ()):
             if L.sort_equiv(rep, s):
                 return name
         return None
 
+    def _add(self, s: Sort, shape: tuple, name: str) -> str:
+        self.reps.append((s, name))
+        self._buckets.setdefault(shape, []).append((s, name))
+        return name
+
     def name(self, sort: Sort) -> str:
+        found = self._memo.get(sort)
+        if found is None:
+            found = self._memo[sort] = self._name(sort)
+        return found
+
+    def _name(self, sort: Sort) -> str:
         s = L.whnf_sort(sort)
         if isinstance(s, L.IntSort):
             return "Int"
-        found = self._lookup(s)
+        shape = _shape(s)
+        found = self._lookup(s, shape)
         if found is not None:
             return found
         key = L.canon_sort(s)
         if key in self._in_progress:
-            name = f"Rec{self.mu_count}"
             self.mu_count += 1
-            self.reps.append((s, name))
-            return name
+            return self._add(s, shape, f"Rec{self.mu_count - 1}")
         self._in_progress.add(key)
         try:
             name = self._make_name(s)
         finally:
             self._in_progress.discard(key)
         # a component call may have closed the cycle and named s already
-        found = self._lookup(s)
-        if found is not None:
-            return found
-        self.reps.append((s, name))
-        return name
-
-    def _components(self, s: Sort) -> list[Sort]:
-        if isinstance(s, (L.BoxS, L.MutS)):
-            return [s.inner]
-        if isinstance(s, (L.SumS, L.ProdS)):
-            return [s.left, s.right]
-        return []
+        return self._lookup(s, shape) or self._add(s, shape, name)
 
     def _make_name(self, s: Sort) -> str:
-        if isinstance(s, L.UnitSort):
-            return "Unit"
-        if isinstance(s, L.BoxS):
-            return f"Box_{self.name(s.inner)}"
-        if isinstance(s, L.MutS):
-            return f"Mut_{self.name(s.inner)}"
-        if isinstance(s, L.SumS):
-            return f"Sum_{self.name(s.left)}_{self.name(s.right)}"
-        if isinstance(s, L.ProdS):
-            return f"Prod_{self.name(s.left)}_{self.name(s.right)}"
-        raise EmitError(f"cannot name sort {L.render_sort(s)}")
+        if type(s) not in _NAME_PREFIX:
+            raise EmitError(f"cannot name sort {L.render_sort(s)}")
+        return "_".join([_NAME_PREFIX[type(s)]] + [self.name(c) for c in _components(s)])
 
     def declarations(self) -> str:
         """One mutually recursive declare-datatypes group, in first-need
@@ -338,3 +356,24 @@ def solver_from_command(command: str, timeout: float = 180.0) -> SolverConfig:
     elif "hoice" in joined:
         kind = "hoice"
     return SolverConfig(parts, timeout, kind)
+
+
+def probe_solver(cfg: SolverConfig) -> bool:
+    """True iff the solver runs and answers sat on a one-clause HORN script."""
+    probe = "(set-logic HORN)\n(declare-fun p () Bool)\n(assert (=> true p))\n(check-sat)\n"
+    return run_solver(cfg, probe).status == "sat"
+
+
+def find_solver(timeout: float = 180.0) -> Optional[SolverConfig]:
+    """The first installed CHC solver that passes the probe: z3 (Spacer),
+    hoice, or the tools/z3wasm node wrapper of a source checkout."""
+    wrapper = Path(__file__).resolve().parents[2] / "tools" / "z3wasm"
+    for command, kind, present in (
+        (("z3", "fp.engine=spacer"), "spacer", shutil.which("z3")),
+        (("hoice",), "hoice", shutil.which("hoice")),
+        ((str(wrapper),), "spacer", wrapper.exists() and shutil.which("node")),
+    ):
+        cfg = SolverConfig(command, timeout, kind)
+        if present and probe_solver(cfg):
+            return cfg
+    return None

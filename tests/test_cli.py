@@ -113,6 +113,7 @@ def test_solve_missing_file(capsys):
 
 def test_solve_without_solver(capsys, monkeypatch):
     monkeypatch.delenv("CORHORN_SOLVER", raising=False)
+    monkeypatch.setenv("PATH", "")  # nothing for the solver search to find
     code, _, err = run_cli(capsys, "solve", INC_MAX, "--goal", "inc_max returns true")
     assert code == 2
     assert "no solver" in err
@@ -130,6 +131,16 @@ def test_solve_with_fake_solver(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "solve", INC_MAX, "--goal", "inc_max returns true")
     assert code == 0
     assert "verified" in out
+
+
+def test_solve_finds_probed_solver(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CORHORN_SOLVER", raising=False)
+    (tmp_path / "z3").write_text("#!/bin/sh\necho sat\n")
+    (tmp_path / "z3").chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    code, out, _ = run_cli(capsys, "solve", INC_MAX, "--goal", "inc_max returns true", "--json")
+    assert code == 0
+    assert json.loads(out)["solver"] == ["z3", "fp.engine=spacer"]
 
 
 def test_solve_refuted_exit_code(tmp_path, capsys):

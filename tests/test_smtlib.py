@@ -100,6 +100,34 @@ def test_run_solver_missing_binary():
     assert verdict.status == "error"
 
 
+@pytest.mark.parametrize("body, ok", [
+    ("echo sat\n", True),
+    ("echo unsat\n", False),
+    ("echo unknown\n", False),
+    ("echo 'module not loaded' >&2\nexit 1\n", False),
+])
+def test_probe_solver_requires_sat(tmp_path, body, ok):
+    cmd = _fake_solver(tmp_path, body)
+    assert smtlib.probe_solver(smtlib.SolverConfig((cmd,), timeout=10)) is ok
+
+
+def test_probe_solver_missing_binary():
+    assert not smtlib.probe_solver(smtlib.SolverConfig(("/nonexistent/solver",), timeout=5))
+
+
+@pytest.mark.parametrize("answer", ["sat", "unsat"])
+def test_find_solver_probes_candidates(tmp_path, monkeypatch, answer):
+    z3 = tmp_path / "z3"
+    z3.write_text(f"#!/bin/sh\necho {answer}\n")
+    z3.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path))  # no hoice, no node
+    cfg = smtlib.find_solver(timeout=10)
+    if answer == "sat":
+        assert cfg == smtlib.SolverConfig(("z3", "fp.engine=spacer"), 10, "spacer")
+    else:
+        assert cfg is None
+
+
 def test_solver_config_validation():
     with pytest.raises(Exception):
         smtlib.SolverConfig(("z3",), timeout=0)

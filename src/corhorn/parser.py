@@ -25,8 +25,8 @@ class ParseError(S.CorError):
 ANGLE_OPEN = "⟨"
 ANGLE_CLOSE = "⟩"
 
-# Ints are runs of str.isdigit characters: \d (str.isdecimal) plus the
-# non-decimal digits listed here.  \w is exactly str.isalnum plus '_'.
+# Ints are runs of str.isdigit: \d plus the non-decimal digits below.  \w is
+# str.isalnum plus '_', so a word must still start with isalpha or '_' ('½').
 _DIGIT = (r"\d\u00b2\u00b3\u00b9\u1369-\u1371\u19da\u2070\u2074-\u2079\u2080-\u2089"
           r"\u2460-\u2468\u2474-\u247c\u2488-\u2490\u24ea\u24f5-\u24fd\u24ff"
           r"\u2776-\u277e\u2780-\u2788\u278a-\u2792\U00010a40-\U00010a43"

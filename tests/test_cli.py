@@ -1,6 +1,8 @@
 import json
 import stat
 
+import pytest
+
 from corhorn import cli, corpus
 
 
@@ -187,3 +189,45 @@ def test_dump_contexts_to_file(tmp_path, capsys):
     assert code == 0
     blob = json.loads(out_file.read_text())
     assert "take_max" in blob
+
+
+_RETURNED_JSON = """{
+  "schema": 1,
+  "status": "returned",
+  "value": {
+    "box": {
+      "inj": [
+        1,
+        "unit"
+      ]
+    }
+  },
+  "steps": 19%s
+}
+"""
+_OUT_OF_FUEL_JSON = """{
+  "schema": 1,
+  "status": "out_of_fuel",
+  "reason": "",
+  "steps": 3
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "command, fuel, flags, code, stdout",
+    [
+        ("run", "100000", ["--json"], 0, _RETURNED_JSON % ',\n  "leaked_cells": []'),
+        ("run-abstract", "100000", ["--json"], 0, _RETURNED_JSON % ""),
+        ("run", "3", ["--json"], 2, _OUT_OF_FUEL_JSON),
+        ("run-abstract", "3", ["--json"], 2, _OUT_OF_FUEL_JSON),
+        ("run", "100000", [], 0, "returned box(inj1 ()) after 19 steps\n"),
+        ("run-abstract", "100000", [], 0, "returned box(inj1 ()) after 19 steps\n"),
+        ("run", "3", [], 2, "out_of_fuel after 3 steps \n"),
+        ("run-abstract", "3", [], 2, "out_of_fuel after 3 steps \n"),
+    ],
+)
+def test_run_output_pinned(capsys, command, fuel, flags, code, stdout):
+    got = run_cli(capsys, command, INC_MAX, "--fn", "inc_max", "--args", "box(4), box(3)",
+                  "--fuel", fuel, *flags)
+    assert got == (code, stdout, "")

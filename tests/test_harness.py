@@ -1,3 +1,8 @@
+import hashlib
+import json
+import random
+import zlib
+
 import pytest
 
 from corhorn import aos, corpus, cos, harness, logic as L, typeck, values as V
@@ -246,3 +251,92 @@ def test_oracle_catches_broken_translation(inc_max_setup, monkeypatch):
     # flips, so the heap-run value true is underivable
     rep = harness.oracle_diff(prog, "inc_max", [(V.Box(2), V.Box(2))], seeds=(0,))
     assert not rep.ok
+
+
+# -- pinned interpreter and lockstep behaviour ------------------------------------
+
+PIN_SPEC = L.SampleSpec(-4, 4, max_depth=3)
+PIN_INPUTS = 5  # sampled (inputs, seed) pairs per corpus entry
+
+# SHA-256 per corpus entry over cos.run and aos.run outcomes (status, value,
+# reason, steps, leaked cells, full trace JSON; fuel 400) and both lockstep
+# reports (fuel 250), with rand_range (-8, 8).
+PINNED_RUN_DIGESTS = {
+    "inc_max": "f7473a67f7a66a958fcf9651802501e77f3a57273e593d63cf7cea9674972bdf",
+    "inc_max_unsafe": "eb28e1f7548e6d6b74dcd285eb176f592bce79ae2f06037d1fdf0aa5dbc1afa9",
+    "just_rec": "4b5ae15d415bb495a1323737fa26ea7f8b6233ca246c3bd25129e96dc5b1b3a9",
+    "just_rec_unsafe": "1500de2008dfb1647e6a117a781e4847a3b67d50d37a33631f3ffb060cb0c719",
+    "linger_dec": "64783546b7b919609924f0710ccc500bc544ae9b99945370a7d98be217b78fc0",
+    "linger_dec_unsafe": "25b85b929f149d34f14a68d46d1579c8d087db0e854cbf792448cecbb76fb5e4",
+    "inc_some": "8a543fa2af3d37c936f7bd7379589344824108696693286527be30c6fac91e19",
+    "inc_some_unsafe": "64fc4ba67d658192b8f61a7ee782382c0511c0db2e68bf5ef6068a5a4387e983",
+    "inc_some_t": "e7ca59d0af754a800fb3b35a3b5c076824f0abbceed76cacf6c469407c0bae32",
+    "inc_some_t_unsafe": "f2daf5d89dc60176bd0bc3156d696214f5c2de25aaad03338735009476b5ca5b",
+}
+
+
+def _outcome_json(out) -> list:
+    return [out.status, None if out.value is None else V.show(out.value), out.reason,
+            out.steps, list(getattr(out, "leaked", ())), [c.to_json() for c in out.trace]]
+
+
+def _entry_digest(e) -> str:
+    prog = corpus.load(e.name)
+    typing = typeck.type_program(prog)
+    rng = random.Random(zlib.crc32(e.name.encode()))
+    blob = []
+    for _ in range(PIN_INPUTS):
+        inputs = corpus.random_inputs(prog, e.entry_fn, rng, PIN_SPEC)
+        seed = rng.randrange(2 ** 31)
+        kw = dict(seed=seed, typing=typing, rand_range=(-8, 8))
+        blob.append([
+            [V.show(v) for v in inputs], seed,
+            _outcome_json(cos.run(prog, e.entry_fn, inputs, fuel=400, **kw)),
+            _outcome_json(aos.run(prog, e.entry_fn, inputs, fuel=400, **kw)),
+            harness.lockstep_cos_aos(prog, e.entry_fn, inputs, fuel=250, **kw).to_json(),
+            harness.lockstep_aos_sldc(prog, e.entry_fn, inputs, fuel=250, **kw).to_json(),
+        ])
+    return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
+
+
+def test_runs_and_lockstep_reports_pinned():
+    digests = {e.name: _entry_digest(e) for e in corpus.CORPUS}
+    assert digests == PINNED_RUN_DIGESTS
+
+
+def _stuck_at_swap(module, monkeypatch):
+    # make one interpreter's swap rule stuck, to pin the stuck paths
+    from corhorn import syntax as S
+
+    real = module._step
+
+    def sabotaged(prog_, typing_, cfg, *rest):
+        stmt = prog_.fn(cfg.top.fn).body[cfg.top.label]
+        if isinstance(stmt, S.StmtInstr) and isinstance(stmt.instr, S.Swap):
+            return module.Stuck("sabotaged swap")
+        return real(prog_, typing_, cfg, *rest)
+
+    monkeypatch.setattr(module, "_step", sabotaged)
+
+
+def test_stuck_runs_and_lockstep_reports_pinned(inc_max_setup, monkeypatch):
+    prog, typing = inc_max_setup
+    inputs = [V.Box(4), V.Box(3)]
+    _stuck_at_swap(cos, monkeypatch)
+    out = cos.run(prog, "inc_max", inputs, typing=typing)
+    assert (out.status, out.value, out.reason, out.steps, len(out.trace)) == (
+        "stuck", None, "sabotaged swap", 12, 13)
+    assert harness.lockstep_cos_aos(prog, "inc_max", inputs, typing=typing).to_json() == {
+        "ok": False, "detail": "stuck at step 12: sabotaged swap", "final_value": None,
+        "steps": [], "total_steps": 13}
+    monkeypatch.undo()
+    _stuck_at_swap(aos, monkeypatch)
+    out = aos.run(prog, "inc_max", inputs, typing=typing, check_safety=True)
+    assert (out.status, out.value, out.reason, out.steps, len(out.trace)) == (
+        "stuck", None, "sabotaged swap", 12, 13)
+    assert harness.lockstep_cos_aos(prog, "inc_max", inputs, typing=typing).to_json() == {
+        "ok": False, "detail": "stuck at step 12: sabotaged swap", "final_value": None,
+        "steps": [], "total_steps": 13}
+    assert harness.lockstep_aos_sldc(prog, "inc_max", inputs, typing=typing).to_json() == {
+        "ok": False, "detail": "interpreter stuck at step 12: sabotaged swap",
+        "final_value": None, "steps": [], "total_steps": 12}

@@ -22,10 +22,14 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from . import syntax as S
 from . import values as V
+from .cos import value_matches
+from .machine import (  # the shared names stay reachable as aos.Final, aos.RunError, ...
+    Final, Next, RunError, RunOutcome, StepResult, Stuck, StuckSignal, drive, entry_fn, is_final,
+)
 from .typeck import LftCtx, TypingResult, type_equiv, type_program
 
 HOT = "hot"
@@ -112,40 +116,13 @@ class AbsConfig:
         }
 
 
-@dataclass(frozen=True)
-class Next:
-    config: AbsConfig
-
-
-@dataclass(frozen=True)
-class Final:
-    pass
-
-
-@dataclass(frozen=True)
-class Stuck:
-    reason: str
-
-
-StepResult = Union[Next, Final, Stuck]
-
-
-class _StuckSignal(Exception):
-    pass
-
-
 def val_of(v: V.PreValue) -> V.PreValue:
     """Current value behind a pointer pre-value."""
     if isinstance(v, V.Box):
         return v.inner
     if isinstance(v, V.MutPair):
         return v.cur
-    raise _StuckSignal(f"expected a pointer pre-value, got {V.show(v)}")
-
-
-def is_final(prog: S.Program, cfg: AbsConfig) -> bool:
-    top = cfg.top
-    return len(cfg.stack) == 1 and isinstance(prog.fn(top.fn).body[top.label], S.StmtReturn)
+    raise StuckSignal(f"expected a pointer pre-value, got {V.show(v)}")
 
 
 def step(
@@ -158,7 +135,7 @@ def step(
 ) -> StepResult:
     try:
         return _step(prog, typing, cfg, rng, supply, rand_range)
-    except _StuckSignal as e:
+    except StuckSignal as e:
         return Stuck(str(e))
 
 
@@ -176,7 +153,7 @@ def _step(prog, typing, cfg, rng, supply, rand_range) -> StepResult:
 
     def need(x: str) -> V.PreValue:
         if x not in frame:
-            raise _StuckSignal(f"variable {x!r} missing from frame")
+            raise StuckSignal(f"variable {x!r} missing from frame")
         return frame[x]
 
     def retop(new_label: str, new_theta=None, new_lctx=None) -> AbsConfig:
@@ -188,7 +165,7 @@ def _step(prog, typing, cfg, rng, supply, rand_range) -> StepResult:
         if len(cfg.stack) == 1:
             return Final()
         if len(frame) != 1:
-            raise _StuckSignal("return with extra variables in frame")
+            raise StuckSignal("return with extra variables in frame")
         (value,) = frame.values()
         caller = cfg.stack[1]
         cframe = dict(caller.frame)
@@ -202,7 +179,7 @@ def _step(prog, typing, cfg, rng, supply, rand_range) -> StepResult:
         del frame[stmt.x]
         if t.kind in (S.OWN, S.IMMUT):
             if not (isinstance(v, V.Box) and isinstance(v.inner, V.Inj)):
-                raise _StuckSignal(f"match: bad scrutinee {V.show(v)}")
+                raise StuckSignal(f"match: bad scrutinee {V.show(v)}")
             i = v.inner.tag
             binder, target = (stmt.y0, stmt.l0) if i == 0 else (stmt.y1, stmt.l1)
             frame[binder] = V.Box(v.inner.payload)
@@ -211,7 +188,7 @@ def _step(prog, typing, cfg, rng, supply, rand_range) -> StepResult:
         else:
             if not (isinstance(v, V.MutPair) and isinstance(v.cur, V.Inj)
                     and isinstance(v.fin, V.AbsVar)):
-                raise _StuckSignal(f"match: bad mut scrutinee {V.show(v)}")
+                raise StuckSignal(f"match: bad mut scrutinee {V.show(v)}")
             i = v.cur.tag
             fresh = supply.fresh(stmt.x)
             binder, target = (stmt.y0, stmt.l0) if i == 0 else (stmt.y1, stmt.l1)
@@ -232,7 +209,7 @@ def _step(prog, typing, cfg, rng, supply, rand_range) -> StepResult:
             frame[instr.y] = V.MutPair(v.cur, fresh)
             frame[instr.x] = V.MutPair(fresh, v.fin)
         else:
-            raise _StuckSignal(f"mutbor: bad pre-value {V.show(v)}")
+            raise StuckSignal(f"mutbor: bad pre-value {V.show(v)}")
         return Next(retop(goto))
 
     if isinstance(instr, S.Drop):
@@ -241,14 +218,14 @@ def _step(prog, typing, cfg, rng, supply, rand_range) -> StepResult:
         del frame[instr.x]
         if t.kind == S.MUT:
             if not (isinstance(v, V.MutPair) and isinstance(v.fin, V.AbsVar)):
-                raise _StuckSignal(f"drop: mut without prophecy {V.show(v)}")
+                raise StuckSignal(f"drop: mut without prophecy {V.show(v)}")
             return Next(retop(goto).subst(v.fin.uid, v.cur))
         return Next(retop(goto))
 
     if isinstance(instr, S.Immut):
         v = need(instr.x)
         if not (isinstance(v, V.MutPair) and isinstance(v.fin, V.AbsVar)):
-            raise _StuckSignal(f"immut: bad pre-value {V.show(v)}")
+            raise StuckSignal(f"immut: bad pre-value {V.show(v)}")
         frame[instr.x] = V.Box(v.cur)
         return Next(retop(goto).subst(v.fin.uid, v.cur))
 
@@ -256,15 +233,15 @@ def _step(prog, typing, cfg, rng, supply, rand_range) -> StepResult:
         t = ty(instr.y)
         vx, vy = need(instr.x), need(instr.y)
         if not isinstance(vx, V.MutPair):
-            raise _StuckSignal("swap: first operand not a mut")
+            raise StuckSignal("swap: first operand not a mut")
         if t.kind == S.OWN:
             if not isinstance(vy, V.Box):
-                raise _StuckSignal("swap: second operand not a box")
+                raise StuckSignal("swap: second operand not a box")
             frame[instr.x] = V.MutPair(vy.inner, vx.fin)
             frame[instr.y] = V.Box(vx.cur)
         else:
             if not isinstance(vy, V.MutPair):
-                raise _StuckSignal("swap: second operand not a mut")
+                raise StuckSignal("swap: second operand not a mut")
             frame[instr.x] = V.MutPair(vy.cur, vx.fin)
             frame[instr.y] = V.MutPair(vx.cur, vy.fin)
         return Next(retop(goto))
@@ -282,7 +259,7 @@ def _step(prog, typing, cfg, rng, supply, rand_range) -> StepResult:
         del frame[instr.x]
         if t.kind == S.OWN:
             if not isinstance(v, V.Box):
-                raise _StuckSignal(f"deref: bad box pre-value {V.show(v)}")
+                raise StuckSignal(f"deref: bad box pre-value {V.show(v)}")
             frame[instr.y] = v.inner
             return Next(retop(goto))
         if t.kind == S.IMMUT:
@@ -290,7 +267,7 @@ def _step(prog, typing, cfg, rng, supply, rand_range) -> StepResult:
             return Next(retop(goto))
         # t.kind == MUT; cases on the inner pointer kind
         if not (isinstance(v, V.MutPair) and isinstance(v.fin, V.AbsVar)):
-            raise _StuckSignal(f"deref: bad mut pre-value {V.show(v)}")
+            raise StuckSignal(f"deref: bad mut pre-value {V.show(v)}")
         if inner_t.kind == S.OWN:
             fresh = supply.fresh(instr.x)
             frame[instr.y] = V.MutPair(v.cur.inner, fresh)
@@ -303,7 +280,7 @@ def _step(prog, typing, cfg, rng, supply, rand_range) -> StepResult:
         fresh = supply.fresh(instr.x)
         inner = v.cur
         if not isinstance(inner, V.MutPair):
-            raise _StuckSignal("deref: expected inner mut pair")
+            raise StuckSignal("deref: expected inner mut pair")
         frame[instr.y] = V.MutPair(inner.cur, fresh)
         return Next(retop(goto).subst(v.fin.uid, V.MutPair(fresh, inner.fin)))
 
@@ -333,7 +310,7 @@ def _step(prog, typing, cfg, rng, supply, rand_range) -> StepResult:
     if isinstance(instr, S.NowLft):
         tag = theta.pop(instr.lft, None)
         if tag is None:
-            raise _StuckSignal(f"now: lifetime '{instr.lft} not in frame context")
+            raise StuckSignal(f"now: lifetime '{instr.lft} not in frame context")
         return Next(retop(goto, new_theta=theta, new_lctx=lctx.remove(tag)))
 
     if isinstance(instr, S.LftLeq):
@@ -347,7 +324,7 @@ def _step(prog, typing, cfg, rng, supply, rand_range) -> StepResult:
         a = val_of(need(instr.x))
         b = val_of(need(instr.x2))
         if not isinstance(a, int) or not isinstance(b, int):
-            raise _StuckSignal("binop: non-integer operands")
+            raise StuckSignal("binop: non-integer operands")
         res = S.eval_op(instr.op, a, b)
         frame[instr.y] = V.Box(res if isinstance(res, int) and not isinstance(res, bool)
                                else (V.TRUE if res else V.FALSE))
@@ -377,20 +354,20 @@ def _step(prog, typing, cfg, rng, supply, rand_range) -> StepResult:
         if t.kind in (S.OWN, S.IMMUT):
             pair = v.inner
             if not isinstance(pair, V.Pair):
-                raise _StuckSignal("destruct: not a pair")
+                raise StuckSignal("destruct: not a pair")
             frame[instr.y0] = V.Box(pair.fst)
             frame[instr.y1] = V.Box(pair.snd)
             return Next(retop(goto))
         if not (isinstance(v, V.MutPair) and isinstance(v.cur, V.Pair)
                 and isinstance(v.fin, V.AbsVar)):
-            raise _StuckSignal("destruct: bad mut pair")
+            raise StuckSignal("destruct: bad mut pair")
         f0 = supply.fresh(instr.x)
         f1 = supply.fresh(instr.x)
         frame[instr.y0] = V.MutPair(v.cur.fst, f0)
         frame[instr.y1] = V.MutPair(v.cur.snd, f1)
         return Next(retop(goto).subst(v.fin.uid, V.Pair(f0, f1)))
 
-    raise _StuckSignal(f"no rule for instruction {instr!r}")
+    raise StuckSignal(f"no rule for instruction {instr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -398,29 +375,8 @@ def _step(prog, typing, cfg, rng, supply, rand_range) -> StepResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunOutcome:
-    status: str  # 'returned' | 'out_of_fuel' | 'stuck'
-    value: Optional[V.Value] = None
-    reason: str = ""
-    steps: int = 0
-    trace: list[AbsConfig] = field(default_factory=list)
-
-
-class RunError(S.CorError):
-    def __init__(self, code: str, msg: str):
-        super().__init__(f"[{code}] {msg}")
-        self.code = code
-
-
 def initial_config(prog: S.Program, fname: str, inputs: list[V.Value]) -> AbsConfig:
-    fn = prog.fn(fname)
-    if not fn.is_simple():
-        raise RunError("NotSimpleFunction", f"{fname} takes lifetime parameters")
-    if len(inputs) != len(fn.params):
-        raise RunError("SortMismatch", f"{fname} expects {len(fn.params)} arguments")
-    from .cos import value_matches
-
+    fn = entry_fn(prog, fname, inputs)
     frame: dict[str, V.PreValue] = {}
     for v, (x, t) in zip(inputs, fn.params):
         if not value_matches(v, t) or not V.is_value(v):
@@ -444,27 +400,21 @@ def run(
     supply = AbsSupply()
     rng = random.Random(seed)
     cfg = initial_config(prog, fname, inputs)
-    trace = [cfg] if keep_trace else []
-    steps = 0
-    while True:
+
+    def checked_step(cfg: AbsConfig) -> StepResult:
         if check_safety:
             ok, diags = safe_abstract(prog, typing, cfg)
             if not ok:
                 raise RunError("UnsafeConfig", "; ".join(diags))
-        res = step(prog, typing, cfg, rng, supply, rand_range)
-        if isinstance(res, Final):
-            (value,) = cfg.top.frame.values()
-            if not V.is_value(value):
-                raise RunError("AbstractResult", f"abstract variables leaked: {V.show(value)}")
-            return RunOutcome("returned", value=value, steps=steps, trace=trace)
-        if isinstance(res, Stuck):
-            return RunOutcome("stuck", reason=res.reason, steps=steps, trace=trace)
-        if steps >= fuel:
-            return RunOutcome("out_of_fuel", steps=steps, trace=trace)
-        cfg = res.config
-        steps += 1
-        if keep_trace:
-            trace.append(cfg)
+        return step(prog, typing, cfg, rng, supply, rand_range)
+
+    def finish(cfg: AbsConfig) -> tuple[V.Value, tuple[int, ...]]:
+        (value,) = cfg.top.frame.values()
+        if not V.is_value(value):
+            raise RunError("AbstractResult", f"abstract variables leaked: {V.show(value)}")
+        return value, ()
+
+    return drive(checked_step, cfg, fuel, keep_trace, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -548,13 +498,19 @@ def summarize_frame(theta: dict[str, str], frame: dict[str, V.PreValue], gamma: 
     return out
 
 
+def frame_gamma(typing: TypingResult, entry, is_top: bool) -> dict:
+    """The static context of a stack frame; below the top, without the
+    receiver, which is not populated until the callee returns."""
+    gamma = dict(typing.ctx(entry.fn, entry.label).gamma)
+    if not is_top:
+        gamma.pop(entry.recv, None)
+    return gamma
+
+
 def summarize_config(prog: S.Program, typing: TypingResult, cfg: AbsConfig) -> Counter:
     out: Counter = Counter()
     for i, e in enumerate(cfg.stack):
-        gamma = dict(typing.ctx(e.fn, e.label).gamma)
-        if i > 0:
-            gamma.pop(e.recv, None)  # the receiver is not populated until return
-        out += summarize_frame(e.theta, e.frame, gamma)
+        out += summarize_frame(e.theta, e.frame, frame_gamma(typing, e, i == 0))
     return out
 
 

@@ -66,37 +66,22 @@ def _write_trace(path: str, trace) -> None:
 
 
 def cmd_run(args) -> int:
+    """`run` on the heap interpreter, `run-abstract` on the prophecy one."""
     prog = _load(args.file)
     inputs = cor_parser.parse_value_list(args.args)
-    out = cos.run(
-        prog, args.fn, inputs, seed=args.seed, fuel=args.fuel,
-        rand_range=(args.rand_lo, args.rand_hi), keep_trace=args.trace is not None,
-    )
+    kw = dict(seed=args.seed, fuel=args.fuel, rand_range=(args.rand_lo, args.rand_hi),
+              keep_trace=args.trace is not None)
+    if args.command == "run":
+        out = cos.run(prog, args.fn, inputs, **kw)
+    else:
+        out = aos.run(prog, args.fn, inputs, check_safety=args.check_safety, **kw)
     if args.trace:
         _write_trace(args.trace, out.trace)
     if out.status == "returned":
-        _emit(args, {"status": "returned", "value": V.to_json(out.value), "steps": out.steps,
-                     "leaked_cells": list(out.leaked)},
-              f"returned {V.show(out.value)} after {out.steps} steps")
-        return EXIT_OK
-    _emit(args, {"status": out.status, "reason": out.reason, "steps": out.steps},
-          f"{out.status} after {out.steps} steps {out.reason}")
-    return EXIT_ERROR
-
-
-def cmd_run_abstract(args) -> int:
-    prog = _load(args.file)
-    inputs = cor_parser.parse_value_list(args.args)
-    out = aos.run(
-        prog, args.fn, inputs, seed=args.seed, fuel=args.fuel,
-        rand_range=(args.rand_lo, args.rand_hi),
-        keep_trace=args.trace is not None, check_safety=args.check_safety,
-    )
-    if args.trace:
-        _write_trace(args.trace, out.trace)
-    if out.status == "returned":
-        _emit(args, {"status": "returned", "value": V.to_json(out.value), "steps": out.steps},
-              f"returned {V.show(out.value)} after {out.steps} steps")
+        payload = {"status": "returned", "value": V.to_json(out.value), "steps": out.steps}
+        if args.command == "run":
+            payload["leaked_cells"] = list(out.leaked)
+        _emit(args, payload, f"returned {V.show(out.value)} after {out.steps} steps")
         return EXIT_OK
     _emit(args, {"status": out.status, "reason": out.reason, "steps": out.steps},
           f"{out.status} after {out.steps} steps {out.reason}")
@@ -223,7 +208,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
-    for name, fun in (("run", cmd_run), ("run-abstract", cmd_run_abstract)):
+    for name in ("run", "run-abstract"):
         p = sub.add_parser(name, help=f"{name} a simple function")
         common(p)
         p.add_argument("--args", default="", help="comma-separated value literals, e.g. 'box(4), box(3)'")
@@ -234,7 +219,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--trace", metavar="OUT.jsonl")
         if name == "run-abstract":
             p.add_argument("--check-safety", action="store_true")
-        p.set_defaults(func=fun)
+        p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("translate", help="emit the clause system")
     p.add_argument("file")

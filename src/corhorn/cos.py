@@ -17,20 +17,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from . import syntax as S
 from . import values as V
+from .machine import (  # the shared names stay reachable as cos.Final, cos.RunError, ...
+    Final, Next, RunError, RunOutcome, StepResult, Stuck, StuckSignal, drive, entry_fn, is_final,
+)
 from .typeck import TypingResult, type_program
 
 
 class ReadoutError(S.CorError):
-    def __init__(self, code: str, msg: str):
-        super().__init__(f"[{code}] {msg}")
-        self.code = code
-
-
-class RunError(S.CorError):
     def __init__(self, code: str, msg: str):
         super().__init__(f"[{code}] {msg}")
         self.code = code
@@ -74,24 +71,6 @@ class CosConfig:
             ],
             "heap": [[a, v] for a, v in sorted(self.heap.items())],
         }
-
-
-@dataclass(frozen=True)
-class Next:
-    config: CosConfig
-
-
-@dataclass(frozen=True)
-class Final:
-    pass
-
-
-@dataclass(frozen=True)
-class Stuck:
-    reason: str
-
-
-StepResult = Union[Next, Final, Stuck]
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +203,9 @@ def _block(heap: dict[int, int], base: int, n: int, reason: str) -> list[int]:
     vals = []
     for k in range(n):
         if base + k not in heap:
-            raise _StuckSignal(f"{reason}: missing cell {base + k}")
+            raise StuckSignal(f"{reason}: missing cell {base + k}")
         vals.append(heap[base + k])
     return vals
-
-
-class _StuckSignal(Exception):
-    pass
-
-
-def is_final(prog: S.Program, cfg: CosConfig) -> bool:
-    top = cfg.top
-    return len(cfg.stack) == 1 and isinstance(prog.fn(top.fn).body[top.label], S.StmtReturn)
 
 
 def step(
@@ -248,7 +218,7 @@ def step(
 ) -> StepResult:
     try:
         return _step(prog, typing, cfg, rng, alloc, rand_range)
-    except _StuckSignal as e:
+    except StuckSignal as e:
         return Stuck(str(e))
 
 
@@ -271,7 +241,7 @@ def _step(prog, typing, cfg, rng, alloc, rand_range) -> StepResult:
         if len(cfg.stack) == 1:
             return Final()
         if len(frame) != 1:
-            raise _StuckSignal("return with extra variables in frame")
+            raise StuckSignal("return with extra variables in frame")
         (addr,) = frame.values()
         caller = cfg.stack[1]
         cframe = dict(caller.frame)
@@ -285,17 +255,17 @@ def _step(prog, typing, cfg, rng, alloc, rand_range) -> StepResult:
         sum_t = S.whnf_type(t.target)
         if t.kind == S.OWN:
             if a not in heap:
-                raise _StuckSignal(f"match: missing tag cell {a}")
+                raise StuckSignal(f"match: missing tag cell {a}")
             i = heap.pop(a)
             if i not in (0, 1):
-                raise _StuckSignal(f"match: bad tag {i}")
+                raise StuckSignal(f"match: bad tag {i}")
             side = sum_t.left if i == 0 else sum_t.right
             other = sum_t.right if i == 0 else sum_t.left
             pad = max(S.size_of(other) - S.size_of(side), 0)
             for k in range(pad):
                 c = a + 1 + S.size_of(side) + k
                 if c not in heap:
-                    raise _StuckSignal(f"match: missing padding cell {c}")
+                    raise StuckSignal(f"match: missing padding cell {c}")
                 del heap[c]
             binder, target = (stmt.y0, stmt.l0) if i == 0 else (stmt.y1, stmt.l1)
             frame[binder] = a + 1
@@ -303,10 +273,10 @@ def _step(prog, typing, cfg, rng, alloc, rand_range) -> StepResult:
             return Next(CosConfig((entry,) + cfg.stack[1:], heap))
         else:
             if a not in heap:
-                raise _StuckSignal(f"match: missing tag cell {a}")
+                raise StuckSignal(f"match: missing tag cell {a}")
             i = heap[a]
             if i not in (0, 1):
-                raise _StuckSignal(f"match: bad tag {i}")
+                raise StuckSignal(f"match: bad tag {i}")
             binder, target = (stmt.y0, stmt.l0) if i == 0 else (stmt.y1, stmt.l1)
             frame[binder] = a + 1
             entry = FrameEntry(f, target, top.recv, frame)
@@ -354,7 +324,7 @@ def _step(prog, typing, cfg, rng, alloc, rand_range) -> StepResult:
         t = ty(instr.x)
         a = frame.pop(instr.x)
         if a not in heap:
-            raise _StuckSignal(f"deref: missing cell {a}")
+            raise StuckSignal(f"deref: missing cell {a}")
         a2 = heap[a]
         if t.kind == S.OWN:
             del heap[a]  # the consumed box's own cell is freed here
@@ -391,7 +361,7 @@ def _step(prog, typing, cfg, rng, alloc, rand_range) -> StepResult:
     if isinstance(instr, S.BinOpInstr):
         a, a2 = frame[instr.x], frame[instr.x2]
         if a not in heap or a2 not in heap:
-            raise _StuckSignal("binop: missing operand cell")
+            raise StuckSignal("binop: missing operand cell")
         res = S.eval_op(instr.op, heap[a], heap[a2])
         b = alloc.fresh(1)
         heap[b] = int(res)  # booleans encoded 1/0
@@ -450,7 +420,7 @@ def _step(prog, typing, cfg, rng, alloc, rand_range) -> StepResult:
         frame[instr.y1] = a + S.size_of(prod.left)
         return Next(retop(goto))
 
-    raise _StuckSignal(f"no rule for instruction {instr!r}")
+    raise StuckSignal(f"no rule for instruction {instr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -458,24 +428,10 @@ def _step(prog, typing, cfg, rng, alloc, rand_range) -> StepResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunOutcome:
-    status: str  # 'returned' | 'out_of_fuel' | 'stuck'
-    value: Optional[V.Value] = None
-    reason: str = ""
-    steps: int = 0
-    trace: list[CosConfig] = field(default_factory=list)
-    leaked: tuple[int, ...] = ()
-
-
 def initial_config(
     prog: S.Program, typing: TypingResult, fname: str, inputs: list[V.Value], alloc: Alloc
 ) -> CosConfig:
-    fn = prog.fn(fname)
-    if not fn.is_simple():
-        raise RunError("NotSimpleFunction", f"{fname} takes lifetime parameters")
-    if len(inputs) != len(fn.params):
-        raise RunError("SortMismatch", f"{fname} expects {len(fn.params)} arguments")
+    fn = entry_fn(prog, fname, inputs)
     heap: dict[int, int] = {}
     frame: dict[str, int] = {}
     for v, (x, t) in zip(inputs, fn.params):
@@ -501,24 +457,14 @@ def run(
     alloc = Alloc()
     rng = random.Random(seed)
     cfg = initial_config(prog, typing, fname, inputs, alloc)
-    trace = [cfg] if keep_trace else []
-    steps = 0
-    while True:
-        res = step(prog, typing, cfg, rng, alloc, rand_range)
-        if isinstance(res, Final):
-            top = cfg.top
-            gamma = typing.ctx(top.fn, top.label).gamma
-            vals = safe_readout_frame(cfg.heap, top.frame, gamma)
-            (value,) = vals.values()
-            stmt = prog.fn(top.fn).body[top.label]
-            _, m = readout(cfg.heap, top.frame[stmt.x], gamma[stmt.x].ty.target)
-            leaked = tuple(sorted(set(cfg.heap) - set(m)))
-            return RunOutcome("returned", value=value, steps=steps, trace=trace, leaked=leaked)
-        if isinstance(res, Stuck):
-            return RunOutcome("stuck", reason=res.reason, steps=steps, trace=trace)
-        if steps >= fuel:
-            return RunOutcome("out_of_fuel", steps=steps, trace=trace)
-        cfg = res.config
-        steps += 1
-        if keep_trace:
-            trace.append(cfg)
+
+    def finish(cfg: CosConfig) -> tuple[V.Value, tuple[int, ...]]:
+        top = cfg.top
+        gamma = typing.ctx(top.fn, top.label).gamma
+        (value,) = safe_readout_frame(cfg.heap, top.frame, gamma).values()
+        stmt = prog.fn(top.fn).body[top.label]
+        _, m = readout(cfg.heap, top.frame[stmt.x], gamma[stmt.x].ty.target)
+        return value, tuple(sorted(set(cfg.heap) - set(m)))
+
+    return drive(lambda c: step(prog, typing, c, rng, alloc, rand_range),
+                 cfg, fuel, keep_trace, finish)

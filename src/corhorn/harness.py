@@ -30,7 +30,8 @@ from . import sldc
 from . import syntax as S
 from . import translate as T
 from . import values as V
-from .typeck import TypingResult, type_program
+from .machine import Final, Stuck
+from .typeck import LftCtx, TypingResult, type_equiv, type_program
 
 
 class LinkError(S.CorError):
@@ -53,9 +54,6 @@ class TakeX:
     ty: S.Type
 
 
-HOT = "hot"
-
-
 @dataclass
 class ReadoutState:
     summary: Counter = field(default_factory=Counter)
@@ -74,7 +72,7 @@ class ReadoutState:
 
 
 def _mark(mode, frozen_at: Optional[str], addr: int):
-    if mode == HOT:
+    if mode == aos.HOT:
         return ("hot", frozen_at, addr)
     return ("cold", mode[1], addr)
 
@@ -89,7 +87,7 @@ def _guide_absvar(st: ReadoutState, guide) -> V.AbsVar:
 def _read_ptr(heap, mode, frz, addr, t: S.Ptr, guide, st: ReadoutState):
     """Read the pointer `addr` at (tagged) pointer type t."""
     if t.kind in (S.OWN, S.IMMUT):
-        inner_mode = mode if t.kind == S.OWN else (mode if mode != HOT else ("cold", t.lft))
+        inner_mode = mode if t.kind == S.OWN else (mode if mode != aos.HOT else ("cold", t.lft))
         if guide is not None and not isinstance(guide, V.Box):
             st.diag(f"expected box at {addr}, abstract side has {V.show(guide)}")
             return None
@@ -100,14 +98,14 @@ def _read_ptr(heap, mode, frz, addr, t: S.Ptr, guide, st: ReadoutState):
     if guide is not None and not isinstance(guide, V.MutPair):
         st.diag(f"expected mut pair at {addr}, abstract side has {V.show(guide)}")
         return None
-    if mode == HOT:
+    if mode == aos.HOT:
         fin = _guide_absvar(st, guide.fin if guide is not None else None)
         if guide is not None and not isinstance(guide.fin, V.AbsVar):
             st.diag(f"hot mut at {addr} without prophecy on the abstract side")
             return None
         if guide is None:
             st.give_vars.setdefault(addr, []).append((fin, t.lft, t.target))
-        v = _read_data(heap, HOT, frz, addr, t.target,
+        v = _read_data(heap, aos.HOT, frz, addr, t.target,
                        guide.cur if guide is not None else None, st)
         if v is None:
             return None
@@ -137,8 +135,6 @@ def _read_data(heap, mode, frz, addr, t: S.Type, guide, st: ReadoutState):
             # cut exactly where some borrower handed out a prophecy for
             # this address, at a lifetime ending by this freeze, for data
             # of an equivalent type
-            from .typeck import type_equiv
-
             for entry in st.give_vars.get(addr, ()):
                 x, give_lft, give_ty = entry
                 if st.lctx.leq(give_lft, frz) and type_equiv(st.lctx, give_ty, t):
@@ -206,13 +202,6 @@ def _read_data(heap, mode, frz, addr, t: S.Type, guide, st: ReadoutState):
     return None
 
 
-def _frames_gamma(typing: TypingResult, entry, is_top: bool) -> dict:
-    gamma = dict(typing.ctx(entry.fn, entry.label).gamma)
-    if not is_top:
-        gamma.pop(entry.recv, None)  # receiver is filled in at return time
-    return gamma
-
-
 def extended_readout(
     prog: S.Program,
     typing: TypingResult,
@@ -244,7 +233,7 @@ def extended_readout(
             prog, typing, cfg, i
         )
         thetas.append(dict(theta))
-        gamma = _frames_gamma(typing, entry, i == 0)
+        gamma = aos.frame_gamma(typing, entry, i == 0)
         if set(entry.frame) != set(gamma):
             st.diag(f"frame {i}: variables {sorted(entry.frame)} vs context {sorted(gamma)}")
             return None, st.summary, st.footprint, st.diags
@@ -271,7 +260,7 @@ def extended_readout(
         ordered = jobs
     aframes: list[dict] = [dict() for _ in cfg.stack]
     for i, x, t, frz, addr, gv in ordered:
-        v = _read_ptr(cfg.heap, HOT, frz, addr, t, gv, st)
+        v = _read_ptr(cfg.heap, aos.HOT, frz, addr, t, gv, st)
         if v is None:
             return None, st.summary, st.footprint, st.diags
         aframes[i][x] = v
@@ -320,8 +309,6 @@ def _find_call(fn: S.FunctionDef, cont_label: str, recv: str, callee: str):
 
 
 def _reconstruct_global_lft(prog, typing, cfg, thetas, n):
-    from .typeck import LftCtx
-
     carrier = set()
     pairs = set()
     for i, entry in enumerate(cfg.stack):
@@ -352,8 +339,6 @@ def safe_extended(lctx, summary: Counter, footprint: Counter) -> list[str]:
         g, t = gives[0], takes[0]
         if g.addr != t.addr:
             diags.append(f"prophecy {uid}: give at {g.addr}, take at {t.addr}")
-        from .typeck import type_equiv
-
         if not type_equiv(lctx, g.ty, t.ty):
             diags.append(f"prophecy {uid}: give/take types differ")
         if not lctx.leq(g.lft, t.lft):
@@ -454,8 +439,8 @@ def lockstep_cos_aos(
             return LinkReport(False, steps, f"link failed at step {i} ({point})")
         rc = cos.step(prog, typing, c, rng_c, alloc, rand_range)
         ra = aos.step(prog, typing, a, rng_a, supply, rand_range)
-        if isinstance(rc, cos.Final) or isinstance(ra, aos.Final):
-            if not (isinstance(rc, cos.Final) and isinstance(ra, aos.Final)):
+        if isinstance(rc, Final) or isinstance(ra, Final):
+            if type(rc) is not type(ra):
                 return LinkReport(False, steps, f"one side finished early at step {i}")
             gamma = typing.ctx(c.top.fn, c.top.label).gamma
             vals = cos.safe_readout_frame(c.heap, c.top.frame, gamma)
@@ -464,8 +449,8 @@ def lockstep_cos_aos(
             if cv != av:
                 return LinkReport(False, steps, f"final values differ: {V.show(cv)} vs {V.show(av)}")
             return LinkReport(True, steps, final_value=V.show(cv))
-        if isinstance(rc, cos.Stuck) or isinstance(ra, aos.Stuck):
-            reason = rc.reason if isinstance(rc, cos.Stuck) else ra.reason
+        if isinstance(rc, Stuck) or isinstance(ra, Stuck):
+            reason = (rc if isinstance(rc, Stuck) else ra).reason
             return LinkReport(False, steps, f"stuck at step {i}: {reason}")
         c, a = rc.config, ra.config
     return LinkReport(True, steps, "fuel exhausted with all steps linked")
@@ -549,12 +534,8 @@ def _config_refines(cand: sldc.ResConfig, target: sldc.ResConfig) -> bool:
     return _match_refines(cand.result, target.result, m)
 
 
-def _clauses_for_step(sys_index, clause_tags, fn, label, branch: Optional[int]):
-    out = []
-    for c in clause_tags.get((fn, label), ()):
-        if branch is None or c.tag[3] == branch:
-            out.append(c)
-    return out
+def _clauses_for_step(clause_tags, fn, label, branch: Optional[int]):
+    return [c for c in clause_tags.get((fn, label), ()) if branch is None or c.tag[3] == branch]
 
 
 def lockstep_aos_sldc(
@@ -588,8 +569,8 @@ def lockstep_aos_sldc(
         point = f"{top.fn}:{top.label}"
         stmt = prog.fn(top.fn).body[top.label]
         ra = aos.step(prog, typing, a, rng, supply, rand_range)
-        if isinstance(ra, aos.Final):
-            clauses = _clauses_for_step(None, clause_tags, top.fn, top.label, None)
+        if isinstance(ra, Final):
+            clauses = _clauses_for_step(clause_tags, top.fn, top.label, None)
             cands = sldc.step(sys, k, renamer, spec, clauses=clauses)
             (value,) = a.top.frame.values()
             done = [c for c in cands if c.done and L.refines_to(c.result, value)]
@@ -598,13 +579,13 @@ def lockstep_aos_sldc(
             return LinkReport(ok, steps,
                               "" if ok else f"final step diverged at {point}",
                               final_value=V.show(value))
-        if isinstance(ra, aos.Stuck):
+        if isinstance(ra, Stuck):
             return LinkReport(False, steps, f"interpreter stuck at step {i}: {ra.reason}")
         a2 = ra.config
         branch = None
         if isinstance(stmt, S.StmtMatch):
             branch = 0 if a2.top.label == stmt.l0 else 1
-        clauses = _clauses_for_step(None, clause_tags, top.fn, top.label, branch)
+        clauses = _clauses_for_step(clause_tags, top.fn, top.label, branch)
         cands = sldc.step(sys, k, renamer, spec, clauses=clauses)
         target = resolutive_of(prog, typing, a2)
         ok = any(_config_refines(c, target) for c in cands if not c.done)
@@ -614,8 +595,6 @@ def lockstep_aos_sldc(
         if not ok:
             return LinkReport(False, steps, f"diverged at step {i} ({point})")
         a, k = a2, target
-        if i == fuel:
-            break
     return LinkReport(True, steps, "fuel exhausted with all steps linked")
 
 

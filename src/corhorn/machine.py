@@ -1,0 +1,91 @@
+"""Machine plumbing shared by the heap interpreter (`cos`) and the
+prophecy interpreter (`aos`).
+
+The two semantics differ only in their configurations and rules.  Both
+step a configuration to `Next`, `Final` or `Stuck`, enter through the
+same simple-function checks and run under the same fuel/trace loop,
+`drive`, which leaves the final readout to the interpreter.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Any, Callable, Optional, Union
+
+from . import syntax as S
+from . import values as V
+
+
+class RunError(S.CorError):
+    def __init__(self, code: str, msg: str):
+        super().__init__(f"[{code}] {msg}")
+        self.code = code
+
+
+@dataclass(frozen=True)
+class Next:
+    config: Any
+
+
+@dataclass(frozen=True)
+class Final:
+    pass
+
+
+@dataclass(frozen=True)
+class Stuck:
+    reason: str
+
+
+StepResult = Union[Next, Final, Stuck]
+
+
+class StuckSignal(Exception):
+    """Raised by a rule that cannot fire; `step` turns it into `Stuck`."""
+
+
+@dataclass
+class RunOutcome:
+    status: str  # 'returned' | 'out_of_fuel' | 'stuck'
+    value: Optional[V.Value] = None
+    reason: str = ""
+    steps: int = 0
+    trace: list = field(default_factory=list)
+    leaked: tuple[int, ...] = ()  # heap cells left behind (heap interpreter only)
+
+
+def entry_fn(prog: S.Program, fname: str, inputs: list[V.Value]) -> S.FunctionDef:
+    """The function a run starts in: simple, and given one input per parameter."""
+    fn = prog.fn(fname)
+    if not fn.is_simple():
+        raise RunError("NotSimpleFunction", f"{fname} takes lifetime parameters")
+    if len(inputs) != len(fn.params):
+        raise RunError("SortMismatch", f"{fname} expects {len(fn.params)} arguments")
+    return fn
+
+
+def is_final(prog: S.Program, cfg) -> bool:
+    top = cfg.top
+    return len(cfg.stack) == 1 and isinstance(prog.fn(top.fn).body[top.label], S.StmtReturn)
+
+
+def drive(step: Callable[[Any], StepResult], cfg, fuel: int, keep_trace: bool,
+          finish: Callable[[Any], tuple[V.Value, tuple[int, ...]]]) -> RunOutcome:
+    """Step from cfg until a final or stuck configuration, or until fuel
+    steps are spent.  `finish` reads the returned value and the leaked
+    cells out of the final configuration."""
+    trace = [cfg] if keep_trace else []
+    steps = 0
+    while True:
+        res = step(cfg)
+        if not isinstance(res, Next):
+            if isinstance(res, Final):
+                value, leaked = finish(cfg)
+                return RunOutcome("returned", value=value, steps=steps, trace=trace, leaked=leaked)
+            return RunOutcome("stuck", reason=res.reason, steps=steps, trace=trace)
+        if steps >= fuel:
+            return RunOutcome("out_of_fuel", steps=steps, trace=trace)
+        cfg = res.config
+        steps += 1
+        if keep_trace:
+            trace.append(cfg)

@@ -375,7 +375,11 @@ class _Parser:
     def int_literal(self) -> int:
         neg = self.accept("punct", "-")
         tok = self.expect("int")
-        return -int(tok.text) if neg else int(tok.text)
+        try:
+            n = int(tok.text)
+        except ValueError:  # int tokens are runs of str.isdigit, which admits '²'
+            self.error("bad integer literal", tok)
+        return -n if neg else n
 
     # -- value literals ------------------------------------------------------
 

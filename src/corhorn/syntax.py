@@ -489,6 +489,10 @@ class ProgramError(CorError):
     definitions, unreachable code, incomplete signature types."""
 
 
+class UnknownFunction(ProgramError):
+    code = "UnknownFunction"
+
+
 @dataclass(frozen=True)
 class FunctionDef:
     name: str
@@ -520,7 +524,10 @@ class Program:
         return iter(self.functions.values())
 
     def fn(self, name: str) -> FunctionDef:
-        return self.functions[name]
+        try:
+            return self.functions[name]
+        except KeyError:
+            raise UnknownFunction(f"[UnknownFunction] no function named {name!r}") from None
 
 
 def successors(stmt: Statement) -> tuple[str, ...]:

@@ -231,3 +231,23 @@ def test_run_output_pinned(capsys, command, fuel, flags, code, stdout):
     got = run_cli(capsys, command, INC_MAX, "--fn", "inc_max", "--args", "box(4), box(3)",
                   "--fuel", fuel, *flags)
     assert got == (code, stdout, "")
+
+
+def test_non_decimal_digit_argument_exit_2(capsys):
+    code, out, err = run_cli(capsys, "run", INC_MAX, "--fn", "inc_max", "--args", "3²")
+    assert (code, out, err) == (2, "", "error: 1:1: bad integer literal (got '3²')\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--args", "box(1)"],
+        ["run-abstract", "--args", "box(1)"],
+        ["bisim", "--runs", "1"],
+        ["oracle"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unknown_function_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], INC_MAX, "--fn", "nope", *argv[1:])
+    assert (code, out, err) == (2, "", "error: [UnknownFunction] no function named 'nope'\n")

@@ -220,3 +220,23 @@ def test_word_classes_follow_str_predicates():
                 got = [(t.kind, t.text) for t in parser.tokenize(src[:e.col - 1])[:-1]]
                 got.append(("error", src[e.col - 1]))
             assert got == _expected_tokens(src), (hex(cp), src)
+
+
+@pytest.mark.parametrize(
+    "parse, src, message",
+    [
+        (parser.parse_value, "3²", "1:1: bad integer literal (got '3²')"),
+        (parser.parse_value, "box(-3²)", "1:6: bad integer literal (got '3²')"),
+        (parser.parse_program, "fn f() -> own int {\n  entry: let *x = ¹;\n  return x;\n}",
+         "2:19: bad integer literal (got '¹')"),
+    ],
+)
+def test_non_decimal_digits_are_parse_errors(parse, src, message):
+    # int tokens are runs of str.isdigit, which admits digits int() rejects
+    with pytest.raises(parser.ParseError) as exc:
+        parse(src)
+    assert str(exc.value) == message
+
+
+def test_decimal_digits_of_other_scripts_parse():
+    assert parser.parse_value("box(٣)") == V.Box(3)

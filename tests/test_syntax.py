@@ -1,6 +1,6 @@
 import pytest
 
-from corhorn import parser, syntax as S
+from corhorn import corpus, parser, syntax as S
 
 
 LIST_T = parser.parse_type("mu X. int * own X + unit")
@@ -125,3 +125,11 @@ def test_call_to_undefined_function():
     """
     with pytest.raises(S.ProgramError, match="undefined function"):
         parser.parse_program(src)
+
+
+def test_unknown_function_is_a_cor_error():
+    prog = corpus.load("inc_max")
+    with pytest.raises(S.UnknownFunction) as exc:
+        prog.fn("nope")
+    assert isinstance(exc.value, S.CorError) and exc.value.code == "UnknownFunction"
+    assert str(exc.value) == "[UnknownFunction] no function named 'nope'"

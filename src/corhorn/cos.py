@@ -27,10 +27,8 @@ from .machine import (  # the shared names stay reachable as cos.Final, cos.RunE
 from .typeck import TypingResult, type_program
 
 
-class ReadoutError(S.CorError):
-    def __init__(self, code: str, msg: str):
-        super().__init__(f"[{code}] {msg}")
-        self.code = code
+class ReadoutError(RunError):
+    """A heap that does not read out at its type."""
 
 
 class Alloc:

@@ -535,7 +535,11 @@ def _config_refines(cand: sldc.ResConfig, target: sldc.ResConfig) -> bool:
 
 
 def _clauses_for_step(clause_tags, fn, label, branch: Optional[int]):
-    return [c for c in clause_tags.get((fn, label), ()) if branch is None or c.tag[3] == branch]
+    out = []
+    for c in clause_tags.get((fn, label), ()):
+        if branch is None or c.tag[3] == branch:
+            out.append(c)
+    return out
 
 
 def lockstep_aos_sldc(

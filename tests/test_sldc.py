@@ -1,8 +1,11 @@
+import hashlib
+import json
 import random
+import zlib
 
 import pytest
 
-from corhorn import corpus, logic as L, sldc, translate, typeck, values as V
+from corhorn import corpus, logic as L, sldc, syntax as S, translate, typeck, values as V
 from corhorn.logic import Atom, CHCSystem, Clause, SampleSpec
 
 
@@ -163,3 +166,48 @@ def test_oracle_budget_exception():
     )
     with pytest.raises(sldc.OracleBudget):
         sldc.bottom_up_facts(sys, SampleSpec(-8, 8), enum_cap=100)
+
+
+# -- pinned enumeration -----------------------------------------------------------
+
+ENUM_SPEC = SampleSpec(-4, 4, max_depth=3)
+ENUM_INPUTS = 4  # sampled input tuples per corpus entry
+ENUM_WIDTH = 400
+# deep enough that some inputs of each entry derive a result
+ENUM_DEPTH = {"linger_dec": 60, "linger_dec_unsafe": 60, "inc_some": 150,
+              "inc_some_unsafe": 150, "inc_some_t": 300, "inc_some_t_unsafe": 300}
+
+# SHA-256 per corpus entry over the shown result patterns, `steps` and
+# `budget_exceeded` of enumerate_results on zlib.crc32-seeded inputs.
+PINNED_ENUM_DIGESTS = {
+    "inc_max": "92dee532fbed12c9bcc6e044dfedd316753cb2207b86b07ef562bafd65fe3b39",
+    "inc_max_unsafe": "7efa8c7f4a29797b6f1515ee1e8b8ca114e694c0c4a4aeaa99b888d0462e7e82",
+    "just_rec": "a2dc1f016ff8aa20a6899dfd6b38fc25b8604dad88eb31cc142460c32a9a7258",
+    "just_rec_unsafe": "f4f6d9636d33c28f93eccd0ce9dab461d3ef7ff249d3b26c4628f06d258f4474",
+    "linger_dec": "44f72b278ececa336cef4861ca563446d171a11207dd0d0c1e4bda3b8a71d6a0",
+    "linger_dec_unsafe": "0b25e2c0b1bbe9929dc24803d3c30978f53400f74f765fb8107f8d35d5708fbd",
+    "inc_some": "5617d9cbf9f39e1d11d60281626c5443527f377fa4c2f11f8ecb345ae0cc1702",
+    "inc_some_unsafe": "eab992360b9e1cfd1fef4d99ab5e008221c005565f5522a8af3bef5560b983d1",
+    "inc_some_t": "8ced9045ffd7831c11de41416efc115a2c7ff72f555e368a3fd313ce1552a1f1",
+    "inc_some_t_unsafe": "3647d6717b8b828aeb35b843a42bf7ff613d6d968821b158d313fc7698172c7d",
+}
+
+
+def _enum_digest(e) -> str:
+    prog = corpus.load(e.name)
+    system = translate.translate_program(prog, typeck.type_program(prog))
+    pred = L.pred_name(e.entry_fn, S.ENTRY)
+    rng = random.Random(zlib.crc32(e.name.encode()))
+    blob = []
+    for _ in range(ENUM_INPUTS):
+        inputs = tuple(corpus.random_inputs(prog, e.entry_fn, rng, ENUM_SPEC))
+        out = sldc.enumerate_results(system, pred, inputs, depth=ENUM_DEPTH.get(e.name, 40),
+                                     width=ENUM_WIDTH, spec=ENUM_SPEC)
+        blob.append([[V.show(v) for v in inputs], [V.show(p) for p, _ in out.patterns],
+                     out.steps, out.budget_exceeded])
+    return hashlib.sha256(json.dumps(blob).encode()).hexdigest()
+
+
+def test_enumeration_pinned():
+    digests = {e.name: _enum_digest(e) for e in corpus.CORPUS}
+    assert digests == PINNED_ENUM_DIGESTS

@@ -427,6 +427,7 @@ class Give:
     lft: str  # tagged
     uid: int
     ty: S.Type  # canon, with tagged lifetimes
+    addr: Optional[int] = None  # the heap address, in an extended summary
 
 
 @dataclass(frozen=True)
@@ -434,6 +435,7 @@ class Take:
     lft: str
     uid: int
     ty: S.Type
+    addr: Optional[int] = None
 
 
 class ShapeMismatch(S.CorError):
@@ -515,6 +517,8 @@ def summarize_config(prog: S.Program, typing: TypingResult, cfg: AbsConfig) -> C
 
 
 def safe_summary(lctx: LftCtx, summary: Counter) -> list[str]:
+    """Every abstract variable has one give and one take, at the same
+    address, of equivalent types, the give's lifetime ending first."""
     by_uid: dict[int, list] = {}
     for item, n in summary.items():
         by_uid.setdefault(item.uid, []).extend([item] * n)
@@ -526,6 +530,8 @@ def safe_summary(lctx: LftCtx, summary: Counter) -> list[str]:
             diags.append(f"abs var {uid}: {len(gives)} gives, {len(takes)} takes")
             continue
         g, t = gives[0], takes[0]
+        if g.addr != t.addr:
+            diags.append(f"abs var {uid}: give at {g.addr}, take at {t.addr}")
         if not type_equiv(lctx, g.ty, t.ty):
             diags.append(f"abs var {uid}: give/take types differ")
         if not lctx.leq(g.lft, t.lft):

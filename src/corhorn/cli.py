@@ -36,6 +36,13 @@ def _load(path: str) -> S.Program:
     return cor_parser.parse_program(source)
 
 
+def _int_range(lo: int, hi: int, flags: str) -> tuple[int, int]:
+    """Reject an empty integer range given on the command line."""
+    if lo > hi:
+        raise S.CorError(f"{flags}: empty integer range {lo}..{hi}")
+    return lo, hi
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if getattr(args, "json", False):
         print(json.dumps({"schema": 1, **payload}, indent=2))
@@ -69,7 +76,8 @@ def cmd_run(args) -> int:
     """`run` on the heap interpreter, `run-abstract` on the prophecy one."""
     prog = _load(args.file)
     inputs = cor_parser.parse_value_list(args.args)
-    kw = dict(seed=args.seed, fuel=args.fuel, rand_range=(args.rand_lo, args.rand_hi),
+    kw = dict(seed=args.seed, fuel=args.fuel,
+              rand_range=_int_range(args.rand_lo, args.rand_hi, "--rand-lo/--rand-hi"),
               keep_trace=args.trace is not None)
     if args.command == "run":
         out = cos.run(prog, args.fn, inputs, **kw)
@@ -132,7 +140,7 @@ def cmd_bisim(args) -> int:
     prog = _load(args.file)
     typing = typeck.type_program(prog)
     rng = random.Random(args.seed)
-    spec = L.SampleSpec(args.rand_lo, args.rand_hi, max_depth=3)
+    spec = L.SampleSpec(*_int_range(args.rand_lo, args.rand_hi, "--rand-lo/--rand-hi"), max_depth=3)
     failures = []
     runs = 0
     for _ in range(args.runs):
@@ -153,7 +161,8 @@ def cmd_bisim(args) -> int:
 def cmd_oracle(args) -> int:
     prog = _load(args.file)
     fn = prog.fn(args.fn)
-    spec = L.SampleSpec(-args.range, args.range, max_depth=3)
+    rand_range = _int_range(-args.range, args.range, "--range")
+    spec = L.SampleSpec(*rand_range, max_depth=3)
     arg_sorts = [T.sort_of_type(t) for _, t in fn.params]
     total = 1
     for s in arg_sorts:
@@ -169,7 +178,7 @@ def cmd_oracle(args) -> int:
         ]
     rep = harness.oracle_diff(
         prog, args.fn, tuples, seeds=range(args.run_seeds), depth=args.depth,
-        rand_range=(-args.range, args.range),
+        rand_range=rand_range,
     )
     _emit(args, rep.to_json(),
           f"{rep.checked} inputs checked, {rep.returned} returned, "

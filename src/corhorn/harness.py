@@ -38,22 +38,6 @@ class LinkError(S.CorError):
     pass
 
 
-@dataclass(frozen=True)
-class GiveX:
-    lft: str
-    addr: int
-    uid: int
-    ty: S.Type
-
-
-@dataclass(frozen=True)
-class TakeX:
-    lft: str
-    addr: int
-    uid: int
-    ty: S.Type
-
-
 @dataclass
 class ReadoutState:
     summary: Counter = field(default_factory=Counter)
@@ -109,7 +93,7 @@ def _read_ptr(heap, mode, frz, addr, t: S.Ptr, guide, st: ReadoutState):
                        guide.cur if guide is not None else None, st)
         if v is None:
             return None
-        st.summary[GiveX(t.lft, addr, fin.uid, S.canon_type(t.target))] += 1
+        st.summary[aos.Give(t.lft, fin.uid, S.canon_type(t.target), addr)] += 1
         return V.MutPair(v, fin)
     # cold mutable reference: the final component is unobservable
     st.cold_mut_seen = True
@@ -129,7 +113,7 @@ def _read_data(heap, mode, frz, addr, t: S.Type, guide, st: ReadoutState):
     prophecy for this address at the freezing lifetime."""
     if frz is not None:
         if guide is not None and isinstance(guide, V.AbsVar):
-            st.summary[TakeX(frz, addr, guide.uid, S.canon_type(t))] += 1
+            st.summary[aos.Take(frz, guide.uid, S.canon_type(t), addr)] += 1
             return guide
         if guide is None:
             # cut exactly where some borrower handed out a prophecy for
@@ -139,7 +123,7 @@ def _read_data(heap, mode, frz, addr, t: S.Type, guide, st: ReadoutState):
                 x, give_lft, give_ty = entry
                 if st.lctx.leq(give_lft, frz) and type_equiv(st.lctx, give_ty, t):
                     st.give_vars[addr].remove(entry)
-                    st.summary[TakeX(frz, addr, x.uid, S.canon_type(t))] += 1
+                    st.summary[aos.Take(frz, x.uid, S.canon_type(t), addr)] += 1
                     return x
     t = S.whnf_type(t)
     if isinstance(t, S.IntT):
@@ -325,24 +309,9 @@ def _reconstruct_global_lft(prog, typing, cfg, thetas, n):
 
 
 def safe_extended(lctx, summary: Counter, footprint: Counter) -> list[str]:
-    """Safety of the extended summary and footprint."""
-    diags = []
-    by_uid: dict[int, list] = {}
-    for item, k in summary.items():
-        by_uid.setdefault(item.uid, []).extend([item] * k)
-    for uid, items in sorted(by_uid.items()):
-        gives = [i for i in items if isinstance(i, GiveX)]
-        takes = [i for i in items if isinstance(i, TakeX)]
-        if len(gives) != 1 or len(takes) != 1:
-            diags.append(f"prophecy {uid}: {len(gives)} gives / {len(takes)} takes")
-            continue
-        g, t = gives[0], takes[0]
-        if g.addr != t.addr:
-            diags.append(f"prophecy {uid}: give at {g.addr}, take at {t.addr}")
-        if not type_equiv(lctx, g.ty, t.ty):
-            diags.append(f"prophecy {uid}: give/take types differ")
-        if not lctx.leq(g.lft, t.lft):
-            diags.append(f"prophecy {uid}: give lifetime {g.lft} not before take {t.lft}")
+    """Safety of the extended summary (paired as in `aos.safe_summary`,
+    at one address) and of the footprint."""
+    diags = aos.safe_summary(lctx, summary)
     by_addr: dict[int, list] = {}
     for mark, k in footprint.items():
         by_addr.setdefault(mark[2], []).extend([mark] * k)
@@ -367,13 +336,13 @@ def safe_link(
     acfg: aos.AbsConfig,
 ) -> tuple[bool, list[str]]:
     """Does the concrete configuration read out safely as the abstract
-    one?  Checks the guided readout, summary/footprint safety and
-    lifetime safety."""
+    one?  Checks the guided readout and the safety of its extended
+    summary and footprint; the abstract side's own summary and lifetime
+    safety are `aos.safe_abstract`'s."""
     _, summary, footprint, diags = extended_readout(prog, typing, cfg, guide=acfg)
     if diags:
         return False, diags
     diags = safe_extended(acfg.lft, summary, footprint)
-    diags += aos.lifetime_safe(prog, typing, acfg)
     return not diags, diags
 
 
@@ -465,23 +434,22 @@ def resolutive_of(prog: S.Program, typing: TypingResult, acfg: aos.AbsConfig) ->
     result variables threading each receiver."""
     sorts: dict[str, L.Sort] = {}
 
-    def record(v: V.PreValue, sort: L.Sort):
+    def term_of(v: V.PreValue, sort: L.Sort) -> V.Term:
+        """v with each prophecy variable as a logic variable, whose sort
+        is recorded."""
+        if isinstance(v, (int, V.UnitVal)):
+            return v
         sort = L.whnf_sort(sort)
         if isinstance(v, V.AbsVar):
             sorts[f"a#{v.uid}"] = sort
-        elif isinstance(v, V.Box):
-            record(v.inner, sort.inner)
-        elif isinstance(v, V.MutPair):
-            record(v.cur, sort.inner)
-            record(v.fin, sort.inner)
-        elif isinstance(v, V.Inj):
-            record(v.payload, sort.left if v.tag == 0 else sort.right)
-        elif isinstance(v, V.Pair):
-            record(v.fst, sort.left)
-            record(v.snd, sort.right)
-
-    def term_of(v: V.PreValue) -> V.Term:
-        return V.map_term(v, lambda leaf: V.Var(f"a#{leaf.uid}") if isinstance(leaf, V.AbsVar) else leaf)
+            return V.Var(f"a#{v.uid}")
+        if isinstance(v, V.Box):
+            return V.Box(term_of(v.inner, sort.inner))
+        if isinstance(v, V.MutPair):
+            return V.MutPair(term_of(v.cur, sort.inner), term_of(v.fin, sort.inner))
+        if isinstance(v, V.Inj):
+            return V.Inj(v.tag, term_of(v.payload, sort.left if v.tag == 0 else sort.right))
+        return V.Pair(term_of(v.fst, sort.left), term_of(v.snd, sort.right))
 
     atoms = []
     for i, entry in enumerate(acfg.stack):
@@ -495,31 +463,12 @@ def resolutive_of(prog: S.Program, typing: TypingResult, acfg: aos.AbsConfig) ->
             if isinstance(val, V.Var):
                 args.append(val)
             else:
-                record(val, T.sort_of_type(wc.gamma[x].ty))
-                args.append(term_of(val))
-            sorts[f"r#{i}"] = T.sort_of_type(prog.fn(entry.fn).ret)
+                args.append(term_of(val, T.sort_of_type(wc.gamma[x].ty)))
+        sorts[f"r#{i}"] = T.sort_of_type(prog.fn(entry.fn).ret)
         args.append(V.Var(f"r#{i}"))
         atoms.append(L.Atom(L.pred_name(entry.fn, entry.label), tuple(args)))
     n = len(acfg.stack) - 1
     return sldc.ResConfig(tuple(atoms), V.Var(f"r#{n}"), sorts)
-
-
-def _match_refines(cand: V.Term, target: V.Term, m: dict[str, V.Term]) -> bool:
-    """Candidate term refines to target by substituting candidate vars."""
-    if isinstance(cand, V.Var):
-        if cand.name in m:
-            return m[cand.name] == target
-        m[cand.name] = target
-        return True
-    if isinstance(cand, (int, V.UnitVal)):
-        return cand == target
-    if type(cand) is not type(target):
-        return False
-    if isinstance(cand, V.Inj) and cand.tag != target.tag:
-        return False
-    return all(
-        _match_refines(a, b, m) for a, b in zip(V.children(cand), V.children(target))
-    )
 
 
 def _config_refines(cand: sldc.ResConfig, target: sldc.ResConfig) -> bool:
@@ -529,9 +478,9 @@ def _config_refines(cand: sldc.ResConfig, target: sldc.ResConfig) -> bool:
     for ca, ta in zip(cand.stack, target.stack):
         if ca.pred != ta.pred or len(ca.args) != len(ta.args):
             return False
-        if not all(_match_refines(x, y, m) for x, y in zip(ca.args, ta.args)):
+        if not all(L.match_into(x, y, m) for x, y in zip(ca.args, ta.args)):
             return False
-    return _match_refines(cand.result, target.result, m)
+    return L.match_into(cand.result, target.result, m)
 
 
 def _clauses_for_step(clause_tags, fn, label, branch: Optional[int]):

@@ -14,6 +14,7 @@ unification of pattern tuples, which the resolution engine builds on.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -442,9 +443,7 @@ def enumerate_values(sort: Sort, spec: SampleSpec, depth: Optional[int] = None) 
     """All values of the sort within the bounds: ints in the interval,
     recursion cut at max_depth constructors of mu-unfoldings."""
     depth = spec.max_depth if depth is None else depth
-    s = whnf_sort(sort) if isinstance(sort, MuS) else sort
-    if isinstance(s, MuS):
-        s = whnf_sort(s)
+    s = whnf_sort(sort)
     if isinstance(s, IntSort):
         return list(range(spec.int_lo, spec.int_hi + 1))
     if isinstance(s, UnitSort):
@@ -469,9 +468,7 @@ def enumerate_values(sort: Sort, spec: SampleSpec, depth: Optional[int] = None) 
 
 def count_values(sort: Sort, spec: SampleSpec, depth: Optional[int] = None) -> int:
     depth = spec.max_depth if depth is None else depth
-    s = whnf_sort(sort) if isinstance(sort, MuS) else sort
-    if isinstance(s, MuS):
-        s = whnf_sort(s)
+    s = whnf_sort(sort)
     if isinstance(s, IntSort):
         return spec.int_count()
     if isinstance(s, UnitSort):
@@ -571,8 +568,6 @@ def check_model_sampled(
             if size > spec.exhaustive_limit:
                 break
         if size <= spec.exhaustive_limit:
-            import itertools
-
             names = [name for name, _ in binders]
             domains = [enumerate_values(sort, spec) for _, sort in binders]
             for combo in itertools.product(*domains):
@@ -652,21 +647,17 @@ def unify(
     for p, q in zip(ps, qs):
         if not _unify(p, q, subst):
             return None
-    left_vars = set()
-    for p in ps:
-        left_vars |= V.vars_in(p)
-    theta = {v: resolve(V.Var(v), subst) for v in left_vars if not (
-        isinstance(resolve(V.Var(v), subst), V.Var) and resolve(V.Var(v), subst).name == v)}
-    right_vars = set()
-    for q in qs:
-        right_vars |= V.vars_in(q)
-    theta_p = {v: resolve(V.Var(v), subst) for v in right_vars if not (
-        isinstance(resolve(V.Var(v), subst), V.Var) and resolve(V.Var(v), subst).name == v)}
-    return theta, theta_p
+    return _bound(ps, subst), _bound(qs, subst)
 
 
-def full_subst(subst: dict[str, V.Term]) -> Callable[[V.Term], V.Term]:
-    return lambda t: resolve(t, subst)
+def _bound(ts: tuple[V.Term, ...], subst: dict[str, V.Term]) -> dict[str, V.Term]:
+    """The resolved binding of each variable of ts that the unifier
+    binds.  The occurs check keeps bindings acyclic, so no bound
+    variable resolves back to itself."""
+    names: set[str] = set()
+    for t in ts:
+        names |= V.vars_in(t)
+    return {v: resolve(subst[v], subst) for v in names if v in subst}
 
 
 # ---------------------------------------------------------------------------
@@ -674,26 +665,26 @@ def full_subst(subst: dict[str, V.Term]) -> Callable[[V.Term], V.Term]:
 # ---------------------------------------------------------------------------
 
 
+def match_into(p: V.Term, w: V.Term, binding: dict[str, V.Term]) -> bool:
+    """Can pattern p be instantiated to w by extending `binding`?
+    Repeated pattern variables must take equal values."""
+    if isinstance(p, V.Var):
+        if p.name in binding:
+            return binding[p.name] == w
+        binding[p.name] = w
+        return True
+    if isinstance(p, (int, V.UnitVal)):
+        return p == w
+    if type(p) is not type(w):
+        return False
+    if isinstance(p, V.Inj) and p.tag != w.tag:
+        return False
+    return all(match_into(a, b, binding) for a, b in zip(V.children(p), V.children(w)))
+
+
 def refines_to(p: V.Term, w: V.Value) -> bool:
-    """Can pattern p be instantiated to the value w?  Repeated pattern
-    variables must take equal values."""
-    binding: dict[str, V.Value] = {}
-
-    def go(pt: V.Term, val: V.Value) -> bool:
-        if isinstance(pt, V.Var):
-            if pt.name in binding:
-                return binding[pt.name] == val
-            binding[pt.name] = val
-            return True
-        if isinstance(pt, int) or isinstance(pt, V.UnitVal):
-            return pt == val
-        if type(pt) is not type(val):
-            return False
-        if isinstance(pt, V.Inj) and pt.tag != val.tag:
-            return False
-        return all(go(a, b) for a, b in zip(V.children(pt), V.children(val)))
-
-    return go(p, w)
+    """Can pattern p be instantiated to the value w?"""
+    return match_into(p, w, {})
 
 
 def refine_default(p: V.Term, delta: dict[str, Sort], spec: Optional[SampleSpec] = None) -> V.Value:

@@ -383,7 +383,7 @@ def _solve_arg(term, value, delta, binding, pending, checks):
     raise L.Undefined(f"cannot match term {V.show(term)}")
 
 
-def _merge_pending(delta, binding, pending, spec, enum_cap):
+def _merge_pending(delta, binding, pending, spec):
     """Resolve component constraints: fully determined variables get
     bound; partially determined ones contribute bounded enumerations."""
     options: list[tuple[str, list]] = []
@@ -449,7 +449,7 @@ def _body_valuations(sys, clause, facts, spec, enum_cap):
         for a in clause.head.args:
             head_vars |= V.vars_in(a)
     for binding, pending, checks in states:
-        options = _merge_pending(delta, binding, pending, spec, enum_cap)
+        options = _merge_pending(delta, binding, pending, spec)
         if options is None:
             continue
         check_vars = set()

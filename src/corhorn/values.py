@@ -130,22 +130,6 @@ def is_pattern(t: Term) -> bool:
     return False
 
 
-def is_prevalue(t: Term) -> bool:
-    if isinstance(t, AbsVar):
-        return True
-    if isinstance(t, (int, UnitVal)):
-        return True
-    if isinstance(t, Box):
-        return is_prevalue(t.inner)
-    if isinstance(t, MutPair):
-        return is_prevalue(t.cur) and is_prevalue(t.fin)
-    if isinstance(t, Inj):
-        return is_prevalue(t.payload)
-    if isinstance(t, Pair):
-        return is_prevalue(t.fst) and is_prevalue(t.snd)
-    return False
-
-
 def children(t: Term) -> tuple[Term, ...]:
     if isinstance(t, Box):
         return (t.inner,)

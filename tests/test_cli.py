@@ -251,3 +251,24 @@ def test_non_decimal_digit_argument_exit_2(capsys):
 def test_unknown_function_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, argv[0], INC_MAX, "--fn", "nope", *argv[1:])
     assert (code, out, err) == (2, "", "error: [UnknownFunction] no function named 'nope'\n")
+
+
+JUST_REC = str(corpus.source_path("just_rec"))
+
+
+@pytest.mark.parametrize(
+    "argv, flags, lo, hi",
+    [
+        (["run", JUST_REC, "--fn", "just_rec_main", "--args", "box(3)", "--rand-lo", "5",
+          "--rand-hi", "1"], "--rand-lo/--rand-hi", 5, 1),
+        (["run-abstract", JUST_REC, "--fn", "just_rec_main", "--args", "box(3)", "--rand-lo", "5",
+          "--rand-hi", "1"], "--rand-lo/--rand-hi", 5, 1),
+        (["bisim", JUST_REC, "--fn", "just_rec_main", "--runs", "1", "--rand-lo", "5",
+          "--rand-hi", "1"], "--rand-lo/--rand-hi", 5, 1),
+        (["oracle", INC_MAX, "--fn", "inc_max", "--range", "-1"], "--range", 1, -1),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_empty_integer_range_exit_2(capsys, argv, flags, lo, hi):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {flags}: empty integer range {lo}..{hi}\n")

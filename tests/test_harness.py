@@ -2,10 +2,11 @@ import hashlib
 import json
 import random
 import zlib
+from collections import Counter
 
 import pytest
 
-from corhorn import aos, corpus, cos, harness, logic as L, typeck, values as V
+from corhorn import aos, corpus, cos, harness, logic as L, syntax as S, typeck, values as V
 from corhorn.cos import Alloc
 
 from helpers import mklist
@@ -101,6 +102,15 @@ def test_duplicate_hot_footprint_unsafe(inc_max_setup):
     assert diags
 
 
+def test_give_and_take_at_different_addresses_unsafe():
+    lctx = typeck.LftCtx.make({"a@0"}, set())
+    ty = S.IntT()
+    summary = Counter({aos.Give("a@0", 7, ty, addr=100): 1, aos.Take("a@0", 7, ty, addr=101): 1})
+    assert harness.safe_extended(lctx, summary, Counter()) == ["abs var 7: give at 100, take at 101"]
+    same = Counter({aos.Give("a@0", 7, ty, addr=100): 1, aos.Take("a@0", 7, ty, addr=100): 1})
+    assert harness.safe_extended(lctx, same, Counter()) == []
+
+
 def test_frozen_resolved_owner_reads_out():
     # after `immut`, the frozen lender holds a concrete value while an
     # immutable reference reads the same cells: frozen-hot plus cold marks
@@ -127,6 +137,21 @@ def test_lockstep_cos_aos_inc_max(inc_max_setup):
     rep = harness.lockstep_cos_aos(prog, "inc_max", [V.Box(4), V.Box(3)])
     assert rep.ok and rep.final_value == "box(inj1 ())"
     assert all(s.linked for s in rep.steps)
+
+
+def test_lockstep_checks_lifetime_safety_once_per_step(inc_max_setup, monkeypatch):
+    prog, typing = inc_max_setup
+    calls = []
+
+    def unsafe(*args):
+        calls.append(args)
+        return ["lt"]
+
+    monkeypatch.setattr(aos, "lifetime_safe", unsafe)
+    rep = harness.lockstep_cos_aos(prog, "inc_max", [V.Box(4), V.Box(3)], typing=typing)
+    assert not rep.ok and rep.detail == "link failed at step 0 (inc_max:entry)"
+    assert [s.diagnostics for s in rep.steps] == [["lt"]]
+    assert len(calls) == 1
 
 
 def test_lockstep_aos_sldc_inc_max(inc_max_setup):

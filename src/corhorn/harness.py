@@ -2,13 +2,14 @@
 the prophecy interpreter and the resolution engine, plus the end-to-end
 differential oracle.
 
-The heap-vs-prophecy link reconstructs an abstract configuration from a
-concrete one (the extended readout) and insists the two sides agree up
-to the naming of abstract variables while the extended summary and
-footprint stay safe: every prophecy is shared by exactly one borrower
-and one lender at one address, and every address is either owned by one
-active access or by a frozen owner alongside readers whose lifetimes end
-first.
+The heap-vs-prophecy link checks each concrete configuration against
+the prophecy configuration reached by the same steps (the extended
+readout): the heap must hold, at every frame variable, the data of the
+abstract side's pre-value, with its prophecy variables where data is
+borrowed away.  The extended summary and footprint gathered on the way
+must stay safe: every prophecy is shared by exactly one borrower and one
+lender at one address, and every address is either owned by one active
+access or by a frozen owner alongside readers whose lifetimes end first.
 
 The prophecy-vs-resolution link renders each abstract configuration as
 a stack of predicate applications (a resolutive configuration) and
@@ -31,11 +32,7 @@ from . import syntax as S
 from . import translate as T
 from . import values as V
 from .machine import Final, Stuck
-from .typeck import LftCtx, TypingResult, type_equiv, type_program
-
-
-class LinkError(S.CorError):
-    pass
+from .typeck import TypingResult, type_program
 
 
 @dataclass
@@ -43,16 +40,10 @@ class ReadoutState:
     summary: Counter = field(default_factory=Counter)
     footprint: Counter = field(default_factory=Counter)
     diags: list[str] = field(default_factory=list)
-    cold_mut_seen: bool = False
-    supply: Optional[aos.AbsSupply] = None
-    lctx: object = None
-    # unguided mode: prophecies handed out by borrowers, keyed by the
-    # borrowed address and the borrow's lifetime, so lender takes can
-    # reuse the same variable
-    give_vars: dict = field(default_factory=dict)
 
-    def diag(self, msg: str):
+    def diag(self, msg: str) -> bool:
         self.diags.append(msg)
+        return False
 
 
 def _mark(mode, frozen_at: Optional[str], addr: int):
@@ -61,103 +52,62 @@ def _mark(mode, frozen_at: Optional[str], addr: int):
     return ("cold", mode[1], addr)
 
 
-def _guide_absvar(st: ReadoutState, guide) -> V.AbsVar:
-    if isinstance(guide, V.AbsVar):
-        return guide
-    assert st.supply is not None
-    return st.supply.fresh("ro")
-
-
-def _read_ptr(heap, mode, frz, addr, t: S.Ptr, guide, st: ReadoutState):
-    """Read the pointer `addr` at (tagged) pointer type t."""
+def _read_ptr(heap, mode, frz, addr, t: S.Ptr, guide, st: ReadoutState) -> bool:
+    """Check the pointer `addr` at (tagged) pointer type t against the
+    pre-value `guide`."""
     if t.kind in (S.OWN, S.IMMUT):
         inner_mode = mode if t.kind == S.OWN else (mode if mode != aos.HOT else ("cold", t.lft))
-        if guide is not None and not isinstance(guide, V.Box):
-            st.diag(f"expected box at {addr}, abstract side has {V.show(guide)}")
-            return None
-        v = _read_data(heap, inner_mode, frz, addr, t.target,
-                       guide.inner if guide is not None else None, st)
-        return V.Box(v) if v is not None else None
+        if not isinstance(guide, V.Box):
+            return st.diag(f"expected box at {addr}, abstract side has {V.show(guide)}")
+        return _read_data(heap, inner_mode, frz, addr, t.target, guide.inner, st)
     # mutable reference
-    if guide is not None and not isinstance(guide, V.MutPair):
-        st.diag(f"expected mut pair at {addr}, abstract side has {V.show(guide)}")
-        return None
-    if mode == aos.HOT:
-        fin = _guide_absvar(st, guide.fin if guide is not None else None)
-        if guide is not None and not isinstance(guide.fin, V.AbsVar):
-            st.diag(f"hot mut at {addr} without prophecy on the abstract side")
-            return None
-        if guide is None:
-            st.give_vars.setdefault(addr, []).append((fin, t.lft, t.target))
-        v = _read_data(heap, aos.HOT, frz, addr, t.target,
-                       guide.cur if guide is not None else None, st)
-        if v is None:
-            return None
-        st.summary[aos.Give(t.lft, fin.uid, S.canon_type(t.target), addr)] += 1
-        return V.MutPair(v, fin)
-    # cold mutable reference: the final component is unobservable
-    st.cold_mut_seen = True
-    v = _read_data(heap, mode, frz, addr, t.target,
-                   guide.cur if guide is not None else None, st)
-    if v is None:
-        return None
-    return V.MutPair(v, guide.fin if guide is not None else _guide_absvar(st, None))
+    if not isinstance(guide, V.MutPair):
+        return st.diag(f"expected mut pair at {addr}, abstract side has {V.show(guide)}")
+    if mode != aos.HOT:
+        # cold mutable reference: the final component is unobservable
+        return _read_data(heap, mode, frz, addr, t.target, guide.cur, st)
+    if not isinstance(guide.fin, V.AbsVar):
+        return st.diag(f"hot mut at {addr} without prophecy on the abstract side")
+    if not _read_data(heap, aos.HOT, frz, addr, t.target, guide.cur, st):
+        return False
+    st.summary[aos.Give(t.lft, guide.fin.uid, S.canon_type(t.target), addr)] += 1
+    return True
 
 
-def _read_data(heap, mode, frz, addr, t: S.Type, guide, st: ReadoutState):
-    """Read the data at `addr` of (tagged) type t.
+def _read_data(heap, mode, frz, addr, t: S.Type, guide, st: ReadoutState) -> bool:
+    """Check the data at `addr` of (tagged) type t against the pre-value
+    `guide`.
 
-    A frozen position reads out as a take of a prophecy variable where
-    the data is actually borrowed away: with a guide, where the abstract
-    side has a prophecy; without one, where some borrower handed out a
-    prophecy for this address at the freezing lifetime."""
-    if frz is not None:
-        if guide is not None and isinstance(guide, V.AbsVar):
-            st.summary[aos.Take(frz, guide.uid, S.canon_type(t), addr)] += 1
-            return guide
-        if guide is None:
-            # cut exactly where some borrower handed out a prophecy for
-            # this address, at a lifetime ending by this freeze, for data
-            # of an equivalent type
-            for entry in st.give_vars.get(addr, ()):
-                x, give_lft, give_ty = entry
-                if st.lctx.leq(give_lft, frz) and type_equiv(st.lctx, give_ty, t):
-                    st.give_vars[addr].remove(entry)
-                    st.summary[aos.Take(frz, x.uid, S.canon_type(t), addr)] += 1
-                    return x
+    A frozen position where the abstract side has a prophecy variable is
+    borrowed away: it reads out as a take of that variable."""
+    if frz is not None and isinstance(guide, V.AbsVar):
+        st.summary[aos.Take(frz, guide.uid, S.canon_type(t), addr)] += 1
+        return True
     t = S.whnf_type(t)
     if isinstance(t, S.IntT):
         if addr not in heap:
-            st.diag(f"missing cell {addr}")
-            return None
-        n = heap[addr]
-        if guide is not None and n != guide:
-            st.diag(f"cell {addr} holds {n}, abstract side has {V.show(guide)}")
-            return None
+            return st.diag(f"missing cell {addr}")
+        if heap[addr] != guide:
+            return st.diag(f"cell {addr} holds {heap[addr]}, abstract side has {V.show(guide)}")
         st.footprint[_mark(mode, frz, addr)] += 1
-        return n
+        return True
     if isinstance(t, S.UnitT):
-        if guide is not None and not isinstance(guide, V.UnitVal):
-            st.diag(f"unit position at {addr} vs {V.show(guide)}")
-            return None
-        return V.UNIT
+        if not isinstance(guide, V.UnitVal):
+            return st.diag(f"unit position at {addr} vs {V.show(guide)}")
+        return True
     if isinstance(t, S.Ptr):
         if addr not in heap:
-            st.diag(f"missing pointer cell {addr}")
-            return None
+            return st.diag(f"missing pointer cell {addr}")
         st.footprint[_mark(mode, frz, addr)] += 1
         return _read_ptr(heap, mode, frz, heap[addr], t, guide, st)
     if isinstance(t, S.Sum):
         if addr not in heap:
-            st.diag(f"missing tag cell {addr}")
-            return None
+            return st.diag(f"missing tag cell {addr}")
         tag = heap[addr]
         if tag not in (0, 1):
-            st.diag(f"bad sum tag {tag} at {addr}")
-            return None
-        if guide is not None and (not isinstance(guide, V.Inj) or guide.tag != tag):
-            st.diag(f"tag {tag} at {addr} vs abstract {V.show(guide)}")
-            return None
+            return st.diag(f"bad sum tag {tag} at {addr}")
+        if not isinstance(guide, V.Inj) or guide.tag != tag:
+            return st.diag(f"tag {tag} at {addr} vs abstract {V.show(guide)}")
         side = t.left if tag == 0 else t.right
         other = t.right if tag == 0 else t.left
         st.footprint[_mark(mode, frz, addr)] += 1
@@ -165,147 +115,56 @@ def _read_data(heap, mode, frz, addr, t: S.Type, guide, st: ReadoutState):
         for k in range(pad):
             c = addr + 1 + S.size_of(side) + k
             if c not in heap or heap[c] != 0:
-                st.diag(f"bad padding cell {c}")
-                return None
+                return st.diag(f"bad padding cell {c}")
             st.footprint[_mark(mode, frz, c)] += 1
-        payload = _read_data(heap, mode, frz, addr + 1, side,
-                             guide.payload if guide is not None else None, st)
-        return V.Inj(tag, payload) if payload is not None else None
+        return _read_data(heap, mode, frz, addr + 1, side, guide.payload, st)
     if isinstance(t, S.Prod):
-        g0 = guide.fst if isinstance(guide, V.Pair) else None
-        g1 = guide.snd if isinstance(guide, V.Pair) else None
-        if guide is not None and not isinstance(guide, V.Pair):
-            st.diag(f"pair position at {addr} vs {V.show(guide)}")
-            return None
-        v0 = _read_data(heap, mode, frz, addr, t.left, g0, st)
-        v1 = _read_data(heap, mode, frz, addr + S.size_of(t.left), t.right, g1, st)
-        if v0 is None or v1 is None:
-            return None
-        return V.Pair(v0, v1)
-    st.diag(f"cannot read type {t}")
-    return None
+        if not isinstance(guide, V.Pair):
+            return st.diag(f"pair position at {addr} vs {V.show(guide)}")
+        ok0 = _read_data(heap, mode, frz, addr, t.left, guide.fst, st)
+        ok1 = _read_data(heap, mode, frz, addr + S.size_of(t.left), t.right, guide.snd, st)
+        return ok0 and ok1
+    return st.diag(f"cannot read type {t}")
 
 
 def extended_readout(
-    prog: S.Program,
     typing: TypingResult,
     cfg: cos.CosConfig,
-    guide: Optional[aos.AbsConfig] = None,
-) -> tuple[Optional[aos.AbsConfig], Counter, Counter, list[str]]:
-    """Reconstruct an abstract configuration from a concrete one.
-
-    With a guide, frozen/cold choices follow the guide's pre-values and
-    concrete parts are checked against it; without one, every frozen
-    position reads out as a fresh prophecy variable (and a cold mut gets
-    a placeholder final component).
-    """
-    st = ReadoutState(supply=None if guide is not None else aos.AbsSupply())
-    if guide is not None and len(guide.stack) != len(cfg.stack):
-        return None, st.summary, st.footprint, [
+    guide: aos.AbsConfig,
+) -> tuple[Counter, Counter, list[str]]:
+    """Check a concrete configuration against the abstract configuration
+    `guide`: the same program points, and every frame variable's heap
+    data as the guide's pre-value, with frozen/cold choices following
+    the guide.  Returns the extended summary, the footprint and the
+    diagnostics (empty when the two agree)."""
+    st = ReadoutState()
+    if len(guide.stack) != len(cfg.stack):
+        return st.summary, st.footprint, [
             f"stack depth {len(cfg.stack)} vs abstract {len(guide.stack)}"
         ]
-    thetas = []
-    jobs = []  # (frame_index, var, tagged type, frozen tag, address, guide value)
-    for i, entry in enumerate(cfg.stack):
-        g_entry = guide.stack[i] if guide is not None else None
-        if g_entry is not None and (g_entry.fn, g_entry.label, g_entry.recv) != (
-            entry.fn, entry.label, entry.recv
-        ):
+    jobs = []  # (tagged type, frozen tag, address, guide value)
+    for i, (entry, g_entry) in enumerate(zip(cfg.stack, guide.stack)):
+        if (g_entry.fn, g_entry.label, g_entry.recv) != (entry.fn, entry.label, entry.recv):
             st.diag(f"frame {i}: program point mismatch")
-            return None, st.summary, st.footprint, st.diags
-        theta = g_entry.theta if g_entry is not None else _reconstruct_theta(
-            prog, typing, cfg, i
-        )
-        thetas.append(dict(theta))
+            return st.summary, st.footprint, st.diags
+        theta = g_entry.theta
         gamma = aos.frame_gamma(typing, entry, i == 0)
         if set(entry.frame) != set(gamma):
             st.diag(f"frame {i}: variables {sorted(entry.frame)} vs context {sorted(gamma)}")
-            return None, st.summary, st.footprint, st.diags
+            return st.summary, st.footprint, st.diags
         for x in sorted(gamma):
             vi = gamma[x]
             t = S.subst_lifetimes(vi.ty, theta)
             frz = theta.get(vi.frozen_at) if vi.frozen_at is not None else None
-            gv = g_entry.frame.get(x) if g_entry is not None else None
-            if g_entry is not None and gv is None:
+            gv = g_entry.frame.get(x)
+            if gv is None:
                 st.diag(f"frame {i}: variable {x} missing on the abstract side")
-                return None, st.summary, st.footprint, st.diags
-            jobs.append((i, x, t, frz, entry.frame[x], gv))
-    lft = guide.lft if guide is not None else _reconstruct_global_lft(prog, typing, cfg, thetas, len(cfg.stack))
-    st.lctx = lft
-    # unguided pairing needs borrowers (including frozen re-borrowers, in
-    # later-lifetime-first order) read before their lenders
-    if guide is None:
-        active = [j for j in jobs if j[3] is None]
-        frozen = [j for j in jobs if j[3] is not None]
-        # earlier-ending freezes are re-borrowers: read them first
-        frozen.sort(key=lambda j: -sum(lft.leq(j[3], other[3]) for other in frozen))
-        ordered = active + frozen
-    else:
-        ordered = jobs
-    aframes: list[dict] = [dict() for _ in cfg.stack]
-    for i, x, t, frz, addr, gv in ordered:
-        v = _read_ptr(cfg.heap, aos.HOT, frz, addr, t, gv, st)
-        if v is None:
-            return None, st.summary, st.footprint, st.diags
-        aframes[i][x] = v
-    frames = tuple(
-        aos.AbsFrameEntry(entry.fn, entry.label, thetas[i], entry.recv, aframes[i])
-        for i, entry in enumerate(cfg.stack)
-    )
-    out = aos.AbsConfig(frames, lft)
-    return out, st.summary, st.footprint, st.diags
-
-
-def _reconstruct_theta(prog, typing, cfg: cos.CosConfig, i: int) -> dict[str, str]:
-    """Frame i's lifetime tags, rebuilt from the static contexts: locals
-    carry the frame's own (bottom-based) index, parameters resolve
-    through the call instruction that pushed the frame above."""
-    n = len(cfg.stack)
-    entry = cfg.stack[i]
-    a_ex = typing.a_ex[entry.fn]
-    local = typing.ctx(entry.fn, entry.label).lft
-    idx = n - 1 - i
-    theta = {a: aos.tagged(a, idx) for a in local.carrier if a not in a_ex}
-    if a_ex:
-        caller = cfg.stack[i + 1]
-        caller_theta = _reconstruct_theta(prog, typing, cfg, i + 1)
-        fn = prog.fn(caller.fn)
-        call = _find_call(fn, caller.label, caller.recv, entry.fn)
-        if call is None:
-            raise LinkError(f"cannot locate the call that pushed frame {i}")
-        g = prog.fn(entry.fn)
-        for gp, ca in zip(g.lft_params, call.lfts):
-            theta[gp] = caller_theta[ca]
-    return theta
-
-
-def _find_call(fn: S.FunctionDef, cont_label: str, recv: str, callee: str):
-    for stmt in fn.body.values():
-        if (
-            isinstance(stmt, S.StmtInstr)
-            and isinstance(stmt.instr, S.Call)
-            and stmt.goto == cont_label
-            and stmt.instr.y == recv
-            and stmt.instr.fn == callee
-        ):
-            return stmt.instr
-    return None
-
-
-def _reconstruct_global_lft(prog, typing, cfg, thetas, n):
-    carrier = set()
-    pairs = set()
-    for i, entry in enumerate(cfg.stack):
-        local = typing.ctx(entry.fn, entry.label).lft
-        a_ex = typing.a_ex[entry.fn]
-        theta = thetas[i]
-        for a in local.carrier:
-            if a not in a_ex:
-                carrier.add(theta[a])
-        for a, b in local.order:
-            if not (a in a_ex and b in a_ex):
-                pairs.add((theta[a], theta[b]))
-    return LftCtx.make(carrier, pairs)
+                return st.summary, st.footprint, st.diags
+            jobs.append((t, frz, entry.frame[x], gv))
+    for t, frz, addr, gv in jobs:
+        if not _read_ptr(cfg.heap, aos.HOT, frz, addr, t, gv, st):
+            break
+    return st.summary, st.footprint, st.diags
 
 
 def safe_extended(lctx, summary: Counter, footprint: Counter) -> list[str]:
@@ -336,10 +195,10 @@ def safe_link(
     acfg: aos.AbsConfig,
 ) -> tuple[bool, list[str]]:
     """Does the concrete configuration read out safely as the abstract
-    one?  Checks the guided readout and the safety of its extended
+    one?  Checks the extended readout against acfg and the safety of its
     summary and footprint; the abstract side's own summary and lifetime
     safety are `aos.safe_abstract`'s."""
-    _, summary, footprint, diags = extended_readout(prog, typing, cfg, guide=acfg)
+    summary, footprint, diags = extended_readout(typing, cfg, acfg)
     if diags:
         return False, diags
     diags = safe_extended(acfg.lft, summary, footprint)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -24,38 +25,41 @@ def inc_max_setup():
 def test_entry_readout_is_abs_free(inc_max_setup):
     prog, typing = inc_max_setup
     cfg = cos.initial_config(prog, typing, "inc_max", [V.Box(4), V.Box(3)], Alloc())
-    acfg, summary, footprint, diags = harness.extended_readout(prog, typing, cfg)
+    acfg = aos.initial_config(prog, "inc_max", [V.Box(4), V.Box(3)])
+    summary, footprint, diags = harness.extended_readout(typing, cfg, acfg)
     assert not diags
-    assert acfg.top.frame == {"oa": V.Box(4), "ob": V.Box(3)}
     assert not summary
     marks = {m[0] for m in footprint}
     assert marks == {"hot"}
 
 
+def _trace_at(prog, typing, fn, label):
+    c_out = cos.run(prog, "inc_max", [V.Box(4), V.Box(3)], typing=typing)
+    a_out = aos.run(prog, "inc_max", [V.Box(4), V.Box(3)], typing=typing)
+    i = next(i for i, c in enumerate(c_out.trace) if (c.top.fn, c.top.label) == (fn, label))
+    return c_out.trace[i], a_out.trace[i]
+
+
 def test_readout_reconstructs_borrows(inc_max_setup):
     prog, typing = inc_max_setup
-    out = cos.run(prog, "inc_max", [V.Box(4), V.Box(3)], typing=typing)
-    by_label = {(c.top.fn, c.top.label): c for c in out.trace}
-    cfg = by_label[("inc_max", "L3")]
-    acfg, summary, footprint, diags = harness.extended_readout(prog, typing, cfg)
+    cfg, acfg = _trace_at(prog, typing, "inc_max", "L3")
+    summary, footprint, diags = harness.extended_readout(typing, cfg, acfg)
     assert not diags
-    ma = acfg.top.frame["ma"]
-    oa = acfg.top.frame["oa"]
-    assert isinstance(ma, V.MutPair) and ma.cur == 4
-    assert oa == V.Box(ma.fin)
+    # each mutable borrow gives its prophecy, and its frozen lender takes
+    # it, at the borrowed address
+    pairs = {(type(k).__name__, k.uid, k.addr) for k in summary}
+    a, b = acfg.top.frame["ma"].fin.uid, acfg.top.frame["mb"].fin.uid
+    assert pairs == {("Give", a, 100), ("Take", a, 100), ("Give", b, 101), ("Take", b, 101)}
     assert not harness.safe_extended(acfg.lft, summary, footprint)
 
 
 def test_readout_corrupted_heap(inc_max_setup):
     prog, typing = inc_max_setup
-    out = cos.run(prog, "inc_max", [V.Box(4), V.Box(3)], typing=typing)
-    by_label = {(c.top.fn, c.top.label): c for c in out.trace}
-    cfg = by_label[("take_max", "L1")]
+    cfg, acfg = _trace_at(prog, typing, "take_max", "L1")
     heap = dict(cfg.heap)
     heap[cfg.top.frame["ord"]] = 7  # a sum tag outside {0, 1}
     broken = cos.CosConfig(cfg.stack, heap)
-    acfg, _, _, diags = harness.extended_readout(prog, typing, broken)
-    assert acfg is None
+    _, _, diags = harness.extended_readout(typing, broken, acfg)
     assert any("tag" in d for d in diags)
 
 
@@ -123,10 +127,83 @@ def test_frozen_resolved_owner_reads_out():
     cfg, acfg = c_out.trace[i], a_out.trace[i]
     ok, diags = harness.safe_link(prog, typing, cfg, acfg)
     assert ok, diags
-    _, summary, footprint, _ = harness.extended_readout(prog, typing, cfg, guide=acfg)
+    summary, footprint, _ = harness.extended_readout(typing, cfg, acfg)
     kinds = {m[0] for m in footprint}
     assert "cold" in kinds
     assert any(m[0] == "hot" and m[1] is not None for m in footprint)
+
+
+def _trace_pair(name, inputs, step):
+    prog = corpus.load(name)
+    typing = typeck.type_program(prog)
+    c_out = cos.run(prog, name, inputs, typing=typing)
+    a_out = aos.run(prog, name, inputs, typing=typing)
+    return prog, typing, c_out.trace[step], a_out.trace[step]
+
+
+def _guide_frame(acfg, i, **changes):
+    """acfg with frame i's variables updated; a None value drops one."""
+    e = acfg.stack[i]
+    frame = {x: v for x, v in {**e.frame, **changes}.items() if v is not None}
+    stack = acfg.stack[:i] + (dataclasses.replace(e, frame=frame),) + acfg.stack[i + 1:]
+    return aos.AbsConfig(stack, acfg.lft)
+
+
+def _heap_cell(cfg, addr, n):
+    return cos.CosConfig(cfg.stack, {**cfg.heap, addr: n})
+
+
+def _relabel(acfg, i, label):
+    e = acfg.stack[i]
+    stack = acfg.stack[:i] + (dataclasses.replace(e, label=label),) + acfg.stack[i + 1:]
+    return aos.AbsConfig(stack, acfg.lft)
+
+
+INC_MAX_IN = [V.Box(4), V.Box(3)]
+INC_SOME_IN = [V.Box(mklist(1, 2))]  # heap: 100 tag, 101 1, 102 → 103 tag, 104 2, 105 → 106 nil, 107-108 pad
+
+
+@pytest.mark.parametrize(
+    "name, inputs, step, corrupt, expected",
+    [
+        ("inc_max", INC_MAX_IN, 4, lambda c, a: (c, aos.AbsConfig(a.stack[:1], a.lft)),
+         (False, ["stack depth 2 vs abstract 1"])),
+        ("inc_max", INC_MAX_IN, 4, lambda c, a: (c, _relabel(a, 1, "L3")),
+         (False, ["frame 1: program point mismatch"])),
+        ("inc_max", INC_MAX_IN, 3, lambda c, a: (c, _guide_frame(a, 0, mb=None)),
+         (False, ["frame 0: variable mb missing on the abstract side"])),
+        ("inc_max", INC_MAX_IN, 0, lambda c, a: (c, _guide_frame(a, 0, oa=V.Box(5))),
+         (False, ["cell 100 holds 4, abstract side has 5"])),
+        ("inc_max", INC_MAX_IN, 0, lambda c, a: (c, _guide_frame(a, 0, ob=3)),
+         (False, ["expected box at 101, abstract side has 3"])),
+        ("inc_max", INC_MAX_IN, 5, lambda c, a: (_heap_cell(c, 102, 7), a),
+         (False, ["bad sum tag 7 at 102"])),
+        ("inc_some", INC_SOME_IN, 0,
+         lambda c, a: (c, _guide_frame(a, 0, oxs=V.Box(V.Inj(1, a.top.frame["oxs"].inner.payload)))),
+         (False, ["tag 0 at 100 vs abstract inj1 (1, box(inj0 (2, box(inj1 ()))))"])),
+        ("inc_some", INC_SOME_IN, 0, lambda c, a: (_heap_cell(c, 108, 3), a),
+         (False, ["bad padding cell 108"])),
+        # a product reads both halves even when the first one fails
+        ("inc_some", INC_SOME_IN, 0, lambda c, a: (c, _guide_frame(a, 0, oxs=V.Box(mklist(9, 8)))),
+         (False, ["cell 101 holds 1, abstract side has 9", "cell 104 holds 2, abstract side has 8"])),
+    ],
+    ids=["truncated_stack", "mismatched_label", "missing_variable", "wrong_int", "int_for_box",
+         "sum_tag_7", "flipped_inj", "nonzero_padding", "product_both_halves"],
+)
+def test_guided_readout_diagnostics_pinned(name, inputs, step, corrupt, expected):
+    prog, typing, cfg, acfg = _trace_pair(name, inputs, step)
+    assert harness.safe_link(prog, typing, cfg, acfg) == (True, [])
+    cfg, acfg = corrupt(cfg, acfg)
+    ok, diags = harness.safe_link(prog, typing, cfg, acfg)
+    assert (ok, diags) == expected
+
+
+def test_hot_mut_without_prophecy_is_a_diagnostic():
+    prog, typing, cfg, acfg = _trace_pair("inc_max", INC_MAX_IN, 3)  # inc_max:L3
+    ma = acfg.top.frame["ma"]
+    bad = _guide_frame(acfg, 0, ma=V.MutPair(ma.cur, 0))
+    assert harness.safe_link(prog, typing, cfg, bad) == (
+        False, ["hot mut at 100 without prophecy on the abstract side"])
 
 
 # -- lockstep ---------------------------------------------------------------------

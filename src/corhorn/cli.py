@@ -43,6 +43,14 @@ def _int_range(lo: int, hi: int, flags: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _at_least(n: int, least: int, flag: str) -> int:
+    """Reject a count given on the command line that leaves a check
+    with nothing to check."""
+    if n < least:
+        raise S.CorError(f"{flag}: {n} is below {least}, nothing would be checked")
+    return n
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if getattr(args, "json", False):
         print(json.dumps({"schema": 1, **payload}, indent=2))
@@ -140,14 +148,16 @@ def cmd_bisim(args) -> int:
     prog = _load(args.file)
     typing = typeck.type_program(prog)
     rng = random.Random(args.seed)
-    spec = L.SampleSpec(*_int_range(args.rand_lo, args.rand_hi, "--rand-lo/--rand-hi"), max_depth=3)
+    rand_range = _int_range(args.rand_lo, args.rand_hi, "--rand-lo/--rand-hi")
+    spec = L.SampleSpec(*rand_range, max_depth=3)
+    kw = dict(fuel=_at_least(args.fuel, 0, "--fuel"), typing=typing, rand_range=rand_range)
     failures = []
     runs = 0
-    for _ in range(args.runs):
+    for _ in range(_at_least(args.runs, 1, "--runs")):
         inputs = corpus.random_inputs(prog, args.fn, rng, spec)
         seed = rng.randrange(2 ** 31)
-        r1 = harness.lockstep_cos_aos(prog, args.fn, inputs, seed=seed, fuel=args.fuel, typing=typing)
-        r2 = harness.lockstep_aos_sldc(prog, args.fn, inputs, seed=seed, fuel=args.fuel, typing=typing)
+        r1 = harness.lockstep_cos_aos(prog, args.fn, inputs, seed=seed, **kw)
+        r2 = harness.lockstep_aos_sldc(prog, args.fn, inputs, seed=seed, **kw)
         runs += 2
         for kind, rep in (("cos-aos", r1), ("aos-sldc", r2)):
             if not rep.ok:
@@ -162,6 +172,7 @@ def cmd_oracle(args) -> int:
     prog = _load(args.file)
     fn = prog.fn(args.fn)
     rand_range = _int_range(-args.range, args.range, "--range")
+    seeds = range(_at_least(args.run_seeds, 1, "--run-seeds"))
     spec = L.SampleSpec(*rand_range, max_depth=3)
     arg_sorts = [T.sort_of_type(t) for _, t in fn.params]
     total = 1
@@ -174,10 +185,10 @@ def cmd_oracle(args) -> int:
         rng = random.Random(args.seed)
         tuples = [
             tuple(L.random_value(s, spec, rng) for s in arg_sorts)
-            for _ in range(args.samples)
+            for _ in range(_at_least(args.samples, 1, "--samples"))
         ]
     rep = harness.oracle_diff(
-        prog, args.fn, tuples, seeds=range(args.run_seeds), depth=args.depth,
+        prog, args.fn, tuples, seeds=seeds, depth=args.depth,
         rand_range=rand_range,
     )
     _emit(args, rep.to_json(),

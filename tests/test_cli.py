@@ -272,3 +272,38 @@ JUST_REC = str(corpus.source_path("just_rec"))
 def test_empty_integer_range_exit_2(capsys, argv, flags, lo, hi):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {flags}: empty integer range {lo}..{hi}\n")
+
+
+def test_bisim_passes_rand_range_to_both_lockstep_checks(capsys, monkeypatch):
+    from corhorn import harness
+
+    seen = []
+    for name in ("lockstep_cos_aos", "lockstep_aos_sldc"):
+        real = getattr(harness, name)
+
+        def wrapped(*args, _name=name, _real=real, **kwargs):
+            seen.append((_name, kwargs.get("rand_range")))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapped)
+    code, out, _ = run_cli(capsys, "bisim", JUST_REC, "--fn", "just_rec_main", "--runs", "1",
+                           "--rand-lo", "0", "--rand-hi", "0")
+    assert (code, out) == (0, "2 lockstep runs, 0 divergences\n")
+    assert seen == [("lockstep_cos_aos", (0, 0)), ("lockstep_aos_sldc", (0, 0))]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, n, least",
+    [
+        (["bisim", INC_MAX, "--fn", "inc_max", "--runs", "0"], "--runs", 0, 1),
+        (["bisim", INC_MAX, "--fn", "inc_max", "--runs", "-3"], "--runs", -3, 1),
+        (["bisim", INC_MAX, "--fn", "inc_max", "--fuel", "-1"], "--fuel", -1, 0),
+        (["oracle", INC_MAX, "--fn", "inc_max", "--run-seeds", "0"], "--run-seeds", 0, 1),
+        (["oracle", INC_MAX, "--fn", "inc_max", "--samples", "0", "--max-exhaustive", "0"],
+         "--samples", 0, 1),
+    ],
+    ids=["bisim-runs-0", "bisim-runs-neg", "bisim-fuel-neg", "oracle-run-seeds-0", "oracle-samples-0"],
+)
+def test_vacuous_count_exit_2(capsys, argv, flag, n, least):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {flag}: {n} is below {least}, nothing would be checked\n")

@@ -22,6 +22,36 @@ def inc_max_setup():
 # -- extended readout -----------------------------------------------------------
 
 
+INC_MAX_IN = [V.Box(4), V.Box(3)]
+INC_SOME_IN = [V.Box(mklist(1, 2))]  # heap: 100 tag, 101 1, 102 → 103 tag, 104 2, 105 → 106 nil, 107-108 pad
+
+
+def _trace_pair(name, inputs, step):
+    """The program, its typing and the heap and prophecy configurations
+    after `step` steps of `name` on inputs."""
+    prog = corpus.load(name)
+    typing = typeck.type_program(prog)
+    c_out = cos.run(prog, name, inputs, typing=typing)
+    a_out = aos.run(prog, name, inputs, typing=typing)
+    return prog, typing, c_out.trace[step], a_out.trace[step]
+
+
+def _with_frame(acfg, i, **fields):
+    stack = list(acfg.stack)
+    stack[i] = dataclasses.replace(stack[i], **fields)
+    return aos.AbsConfig(tuple(stack), acfg.lft)
+
+
+def _guide_frame(acfg, i, **changes):
+    """acfg with frame i's variables updated; a None value drops one."""
+    frame = {x: v for x, v in {**acfg.stack[i].frame, **changes}.items() if v is not None}
+    return _with_frame(acfg, i, frame=frame)
+
+
+def _heap_cell(cfg, addr, n):
+    return cos.CosConfig(cfg.stack, {**cfg.heap, addr: n})
+
+
 def test_entry_readout_is_abs_free(inc_max_setup):
     prog, typing = inc_max_setup
     cfg = cos.initial_config(prog, typing, "inc_max", [V.Box(4), V.Box(3)], Alloc())
@@ -33,16 +63,8 @@ def test_entry_readout_is_abs_free(inc_max_setup):
     assert marks == {"hot"}
 
 
-def _trace_at(prog, typing, fn, label):
-    c_out = cos.run(prog, "inc_max", [V.Box(4), V.Box(3)], typing=typing)
-    a_out = aos.run(prog, "inc_max", [V.Box(4), V.Box(3)], typing=typing)
-    i = next(i for i, c in enumerate(c_out.trace) if (c.top.fn, c.top.label) == (fn, label))
-    return c_out.trace[i], a_out.trace[i]
-
-
-def test_readout_reconstructs_borrows(inc_max_setup):
-    prog, typing = inc_max_setup
-    cfg, acfg = _trace_at(prog, typing, "inc_max", "L3")
+def test_readout_reconstructs_borrows():
+    _, typing, cfg, acfg = _trace_pair("inc_max", INC_MAX_IN, 3)  # inc_max:L3
     summary, footprint, diags = harness.extended_readout(typing, cfg, acfg)
     assert not diags
     # each mutable borrow gives its prophecy, and its frozen lender takes
@@ -53,9 +75,8 @@ def test_readout_reconstructs_borrows(inc_max_setup):
     assert not harness.safe_extended(acfg.lft, summary, footprint)
 
 
-def test_readout_corrupted_heap(inc_max_setup):
-    prog, typing = inc_max_setup
-    cfg, acfg = _trace_at(prog, typing, "take_max", "L1")
+def test_readout_corrupted_heap():
+    _, typing, cfg, acfg = _trace_pair("inc_max", INC_MAX_IN, 5)  # take_max:L1
     heap = dict(cfg.heap)
     heap[cfg.top.frame["ord"]] = 7  # a sum tag outside {0, 1}
     broken = cos.CosConfig(cfg.stack, heap)
@@ -133,42 +154,12 @@ def test_frozen_resolved_owner_reads_out():
     assert any(m[0] == "hot" and m[1] is not None for m in footprint)
 
 
-def _trace_pair(name, inputs, step):
-    prog = corpus.load(name)
-    typing = typeck.type_program(prog)
-    c_out = cos.run(prog, name, inputs, typing=typing)
-    a_out = aos.run(prog, name, inputs, typing=typing)
-    return prog, typing, c_out.trace[step], a_out.trace[step]
-
-
-def _guide_frame(acfg, i, **changes):
-    """acfg with frame i's variables updated; a None value drops one."""
-    e = acfg.stack[i]
-    frame = {x: v for x, v in {**e.frame, **changes}.items() if v is not None}
-    stack = acfg.stack[:i] + (dataclasses.replace(e, frame=frame),) + acfg.stack[i + 1:]
-    return aos.AbsConfig(stack, acfg.lft)
-
-
-def _heap_cell(cfg, addr, n):
-    return cos.CosConfig(cfg.stack, {**cfg.heap, addr: n})
-
-
-def _relabel(acfg, i, label):
-    e = acfg.stack[i]
-    stack = acfg.stack[:i] + (dataclasses.replace(e, label=label),) + acfg.stack[i + 1:]
-    return aos.AbsConfig(stack, acfg.lft)
-
-
-INC_MAX_IN = [V.Box(4), V.Box(3)]
-INC_SOME_IN = [V.Box(mklist(1, 2))]  # heap: 100 tag, 101 1, 102 → 103 tag, 104 2, 105 → 106 nil, 107-108 pad
-
-
 @pytest.mark.parametrize(
     "name, inputs, step, corrupt, expected",
     [
         ("inc_max", INC_MAX_IN, 4, lambda c, a: (c, aos.AbsConfig(a.stack[:1], a.lft)),
          (False, ["stack depth 2 vs abstract 1"])),
-        ("inc_max", INC_MAX_IN, 4, lambda c, a: (c, _relabel(a, 1, "L3")),
+        ("inc_max", INC_MAX_IN, 4, lambda c, a: (c, _with_frame(a, 1, label="L3")),
          (False, ["frame 1: program point mismatch"])),
         ("inc_max", INC_MAX_IN, 3, lambda c, a: (c, _guide_frame(a, 0, mb=None)),
          (False, ["frame 0: variable mb missing on the abstract side"])),

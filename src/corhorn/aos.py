@@ -24,12 +24,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import logic as L
 from . import syntax as S
 from . import values as V
-from .cos import value_matches
 from .machine import (  # the shared names stay reachable as aos.Final, aos.RunError, ...
     Final, Next, RunError, RunOutcome, StepResult, Stuck, StuckSignal, drive, entry_fn, is_final,
 )
+from .translate import sort_of_type
 from .typeck import LftCtx, TypingResult, type_equiv, type_program
 
 HOT = "hot"
@@ -379,7 +380,7 @@ def initial_config(prog: S.Program, fname: str, inputs: list[V.Value]) -> AbsCon
     fn = entry_fn(prog, fname, inputs)
     frame: dict[str, V.PreValue] = {}
     for v, (x, t) in zip(inputs, fn.params):
-        if not value_matches(v, t) or not V.is_value(v):
+        if not L.check_value(v, sort_of_type(t)):
             raise RunError("SortMismatch", f"argument {x!r}: {V.show(v)} does not fit {t}")
         frame[x] = v
     return AbsConfig((AbsFrameEntry(fname, S.ENTRY, {}, None, frame),), LftCtx.empty())

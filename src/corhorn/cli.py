@@ -173,6 +173,7 @@ def cmd_oracle(args) -> int:
     fn = prog.fn(args.fn)
     rand_range = _int_range(-args.range, args.range, "--range")
     seeds = range(_at_least(args.run_seeds, 1, "--run-seeds"))
+    depth = _at_least(args.depth, 1, "--depth")
     spec = L.SampleSpec(*rand_range, max_depth=3)
     arg_sorts = [T.sort_of_type(t) for _, t in fn.params]
     total = 1
@@ -188,7 +189,7 @@ def cmd_oracle(args) -> int:
             for _ in range(_at_least(args.samples, 1, "--samples"))
         ]
     rep = harness.oracle_diff(
-        prog, args.fn, tuples, seeds=seeds, depth=args.depth,
+        prog, args.fn, tuples, seeds=seeds, depth=depth,
         rand_range=rand_range,
     )
     _emit(args, rep.to_json(),

@@ -7,6 +7,12 @@ follow one rule per statement form; allocation uses a monotone bump
 cursor so freed addresses are never reused and traces are deterministic
 for a fixed seed.
 
+This module owns the heap layout (`syntax.size_of` gives the sizes):
+an int or a pointer takes one cell, unit none; a sum is a tag cell
+(0 or 1), then the payload of that side at +1, then zero padding up to
+the size of the larger side (`sum_side`); a product is its two
+components concatenated.
+
 The readout judgments reconstruct typed values from the heap together
 with the multiset of addresses touched (the memory footprint); a
 duplicate address in a frame's combined footprint is an ownership
@@ -19,11 +25,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import logic as L
 from . import syntax as S
 from . import values as V
 from .machine import (  # the shared names stay reachable as cos.Final, cos.RunError, ...
     Final, Next, RunError, RunOutcome, StepResult, Stuck, StuckSignal, drive, entry_fn, is_final,
 )
+from .translate import sort_of_type
 from .typeck import TypingResult, type_program
 
 
@@ -76,6 +84,16 @@ class CosConfig:
 # ---------------------------------------------------------------------------
 
 
+def sum_side(t: S.Sum, tag: int) -> tuple[S.Type, range]:
+    """The payload type of side `tag` of t, and the offsets from the tag
+    cell of the zero padding cells that fill the payload out to the
+    larger side's size."""
+    side, other = (t.left, t.right) if tag == 0 else (t.right, t.left)
+    # not size_of(t): its cache lookup would hash the whole sum type once more
+    n = S.size_of(side)
+    return side, range(1 + n, 1 + max(n, S.size_of(other)))
+
+
 def readout(heap: dict[int, int], addr: int, t: S.Type) -> tuple[V.Value, list[int]]:
     """Read the data of type t at addr; returns the value and the
     footprint (multiset of addresses, as a list)."""
@@ -99,10 +117,8 @@ def readout(heap: dict[int, int], addr: int, t: S.Type) -> tuple[V.Value, list[i
         tag = heap[addr]
         if tag not in (0, 1):
             raise ReadoutError("BadTag", f"sum tag at {addr} is {tag}")
-        side = t.left if tag == 0 else t.right
-        other = t.right if tag == 0 else t.left
-        pad = max(S.size_of(other) - S.size_of(side), 0)
-        pad_cells = [addr + 1 + S.size_of(side) + k for k in range(pad)]
+        side, pad = sum_side(t, tag)
+        pad_cells = [addr + k for k in pad]
         for c in pad_cells:
             if c not in heap:
                 raise ReadoutError("MissingCell", f"no padding cell at {c}")
@@ -117,27 +133,9 @@ def readout(heap: dict[int, int], addr: int, t: S.Type) -> tuple[V.Value, list[i
     raise ReadoutError("IncompleteType", f"cannot read out at type {t}")
 
 
-def value_matches(v: V.Value, t: S.Type) -> bool:
-    """Does value v inhabit the sort of type t?"""
-    t = S.whnf_type(t)
-    if isinstance(t, S.IntT):
-        return isinstance(v, int) and not isinstance(v, bool)
-    if isinstance(t, S.UnitT):
-        return isinstance(v, V.UnitVal)
-    if isinstance(t, S.Ptr):
-        if t.kind == S.MUT:
-            return isinstance(v, V.MutPair) and value_matches(v.cur, t.target) and value_matches(v.fin, t.target)
-        return isinstance(v, V.Box) and value_matches(v.inner, t.target)
-    if isinstance(t, S.Sum):
-        return isinstance(v, V.Inj) and value_matches(v.payload, t.left if v.tag == 0 else t.right)
-    if isinstance(t, S.Prod):
-        return isinstance(v, V.Pair) and value_matches(v.fst, t.left) and value_matches(v.snd, t.right)
-    return False
-
-
 def write_value(heap: dict[int, int], t: S.Type, v: V.Value, alloc: Alloc) -> int:
     """Store v (of the sort of t) into fresh cells; inverse of readout."""
-    if not value_matches(v, t):
+    if not L.check_value(v, sort_of_type(t)):
         raise RunError("SortMismatch", f"value {V.show(v)} does not have sort of {t}")
     base = alloc.fresh(S.size_of(t))
     _fill(heap, base, t, v, alloc)
@@ -155,12 +153,11 @@ def _fill(heap: dict[int, int], base: int, t: S.Type, v: V.Value, alloc: Alloc) 
             raise RunError("SortMismatch", "cannot write references at a simple boundary")
         heap[base] = write_value(heap, t.target, v.inner, alloc)
     elif isinstance(t, S.Sum):
-        side = t.left if v.tag == 0 else t.right
-        other = t.right if v.tag == 0 else t.left
+        side, pad = sum_side(t, v.tag)
         heap[base] = v.tag
         _fill(heap, base + 1, side, v.payload, alloc)
-        for k in range(max(S.size_of(other) - S.size_of(side), 0)):
-            heap[base + 1 + S.size_of(side) + k] = 0
+        for k in pad:
+            heap[base + k] = 0
     elif isinstance(t, S.Prod):
         _fill(heap, base, t.left, v.fst, alloc)
         _fill(heap, base + S.size_of(t.left), t.right, v.snd, alloc)
@@ -204,6 +201,19 @@ def _block(heap: dict[int, int], base: int, n: int, reason: str) -> list[int]:
             raise StuckSignal(f"{reason}: missing cell {base + k}")
         vals.append(heap[base + k])
     return vals
+
+
+def _take(heap: dict[int, int], base: int, n: int, reason: str) -> list[int]:
+    """Read the block of n cells at base, as `_block` does, and free it."""
+    vals = _block(heap, base, n, reason)
+    for k in range(n):
+        del heap[base + k]
+    return vals
+
+
+def _put(heap: dict[int, int], base: int, vals: list[int]) -> None:
+    for k, v in enumerate(vals):
+        heap[base + k] = v
 
 
 def step(
@@ -250,35 +260,21 @@ def _step(prog, typing, cfg, rng, alloc, rand_range) -> StepResult:
     if isinstance(stmt, S.StmtMatch):
         t = ty(stmt.x)
         a = frame.pop(stmt.x)
-        sum_t = S.whnf_type(t.target)
-        if t.kind == S.OWN:
-            if a not in heap:
-                raise StuckSignal(f"match: missing tag cell {a}")
-            i = heap.pop(a)
-            if i not in (0, 1):
-                raise StuckSignal(f"match: bad tag {i}")
-            side = sum_t.left if i == 0 else sum_t.right
-            other = sum_t.right if i == 0 else sum_t.left
-            pad = max(S.size_of(other) - S.size_of(side), 0)
-            for k in range(pad):
-                c = a + 1 + S.size_of(side) + k
-                if c not in heap:
-                    raise StuckSignal(f"match: missing padding cell {c}")
-                del heap[c]
-            binder, target = (stmt.y0, stmt.l0) if i == 0 else (stmt.y1, stmt.l1)
-            frame[binder] = a + 1
-            entry = FrameEntry(f, target, top.recv, frame)
-            return Next(CosConfig((entry,) + cfg.stack[1:], heap))
-        else:
-            if a not in heap:
-                raise StuckSignal(f"match: missing tag cell {a}")
-            i = heap[a]
-            if i not in (0, 1):
-                raise StuckSignal(f"match: bad tag {i}")
-            binder, target = (stmt.y0, stmt.l0) if i == 0 else (stmt.y1, stmt.l1)
-            frame[binder] = a + 1
-            entry = FrameEntry(f, target, top.recv, frame)
-            return Next(CosConfig((entry,) + cfg.stack[1:], heap))
+        if a not in heap:
+            raise StuckSignal(f"match: missing tag cell {a}")
+        i = heap[a]
+        if i not in (0, 1):
+            raise StuckSignal(f"match: bad tag {i}")
+        if t.kind == S.OWN:  # the tag and padding cells are freed; the payload stays
+            _, pad = sum_side(S.whnf_type(t.target), i)
+            del heap[a]
+            for k in pad:
+                if a + k not in heap:
+                    raise StuckSignal(f"match: missing padding cell {a + k}")
+                del heap[a + k]
+        binder, target = (stmt.y0, stmt.l0) if i == 0 else (stmt.y1, stmt.l1)
+        frame[binder] = a + 1
+        return Next(retop(target))
 
     instr = stmt.instr
     goto = stmt.goto
@@ -291,10 +287,7 @@ def _step(prog, typing, cfg, rng, alloc, rand_range) -> StepResult:
         t = ty(instr.x)
         a = frame.pop(instr.x)
         if t.kind == S.OWN:
-            n = S.size_of(t.target)
-            _block(heap, a, n, "drop")
-            for k in range(n):
-                del heap[a + k]
+            _take(heap, a, S.size_of(t.target), "drop")
         return Next(retop(goto))
 
     if isinstance(instr, (S.Immut, S.TypeWeaken, S.IntroLft, S.NowLft, S.LftLeq)):
@@ -306,9 +299,8 @@ def _step(prog, typing, cfg, rng, alloc, rand_range) -> StepResult:
         a, b = frame[instr.x], frame[instr.y]
         ma = _block(heap, a, n, "swap")
         mb = _block(heap, b, n, "swap")
-        for k in range(n):
-            heap[a + k] = mb[k]
-            heap[b + k] = ma[k]
+        _put(heap, a, mb)
+        _put(heap, b, ma)
         return Next(retop(goto))
 
     if isinstance(instr, S.MakePtr):
@@ -335,8 +327,7 @@ def _step(prog, typing, cfg, rng, alloc, rand_range) -> StepResult:
         src = frame[instr.x]
         vals = _block(heap, src, n, "copy")
         b = alloc.fresh(n)
-        for k in range(n):
-            heap[b + k] = vals[k]
+        _put(heap, b, vals)
         frame[instr.y] = b
         return Next(retop(goto))
 
@@ -374,39 +365,18 @@ def _step(prog, typing, cfg, rng, alloc, rand_range) -> StepResult:
         return Next(retop(goto))
 
     if isinstance(instr, S.InjInstr):
-        side = instr.sum_type.left if instr.index == 0 else instr.sum_type.right
-        other = instr.sum_type.right if instr.index == 0 else instr.sum_type.left
-        npay = S.size_of(side)
-        a = frame.pop(instr.x)
-        vals = _block(heap, a, npay, "inj")
-        for k in range(npay):
-            del heap[a + k]
+        side, pad = sum_side(instr.sum_type, instr.index)
+        vals = _take(heap, frame.pop(instr.x), S.size_of(side), "inj")
         b = alloc.fresh(S.size_of(instr.sum_type))
-        heap[b] = instr.index
-        for k in range(npay):
-            heap[b + 1 + k] = vals[k]
-        for k in range(max(S.size_of(other) - npay, 0)):
-            heap[b + 1 + npay + k] = 0
+        _put(heap, b, [instr.index] + vals + [0] * len(pad))
         frame[instr.y] = b
         return Next(retop(goto))
 
     if isinstance(instr, S.MakePair):
-        t0 = ty(instr.x0).target
-        t1 = ty(instr.x1).target
-        n0, n1 = S.size_of(t0), S.size_of(t1)
-        a0 = frame.pop(instr.x0)
-        a1 = frame.pop(instr.x1)
-        v0 = _block(heap, a0, n0, "pair")
-        v1 = _block(heap, a1, n1, "pair")
-        for k in range(n0):
-            del heap[a0 + k]
-        for k in range(n1):
-            del heap[a1 + k]
-        b = alloc.fresh(n0 + n1)
-        for k in range(n0):
-            heap[b + k] = v0[k]
-        for k in range(n1):
-            heap[b + n0 + k] = v1[k]
+        v0 = _take(heap, frame.pop(instr.x0), S.size_of(ty(instr.x0).target), "pair")
+        v1 = _take(heap, frame.pop(instr.x1), S.size_of(ty(instr.x1).target), "pair")
+        b = alloc.fresh(len(v0) + len(v1))
+        _put(heap, b, v0 + v1)
         frame[instr.y] = b
         return Next(retop(goto))
 
@@ -433,7 +403,7 @@ def initial_config(
     heap: dict[int, int] = {}
     frame: dict[str, int] = {}
     for v, (x, t) in zip(inputs, fn.params):
-        if not isinstance(v, V.Box) or not value_matches(v, t):
+        if not L.check_value(v, sort_of_type(t)):
             raise RunError("SortMismatch", f"argument {x!r}: {V.show(v)} does not fit {t}")
         frame[x] = write_value(heap, t.target, v.inner, alloc)
     return CosConfig((FrameEntry(fname, S.ENTRY, None, frame),), heap)

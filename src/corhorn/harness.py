@@ -108,12 +108,10 @@ def _read_data(heap, mode, frz, addr, t: S.Type, guide, st: ReadoutState) -> boo
             return st.diag(f"bad sum tag {tag} at {addr}")
         if not isinstance(guide, V.Inj) or guide.tag != tag:
             return st.diag(f"tag {tag} at {addr} vs abstract {V.show(guide)}")
-        side = t.left if tag == 0 else t.right
-        other = t.right if tag == 0 else t.left
+        side, pad = cos.sum_side(t, tag)
         st.footprint[_mark(mode, frz, addr)] += 1
-        pad = max(S.size_of(other) - S.size_of(side), 0)
-        for k in range(pad):
-            c = addr + 1 + S.size_of(side) + k
+        for k in pad:
+            c = addr + k
             if c not in heap or heap[c] != 0:
                 return st.diag(f"bad padding cell {c}")
             st.footprint[_mark(mode, frz, c)] += 1

@@ -111,24 +111,18 @@ class WholeCtx:
 # ---------------------------------------------------------------------------
 
 
-def subtype(lft: LftCtx, t: Type, u: Type, _seen: frozenset = frozenset()) -> bool:
-    if not _seen:
-        return _subtype_outer(lft.order, t, u, lft)
-    return _subtype(lft, t, u, _seen)
-
-
 @lru_cache(maxsize=None)
-def _subtype_outer(order, t, u, lft):
-    return _subtype(lft, t, u, frozenset())
-
-
-def _subtype(lft: LftCtx, t: Type, u: Type, _seen: frozenset = frozenset()) -> bool:
+def subtype(lft: LftCtx, t: Type, u: Type) -> bool:
     """Decide t <= u under the lifetime preorder.
 
     Equi-recursive: mu-types are unfolded on demand and candidate pairs
     are assumed true while their derivation is in progress, which is the
     standard coinductive decision procedure.
     """
+    return _subtype(lft, t, u, frozenset())
+
+
+def _subtype(lft: LftCtx, t: Type, u: Type, _seen: frozenset) -> bool:
     key = (canon_type(t), canon_type(u))
     if key[0] == key[1] or key in _seen:
         return True
@@ -468,37 +462,6 @@ def check_return(fn: S.FunctionDef, stmt: S.StmtReturn, wc: WholeCtx, label: str
     if wc.lft.carrier != frozenset(fn.lft_params):
         local = sorted(wc.lft.carrier - frozenset(fn.lft_params))
         _err("ReturnLeftovers", f"local lifetimes still live at return: {local}", f, label)
-
-
-def type_statement(
-    prog: S.Program,
-    fn: S.FunctionDef,
-    stmt: S.Statement,
-    wc: WholeCtx,
-    label_contexts: dict[str, WholeCtx],
-    label: str = "?",
-) -> None:
-    """Check one statement against the contexts registered for its jump
-    targets.  Raises ContextMismatchAtJoin when a successor context
-    disagrees with the registered one."""
-    f = fn.name
-    if isinstance(stmt, S.StmtReturn):
-        check_return(fn, stmt, wc, label)
-        return
-    if isinstance(stmt, S.StmtInstr):
-        nxt = type_instruction(prog, fn, stmt.instr, wc, label)
-        want = label_contexts.get(stmt.goto)
-        if want is not None and not nxt.same(want):
-            _err("ContextMismatchAtJoin", f"context flowing to {stmt.goto!r} disagrees", f, label)
-        return
-    if isinstance(stmt, S.StmtMatch):
-        c0, c1 = match_branch_contexts(prog, fn, stmt, wc, label)
-        for target, ctx in ((stmt.l0, c0), (stmt.l1, c1)):
-            want = label_contexts.get(target)
-            if want is not None and not ctx.same(want):
-                _err("ContextMismatchAtJoin", f"context flowing to {target!r} disagrees", f, label)
-        return
-    raise TypeError(f"not a statement: {stmt!r}")
 
 
 @dataclass

@@ -301,8 +301,10 @@ def test_bisim_passes_rand_range_to_both_lockstep_checks(capsys, monkeypatch):
         (["oracle", INC_MAX, "--fn", "inc_max", "--run-seeds", "0"], "--run-seeds", 0, 1),
         (["oracle", INC_MAX, "--fn", "inc_max", "--samples", "0", "--max-exhaustive", "0"],
          "--samples", 0, 1),
+        (["oracle", INC_MAX, "--fn", "inc_max", "--depth", "0"], "--depth", 0, 1),
     ],
-    ids=["bisim-runs-0", "bisim-runs-neg", "bisim-fuel-neg", "oracle-run-seeds-0", "oracle-samples-0"],
+    ids=["bisim-runs-0", "bisim-runs-neg", "bisim-fuel-neg", "oracle-run-seeds-0", "oracle-samples-0",
+         "oracle-depth-0"],
 )
 def test_vacuous_count_exit_2(capsys, argv, flag, n, least):
     code, out, err = run_cli(capsys, *argv)

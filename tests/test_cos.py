@@ -261,3 +261,71 @@ def test_write_readout_identity_on_corpus_sorts():
                 got, m = cos.readout(heap, a, t.target)
                 assert got == v
                 assert len(set(m)) == len(m)
+
+
+# -- layout rules' failures --------------------------------------------------------
+
+LAYOUT_SRC = """
+fn layout(ox: own int, oy: own int) -> own int {
+  entry: let *p = (*ox, *oy); goto L1;
+  L1: let *c = copy *p; goto L2;
+  L2: drop c; goto L3;
+  L3: let *s = inj0<int * int + unit> *p; goto L4;
+  L4: match *s { inj0 *q => goto L5, inj1 *u => goto L10 };
+  L5: let (*a, *b) = *q; goto L6;
+  L6: drop b; goto L7;
+  L7: let *w = a; goto L8;
+  L8: let z = *w; goto L9;
+  L9: return z;
+  L10: drop u; goto L11;
+  L11: let *z2 = 0; goto L12;
+  L12: return z2;
+}
+"""
+
+
+def _layout_trace(name):
+    # each program's entry function has the program's name
+    prog = parser.parse_program(LAYOUT_SRC) if name == "layout" else corpus.load(name)
+    inputs = [V.Box(mklist(1))] if name == "inc_some" else [V.Box(4), V.Box(3)]
+    return prog, cos.run(prog, name, inputs).trace
+
+
+# (program, fn, label, variable, offset from its address, new cell or None to delete,
+#  nth match of (fn, label) in the trace, Stuck reason)
+LAYOUT_CASES = {
+    "match-own-missing-tag": ("inc_some", "drop_list", "L1", "oxs", 0, None, 1,
+                              "match: missing tag cell 103"),
+    "match-own-bad-tag": ("inc_some", "drop_list", "L1", "oxs", 0, 7, 1, "match: bad tag 7"),
+    "match-own-missing-padding": ("inc_some", "drop_list", "L1", "oxs", 2, None, 1,
+                                  "match: missing padding cell 105"),
+    "match-immut-missing-tag": ("inc_some", "sum", "L1", "ixs", 0, None, 0,
+                                "match: missing tag cell 100"),
+    "match-immut-bad-tag": ("inc_some", "sum", "L1", "ixs", 0, 7, 0, "match: bad tag 7"),
+    "match-mut-missing-tag": ("inc_some", "take_some", "L1", "mxs", 0, None, 0,
+                              "match: missing tag cell 100"),
+    "drop": ("layout", "layout", "L2", "c", 1, None, 0, "drop: missing cell 105"),
+    "swap": ("inc_max", "inc_max", "L7", "oc2", 0, None, 0, "swap: missing cell 104"),
+    "copy": ("layout", "layout", "L1", "p", 1, None, 0, "copy: missing cell 103"),
+    "inj": ("layout", "layout", "L3", "p", 1, None, 0, "inj: missing cell 103"),
+    "pair": ("layout", "layout", "entry", "oy", 0, None, 0, "pair: missing cell 101"),
+    "deref": ("layout", "layout", "L8", "w", 0, None, 0, "deref: missing cell 109"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_layout_rule_stuck_reasons_pinned(case):
+    # one corrupted cell in a configuration of a real trace, and the exact
+    # reason the rule that reads the heap layout gets stuck with
+    name, fn, label, x, off, cell, nth, reason = LAYOUT_CASES[case]
+    prog, trace = _layout_trace(name)
+    cfg = [c for c in trace if (c.top.fn, c.top.label) == (fn, label)][nth]
+    heap = dict(cfg.heap)
+    addr = cfg.top.frame[x] + off
+    if cell is None:
+        del heap[addr]
+    else:
+        heap[addr] = cell
+    res = cos.step(prog, typeck.type_program(prog), cos.CosConfig(cfg.stack, heap),
+                   random.Random(0), Alloc(start=10_000))
+    assert res == cos.Stuck(reason)

@@ -321,18 +321,7 @@ def test_inconsistent_join():
     """
     with pytest.raises(TypeCheckError) as e:
         typeck.type_program(parser.parse_program(src))
-    assert e.value.code in ("InconsistentJoin", "ContextMismatchAtJoin")
-
-
-def test_type_statement_context_mismatch():
-    prog = corpus.load("inc_max")
-    typing = typeck.type_program(prog)
-    fn = prog.fn("inc_max")
-    stmt = fn.body["entry"]
-    wrong = {"L1": typing.ctx("inc_max", "L5")}
-    with pytest.raises(TypeCheckError) as e:
-        typeck.type_statement(prog, fn, stmt, typing.ctx("inc_max", "entry"), wrong, "entry")
-    assert e.value.code == "ContextMismatchAtJoin"
+    assert e.value.code == "InconsistentJoin"
 
 
 def test_instruction_determinism_on_corpus():

@@ -195,7 +195,13 @@ def cmd_oracle(args) -> int:
     _emit(args, rep.to_json(),
           f"{rep.checked} inputs checked, {rep.returned} returned, "
           f"{len(rep.misses)} misses, {rep.budget_flags} budget flags")
-    return EXIT_OK if rep.ok else EXIT_REFUTED
+    if rep.ok:
+        return EXIT_OK
+    if rep.refuted:
+        return EXIT_REFUTED
+    print(f"no verdict: all {len(rep.misses)} misses come from enumerations cut short by "
+          "their budget; a larger --depth may decide", file=_sys.stderr)
+    return EXIT_ERROR
 
 
 def cmd_corpus_list(args) -> int:

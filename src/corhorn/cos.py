@@ -151,7 +151,10 @@ def _fill(heap: dict[int, int], base: int, t: S.Type, v: V.Value, alloc: Alloc) 
     elif isinstance(t, S.Ptr):
         if t.kind != S.OWN:
             raise RunError("SortMismatch", "cannot write references at a simple boundary")
-        heap[base] = write_value(heap, t.target, v.inner, alloc)
+        # the pointee was sort-checked with the whole value in write_value
+        target = alloc.fresh(S.size_of(t.target))
+        _fill(heap, target, t.target, v.inner, alloc)
+        heap[base] = target
     elif isinstance(t, S.Sum):
         side, pad = sum_side(t, v.tag)
         heap[base] = v.tag

@@ -356,14 +356,13 @@ def lockstep_aos_sldc(
     fuel: int = 100_000,
     typing: Optional[TypingResult] = None,
     rand_range: tuple[int, int] = (-128, 127),
-    spec: Optional[L.SampleSpec] = None,
 ) -> LinkReport:
     """Check that every prophecy-interpreter step corresponds to one
     resolution step using the clause generated from the executed
     statement, ending in an empty-stack configuration whose result
     refines to the returned value."""
     typing = typing or type_program(prog)
-    spec = spec or L.SampleSpec(int_lo=rand_range[0], int_hi=rand_range[1])
+    spec = L.SampleSpec(int_lo=rand_range[0], int_hi=rand_range[1])
     sys = T.translate_program(prog, typing)
     clause_tags: dict[tuple[str, str], list] = {}
     for c in sys.clauses:
@@ -419,10 +418,18 @@ class OracleReport:
     returned: int
     misses: list[dict]
     budget_flags: int = 0
+    # misses whose enumeration was cut short by its budget; kept out of
+    # to_json, they only decide whether the misses refute anything
+    flagged_misses: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.misses
+
+    @property
+    def refuted(self) -> bool:
+        """Some miss comes from an enumeration that finished within budget."""
+        return len(self.misses) > self.flagged_misses
 
     def to_json(self) -> dict:
         return {
@@ -440,20 +447,19 @@ def oracle_diff(
     input_tuples: Iterable[tuple[V.Value, ...]],
     seeds: Iterable[int] = (0, 1, 2, 3, 4),
     depth: int = 64,
-    width: int = 4000,
     fuel: int = 20_000,
     typing: Optional[TypingResult] = None,
     rand_range: tuple[int, int] = (-8, 8),
-    spec: Optional[L.SampleSpec] = None,
 ) -> OracleReport:
     """For every sampled input tuple and seed: if the heap interpreter
-    returns a value, some resolution result pattern must refine to it."""
+    returns a value, some resolution result pattern must refine to it.
+    Enumeration runs to `depth` with the default width of 4000."""
     typing = typing or type_program(prog)
-    spec = spec or L.SampleSpec(int_lo=rand_range[0], int_hi=rand_range[1])
+    spec = L.SampleSpec(int_lo=rand_range[0], int_hi=rand_range[1])
     sys = T.translate_program(prog, typing)
     pred = L.pred_name(fname, S.ENTRY)
     seeds = list(seeds)
-    checked = returned = flags = 0
+    checked = returned = flags = flagged_misses = 0
     misses: list[dict] = []
     for tup in input_tuples:
         checked += 1
@@ -466,11 +472,12 @@ def oracle_diff(
         if not values:
             continue
         returned += 1
-        enum = sldc.enumerate_results(sys, pred, tuple(tup), depth=depth, width=width, spec=spec)
+        enum = sldc.enumerate_results(sys, pred, tuple(tup), depth=depth, spec=spec)
         if enum.budget_exceeded:
             flags += 1
         for w in values:
             if not sldc.covers_value(enum, w):
+                flagged_misses += int(enum.budget_exceeded)
                 misses.append(
                     {
                         "inputs": [V.show(v) for v in tup],
@@ -478,4 +485,4 @@ def oracle_diff(
                         "patterns": [V.show(p) for p, _ in enum.patterns],
                     }
                 )
-    return OracleReport(checked, returned, misses, flags)
+    return OracleReport(checked, returned, misses, flags, flagged_misses)

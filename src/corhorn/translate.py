@@ -1,12 +1,17 @@
 """Translation from typed programs to CHC systems.
 
 Each (function, label) pair becomes a predicate over the label's live
-variables plus a result position; each labeled statement becomes one
-clause (two for a match) relating the label's predicate to its
-successor's.  Lifetime information is erased: owning pointers and
-immutable references become box sorts, mutable references become mut
-(current, final) pair sorts, and releasing a mutable reference pins its
-final component to the current value via a non-linear head pattern.
+variables plus a result position.  Each labeled statement becomes one
+clause (one per arm for a match) of a single form,
+
+    P_label(vars, some pinned to patterns) <= [callee and] P_next(vars, some replaced by terms)
+
+built in one place; a statement states only its pins, substitution,
+binder changes and whose variables are bound.  Lifetime information is
+erased: owning pointers and immutable references become box sorts,
+mutable references become mut (current, final) pair sorts, and
+releasing a mutable reference pins its final component to the current
+value via a non-linear head pattern.
 
 Generated variable names carry the reserved '!' character: x!c / x!p
 are the fresh current/final values split off x, and x!cc, x!cp, x!pc
@@ -62,14 +67,9 @@ def label_vars(wc: WholeCtx) -> list[str]:
 def signature_for(
     prog: S.Program, typing: TypingResult, f: str, label: str
 ) -> tuple[str, tuple[Sort, ...], dict[str, Sort], Atom]:
-    wc = typing.ctx(f, label)
-    ret = prog.fn(f).ret
-    names = label_vars(wc)
-    sorts = tuple(sort_of_type(wc.gamma[x].ty) for x in names) + (sort_of_type(ret),)
-    delta = dict(zip(names, sorts))
-    delta[RES] = sorts[-1]
-    head = Atom(pred_name(f, label), tuple(V.Var(x) for x in names) + (V.Var(RES),))
-    return pred_name(f, label), sorts, delta, head
+    binders = _binders(typing, prog, f, label)
+    head = _atom(typing, f, label, {})
+    return pred_name(f, label), tuple(s for _, s in binders), dict(binders), head
 
 
 def _atom(typing: TypingResult, f: str, label: str, subst: dict[str, V.Term]) -> Atom:
@@ -101,188 +101,133 @@ def clauses_for_label(
 ) -> list[Clause]:
     """The clause set modeling one labeled statement."""
     ty = lambda x: typing.ty(f, label, x)
-    head_plain = _atom(typing, f, label, {})
 
-    def clause(binders, head, body, case=0):
-        return [Clause(tuple(binders), head, tuple(body), tag=(f, order, label, case))]
+    def clause(to, pin=None, subst=None, drop=(), fresh=(), at=label, pre=(), case=0):
+        """P_label(pinned) <= pre and P_to(substituted), binding at's variables
+        minus drop, then res, then fresh; to=None leaves out the successor."""
+        head = _atom(typing, f, label, pin or {})
+        body = pre + ((_atom(typing, f, to, subst or {}),) if to is not None else ())
+        binders = _binders(typing, prog, f, at, drop=drop, fresh=fresh)
+        return [Clause(binders, head, body, tag=(f, order, label, case))]
+
+    def release(x: str, sort: Sort) -> dict:
+        """Pin the final value of the mutable reference x to its current one."""
+        cur = V.Var(f"{x}!c")
+        return dict(pin={x: V.MutPair(cur, cur)}, drop=(x,), fresh=((cur.name, sort),))
+
+    def ptr(x: str, cur: V.Term, fin: V.Term) -> V.Term:
+        """A pointer of x's kind to cur: a mut (cur, fin) pair, else a box."""
+        return V.MutPair(cur, fin) if ty(x).kind == S.MUT else V.Box(cur)
+
+    deref = lambda x: V.DerefT(V.Var(x))
+    final = lambda x: V.FinalT(V.Var(x))
 
     if isinstance(stmt, S.StmtReturn):
-        head = _atom(typing, f, label, {RES: V.Var(stmt.x)})
-        return clause(_binders(typing, prog, f, label), head, [])
+        return clause(None, pin={RES: V.Var(stmt.x)})
 
     if isinstance(stmt, S.StmtMatch):
         t = ty(stmt.x)
         sum_t = S.whnf_type(t.target)
+        cur, fin = V.Var(f"{stmt.x}!c"), V.Var(f"{stmt.x}!p")
+        split = (cur, fin) if t.kind == S.MUT else (cur,)
         out = []
-        for i, (binder, target) in enumerate(((stmt.y0, stmt.l0), (stmt.y1, stmt.l1))):
-            side = sum_t.left if i == 0 else sum_t.right
+        arms = ((stmt.y0, stmt.l0, sum_t.left), (stmt.y1, stmt.l1, sum_t.right))
+        for i, (binder, target, side) in enumerate(arms):
             side_sort = sort_of_type(side)
-            if t.kind in (S.OWN, S.IMMUT):
-                fresh = ((f"{stmt.x}!c", side_sort),)
-                head = _atom(typing, f, label, {stmt.x: V.Box(V.Inj(i, V.Var(f"{stmt.x}!c")))})
-                body = _atom(typing, f, target, {binder: V.Box(V.Var(f"{stmt.x}!c"))})
-            else:
-                fresh = ((f"{stmt.x}!c", side_sort), (f"{stmt.x}!p", side_sort))
-                head = _atom(
-                    typing, f, label,
-                    {stmt.x: V.MutPair(V.Inj(i, V.Var(f"{stmt.x}!c")), V.Inj(i, V.Var(f"{stmt.x}!p")))},
-                )
-                body = _atom(
-                    typing, f, target,
-                    {binder: V.MutPair(V.Var(f"{stmt.x}!c"), V.Var(f"{stmt.x}!p"))},
-                )
-            binders = _binders(typing, prog, f, target, drop=(binder,), fresh=fresh)
-            out += clause(binders, head, [body], case=i)
+            out += clause(
+                target, pin={stmt.x: ptr(stmt.x, V.Inj(i, cur), V.Inj(i, fin))},
+                subst={binder: ptr(stmt.x, cur, fin)}, drop=(binder,),
+                fresh=tuple((v.name, side_sort) for v in split), at=target, case=i,
+            )
         return out
 
     instr = stmt.instr
     goto = stmt.goto
 
-    def next_atom(subst: dict[str, V.Term]) -> Atom:
-        return _atom(typing, f, goto, subst)
-
     if isinstance(instr, S.MutBor):
-        t = ty(instr.x)
-        fresh_fin = f"{instr.x}!p"
-        fresh = ((fresh_fin, sort_of_type(t.target)),)
-        if t.kind == S.OWN:
-            subst = {
-                instr.y: V.MutPair(V.DerefT(V.Var(instr.x)), V.Var(fresh_fin)),
-                instr.x: V.Box(V.Var(fresh_fin)),
-            }
-        else:
-            subst = {
-                instr.y: V.MutPair(V.DerefT(V.Var(instr.x)), V.Var(fresh_fin)),
-                instr.x: V.MutPair(V.Var(fresh_fin), V.FinalT(V.Var(instr.x))),
-            }
-        binders = _binders(typing, prog, f, label, fresh=fresh)
-        return clause(binders, head_plain, [next_atom(subst)])
+        x, fin = instr.x, V.Var(f"{instr.x}!p")
+        return clause(
+            goto, subst={instr.y: V.MutPair(deref(x), fin), x: ptr(x, fin, final(x))},
+            fresh=((fin.name, sort_of_type(ty(x).target)),),
+        )
 
     if isinstance(instr, S.Drop):
         t = ty(instr.x)
         if t.kind == S.MUT:
-            cur = f"{instr.x}!c"
-            binders = _binders(
-                typing, prog, f, label, drop=(instr.x,), fresh=((cur, sort_of_type(t.target)),)
-            )
-            head = _atom(typing, f, label, {instr.x: V.MutPair(V.Var(cur), V.Var(cur))})
-            return clause(binders, head, [next_atom({})])
-        return clause(_binders(typing, prog, f, label), head_plain, [next_atom({})])
+            return clause(goto, **release(instr.x, sort_of_type(t.target)))
+        return clause(goto)
 
     if isinstance(instr, S.Immut):
-        t = ty(instr.x)
-        cur = f"{instr.x}!c"
-        binders = _binders(
-            typing, prog, f, label, drop=(instr.x,), fresh=((cur, sort_of_type(t.target)),)
+        cur = V.Var(f"{instr.x}!c")
+        return clause(
+            goto, subst={instr.x: V.Box(cur)}, **release(instr.x, sort_of_type(ty(instr.x).target))
         )
-        head = _atom(typing, f, label, {instr.x: V.MutPair(V.Var(cur), V.Var(cur))})
-        return clause(binders, head, [next_atom({instr.x: V.Box(V.Var(cur))})])
 
     if isinstance(instr, S.Swap):
-        t = ty(instr.y)
-        subst = {instr.x: V.MutPair(V.DerefT(V.Var(instr.y)), V.FinalT(V.Var(instr.x)))}
-        if t.kind == S.OWN:
-            subst[instr.y] = V.Box(V.DerefT(V.Var(instr.x)))
-        else:
-            subst[instr.y] = V.MutPair(V.DerefT(V.Var(instr.x)), V.FinalT(V.Var(instr.y)))
-        return clause(_binders(typing, prog, f, label), head_plain, [next_atom(subst)])
+        x, y = instr.x, instr.y
+        return clause(goto, subst={x: ptr(x, deref(y), final(x)), y: ptr(y, deref(x), final(y))})
 
     if isinstance(instr, S.MakePtr):
-        return clause(
-            _binders(typing, prog, f, label), head_plain,
-            [next_atom({instr.y: V.Box(V.Var(instr.x))})],
-        )
+        return clause(goto, subst={instr.y: V.Box(V.Var(instr.x))})
 
     if isinstance(instr, S.Deref):
         t = ty(instr.x)
         inner = t.target
-        x = V.Var(instr.x)
         if t.kind == S.OWN:
-            subst = {instr.y: V.DerefT(x)}
-            return clause(_binders(typing, prog, f, label), head_plain, [next_atom(subst)])
-        if t.kind == S.IMMUT:
-            subst = {instr.y: V.Box(V.DerefT(V.DerefT(x)))}
-            return clause(_binders(typing, prog, f, label), head_plain, [next_atom(subst)])
-        if inner.kind == S.OWN:
-            subst = {instr.y: V.MutPair(V.DerefT(V.DerefT(x)), V.DerefT(V.FinalT(x)))}
-            return clause(_binders(typing, prog, f, label), head_plain, [next_atom(subst)])
+            return clause(goto, subst={instr.y: deref(instr.x)})
+        if t.kind == S.IMMUT or inner.kind == S.OWN:
+            y = ptr(instr.x, V.DerefT(deref(instr.x)), V.DerefT(final(instr.x)))
+            return clause(goto, subst={instr.y: y})
         if inner.kind == S.IMMUT:
-            cur = f"{instr.x}!c"
-            binders = _binders(
-                typing, prog, f, label, drop=(instr.x,),
-                fresh=((cur, L.BoxS(sort_of_type(inner.target))),),
+            return clause(
+                goto, subst={instr.y: V.Var(f"{instr.x}!c")},
+                **release(instr.x, L.BoxS(sort_of_type(inner.target))),
             )
-            head = _atom(typing, f, label, {instr.x: V.MutPair(V.Var(cur), V.Var(cur))})
-            return clause(binders, head, [next_atom({instr.y: V.Var(cur)})])
         # mut of mut
-        cc, cp, pc = (f"{instr.x}!cc", f"{instr.x}!cp", f"{instr.x}!pc")
+        cc, cp, pc = (V.Var(f"{instr.x}!{part}") for part in ("cc", "cp", "pc"))
         inner_sort = sort_of_type(inner.target)
-        binders = _binders(
-            typing, prog, f, label, drop=(instr.x,),
-            fresh=((cc, inner_sort), (cp, inner_sort), (pc, inner_sort)),
+        return clause(
+            goto, pin={instr.x: V.MutPair(V.MutPair(cc, cp), V.MutPair(pc, cp))},
+            subst={instr.y: V.MutPair(cc, pc)}, drop=(instr.x,),
+            fresh=tuple((v.name, inner_sort) for v in (cc, cp, pc)),
         )
-        head = _atom(
-            typing, f, label,
-            {instr.x: V.MutPair(
-                V.MutPair(V.Var(cc), V.Var(cp)), V.MutPair(V.Var(pc), V.Var(cp))
-            )},
-        )
-        return clause(binders, head, [next_atom({instr.y: V.MutPair(V.Var(cc), V.Var(pc))})])
 
     if isinstance(instr, S.CopyDeref):
-        subst = {instr.y: V.Box(V.DerefT(V.Var(instr.x)))}
-        return clause(_binders(typing, prog, f, label), head_plain, [next_atom(subst)])
+        return clause(goto, subst={instr.y: V.Box(deref(instr.x))})
 
     if isinstance(instr, (S.TypeWeaken, S.IntroLft, S.NowLft, S.LftLeq)):
-        return clause(_binders(typing, prog, f, label), head_plain, [next_atom({})])
+        return clause(goto)
 
     if isinstance(instr, S.Call):
-        ret_t = typing.ty(f, goto, instr.y)
-        fresh = ((instr.y, sort_of_type(ret_t)),)
-        call_atom = Atom(
+        callee = Atom(
             pred_name(instr.fn, S.ENTRY),
             tuple(V.Var(x) for x in instr.args) + (V.Var(instr.y),),
         )
-        binders = _binders(typing, prog, f, label, fresh=fresh)
-        return clause(binders, head_plain, [call_atom, next_atom({})])
+        ret_sort = sort_of_type(typing.ty(f, goto, instr.y))
+        return clause(goto, pre=(callee,), fresh=((instr.y, ret_sort),))
 
     if isinstance(instr, S.ConstInstr):
         lit: V.Term = V.UNIT if instr.value == S.UNIT_CONST else instr.value
-        subst = {instr.y: V.Box(lit)}
-        return clause(_binders(typing, prog, f, label), head_plain, [next_atom(subst)])
+        return clause(goto, subst={instr.y: V.Box(lit)})
 
     if isinstance(instr, S.BinOpInstr):
-        subst = {instr.y: V.Box(V.BinOpT(V.DerefT(V.Var(instr.x)), instr.op, V.DerefT(V.Var(instr.x2))))}
-        return clause(_binders(typing, prog, f, label), head_plain, [next_atom(subst)])
+        op = V.BinOpT(deref(instr.x), instr.op, deref(instr.x2))
+        return clause(goto, subst={instr.y: V.Box(op)})
 
     if isinstance(instr, S.RandInstr):
         # binders come from the successor label, so y is quantified but
         # unconstrained on the left: the random draw
-        binders = _binders(typing, prog, f, goto)
-        return clause(binders, head_plain, [next_atom({})])
+        return clause(goto, at=goto)
 
     if isinstance(instr, S.InjInstr):
-        subst = {instr.y: V.Box(V.Inj(instr.index, V.DerefT(V.Var(instr.x))))}
-        return clause(_binders(typing, prog, f, label), head_plain, [next_atom(subst)])
+        return clause(goto, subst={instr.y: V.Box(V.Inj(instr.index, deref(instr.x)))})
 
     if isinstance(instr, S.MakePair):
-        subst = {instr.y: V.Box(V.Pair(V.DerefT(V.Var(instr.x0)), V.DerefT(V.Var(instr.x1))))}
-        return clause(_binders(typing, prog, f, label), head_plain, [next_atom(subst)])
+        return clause(goto, subst={instr.y: V.Box(V.Pair(deref(instr.x0), deref(instr.x1)))})
 
     if isinstance(instr, S.DestructPair):
-        t = ty(instr.x)
-        x = V.Var(instr.x)
-        if t.kind in (S.OWN, S.IMMUT):
-            subst = {
-                instr.y0: V.Box(V.ProjT(V.DerefT(x), 0)),
-                instr.y1: V.Box(V.ProjT(V.DerefT(x), 1)),
-            }
-        else:
-            subst = {
-                instr.y0: V.MutPair(V.ProjT(V.DerefT(x), 0), V.ProjT(V.FinalT(x), 0)),
-                instr.y1: V.MutPair(V.ProjT(V.DerefT(x), 1), V.ProjT(V.FinalT(x), 1)),
-            }
-        return clause(_binders(typing, prog, f, label), head_plain, [next_atom(subst)])
+        part = lambda i: ptr(instr.x, V.ProjT(deref(instr.x), i), V.ProjT(final(instr.x), i))
+        return clause(goto, subst={instr.y0: part(0), instr.y1: part(1)})
 
     raise TypeError(f"not an instruction: {instr!r}")
 
@@ -294,7 +239,7 @@ def translate_program(prog: S.Program, typing: Optional[TypingResult] = None) ->
     sigs: dict[str, tuple[Sort, ...]] = {}
     clauses: list[Clause] = []
     for fn in prog:
-        for order, label in enumerate(fn.body):
+        for label in fn.body:
             name, sorts, _, _ = signature_for(prog, typing, fn.name, label)
             sigs[name] = sorts
     for fn in prog:

@@ -7,6 +7,29 @@ from corhorn import logic as L
 from corhorn import values as V
 from corhorn.logic import Atom, CHCSystem, Clause
 
+# -- translation mutants -----------------------------------------------------
+
+
+def drop_swap_exchange(monkeypatch) -> None:
+    """Translate every swap as a no-op: resolution then derives wrong values."""
+    from corhorn import syntax as S
+    from corhorn import translate as T
+
+    real = T.clauses_for_label
+
+    def sabotaged(prog_, typing_, f, label, stmt, order=0):
+        if isinstance(stmt, S.StmtInstr) and isinstance(stmt.instr, S.Swap):
+            plain = T._atom(typing_, f, label, {})
+            nxt = T._atom(typing_, f, stmt.goto, {})
+            return [
+                T.Clause(T._binders(typing_, prog_, f, label), plain, (nxt,),
+                         tag=(f, order, label, 0))
+            ]
+        return real(prog_, typing_, f, label, stmt, order)
+
+    monkeypatch.setattr(T, "clauses_for_label", sabotaged)
+
+
 # -- value builders ----------------------------------------------------------
 
 NIL = V.Inj(1, V.UNIT)

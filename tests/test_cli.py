@@ -4,6 +4,7 @@ import stat
 import pytest
 
 from corhorn import cli, corpus
+from helpers import drop_swap_exchange
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +172,28 @@ def test_oracle_command(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["ok"] and blob["checked"] == 25
+
+
+def test_oracle_budget_cut_misses_are_no_verdict(capsys):
+    # at depth 1 no enumeration reaches a result: 9 misses, all flagged
+    code, out, err = run_cli(
+        capsys, "oracle", INC_MAX, "--fn", "inc_max", "--range", "1",
+        "--depth", "1", "--run-seeds", "1",
+    )
+    assert code == 2
+    assert out == "9 inputs checked, 9 returned, 9 misses, 9 budget flags\n"
+    assert err.startswith("no verdict: ")
+
+
+def test_oracle_refutes_broken_translation(capsys, monkeypatch):
+    drop_swap_exchange(monkeypatch)
+    code, out, err = run_cli(
+        capsys, "oracle", INC_MAX, "--fn", "inc_max", "--range", "1",
+        "--run-seeds", "1", "--json",
+    )
+    assert code == 1 and err == ""
+    blob = json.loads(out)
+    assert blob["misses"] and not blob["ok"]
 
 
 def test_corpus_list(capsys):

@@ -105,6 +105,20 @@ def test_write_readout_roundtrip():
             assert set(m) == set(heap), "footprint covers exactly the written cells"
 
 
+def test_write_checks_the_sort_once(monkeypatch):
+    # one top-level sort check, not one more per owned pointee
+    calls = []
+    real = cos.sort_of_type
+    monkeypatch.setattr(cos, "sort_of_type", lambda t: calls.append(t) or real(t))
+    t = T("mu X. int * own X + unit")
+    for n in (0, 1, 5):
+        calls.clear()
+        heap = {}
+        a = cos.write_value(heap, t, mklist(*range(n)), Alloc())
+        assert len(calls) == 1
+        assert cos.readout(heap, a, t)[0] == mklist(*range(n))
+
+
 def test_write_sort_mismatch():
     with pytest.raises(cos.RunError) as e:
         cos.write_value({}, S.INT, V.UNIT, Alloc())

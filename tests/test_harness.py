@@ -10,7 +10,7 @@ import pytest
 from corhorn import aos, corpus, cos, harness, logic as L, syntax as S, typeck, values as V
 from corhorn.cos import Alloc
 
-from helpers import mklist
+from helpers import drop_swap_exchange, mklist
 
 
 @pytest.fixture(scope="module")
@@ -323,22 +323,7 @@ def test_interpreters_stay_on_typed_labels(inc_max_setup):
 def test_oracle_catches_broken_translation(inc_max_setup, monkeypatch):
     # drop the swap clause's exchange: resolution then derives the wrong
     # values and the differential oracle must miss
-    from corhorn import syntax as S
-    from corhorn import translate as T
-
-    real = T.clauses_for_label
-
-    def sabotaged(prog_, typing_, f, label, stmt, order=0):
-        if isinstance(stmt, S.StmtInstr) and isinstance(stmt.instr, S.Swap):
-            plain = T._atom(typing_, f, label, {})
-            nxt = T._atom(typing_, f, stmt.goto, {})
-            return [
-                T.Clause(T._binders(typing_, prog_, f, label), plain, (nxt,),
-                         tag=(f, order, label, 0))
-            ]
-        return real(prog_, typing_, f, label, stmt, order)
-
-    monkeypatch.setattr(T, "clauses_for_label", sabotaged)
+    drop_swap_exchange(monkeypatch)
     prog, _ = inc_max_setup
     # equal inputs: without the increment landing, the final disequality
     # flips, so the heap-run value true is underivable

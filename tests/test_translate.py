@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from corhorn import corpus, logic as L, parser, syntax as S, translate as T, typeck, values as V
+from corhorn import corpus, logic as L, parser, smtlib, syntax as S, translate as T, typeck, values as V
 from corhorn.logic import Atom, Clause
 
 
@@ -305,3 +307,32 @@ def test_goal_attachment_well_sorted_for_all_corpus():
         prog = corpus.load(e.name)
         sys = T.attach_goal(T.translate_program(prog), prog, T.GoalSpec.parse(e.goal))
         L.well_sorted_system(sys)
+
+
+# -- pinned translations of the feature programs ------------------------------
+
+# The corpus has no `let *y = x`, `(*x0, *x1)`, `'a <= 'b`, mut swap or
+# deref of a mut-of-mut / mut-of-immut; the feature programs do.  The
+# digest covers each clause's tag, binders (names, order, sorts) and
+# rendered text, then the SMT-LIB script.
+FEATURE_TRANSLATION_SHA256 = {
+    "swap_mm": "5f44bd2545880dab991c7c30b5bdd54f145ea85d95e5fc42e9a12a006b5acb37",
+    "dup_imm": "a22e66ffaef4fd9b3cef343ce10864d88f5309549a5de729eb2c9a83180d119b",
+    "read_thru": "a93c6b9bbd34de447fd9d9988382033af14f012e71c848b3cf4671a222321610",
+    "read_imm": "74510b06352bf463571de65139cee7d0f787411501602db0d25abadcea7d93ba",
+    "pair_mut": "91a6418cf075f4f55d44a99175e5b17c5e16855469cde55c10baadb926b23aa2",
+    "build_and_sum": "e63b9864f0bbad44fdf93a20f62fb3c5c00c64e6593bfa16c841af015fd3ff81",
+}
+
+
+def test_feature_translations_pinned():
+    from test_features import CASES
+
+    assert {c[0] for c in CASES} == set(FEATURE_TRANSLATION_SHA256)
+    for name, src, *_ in CASES:
+        sys = T.translate_program(parser.parse_program(src))
+        h = hashlib.sha256()
+        for c in sys.clauses:
+            h.update(f"{c.tag!r} {c.binders!r} {T.render_clause(c)}\n".encode())
+        h.update(smtlib.emit_smt2(sys).encode())
+        assert h.hexdigest() == FEATURE_TRANSLATION_SHA256[name], name

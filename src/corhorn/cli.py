@@ -84,7 +84,7 @@ def cmd_run(args) -> int:
     """`run` on the heap interpreter, `run-abstract` on the prophecy one."""
     prog = _load(args.file)
     inputs = cor_parser.parse_value_list(args.args)
-    kw = dict(seed=args.seed, fuel=args.fuel,
+    kw = dict(seed=args.seed, fuel=_at_least(args.fuel, 0, "--fuel"),
               rand_range=_int_range(args.rand_lo, args.rand_hi, "--rand-lo/--rand-hi"),
               keep_trace=args.trace is not None)
     if args.command == "run":
@@ -195,6 +195,9 @@ def cmd_oracle(args) -> int:
     _emit(args, rep.to_json(),
           f"{rep.checked} inputs checked, {rep.returned} returned, "
           f"{len(rep.misses)} misses, {rep.budget_flags} budget flags")
+    if rep.stuck:
+        print(f"note: {rep.stuck} heap runs got stuck, a fault of the heap semantics",
+              file=_sys.stderr)
     if rep.ok:
         return EXIT_OK
     if rep.refuted:

@@ -421,6 +421,11 @@ class OracleReport:
     # misses whose enumeration was cut short by its budget; kept out of
     # to_json, they only decide whether the misses refute anything
     flagged_misses: int = 0
+    # heap runs that returned no value, by how they ended; also kept out
+    # of to_json.  A stuck run is a fault of the heap semantics.
+    stuck: int = 0
+    diverged: int = 0
+    out_of_fuel: int = 0
 
     @property
     def ok(self) -> bool:
@@ -453,7 +458,9 @@ def oracle_diff(
 ) -> OracleReport:
     """For every sampled input tuple and seed: if the heap interpreter
     returns a value, some resolution result pattern must refine to it.
-    Enumeration runs to `depth` with the default width of 4000."""
+    Enumeration runs to `depth` with the default width of 4000.  A heap
+    run stops early at its first stutter (`machine.drive`); like a run
+    out of fuel or stuck, it adds no value, and the report counts it."""
     typing = typing or type_program(prog)
     spec = L.SampleSpec(int_lo=rand_range[0], int_hi=rand_range[1])
     sys = T.translate_program(prog, typing)
@@ -461,14 +468,17 @@ def oracle_diff(
     seeds = list(seeds)
     checked = returned = flags = flagged_misses = 0
     misses: list[dict] = []
+    ends: Counter = Counter()
     for tup in input_tuples:
         checked += 1
         values = set()
         for seed in seeds:
-            out = cos.run(prog, fname, list(tup), seed=seed, fuel=fuel,
-                          typing=typing, rand_range=rand_range, keep_trace=False)
+            out = cos.run(prog, fname, list(tup), seed=seed, fuel=fuel, typing=typing,
+                          rand_range=rand_range, keep_trace=False, stop_stutter=True)
             if out.status == "returned":
                 values.add(out.value)
+            else:
+                ends[out.status] += 1
         if not values:
             continue
         returned += 1
@@ -485,4 +495,5 @@ def oracle_diff(
                         "patterns": [V.show(p) for p, _ in enum.patterns],
                     }
                 )
-    return OracleReport(checked, returned, misses, flags, flagged_misses)
+    return OracleReport(checked, returned, misses, flags, flagged_misses,
+                        ends["stuck"], ends["diverged"], ends["out_of_fuel"])

@@ -46,7 +46,7 @@ class StuckSignal(Exception):
 
 @dataclass
 class RunOutcome:
-    status: str  # 'returned' | 'out_of_fuel' | 'stuck'
+    status: str  # 'returned' | 'out_of_fuel' | 'diverged' | 'stuck'
     value: Optional[V.Value] = None
     reason: str = ""
     steps: int = 0
@@ -70,10 +70,13 @@ def is_final(prog: S.Program, cfg) -> bool:
 
 
 def drive(step: Callable[[Any], StepResult], cfg, fuel: int, keep_trace: bool,
-          finish: Callable[[Any], tuple[V.Value, tuple[int, ...]]]) -> RunOutcome:
+          finish: Callable[[Any], tuple[V.Value, tuple[int, ...]]],
+          stop_stutter: bool = False) -> RunOutcome:
     """Step from cfg until a final or stuck configuration, or until fuel
     steps are spent.  `finish` reads the returned value and the leaked
-    cells out of the final configuration."""
+    cells out of the final configuration.  With `stop_stutter`, a step
+    that gives back the configuration it was applied to ends the run as
+    'diverged' after the steps taken before it."""
     trace = [cfg] if keep_trace else []
     steps = 0
     while True:
@@ -85,6 +88,13 @@ def drive(step: Callable[[Any], StepResult], cfg, fuel: int, keep_trace: bool,
             return RunOutcome("stuck", reason=res.reason, steps=steps, trace=trace)
         if steps >= fuel:
             return RunOutcome("out_of_fuel", steps=steps, trace=trace)
+        # A heap rule that draws from the RNG or the allocator writes a
+        # cell at a fresh address, above every cell of its input, or (for
+        # data of size zero) changes the frame's variables, so its result
+        # never equals its input.  Every other rule is a pure function of
+        # the configuration: an equal result repeats forever.
+        if stop_stutter and res.config == cfg:
+            return RunOutcome("diverged", steps=steps, trace=trace)
         cfg = res.config
         steps += 1
         if keep_trace:

@@ -30,6 +30,24 @@ def drop_swap_exchange(monkeypatch) -> None:
     monkeypatch.setattr(T, "clauses_for_label", sabotaged)
 
 
+# -- interpreter mutants -----------------------------------------------------
+
+
+def stuck_at_swap(module, monkeypatch) -> None:
+    """Make one interpreter's (`cos` or `aos`) swap rule stuck."""
+    from corhorn import syntax as S
+
+    real = module._step
+
+    def sabotaged(prog_, typing_, cfg, *rest):
+        stmt = prog_.fn(cfg.top.fn).body[cfg.top.label]
+        if isinstance(stmt, S.StmtInstr) and isinstance(stmt.instr, S.Swap):
+            return module.Stuck("sabotaged swap")
+        return real(prog_, typing_, cfg, *rest)
+
+    monkeypatch.setattr(module, "_step", sabotaged)
+
+
 # -- value builders ----------------------------------------------------------
 
 NIL = V.Inj(1, V.UNIT)

@@ -4,7 +4,7 @@ import stat
 import pytest
 
 from corhorn import cli, corpus
-from helpers import drop_swap_exchange
+from helpers import drop_swap_exchange, stuck_at_swap
 
 
 def run_cli(capsys, *argv):
@@ -196,6 +196,18 @@ def test_oracle_refutes_broken_translation(capsys, monkeypatch):
     assert blob["misses"] and not blob["ok"]
 
 
+def test_oracle_notes_stuck_heap_runs(capsys, monkeypatch):
+    # stdout and the exit code stay as they were; the note goes to stderr
+    from corhorn import cos
+
+    stuck_at_swap(cos, monkeypatch)
+    code, out, err = run_cli(capsys, "oracle", INC_MAX, "--fn", "inc_max", "--range", "1",
+                             "--run-seeds", "2")
+    assert (code, out, err) == (
+        0, "9 inputs checked, 0 returned, 0 misses, 0 budget flags\n",
+        "note: 18 heap runs got stuck, a fault of the heap semantics\n")
+
+
 def test_corpus_list(capsys):
     code, out, _ = run_cli(capsys, "corpus-list")
     assert code == 0
@@ -325,9 +337,13 @@ def test_bisim_passes_rand_range_to_both_lockstep_checks(capsys, monkeypatch):
         (["oracle", INC_MAX, "--fn", "inc_max", "--samples", "0", "--max-exhaustive", "0"],
          "--samples", 0, 1),
         (["oracle", INC_MAX, "--fn", "inc_max", "--depth", "0"], "--depth", 0, 1),
+        (["run", INC_MAX, "--fn", "inc_max", "--args", "box(4), box(3)", "--fuel", "-3"],
+         "--fuel", -3, 0),
+        (["run-abstract", INC_MAX, "--fn", "inc_max", "--args", "box(4), box(3)", "--fuel", "-1"],
+         "--fuel", -1, 0),
     ],
     ids=["bisim-runs-0", "bisim-runs-neg", "bisim-fuel-neg", "oracle-run-seeds-0", "oracle-samples-0",
-         "oracle-depth-0"],
+         "oracle-depth-0", "run-fuel-neg", "run-abstract-fuel-neg"],
 )
 def test_vacuous_count_exit_2(capsys, argv, flag, n, least):
     code, out, err = run_cli(capsys, *argv)

@@ -1,4 +1,6 @@
 import random
+import zlib
+from collections import Counter
 
 import pytest
 
@@ -343,3 +345,61 @@ def test_layout_rule_stuck_reasons_pinned(case):
     res = cos.step(prog, typeck.type_program(prog), cos.CosConfig(cfg.stack, heap),
                    random.Random(0), Alloc(start=10_000))
     assert res == cos.Stuck(reason)
+
+
+# -- stutter stop --------------------------------------------------------------------
+
+
+def test_stutter_stop_changes_only_endless_runs():
+    # a run the stutter stop ends as diverged runs out of fuel without it;
+    # every other run is the same run either way
+    from corhorn.logic import SampleSpec
+
+    spec = SampleSpec(-4, 4, max_depth=3)
+    ends = []
+    for e in corpus.CORPUS:
+        prog = corpus.load(e.name)
+        typing = typeck.type_program(prog)
+        rng = random.Random(zlib.crc32(e.name.encode()))
+        for _ in range(8):
+            ins = corpus.random_inputs(prog, e.entry_fn, rng, spec)
+            kw = dict(seed=rng.randrange(2 ** 31), fuel=2000, typing=typing,
+                      rand_range=(-8, 8), keep_trace=False)
+            on = cos.run(prog, e.entry_fn, ins, stop_stutter=True, **kw)
+            off = cos.run(prog, e.entry_fn, ins, **kw)
+            if on.status == "diverged":
+                assert (off.status, off.steps) == ("out_of_fuel", 2000)
+            else:
+                assert (on.status, on.value, on.steps, on.leaked) == (
+                    off.status, off.value, off.steps, off.leaked)
+            ends.append(on.status)
+    assert Counter(ends) == {"returned": 64, "diverged": 16}
+
+
+def test_stutter_stop_ends_take_some_on_the_empty_list():
+    # take_some's `N1: mu0 as mut<'a> unit; goto N1` gives back its own configuration
+    out = cos.run(corpus.load("inc_some"), "inc_some", [V.Box(mklist())], stop_stutter=True)
+    assert (out.status, out.steps, len(out.trace), out.trace[-1].top.label) == (
+        "diverged", 15, 16, "N1")
+
+
+CYCLE_SRC = """
+fn spin(ox: own int) -> own int {
+  entry: let *t = rand(); goto L1;
+  L1: drop t; goto entry;
+}
+
+fn lap(ox: own int) -> own int {
+  entry: intro 'a; goto L1;
+  L1: now 'a; goto entry;
+}
+"""
+
+
+@pytest.mark.parametrize("fn", ["spin", "lap"])
+def test_stutter_stop_lets_longer_cycles_run_out_of_fuel(fn):
+    # each configuration comes back two steps later, never one: not a stutter
+    prog = parser.parse_program(CYCLE_SRC)
+    out = cos.run(prog, fn, [V.Box(1)], fuel=300, rand_range=(0, 0), stop_stutter=True)
+    assert (out.status, out.steps) == ("out_of_fuel", 300)
+    assert out.trace[0] == out.trace[2] != out.trace[1]

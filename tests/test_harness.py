@@ -10,7 +10,7 @@ import pytest
 from corhorn import aos, corpus, cos, harness, logic as L, syntax as S, typeck, values as V
 from corhorn.cos import Alloc
 
-from helpers import drop_swap_exchange, mklist
+from helpers import drop_swap_exchange, mklist, stuck_at_swap
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +271,21 @@ def test_oracle_diff_never_returning():
     assert rep.checked == 1 and rep.returned == 0 and rep.ok
 
 
+def test_oracle_diff_counts_how_runs_end(inc_max_setup, monkeypatch):
+    # runs that return no value are counted by how they end, outside to_json
+    some = corpus.load("inc_some")
+    ends = [(rep.stuck, rep.diverged, rep.out_of_fuel, rep.to_json()) for rep in (
+        harness.oracle_diff(some, "inc_some", [(V.Box(mklist()),)], seeds=(0, 1), fuel=fuel)
+        for fuel in (20_000, 10))]
+    none = {"checked": 1, "returned": 0, "misses": [], "budget_flags": 0, "ok": True}
+    assert ends == [(0, 2, 0, none), (0, 0, 2, none)]
+    prog, typing = inc_max_setup
+    stuck_at_swap(cos, monkeypatch)
+    rep = harness.oracle_diff(prog, "inc_max", [(V.Box(4), V.Box(3)), (V.Box(1), V.Box(1))],
+                              seeds=(0, 1, 2), typing=typing)
+    assert (rep.stuck, rep.diverged, rep.out_of_fuel, rep.returned, rep.ok) == (6, 0, 0, 0, True)
+
+
 def test_oracle_diff_inc_max_small():
     prog = corpus.load("inc_max")
     inputs = [(V.Box(a), V.Box(b)) for a in range(-2, 3) for b in range(-2, 3)]
@@ -382,25 +397,10 @@ def test_runs_and_lockstep_reports_pinned():
     assert digests == PINNED_RUN_DIGESTS
 
 
-def _stuck_at_swap(module, monkeypatch):
-    # make one interpreter's swap rule stuck, to pin the stuck paths
-    from corhorn import syntax as S
-
-    real = module._step
-
-    def sabotaged(prog_, typing_, cfg, *rest):
-        stmt = prog_.fn(cfg.top.fn).body[cfg.top.label]
-        if isinstance(stmt, S.StmtInstr) and isinstance(stmt.instr, S.Swap):
-            return module.Stuck("sabotaged swap")
-        return real(prog_, typing_, cfg, *rest)
-
-    monkeypatch.setattr(module, "_step", sabotaged)
-
-
 def test_stuck_runs_and_lockstep_reports_pinned(inc_max_setup, monkeypatch):
     prog, typing = inc_max_setup
     inputs = [V.Box(4), V.Box(3)]
-    _stuck_at_swap(cos, monkeypatch)
+    stuck_at_swap(cos, monkeypatch)
     out = cos.run(prog, "inc_max", inputs, typing=typing)
     assert (out.status, out.value, out.reason, out.steps, len(out.trace)) == (
         "stuck", None, "sabotaged swap", 12, 13)
@@ -408,7 +408,7 @@ def test_stuck_runs_and_lockstep_reports_pinned(inc_max_setup, monkeypatch):
         "ok": False, "detail": "stuck at step 12: sabotaged swap", "final_value": None,
         "steps": [], "total_steps": 13}
     monkeypatch.undo()
-    _stuck_at_swap(aos, monkeypatch)
+    stuck_at_swap(aos, monkeypatch)
     out = aos.run(prog, "inc_max", inputs, typing=typing, check_safety=True)
     assert (out.status, out.value, out.reason, out.steps, len(out.trace)) == (
         "stuck", None, "sabotaged swap", 12, 13)

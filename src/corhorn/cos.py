@@ -421,10 +421,9 @@ def run(
     typing: Optional[TypingResult] = None,
     rand_range: tuple[int, int] = (-128, 127),
     keep_trace: bool = True,
-    stop_stutter: bool = False,
 ) -> RunOutcome:
     """Execute a simple function on given boxed inputs and read the
-    result back out of the final heap.  `stop_stutter` is `drive`'s."""
+    result back out of the final heap."""
     typing = typing or type_program(prog)
     alloc = Alloc()
     rng = random.Random(seed)
@@ -439,4 +438,4 @@ def run(
         return value, tuple(sorted(set(cfg.heap) - set(m)))
 
     return drive(lambda c: step(prog, typing, c, rng, alloc, rand_range),
-                 cfg, fuel, keep_trace, finish, stop_stutter)
+                 cfg, fuel, keep_trace, finish)

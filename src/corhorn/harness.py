@@ -424,7 +424,6 @@ class OracleReport:
     # heap runs that returned no value, by how they ended; also kept out
     # of to_json.  A stuck run is a fault of the heap semantics.
     stuck: int = 0
-    diverged: int = 0
     out_of_fuel: int = 0
 
     @property
@@ -459,8 +458,8 @@ def oracle_diff(
     """For every sampled input tuple and seed: if the heap interpreter
     returns a value, some resolution result pattern must refine to it.
     Enumeration runs to `depth` with the default width of 4000.  A heap
-    run stops early at its first stutter (`machine.drive`); like a run
-    out of fuel or stuck, it adds no value, and the report counts it."""
+    run that stutters is out of fuel at once (`machine.drive`); like a
+    stuck run, it adds no value, and the report counts both."""
     typing = typing or type_program(prog)
     spec = L.SampleSpec(int_lo=rand_range[0], int_hi=rand_range[1])
     sys = T.translate_program(prog, typing)
@@ -473,8 +472,8 @@ def oracle_diff(
         checked += 1
         values = set()
         for seed in seeds:
-            out = cos.run(prog, fname, list(tup), seed=seed, fuel=fuel, typing=typing,
-                          rand_range=rand_range, keep_trace=False, stop_stutter=True)
+            out = cos.run(prog, fname, list(tup), seed=seed, fuel=fuel,
+                          typing=typing, rand_range=rand_range, keep_trace=False)
             if out.status == "returned":
                 values.add(out.value)
             else:
@@ -496,4 +495,4 @@ def oracle_diff(
                     }
                 )
     return OracleReport(checked, returned, misses, flags, flagged_misses,
-                        ends["stuck"], ends["diverged"], ends["out_of_fuel"])
+                        ends["stuck"], ends["out_of_fuel"])

@@ -46,7 +46,7 @@ class StuckSignal(Exception):
 
 @dataclass
 class RunOutcome:
-    status: str  # 'returned' | 'out_of_fuel' | 'diverged' | 'stuck'
+    status: str  # 'returned' | 'out_of_fuel' | 'stuck'
     value: Optional[V.Value] = None
     reason: str = ""
     steps: int = 0
@@ -70,13 +70,12 @@ def is_final(prog: S.Program, cfg) -> bool:
 
 
 def drive(step: Callable[[Any], StepResult], cfg, fuel: int, keep_trace: bool,
-          finish: Callable[[Any], tuple[V.Value, tuple[int, ...]]],
-          stop_stutter: bool = False) -> RunOutcome:
+          finish: Callable[[Any], tuple[V.Value, tuple[int, ...]]]) -> RunOutcome:
     """Step from cfg until a final or stuck configuration, or until fuel
     steps are spent.  `finish` reads the returned value and the leaked
-    cells out of the final configuration.  With `stop_stutter`, a step
-    that gives back the configuration it was applied to ends the run as
-    'diverged' after the steps taken before it."""
+    cells out of the final configuration.  A run that stutters (a step
+    gives back the configuration it was applied to) is out of fuel at
+    once, with the outcome and trace that stepping on to fuel gives."""
     trace = [cfg] if keep_trace else []
     steps = 0
     while True:
@@ -88,13 +87,16 @@ def drive(step: Callable[[Any], StepResult], cfg, fuel: int, keep_trace: bool,
             return RunOutcome("stuck", reason=res.reason, steps=steps, trace=trace)
         if steps >= fuel:
             return RunOutcome("out_of_fuel", steps=steps, trace=trace)
-        # A heap rule that draws from the RNG or the allocator writes a
-        # cell at a fresh address, above every cell of its input, or (for
-        # data of size zero) changes the frame's variables, so its result
-        # never equals its input.  Every other rule is a pure function of
-        # the configuration: an equal result repeats forever.
-        if stop_stutter and res.config == cfg:
-            return RunOutcome("diverged", steps=steps, trace=trace)
+        # A rule that draws from the RNG, the allocator or the AOS
+        # variable supply binds a variable its label's context lacks
+        # (typeck refuses to rebind a live one), so a well-typed program
+        # never sends it back to its own label and its result differs
+        # from its input.  Every other rule is a pure function of the
+        # configuration: an equal result comes back at every later step.
+        if res.config == cfg:
+            if keep_trace:
+                trace += [cfg] * (fuel - steps)
+            return RunOutcome("out_of_fuel", steps=fuel, trace=trace)
         cfg = res.config
         steps += 1
         if keep_trace:

@@ -4,8 +4,9 @@ from collections import Counter
 
 import pytest
 
-from corhorn import corpus, cos, parser, syntax as S, typeck, values as V
+from corhorn import aos, corpus, cos, parser, syntax as S, typeck, values as V
 from corhorn.cos import Alloc
+from corhorn.machine import Final, Next, RunOutcome
 
 from helpers import mklist
 
@@ -347,40 +348,77 @@ def test_layout_rule_stuck_reasons_pinned(case):
     assert res == cos.Stuck(reason)
 
 
-# -- stutter stop --------------------------------------------------------------------
+# -- stutter shortcut in machine.drive ------------------------------------------------
 
 
-def test_stutter_stop_changes_only_endless_runs():
-    # a run the stutter stop ends as diverged runs out of fuel without it;
-    # every other run is the same run either way
+def stepping_drive(step, cfg, fuel, keep_trace, finish):
+    # machine.drive without its stutter shortcut: a stuttering run steps on to fuel
+    trace = [cfg] if keep_trace else []
+    steps = 0
+    while True:
+        res = step(cfg)
+        if not isinstance(res, Next):
+            if isinstance(res, Final):
+                value, leaked = finish(cfg)
+                return RunOutcome("returned", value=value, steps=steps, trace=trace, leaked=leaked)
+            return RunOutcome("stuck", reason=res.reason, steps=steps, trace=trace)
+        if steps >= fuel:
+            return RunOutcome("out_of_fuel", steps=steps, trace=trace)
+        cfg = res.config
+        steps += 1
+        if keep_trace:
+            trace.append(cfg)
+
+
+def counting_steps(module, monkeypatch) -> list:
+    # one entry per call of the interpreter's step
+    calls = []
+    real = module.step
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(module, "step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("module", [cos, aos], ids=["cos", "aos"])
+def test_stutter_shortcut_gives_the_stepped_outcome(module, monkeypatch):
+    # every run ends as it does when stepped to fuel (status, value, steps,
+    # leaked cells and the whole trace); the stuttering runs take far fewer steps
     from corhorn.logic import SampleSpec
 
     spec = SampleSpec(-4, 4, max_depth=3)
-    ends = []
+    calls = counting_steps(module, monkeypatch)
+    ends, cut = Counter(), 0
     for e in corpus.CORPUS:
         prog = corpus.load(e.name)
         typing = typeck.type_program(prog)
         rng = random.Random(zlib.crc32(e.name.encode()))
         for _ in range(8):
             ins = corpus.random_inputs(prog, e.entry_fn, rng, spec)
-            kw = dict(seed=rng.randrange(2 ** 31), fuel=2000, typing=typing,
-                      rand_range=(-8, 8), keep_trace=False)
-            on = cos.run(prog, e.entry_fn, ins, stop_stutter=True, **kw)
-            off = cos.run(prog, e.entry_fn, ins, **kw)
-            if on.status == "diverged":
-                assert (off.status, off.steps) == ("out_of_fuel", 2000)
-            else:
-                assert (on.status, on.value, on.steps, on.leaked) == (
-                    off.status, off.value, off.steps, off.leaked)
-            ends.append(on.status)
-    assert Counter(ends) == {"returned": 64, "diverged": 16}
+            kw = dict(seed=rng.randrange(2 ** 31), fuel=2000, typing=typing, rand_range=(-8, 8))
+            calls.clear()
+            fast = module.run(prog, e.entry_fn, ins, **kw)
+            fast_calls = len(calls)
+            with monkeypatch.context() as m:
+                m.setattr(module, "drive", stepping_drive)
+                stepped = module.run(prog, e.entry_fn, ins, **kw)
+            assert fast == stepped and len(calls) == fast_calls + stepped.steps + 1
+            ends[fast.status] += 1
+            cut += fast_calls < fast.steps
+    assert (ends, cut) == ({"returned": 64, "out_of_fuel": 16}, 16)
 
 
-def test_stutter_stop_ends_take_some_on_the_empty_list():
+@pytest.mark.parametrize("module", [cos, aos], ids=["cos", "aos"])
+def test_stutter_shortcut_ends_take_some_on_the_empty_list(module, monkeypatch):
     # take_some's `N1: mu0 as mut<'a> unit; goto N1` gives back its own configuration
-    out = cos.run(corpus.load("inc_some"), "inc_some", [V.Box(mklist())], stop_stutter=True)
-    assert (out.status, out.steps, len(out.trace), out.trace[-1].top.label) == (
-        "diverged", 15, 16, "N1")
+    calls = counting_steps(module, monkeypatch)
+    out = module.run(corpus.load("inc_some"), "inc_some", [V.Box(mklist())], fuel=20_000)
+    assert (out.status, out.steps, len(out.trace), len(calls)) == (
+        "out_of_fuel", 20_000, 20_001, 16)
+    assert out.trace[15].top.label == "N1" and out.trace[15:] == [out.trace[15]] * 19_986
 
 
 CYCLE_SRC = """
@@ -397,9 +435,10 @@ fn lap(ox: own int) -> own int {
 
 
 @pytest.mark.parametrize("fn", ["spin", "lap"])
-def test_stutter_stop_lets_longer_cycles_run_out_of_fuel(fn):
+def test_stutter_shortcut_lets_longer_cycles_step_to_fuel(fn, monkeypatch):
     # each configuration comes back two steps later, never one: not a stutter
     prog = parser.parse_program(CYCLE_SRC)
-    out = cos.run(prog, fn, [V.Box(1)], fuel=300, rand_range=(0, 0), stop_stutter=True)
-    assert (out.status, out.steps) == ("out_of_fuel", 300)
+    calls = counting_steps(cos, monkeypatch)
+    out = cos.run(prog, fn, [V.Box(1)], fuel=300, rand_range=(0, 0))
+    assert (out.status, out.steps, len(calls)) == ("out_of_fuel", 300, 301)
     assert out.trace[0] == out.trace[2] != out.trace[1]

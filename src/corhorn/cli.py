@@ -32,8 +32,23 @@ EXIT_ERROR = 2
 
 
 def _load(path: str) -> S.Program:
-    source = corpus.resolve_path(path).read_text()
+    try:
+        source = corpus.resolve_path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise S.CorError(f"no such file: {path}") from None
+    except OSError as e:
+        raise S.CorError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise S.CorError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})") from None
     return cor_parser.parse_program(source)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise S.CorError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _int_range(lo: int, hi: int, flags: str) -> tuple[int, int]:
@@ -66,18 +81,11 @@ def cmd_check(args) -> int:
         if args.dump_contexts == "-":
             print(blob)
         else:
-            with open(args.dump_contexts, "w") as fh:
-                fh.write(blob + "\n")
+            _write(args.dump_contexts, blob + "\n")
     n = sum(len(fn.body) for fn in prog)
     _emit(args, {"functions": sorted(prog.functions), "labels": n},
           f"ok: {len(prog.functions)} functions, {n} labels typed")
     return EXIT_OK
-
-
-def _write_trace(path: str, trace) -> None:
-    with open(path, "w") as fh:
-        for cfg in trace:
-            fh.write(json.dumps(cfg.to_json()) + "\n")
 
 
 def cmd_run(args) -> int:
@@ -92,7 +100,7 @@ def cmd_run(args) -> int:
     else:
         out = aos.run(prog, args.fn, inputs, check_safety=args.check_safety, **kw)
     if args.trace:
-        _write_trace(args.trace, out.trace)
+        _write(args.trace, "".join(json.dumps(cfg.to_json()) + "\n" for cfg in out.trace))
     if out.status == "returned":
         payload = {"status": "returned", "value": V.to_json(out.value), "steps": out.steps}
         if args.command == "run":
@@ -111,8 +119,7 @@ def cmd_translate(args) -> int:
         sys_ = T.attach_goal(sys_, prog, T.GoalSpec.parse(args.goal))
     text = smtlib.emit_smt2(sys_) if args.format == "smt2" else T.render_system(sys_)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write(args.output, text)
         print(f"wrote {len(sys_.clauses)} clauses to {args.output}")
     else:
         print(text, end="")
@@ -299,9 +306,6 @@ def main(argv=None) -> int:
         return EXIT_ERROR if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: no such file: {e}", file=_sys.stderr)
-        return EXIT_ERROR
     except S.CorError as e:
         print(f"error: {e}", file=_sys.stderr)
         return EXIT_ERROR

@@ -406,8 +406,6 @@ def initial_config(
     heap: dict[int, int] = {}
     frame: dict[str, int] = {}
     for v, (x, t) in zip(inputs, fn.params):
-        if not L.check_value(v, sort_of_type(t)):
-            raise RunError("SortMismatch", f"argument {x!r}: {V.show(v)} does not fit {t}")
         frame[x] = write_value(heap, t.target, v.inner, alloc)
     return CosConfig((FrameEntry(fname, S.ENTRY, None, frame),), heap)
 

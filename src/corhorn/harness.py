@@ -380,7 +380,7 @@ def lockstep_aos_sldc(
         ra = aos.step(prog, typing, a, rng, supply, rand_range)
         if isinstance(ra, Final):
             clauses = _clauses_for_step(clause_tags, top.fn, top.label, None)
-            cands = sldc.step(sys, k, renamer, spec, clauses=clauses)
+            cands = sldc.step(k, clauses, renamer, spec)
             (value,) = a.top.frame.values()
             done = [c for c in cands if c.done and L.refines_to(c.result, value)]
             ok = bool(done)
@@ -395,7 +395,7 @@ def lockstep_aos_sldc(
         if isinstance(stmt, S.StmtMatch):
             branch = 0 if a2.top.label == stmt.l0 else 1
         clauses = _clauses_for_step(clause_tags, top.fn, top.label, branch)
-        cands = sldc.step(sys, k, renamer, spec, clauses=clauses)
+        cands = sldc.step(k, clauses, renamer, spec)
         target = resolutive_of(prog, typing, a2)
         ok = any(_config_refines(c, target) for c in cands if not c.done)
         steps.append(

@@ -634,12 +634,11 @@ def resolve(t: V.Term, subst: dict[str, V.Term]) -> V.Term:
     return V.rebuild(t, tuple(resolve(k, subst) for k in kids))
 
 
-def unify(
-    ps: tuple[V.Term, ...], qs: tuple[V.Term, ...]
-) -> Optional[tuple[dict[str, V.Term], dict[str, V.Term]]]:
-    """Most general unifier of two pattern tuples over disjoint variable
-    namespaces.  Returns (theta, theta') with ps[i]*theta == qs[i]*theta',
-    split by which tuple each variable came from.  Repeated variables
+def unify(ps: tuple[V.Term, ...], qs: tuple[V.Term, ...]) -> Optional[dict[str, V.Term]]:
+    """Most general unifier of two pattern tuples whose variables are
+    disjoint (the caller renames one side apart), or None.  The unifier
+    is idempotent: no bound variable occurs in any value, so one
+    substitution pass makes ps[i] and qs[i] equal.  Repeated variables
     (non-linear patterns) are supported."""
     if len(ps) != len(qs):
         return None
@@ -647,17 +646,7 @@ def unify(
     for p, q in zip(ps, qs):
         if not _unify(p, q, subst):
             return None
-    return _bound(ps, subst), _bound(qs, subst)
-
-
-def _bound(ts: tuple[V.Term, ...], subst: dict[str, V.Term]) -> dict[str, V.Term]:
-    """The resolved binding of each variable of ts that the unifier
-    binds.  The occurs check keeps bindings acyclic, so no bound
-    variable resolves back to itself."""
-    names: set[str] = set()
-    for t in ts:
-        names |= V.vars_in(t)
-    return {v: resolve(subst[v], subst) for v in names if v in subst}
+    return {v: resolve(t, subst) for v, t in subst.items()}
 
 
 # ---------------------------------------------------------------------------

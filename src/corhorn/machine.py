@@ -12,8 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Union
 
+from . import logic as L
 from . import syntax as S
 from . import values as V
+from .printer import type_text
+from .translate import sort_of_type
 
 
 class RunError(S.CorError):
@@ -55,12 +58,16 @@ class RunOutcome:
 
 
 def entry_fn(prog: S.Program, fname: str, inputs: list[V.Value]) -> S.FunctionDef:
-    """The function a run starts in: simple, and given one input per parameter."""
+    """The function a run starts in: simple, and given one input of the
+    parameter's sort per parameter."""
     fn = prog.fn(fname)
     if not fn.is_simple():
         raise RunError("NotSimpleFunction", f"{fname} takes lifetime parameters")
     if len(inputs) != len(fn.params):
         raise RunError("SortMismatch", f"{fname} expects {len(fn.params)} arguments")
+    for v, (x, t) in zip(inputs, fn.params):
+        if not L.check_value(v, sort_of_type(t)):
+            raise RunError("SortMismatch", f"argument {x!r}: {V.show(v)} does not fit {type_text(t)}")
     return fn
 
 

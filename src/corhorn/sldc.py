@@ -138,6 +138,10 @@ def _expand_var(name: str, kind: str, sorts: dict[str, Sort], renamer: Renamer):
     raise CalculateError(kind)
 
 
+def _subst_atoms(atoms: Iterable[Atom], mapping: dict[str, V.Term]) -> tuple[Atom, ...]:
+    return tuple(Atom(a.pred, tuple(V.subst_vars(x, mapping) for x in a.args)) for a in atoms)
+
+
 def calculate(
     stack: tuple[Atom, ...], result: V.Term, sorts: dict[str, Sort],
     renamer: Renamer, spec: SampleSpec,
@@ -165,27 +169,12 @@ def calculate(
             continue
         kind, name = stuck
         if kind == "int":
-            for n in range(spec.int_lo, spec.int_hi + 1):
-                mapping = {name: n}
-                work.append(
-                    (
-                        tuple(Atom(a.pred, tuple(V.subst_vars(x, mapping) for x in a.args)) for a in stk),
-                        V.subst_vars(res, mapping),
-                        srt,
-                    )
-                )
+            branches = [({name: n}, srt) for n in range(spec.int_lo, spec.int_hi + 1)]
         else:
             skel, fresh_sorts = _expand_var(name, kind, srt, renamer)
-            mapping = {name: skel}
-            new_sorts = dict(srt)
-            new_sorts.update(fresh_sorts)
-            work.append(
-                (
-                    tuple(Atom(a.pred, tuple(V.subst_vars(x, mapping) for x in a.args)) for a in stk),
-                    V.subst_vars(res, mapping),
-                    new_sorts,
-                )
-            )
+            branches = [({name: skel}, {**srt, **fresh_sorts})]
+        for mapping, new_sorts in branches:
+            work.append((_subst_atoms(stk, mapping), V.subst_vars(res, mapping), new_sorts))
     return out
 
 
@@ -194,51 +183,26 @@ def calculate(
 # ---------------------------------------------------------------------------
 
 
-def rename_clause(clause: Clause, renamer: Renamer) -> tuple[Clause, dict[str, Sort]]:
-    mapping = {x: V.Var(renamer.fresh(x)) for x, _ in clause.binders}
-    sorts = {mapping[x].name: s for x, s in clause.binders}
-
-    def sub(atom: Atom) -> Atom:
-        return Atom(atom.pred, tuple(V.subst_vars(a, mapping) for a in atom.args))
-
-    head = sub(clause.head) if clause.head is not None else None
-    return Clause(tuple((mapping[x].name, s) for x, s in clause.binders), head,
-                  tuple(sub(a) for a in clause.body), clause.tag), sorts
-
-
 def step(
-    sys: CHCSystem,
-    cfg: ResConfig,
-    renamer: Renamer,
-    spec: SampleSpec,
-    index: Optional[dict[str, list[Clause]]] = None,
-    clauses: Optional[Iterable[Clause]] = None,
+    cfg: ResConfig, clauses: Iterable[Clause], renamer: Renamer, spec: SampleSpec
 ) -> list[ResConfig]:
-    """All successors of one resolution step.  `clauses` restricts the
-    candidates (used by the lockstep harness)."""
+    """All successors of one resolution step of the first stack atom
+    against each candidate clause.  Every candidate's binders get fresh
+    names, in binder order, whether or not its head unifies."""
     if not cfg.stack:
         return []
     first = cfg.stack[0]
-    if clauses is None:
-        index = index if index is not None else sys.by_pred()
-        clauses = index.get(first.pred, [])
     out: list[ResConfig] = []
     for clause in clauses:
-        rc, csorts = rename_clause(clause, renamer)
-        mgu = L.unify(first.args, rc.head.args)
+        fresh = {x: V.Var(renamer.fresh(x)) for x, _ in clause.binders}
+        mgu = L.unify(first.args, tuple(V.subst_vars(x, fresh) for x in clause.head.args))
         if mgu is None:
             continue
-        theta, theta_p = mgu
-        merged = {**theta, **theta_p}
-        new_stack = tuple(
-            Atom(a.pred, tuple(V.subst_vars(x, merged) for x in a.args)) for a in rc.body
-        ) + tuple(
-            Atom(a.pred, tuple(V.subst_vars(x, merged) for x in a.args)) for a in cfg.stack[1:]
-        )
-        new_result = V.subst_vars(cfg.result, merged)
+        body = _subst_atoms(clause.body, {x: mgu.get(v.name, v) for x, v in fresh.items()})
         sorts = dict(cfg.sorts)
-        sorts.update(csorts)
-        out.extend(calculate(new_stack, new_result, sorts, renamer, spec))
+        sorts.update((fresh[x].name, s) for x, s in clause.binders)
+        out.extend(calculate(body + _subst_atoms(cfg.stack[1:], mgu),
+                             V.subst_vars(cfg.result, mgu), sorts, renamer, spec))
     return out
 
 
@@ -283,7 +247,7 @@ def enumerate_results(
             break
         new: list[ResConfig] = []
         for cfg in frontier:
-            for nxt in step(sys, cfg, renamer, spec, index=index):
+            for nxt in step(cfg, index.get(cfg.stack[0].pred, ()), renamer, spec):
                 steps += 1
                 key = canon_config(nxt)
                 if key in seen:

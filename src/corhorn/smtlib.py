@@ -295,9 +295,10 @@ def emit_smt2(sys: CHCSystem) -> str:
 class SolverConfig:
     command: tuple[str, ...]  # script filename is appended
     timeout: float = 180.0
-    kind: str = "generic"  # 'spacer' | 'hoice' | 'generic'
 
     def __post_init__(self):
+        if not self.command:
+            raise S.CorError("solver command is empty")
         if self.timeout <= 0:
             raise S.CorError("solver timeout must be positive")
 
@@ -348,14 +349,7 @@ def run_solver(cfg: SolverConfig, script: str) -> SolverVerdict:
 
 
 def solver_from_command(command: str, timeout: float = 180.0) -> SolverConfig:
-    parts = tuple(command.split())
-    kind = "generic"
-    joined = " ".join(parts).lower()
-    if "spacer" in joined or parts[:1] == ("z3",):
-        kind = "spacer"
-    elif "hoice" in joined:
-        kind = "hoice"
-    return SolverConfig(parts, timeout, kind)
+    return SolverConfig(tuple(command.split()), timeout)
 
 
 def probe_solver(cfg: SolverConfig) -> bool:
@@ -368,12 +362,12 @@ def find_solver(timeout: float = 180.0) -> Optional[SolverConfig]:
     """The first installed CHC solver that passes the probe: z3 (Spacer),
     hoice, or the tools/z3wasm node wrapper of a source checkout."""
     wrapper = Path(__file__).resolve().parents[2] / "tools" / "z3wasm"
-    for command, kind, present in (
-        (("z3", "fp.engine=spacer"), "spacer", shutil.which("z3")),
-        (("hoice",), "hoice", shutil.which("hoice")),
-        ((str(wrapper),), "spacer", wrapper.exists() and shutil.which("node")),
+    for command, present in (
+        (("z3", "fp.engine=spacer"), shutil.which("z3")),
+        (("hoice",), shutil.which("hoice")),
+        ((str(wrapper),), wrapper.exists() and shutil.which("node")),
     ):
-        cfg = SolverConfig(command, timeout, kind)
+        cfg = SolverConfig(command, timeout)
         if present and probe_solver(cfg):
             return cfg
     return None

@@ -313,8 +313,9 @@ def test_criterion_8_solver_integration():
     unsafe = _solve(cfg, "inc_max_unsafe", "inc_max returns true")
     assert unsafe.holds is False, unsafe
     lists_note = "lists row skipped (needs hoice)"
-    if cfg.kind == "hoice":
+    solver = " ".join(cfg.command)
+    if "hoice" in solver.lower():
         lists = _solve(cfg, "inc_some", "inc_some returns true")
         assert lists.holds is True, lists
         lists_note = "lists row verified"
-    report(8, f"{cfg.kind}: safe verified, unsafe refuted; {lists_note} ({time.time()-t0:.0f}s)")
+    report(8, f"{solver}: safe verified, unsafe refuted; {lists_note} ({time.time()-t0:.0f}s)")

@@ -114,6 +114,14 @@ def test_solve_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_solve_blank_solver_command_exit_2(capsys, monkeypatch, via):
+    monkeypatch.setenv("CORHORN_SOLVER", " ")
+    flags = ["--solver-cmd", " "] if via == "flag" else []
+    code, out, err = run_cli(capsys, "solve", INC_MAX, "--goal", "inc_max returns true", *flags)
+    assert (code, out, err) == (2, "", "error: solver command is empty\n")
+
+
 def test_solve_without_solver(capsys, monkeypatch):
     monkeypatch.delenv("CORHORN_SOLVER", raising=False)
     monkeypatch.setenv("PATH", "")  # nothing for the solver search to find
@@ -348,3 +356,23 @@ def test_bisim_passes_rand_range_to_both_lockstep_checks(capsys, monkeypatch):
 def test_vacuous_count_exit_2(capsys, argv, flag, n, least):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {flag}: {n} is below {least}, nothing would be checked\n")
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["check", "{dir}"], "cannot read {dir}: Is a directory"),
+        (["check", "{latin1}"], "cannot read {latin1}: not UTF-8 (invalid continuation byte at byte 6)"),
+        (["check", INC_MAX, "--dump-contexts", "{dir}"], "cannot write {dir}: Is a directory"),
+        (["translate", INC_MAX, "-o", "{dir}"], "cannot write {dir}: Is a directory"),
+        (["run", INC_MAX, "--fn", "inc_max", "--args", "box(4), box(3)", "--trace", "{dir}"],
+         "cannot write {dir}: Is a directory"),
+    ],
+    ids=["check-dir", "check-latin1", "dump-contexts-dir", "translate-o-dir", "run-trace-dir"],
+)
+def test_file_errors_exit_2(capsys, tmp_path, argv, reason):
+    latin1 = tmp_path / "latin1.cor"
+    latin1.write_bytes(b"fn caf\xe9() {}\n")  # "café" in Latin-1
+    paths = {"dir": str(tmp_path), "latin1": str(latin1)}
+    code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {reason.format(**paths)}\n")

@@ -202,10 +202,13 @@ def test_not_simple_function_rejected():
 
 
 def test_sort_mismatch_inputs():
+    # both interpreters enter through machine.entry_fn's one check
     prog = corpus.load("inc_max")
-    with pytest.raises(cos.RunError) as e:
-        cos.run(prog, "inc_max", [V.Box(V.UNIT), V.Box(3)])
-    assert e.value.code == "SortMismatch"
+    for run in (cos.run, aos.run):
+        with pytest.raises(cos.RunError) as e:
+            run(prog, "inc_max", [V.Box(V.UNIT), V.Box(3)])
+        assert e.value.code == "SortMismatch"
+        assert str(e.value) == "[SortMismatch] argument 'oa': box(()) does not fit own int"
 
 
 def test_safe_readout_frame_duplicate():

@@ -180,13 +180,12 @@ def test_query_clause_head_none():
 def test_unify_box_against_inj():
     out = L.unify((V.Box(V.Var("x")),), (V.Box(V.Inj(1, V.Var("y"))),))
     assert out is not None
-    theta, theta_p = out
-    assert theta["x"] == V.Inj(1, V.Var("y"))
+    assert out["x"] == V.Inj(1, V.Var("y"))
 
 
 def test_unify_constants():
     assert L.unify((7,), (8,)) is None
-    assert L.unify((7,), (7,)) == ({}, {})
+    assert L.unify((7,), (7,)) == {}
 
 
 def test_unify_call_pattern():
@@ -195,23 +194,31 @@ def test_unify_call_pattern():
     right = (V.MutPair(V.Var("x"), V.Var("xo")), V.MutPair(V.Var("x"), V.Var("xo")))
     out = L.unify(left, right)
     assert out is not None
-    theta, theta_p = out
-    got = V.subst_vars(left[1], theta)
-    want = V.subst_vars(right[1], theta_p)
-    assert got == want
+    assert V.subst_vars(left[1], out) == V.subst_vars(right[1], out)
 
 
 def test_unify_nonlinear():
     # the same clause variable twice forces both positions equal
     out = L.unify((V.MutPair(5, V.Var("p")),), (V.MutPair(V.Var("c"), V.Var("c")),))
     assert out is not None
-    theta, _ = out
-    assert theta["p"] == 5
+    assert out["p"] == 5
     assert L.unify((V.MutPair(5, 6),), (V.MutPair(V.Var("c"), V.Var("c")),)) is None
 
 
 def test_unify_occurs_check():
     assert L.unify((V.Var("x"),), (V.Box(V.Var("x")),)) is None
+
+
+def test_unify_is_idempotent():
+    # a -> box(c), c -> box(b), b -> <d, 3>: each binding leads to the next
+    ps = (V.Var("a"), V.Box(V.Var("b")), V.Var("b"))
+    qs = (V.Box(V.Var("c")), V.Var("c"), V.Pair(V.Var("d"), 3))
+    out = L.unify(ps, qs)
+    assert out is not None and set(out) == {"a", "b", "c"}
+    assert out["a"] == V.Box(V.Box(V.Pair(V.Var("d"), 3)))
+    for value in out.values():
+        assert not V.vars_in(value) & set(out)
+    assert [V.subst_vars(p, out) for p in ps] == [V.subst_vars(q, out) for q in qs]
 
 
 # -- refinement ---------------------------------------------------------------------

@@ -24,7 +24,7 @@ def test_step_return_clause(inc_max_sys):
         V.Var("r"),
         {"ao": L.INT_S, "r": L.MutS(L.INT_S)},
     )
-    out = sldc.step(sys, cfg, renamer, SampleSpec(-8, 8))
+    out = sldc.step(cfg, sys.by_pred()["take_max!L4"], renamer, SampleSpec(-8, 8))
     assert len(out) == 1 and out[0].done
     # res is forced to equal ma: the non-linear head pins r to <4, ao>
     assert L.refines_to(out[0].result, V.MutPair(4, 7))
@@ -37,8 +37,22 @@ def test_empty_body_clause_pops_stack():
         {"p": (L.INT_S,)},
     )
     cfg = sldc.ResConfig((Atom("p", (3,)),), 3, {})
-    out = sldc.step(sys, cfg, sldc.Renamer(), SampleSpec(-2, 2))
+    out = sldc.step(cfg, sys.clauses, sldc.Renamer(), SampleSpec(-2, 2))
     assert len(out) == 1 and out[0].done
+
+
+def test_step_renames_every_candidate():
+    # the first head fails on 3 != 4, yet its binders still take x!1, y!2
+    clauses = [
+        Clause((("x", L.INT_S), ("y", L.INT_S)), Atom("p", (4, V.Var("x"))), ()),
+        Clause((("z", L.INT_S), ("w", L.INT_S)), Atom("p", (V.Var("z"), V.Var("w"))),
+               (Atom("q", (V.Var("w"),)),)),
+    ]
+    cfg = sldc.ResConfig((Atom("p", (3, V.Var("r"))),), V.Var("r"), {"r": L.INT_S})
+    (nxt,) = sldc.step(cfg, clauses, sldc.Renamer(), SampleSpec(-2, 2))
+    assert nxt.stack == (Atom("q", (V.Var("w!4"),)),)
+    assert nxt.result == V.Var("w!4")
+    assert nxt.sorts == {"r": L.INT_S, "z!3": L.INT_S, "w!4": L.INT_S}
 
 
 def test_rand_clause_leaves_dont_care(inc_max_sys):
@@ -52,7 +66,7 @@ def test_rand_clause_leaves_dont_care(inc_max_sys):
         V.Var("r"),
         {"ao": L.INT_S, "r": L.BoxS(L.BOOL_S)},
     )
-    (nxt,) = sldc.step(sys, cfg, renamer, SampleSpec(-8, 8))
+    (nxt,) = sldc.step(cfg, sys.by_pred()["just_rec!entry"], renamer, SampleSpec(-8, 8))
     assert nxt.stack[0].pred == "just_rec!L1"
     all_vars = set()
     for arg in nxt.stack[0].args:

@@ -123,7 +123,7 @@ def test_find_solver_probes_candidates(tmp_path, monkeypatch, answer):
     monkeypatch.setenv("PATH", str(tmp_path))  # no hoice, no node
     cfg = smtlib.find_solver(timeout=10)
     if answer == "sat":
-        assert cfg == smtlib.SolverConfig(("z3", "fp.engine=spacer"), 10, "spacer")
+        assert cfg == smtlib.SolverConfig(("z3", "fp.engine=spacer"), 10)
     else:
         assert cfg is None
 
@@ -131,12 +131,6 @@ def test_find_solver_probes_candidates(tmp_path, monkeypatch, answer):
 def test_solver_config_validation():
     with pytest.raises(Exception):
         smtlib.SolverConfig(("z3",), timeout=0)
-
-
-def test_solver_kind_detection():
-    assert smtlib.solver_from_command("z3 fp.engine=spacer").kind == "spacer"
-    assert smtlib.solver_from_command("hoice").kind == "hoice"
-    assert smtlib.solver_from_command("my-solver --flag").kind == "generic"
 
 
 def test_fixture_systems_emit():

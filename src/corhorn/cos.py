@@ -151,7 +151,8 @@ def _fill(heap: dict[int, int], base: int, t: S.Type, v: V.Value, alloc: Alloc) 
     elif isinstance(t, S.Ptr):
         if t.kind != S.OWN:
             raise RunError("SortMismatch", "cannot write references at a simple boundary")
-        # the pointee was sort-checked with the whole value in write_value
+        # the pointee was sort-checked with the whole value, by write_value
+        # or, for an input, by machine.entry_fn
         target = alloc.fresh(S.size_of(t.target))
         _fill(heap, target, t.target, v.inner, alloc)
         heap[base] = target
@@ -402,11 +403,12 @@ def _step(prog, typing, cfg, rng, alloc, rand_range) -> StepResult:
 def initial_config(
     prog: S.Program, typing: TypingResult, fname: str, inputs: list[V.Value], alloc: Alloc
 ) -> CosConfig:
-    fn = entry_fn(prog, fname, inputs)
+    fn = entry_fn(prog, fname, inputs)  # checks each input's sort
     heap: dict[int, int] = {}
     frame: dict[str, int] = {}
     for v, (x, t) in zip(inputs, fn.params):
-        frame[x] = write_value(heap, t.target, v.inner, alloc)
+        frame[x] = alloc.fresh(S.size_of(t.target))
+        _fill(heap, frame[x], t.target, v.inner, alloc)
     return CosConfig((FrameEntry(fname, S.ENTRY, None, frame),), heap)
 
 

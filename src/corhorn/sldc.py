@@ -8,6 +8,9 @@ redexes like *box(t) or 3 + 4, conservatively expands variables blocked
 under a projection into constructor skeletons of fresh variables, and
 branches over a bounded integer range when arithmetic is stuck on a
 symbolic operand (the engine's documented incompleteness boundary).
+Calculation normalizes only the clause body: clause heads are patterns,
+so the unifier maps variables to patterns and the rest of the stack and
+the result stay patterns.
 
 Variables that survive to a result pattern are don't-care markers;
 `refines_to`/`refine_default` from the logic module instantiate them.
@@ -49,20 +52,19 @@ class ResConfig:
 
 
 def canon_config(cfg: ResConfig) -> tuple:
-    """Rename variables in first-occurrence order; the result is hashable
-    and identifies configurations up to renaming."""
+    """Show the stack and the result with variables renamed v0, v1, ...
+    in first-occurrence order, in one walk; the result is hashable and
+    identifies configurations up to renaming."""
     mapping: dict[str, str] = {}
 
-    def walk(t: V.Term) -> V.Term:
-        if isinstance(t, V.Var):
-            if t.name not in mapping:
-                mapping[t.name] = f"v{len(mapping)}"
-            return V.Var(mapping[t.name])
-        kids = V.children(t)
-        return V.rebuild(t, tuple(walk(k) for k in kids)) if kids else t
+    def rename(x: str) -> str:
+        v = mapping.get(x)
+        if v is None:
+            v = mapping[x] = f"v{len(mapping)}"
+        return v
 
-    atoms = tuple((a.pred, tuple(V.show(walk(x)) for x in a.args)) for a in cfg.stack)
-    return (atoms, V.show(walk(cfg.result)))
+    atoms = tuple((a.pred, tuple(V.show(x, rename) for x in a.args)) for a in cfg.stack)
+    return (atoms, V.show(cfg.result, rename))
 
 
 # ---------------------------------------------------------------------------
@@ -71,19 +73,22 @@ def canon_config(cfg: ResConfig) -> tuple:
 
 
 def simplify(t: V.Term) -> V.Term:
-    kids = V.children(t)
-    if kids:
-        t = V.rebuild(t, tuple(simplify(k) for k in kids))
-    if isinstance(t, V.DerefT):
-        if isinstance(t.arg, V.Box):
+    """t with its redexes reduced, innermost first; t itself when it
+    has none."""
+    t = V.map_children(t, simplify)
+    typ = type(t)
+    if typ is V.DerefT:
+        if type(t.arg) is V.Box:
             return t.arg.inner
-        if isinstance(t.arg, V.MutPair):
+        if type(t.arg) is V.MutPair:
             return t.arg.cur
-    if isinstance(t, V.FinalT) and isinstance(t.arg, V.MutPair):
-        return t.arg.fin
-    if isinstance(t, V.ProjT) and isinstance(t.arg, V.Pair):
-        return t.arg.fst if t.index == 0 else t.arg.snd
-    if isinstance(t, V.BinOpT) and isinstance(t.left, int) and isinstance(t.right, int):
+    elif typ is V.FinalT:
+        if type(t.arg) is V.MutPair:
+            return t.arg.fin
+    elif typ is V.ProjT:
+        if type(t.arg) is V.Pair:
+            return t.arg.fst if t.index == 0 else t.arg.snd
+    elif typ is V.BinOpT and isinstance(t.left, int) and isinstance(t.right, int):
         res = S.eval_op(t.op, t.left, t.right)
         if isinstance(res, bool):
             return V.TRUE if res else V.FALSE
@@ -143,19 +148,21 @@ def _subst_atoms(atoms: Iterable[Atom], mapping: dict[str, V.Term]) -> tuple[Ato
 
 
 def calculate(
-    stack: tuple[Atom, ...], result: V.Term, sorts: dict[str, Sort],
-    renamer: Renamer, spec: SampleSpec,
+    body: tuple[Atom, ...], rest: tuple[Atom, ...], result: V.Term,
+    sorts: dict[str, Sort], renamer: Renamer, spec: SampleSpec,
 ) -> list[ResConfig]:
-    """Normalize a pre-resolutive configuration until every stack atom
-    argument is a pattern.  May branch on stuck arithmetic."""
+    """Normalize the pre-resolutive configuration with stack body + rest
+    until every stack atom argument is a pattern.  May branch on stuck
+    arithmetic.  Only `body` is normalized: `rest` and `result` must be
+    patterns already, and every substitution made here maps variables
+    to patterns, which keeps them patterns."""
     out: list[ResConfig] = []
-    work = [(stack, result, sorts)]
+    work = [(body, rest, result, sorts)]
     while work:
-        stk, res, srt = work.pop()
-        stk = tuple(Atom(a.pred, tuple(simplify(x) for x in a.args)) for a in stk)
-        res = simplify(res)
+        body, rest, res, srt = work.pop()
+        body = tuple(Atom(a.pred, tuple(simplify(x) for x in a.args)) for a in body)
         stuck = None
-        for a in stk:
+        for a in body:
             for x in a.args:
                 if not V.is_pattern(x):
                     stuck = _find_stuck(x)
@@ -165,7 +172,7 @@ def calculate(
             if stuck:
                 break
         if stuck is None:
-            out.append(ResConfig(stk, res, srt))
+            out.append(ResConfig(body + rest, res, srt))
             continue
         kind, name = stuck
         if kind == "int":
@@ -174,7 +181,8 @@ def calculate(
             skel, fresh_sorts = _expand_var(name, kind, srt, renamer)
             branches = [({name: skel}, {**srt, **fresh_sorts})]
         for mapping, new_sorts in branches:
-            work.append((_subst_atoms(stk, mapping), V.subst_vars(res, mapping), new_sorts))
+            work.append((_subst_atoms(body, mapping), _subst_atoms(rest, mapping),
+                         V.subst_vars(res, mapping), new_sorts))
     return out
 
 
@@ -188,7 +196,10 @@ def step(
 ) -> list[ResConfig]:
     """All successors of one resolution step of the first stack atom
     against each candidate clause.  Every candidate's binders get fresh
-    names, in binder order, whether or not its head unifies."""
+    names, in binder order, whether or not its head unifies.  cfg's
+    stack and result must be patterns, as must every clause head: the
+    unifier then maps variables to patterns, and `calculate` need only
+    normalize the clause body."""
     if not cfg.stack:
         return []
     first = cfg.stack[0]
@@ -201,7 +212,7 @@ def step(
         body = _subst_atoms(clause.body, {x: mgu.get(v.name, v) for x, v in fresh.items()})
         sorts = dict(cfg.sorts)
         sorts.update((fresh[x].name, s) for x, s in clause.binders)
-        out.extend(calculate(body + _subst_atoms(cfg.stack[1:], mgu),
+        out.extend(calculate(body, _subst_atoms(cfg.stack[1:], mgu),
                              V.subst_vars(cfg.result, mgu), sorts, renamer, spec))
     return out
 

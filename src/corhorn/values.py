@@ -130,60 +130,69 @@ def is_pattern(t: Term) -> bool:
     return False
 
 
+_CHILDREN = {
+    Box: lambda t: (t.inner,),
+    MutPair: lambda t: (t.cur, t.fin),
+    Inj: lambda t: (t.payload,),
+    Pair: lambda t: (t.fst, t.snd),
+    DerefT: lambda t: (t.arg,),
+    FinalT: lambda t: (t.arg,),
+    ProjT: lambda t: (t.arg,),
+    BinOpT: lambda t: (t.left, t.right),
+}
+
+
 def children(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, Box):
-        return (t.inner,)
-    if isinstance(t, MutPair):
-        return (t.cur, t.fin)
-    if isinstance(t, Inj):
-        return (t.payload,)
-    if isinstance(t, Pair):
-        return (t.fst, t.snd)
-    if isinstance(t, (DerefT, FinalT)):
-        return (t.arg,)
-    if isinstance(t, ProjT):
-        return (t.arg,)
-    if isinstance(t, BinOpT):
-        return (t.left, t.right)
-    return ()
+    get = _CHILDREN.get(type(t))
+    return get(t) if get else ()
+
+
+_REBUILD = {
+    Box: lambda t, k: Box(k[0]),
+    MutPair: lambda t, k: MutPair(k[0], k[1]),
+    Inj: lambda t, k: Inj(t.tag, k[0]),
+    Pair: lambda t, k: Pair(k[0], k[1]),
+    DerefT: lambda t, k: DerefT(k[0]),
+    FinalT: lambda t, k: FinalT(k[0]),
+    ProjT: lambda t, k: ProjT(k[0], t.index),
+    BinOpT: lambda t, k: BinOpT(k[0], t.op, k[1]),
+}
 
 
 def rebuild(t: Term, kids: tuple[Term, ...]) -> Term:
-    if isinstance(t, Box):
-        return Box(kids[0])
-    if isinstance(t, MutPair):
-        return MutPair(kids[0], kids[1])
-    if isinstance(t, Inj):
-        return Inj(t.tag, kids[0])
-    if isinstance(t, Pair):
-        return Pair(kids[0], kids[1])
-    if isinstance(t, DerefT):
-        return DerefT(kids[0])
-    if isinstance(t, FinalT):
-        return FinalT(kids[0])
-    if isinstance(t, ProjT):
-        return ProjT(kids[0], t.index)
-    if isinstance(t, BinOpT):
-        return BinOpT(kids[0], t.op, kids[1])
+    make = _REBUILD.get(type(t))
+    return make(t, kids) if make else t
+
+
+def map_children(t: Term, fn) -> Term:
+    """t with fn applied to each child; t itself when fn returns every
+    child unchanged, so walks allocate only along changed paths."""
+    kids = children(t)
+    new = tuple([fn(k) for k in kids])
+    for a, b in zip(new, kids):
+        if a is not b:
+            return rebuild(t, new)
     return t
 
 
-def map_term(t: Term, fn) -> Term:
-    """Apply fn to leaves (Var/AbsVar/consts); rebuild interior nodes."""
-    kids = children(t)
-    if not kids and isinstance(t, (Var, AbsVar, int, UnitVal)):
-        return fn(t)
-    if not kids:
-        return t
-    return rebuild(t, tuple(map_term(k, fn) for k in kids))
-
-
 def subst_absvars(t: Term, mapping: dict[int, Term]) -> Term:
-    return map_term(t, lambda leaf: mapping.get(leaf.uid, leaf) if isinstance(leaf, AbsVar) else leaf)
+    """t with the abstract variables bound in mapping replaced; t
+    itself when it has none of them."""
+    if type(t) is AbsVar:
+        return mapping.get(t.uid, t)
+    if type(t) in _CHILDREN:
+        return map_children(t, lambda k: subst_absvars(k, mapping))
+    return t
 
 
 def subst_vars(t: Term, mapping: dict[str, Term]) -> Term:
-    return map_term(t, lambda leaf: mapping.get(leaf.name, leaf) if isinstance(leaf, Var) else leaf)
+    """t with the variables bound in mapping replaced; t itself when it
+    has none of them."""
+    if type(t) is Var:
+        return mapping.get(t.name, t)
+    if type(t) in _CHILDREN:
+        return map_children(t, lambda k: subst_vars(k, mapping))
+    return t
 
 
 def absvars_in(t: Term) -> set[int]:
@@ -212,40 +221,42 @@ def vars_in(t: Term) -> set[str]:
     return out
 
 
-def show(t: Term) -> str:
-    """Compact text form: box(v), mut(v,w), inj0 v, (v,w), *t, ^t, t.i."""
-    if isinstance(t, bool):  # guard: Python bools are ints
-        return "1" if t else "0"
-    if isinstance(t, int):
+def show(t: Term, rename=None) -> str:
+    """Compact text form: box(v), mut(v,w), inj0 v, (v,w), *t, ^t, t.i.
+    `rename`, if given, maps each variable name to the name shown."""
+    typ = type(t)
+    if typ is Var:
+        return t.name if rename is None else rename(t.name)
+    if typ is int:
         return str(t)
-    if isinstance(t, UnitVal):
+    if typ is Inj:
+        return f"inj{t.tag} {show_atom(t.payload, rename)}"
+    if typ is Pair:
+        return f"({show(t.fst, rename)}, {show(t.snd, rename)})"
+    if typ is Box:
+        return f"box({show(t.inner, rename)})"
+    if typ is MutPair:
+        return f"mut({show(t.cur, rename)}, {show(t.fin, rename)})"
+    if typ is UnitVal:
         return "()"
-    if isinstance(t, Box):
-        return f"box({show(t.inner)})"
-    if isinstance(t, MutPair):
-        return f"mut({show(t.cur)}, {show(t.fin)})"
-    if isinstance(t, Inj):
-        return f"inj{t.tag} {show_atom(t.payload)}"
-    if isinstance(t, Pair):
-        return f"({show(t.fst)}, {show(t.snd)})"
-    if isinstance(t, AbsVar):
+    if typ is bool:  # guard: Python bools are ints
+        return "1" if t else "0"
+    if typ is AbsVar:
         return t.label or f"?{t.uid}"
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, DerefT):
-        return f"*{show_atom(t.arg)}"
-    if isinstance(t, FinalT):
-        return f"^{show_atom(t.arg)}"
-    if isinstance(t, ProjT):
-        return f"{show_atom(t.arg)}.{t.index}"
-    if isinstance(t, BinOpT):
-        return f"{show_atom(t.left)} {t.op} {show_atom(t.right)}"
+    if typ is DerefT:
+        return f"*{show_atom(t.arg, rename)}"
+    if typ is FinalT:
+        return f"^{show_atom(t.arg, rename)}"
+    if typ is ProjT:
+        return f"{show_atom(t.arg, rename)}.{t.index}"
+    if typ is BinOpT:
+        return f"{show_atom(t.left, rename)} {t.op} {show_atom(t.right, rename)}"
     raise TypeError(f"not a term: {t!r}")
 
 
-def show_atom(t: Term) -> str:
-    s = show(t)
-    if isinstance(t, (BinOpT, Inj)):
+def show_atom(t: Term, rename=None) -> str:
+    s = show(t, rename)
+    if type(t) is BinOpT or type(t) is Inj:
         return f"({s})"
     return s
 

@@ -341,6 +341,27 @@ def inc_some_system() -> tuple[CHCSystem, dict]:
     return CHCSystem(clauses, sigs), model
 
 
+# -- reference implementations ----------------------------------------------
+
+
+def canon_config_reference(cfg) -> tuple:
+    """`sldc.canon_config` as a rename pass followed by `V.show`: every
+    variable renamed v0, v1, ... in first-occurrence order, then each
+    stack argument and the result shown.  The one-walk key must equal it."""
+    mapping: dict[str, str] = {}
+
+    def walk(t):
+        if isinstance(t, V.Var):
+            if t.name not in mapping:
+                mapping[t.name] = f"v{len(mapping)}"
+            return V.Var(mapping[t.name])
+        kids = V.children(t)
+        return V.rebuild(t, tuple(walk(k) for k in kids)) if kids else t
+
+    atoms = tuple((a.pred, tuple(V.show(walk(x)) for x in a.args)) for a in cfg.stack)
+    return (atoms, V.show(walk(cfg.result)))
+
+
 # -- trace comparison modulo renaming ----------------------------------------
 
 

@@ -4,8 +4,9 @@ from collections import Counter
 
 import pytest
 
-from corhorn import aos, corpus, cos, parser, syntax as S, typeck, values as V
+from corhorn import aos, corpus, cos, machine, parser, syntax as S, typeck, values as V
 from corhorn.cos import Alloc
+from corhorn.logic import SampleSpec
 from corhorn.machine import Final, Next, RunOutcome
 
 from helpers import mklist
@@ -120,6 +121,21 @@ def test_write_checks_the_sort_once(monkeypatch):
         a = cos.write_value(heap, t, mklist(*range(n)), Alloc())
         assert len(calls) == 1
         assert cos.readout(heap, a, t)[0] == mklist(*range(n))
+
+
+def test_run_checks_each_input_sort_once(monkeypatch):
+    # machine.entry_fn checks each boxed input; initial_config does not again
+    calls = []
+    for module in (cos, machine):
+        real = module.sort_of_type
+        monkeypatch.setattr(module, "sort_of_type", lambda t, real=real: calls.append(t) or real(t))
+    rng = random.Random(4)
+    for e in corpus.CORPUS:
+        prog = corpus.load(e.name)
+        inputs = corpus.random_inputs(prog, e.entry_fn, rng, SampleSpec(-4, 4, max_depth=3))
+        calls.clear()
+        cos.run(prog, e.entry_fn, inputs, fuel=50)
+        assert len(calls) == len(inputs), e.name
 
 
 def test_write_sort_mismatch():

@@ -5,8 +5,10 @@ import zlib
 
 import pytest
 
-from corhorn import corpus, logic as L, sldc, syntax as S, translate, typeck, values as V
+from corhorn import corpus, logic as L, parser, sldc, syntax as S, translate, typeck, values as V
 from corhorn.logic import Atom, CHCSystem, Clause, SampleSpec
+
+from helpers import canon_config_reference
 
 
 @pytest.fixture(scope="module")
@@ -99,12 +101,99 @@ def test_enumerate_unbounded_recursion_flags():
     assert any(L.refines_to(p, V.Box(V.TRUE)) for p, _ in out.patterns)
 
 
+def test_canon_config_equals_rename_then_show(monkeypatch):
+    # every configuration enumerate_results keys, on each corpus entry
+    real = sldc.canon_config
+    keyed = []
+
+    def checked(cfg):
+        key = real(cfg)
+        assert key == canon_config_reference(cfg), cfg
+        keyed.append(key)
+        return key
+
+    monkeypatch.setattr(sldc, "canon_config", checked)
+    for e in corpus.CORPUS:
+        prog = corpus.load(e.name)
+        system = translate.translate_program(prog, typeck.type_program(prog))
+        rng = random.Random(zlib.crc32(e.name.encode()))
+        for _ in range(ENUM_INPUTS):
+            inputs = tuple(corpus.random_inputs(prog, e.entry_fn, rng, ENUM_SPEC))
+            sldc.enumerate_results(system, L.pred_name(e.entry_fn, S.ENTRY), inputs,
+                                   depth=20, spec=ENUM_SPEC)
+    assert len(keyed) > 1000
+    x, y = V.Var("x"), V.Var("y")
+    hand = [
+        (V.Inj(0, V.Inj(1, x)), V.Inj(1, V.Inj(0, V.Inj(1, V.UNIT)))),
+        (V.Pair(-3, V.Box(-12)), V.MutPair(x, -1)),
+        (V.UNIT, V.Box(V.UNIT)),
+        (V.Pair(y, x), V.MutPair(x, y)),
+        (V.Pair(x, V.Pair(x, y)), y),
+        (True, V.Inj(0, False)),
+        (V.BinOpT(V.DerefT(x), "-", -1), V.Inj(0, V.BinOpT(y, "<", V.ProjT(x, 1)))),
+        (V.FinalT(V.Inj(1, y)), V.DerefT(V.BinOpT(x, "+", y))),
+    ]
+    for arg, res in hand:
+        cfg = sldc.ResConfig((Atom("p", (arg, V.Var("z"))), Atom("q", (y,))), res, {})
+        assert real(cfg) == canon_config_reference(cfg)
+    assert real(sldc.ResConfig((Atom("p", (V.Inj(0, V.Inj(1, x)), -2)),), x, {})) == (
+        (("p", ("inj0 (inj1 v0)", "-2")),), "v0")
+
+
 def test_canon_config_renaming():
     a = sldc.ResConfig((Atom("p", (V.Var("x"), V.Var("x"))),), V.Var("x"), {})
     b = sldc.ResConfig((Atom("p", (V.Var("z"), V.Var("z"))),), V.Var("z"), {})
     c = sldc.ResConfig((Atom("p", (V.Var("z"), V.Var("w"))),), V.Var("z"), {})
     assert sldc.canon_config(a) == sldc.canon_config(b)
     assert sldc.canon_config(a) != sldc.canon_config(c)
+
+
+def _translations():
+    """(name, system) for each corpus entry and each test_features
+    program, with and without its goal attached."""
+    from test_features import CASES
+
+    progs = [(e.name, corpus.load(e.name), translate.GoalSpec.parse(e.goal)) for e in corpus.CORPUS]
+    for name, src, fn, _, _ in CASES:
+        prog = parser.parse_program(src)
+        returns_bool = S.whnf_type(prog.fn(fn).ret.target) == S.whnf_type(S.BOOL)
+        goal = translate.GoalSpec.parse(f"{fn} returns true" if returns_bool else f"{fn} equals box(0)")
+        progs.append((name, prog, goal))
+    for name, prog, goal in progs:
+        system = translate.translate_program(prog, typeck.type_program(prog))
+        yield name, system
+        yield name + "+goal", translate.attach_goal(system, prog, goal)
+
+
+def test_clause_heads_are_patterns():
+    # step's unifier then maps variables to patterns, so calculate need
+    # only normalize the clause body
+    names = []
+    for name, system in _translations():
+        names.append(name)
+        for c in system.clauses:
+            if c.head is not None:
+                assert all(V.is_pattern(x) for x in c.head.args), (name, c.tag)
+    assert len(names) == 2 * (len(corpus.CORPUS) + 6)
+
+
+def test_walks_return_unchanged_terms_themselves():
+    terms = [x for _, system in _translations() for c in system.clauses
+             for a in ((c.head,) if c.head else ()) + c.body for x in a.args]
+    patterns = [x for x in terms if V.is_pattern(x)]
+    assert len(patterns) > 1000 and len(terms) > len(patterns)
+    for t in terms:
+        assert V.subst_vars(t, {"no such var": 0}) is t
+        assert V.subst_absvars(t, {-1: 0}) is t
+    for p in patterns:
+        assert sldc.simplify(p) is p
+    # a changed leaf rebuilds only its own path
+    x, y = V.Var("x"), V.Var("y")
+    t = V.Pair(V.Box(x), V.MutPair(y, V.Inj(0, 3)))
+    got = V.subst_vars(t, {"x": 1})
+    assert got == V.Pair(V.Box(1), t.snd) and got.snd is t.snd
+    red = V.Pair(V.DerefT(V.Box(2)), t.snd)
+    assert sldc.simplify(red) == V.Pair(2, t.snd) and sldc.simplify(red).snd is t.snd
 
 
 # -- bottom-up oracle -----------------------------------------------------------
@@ -225,3 +314,59 @@ def _enum_digest(e) -> str:
 def test_enumeration_pinned():
     digests = {e.name: _enum_digest(e) for e in corpus.CORPUS}
     assert digests == PINNED_ENUM_DIGESTS
+
+
+# -- pinned step output -----------------------------------------------------------
+
+STEP_LAYERS = 25  # frontier layers of each enumeration whose successors are hashed
+
+
+def _step_digest(e) -> str:
+    """SHA-256 over the raw successors `step` returns, fresh names and all,
+    over the first frontier layers of an enumeration that follows
+    `enumerate_results` (same inputs, dedup and width)."""
+    prog = corpus.load(e.name)
+    system = translate.translate_program(prog, typeck.type_program(prog))
+    pred = L.pred_name(e.entry_fn, S.ENTRY)
+    index = system.by_pred()
+    rng = random.Random(zlib.crc32(e.name.encode()))
+    h = hashlib.sha256()
+    for _ in range(ENUM_INPUTS):
+        inputs = tuple(corpus.random_inputs(prog, e.entry_fn, rng, ENUM_SPEC))
+        renamer = sldc.Renamer()
+        r = renamer.fresh("r")
+        init = sldc.ResConfig((Atom(pred, inputs + (V.Var(r),)),), V.Var(r),
+                              {r: system.sigs[pred][-1]})
+        seen = {sldc.canon_config(init)}
+        frontier = [init]
+        for _ in range(STEP_LAYERS):
+            new = []
+            for cfg in frontier:
+                for nxt in sldc.step(cfg, index.get(cfg.stack[0].pred, ()), renamer, ENUM_SPEC):
+                    h.update(repr((nxt.stack, nxt.result, sorted(nxt.sorts.items()))).encode())
+                    key = sldc.canon_config(nxt)
+                    if key not in seen and not nxt.done:
+                        seen.add(key)
+                        new.append(nxt)
+            frontier = new[:ENUM_WIDTH]
+    return h.hexdigest()
+
+
+# SHA-256 per corpus entry of _step_digest.
+PINNED_STEP_DIGESTS = {
+    "inc_max": "d9cff4641c72c417123b2b63f8a16b427d25885ca6a849b096e6f7db7f029b37",
+    "inc_max_unsafe": "8e57fde969152ef6895044b0f47042ee94f1245dae902dc3b7d400059b707eef",
+    "just_rec": "8ef7db03e14aa530a8c36581992b2de541c02427622306b057fe3feef737eb66",
+    "just_rec_unsafe": "1b12176c4c6bccc3df8c4926bb954009440f105cdabeba46c376c730e0520887",
+    "linger_dec": "752fee34f42a54c2177e4397d67710de9362294dde05e2285c86faea34c0b23f",
+    "linger_dec_unsafe": "6fdb1b77a91480d0557e39a00169cf099a2c92abc9cd3b3f00b92f7a24d5a790",
+    "inc_some": "779df09c8b27401ebf91645733a4f02d16d2110f66030321a97f85e7bcf46e18",
+    "inc_some_unsafe": "d04e3c11489d210fda15822ec5d66d1e57e8558ea970df9a4305148b4aec5bb6",
+    "inc_some_t": "83074a3768afb2c475834b3cb09094c340f499ae5d44acf57917cdc56a1b2ce1",
+    "inc_some_t_unsafe": "a539fd1432e3c7b40ac21d040a2b524ac98c2eb3c86c8cd5a7977327b9b5120e",
+}
+
+
+def test_step_successors_pinned():
+    digests = {e.name: _step_digest(e) for e in corpus.CORPUS}
+    assert digests == PINNED_STEP_DIGESTS

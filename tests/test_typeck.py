@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from corhorn import corpus, parser, syntax as S, typeck
@@ -357,3 +360,37 @@ def test_type_equiv_symmetric_on_corpus_types():
     for (lctx, t), (_, u) in zip(pairs, pairs[1:]):
         if typeck.type_equiv(lctx, t, u):
             assert typeck.type_equiv(lctx, u, t)
+
+
+TYPING_JSON_SHA256 = {
+    "inc_max": "9a534a5c807fd0799dc6160b310171751b18d96962c2176d4e788de2806ba9ef",
+    "inc_max_unsafe": "9a534a5c807fd0799dc6160b310171751b18d96962c2176d4e788de2806ba9ef",
+    "just_rec": "6d249a3ab22031852893abe683128da507d641e296e688e0c36f198b58ca235a",
+    "just_rec_unsafe": "6d249a3ab22031852893abe683128da507d641e296e688e0c36f198b58ca235a",
+    "linger_dec": "a345d735b18aad82087d977537552441ae6265afb5822e6362b131f212752f09",
+    "linger_dec_unsafe": "a345d735b18aad82087d977537552441ae6265afb5822e6362b131f212752f09",
+    "inc_some": "db0045097788cc8f3e716136ecdbb53d95f4a2d6c7503cdeb0fe1bb4bd045df3",
+    "inc_some_unsafe": "db0045097788cc8f3e716136ecdbb53d95f4a2d6c7503cdeb0fe1bb4bd045df3",
+    "inc_some_t": "9e484e7db8618d55524fb827b826969801097f9f9ed00bf3fcdc47ab420b9105",
+    "inc_some_t_unsafe": "9e484e7db8618d55524fb827b826969801097f9f9ed00bf3fcdc47ab420b9105",
+    "swap_mm": "a17068ebaf1151a216e4e168b12d3b7093899a33e13d68bf8fa29e05fb4913a1",
+    "dup_imm": "cb05824888f7391eb3683839426cc11f2a71036fcefc3cf993bc6db5e495f751",
+    "read_thru": "b41dd71a68abcec57a4454c8847bdbec83bf4124e2569f111b115ab0d9fd7f69",
+    "read_imm": "29b6c8942744f8181a17b7e57856c1e044300d91a51144accd57852356863db4",
+    "pair_mut": "47eef81f2c95265bca8a088b7f584951cb3f5c39aa1f087e338bec80a3971a30",
+    "build_and_sum": "11513bda2ef451e123897f884f8b4dbdc6b89e8c646091c6fb3cb14f44207528",
+}
+
+
+def test_typing_contexts_pinned():
+    """The whole context of every label, as `--dump-contexts` prints it,
+    for the corpus and the feature programs."""
+    from test_features import CASES
+
+    progs = [(e.name, corpus.load(e.name)) for e in corpus.CORPUS]
+    progs += [(name, parser.parse_program(src)) for name, src, *_ in CASES]
+    assert [name for name, _ in progs] == list(TYPING_JSON_SHA256)
+    for name, prog in progs:
+        doc = typeck.typing_json(prog, typeck.type_program(prog))
+        digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+        assert digest == TYPING_JSON_SHA256[name], name

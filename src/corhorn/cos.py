@@ -88,10 +88,8 @@ def sum_side(t: S.Sum, tag: int) -> tuple[S.Type, range]:
     """The payload type of side `tag` of t, and the offsets from the tag
     cell of the zero padding cells that fill the payload out to the
     larger side's size."""
-    side, other = (t.left, t.right) if tag == 0 else (t.right, t.left)
-    # not size_of(t): its cache lookup would hash the whole sum type once more
-    n = S.size_of(side)
-    return side, range(1 + n, 1 + max(n, S.size_of(other)))
+    side = t.left if tag == 0 else t.right
+    return side, range(1 + S.size_of(side), S.size_of(t))
 
 
 def readout(heap: dict[int, int], addr: int, t: S.Type) -> tuple[V.Value, list[int]]:

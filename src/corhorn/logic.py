@@ -29,45 +29,45 @@ from . import values as V
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoxS:
+@dataclass(frozen=True, eq=False)
+class BoxS(S.Interned):
     inner: "Sort"
 
 
-@dataclass(frozen=True)
-class MutS:
+@dataclass(frozen=True, eq=False)
+class MutS(S.Interned):
     inner: "Sort"
 
 
-@dataclass(frozen=True)
-class SumS:
+@dataclass(frozen=True, eq=False)
+class SumS(S.Interned):
     left: "Sort"
     right: "Sort"
 
 
-@dataclass(frozen=True)
-class ProdS:
+@dataclass(frozen=True, eq=False)
+class ProdS(S.Interned):
     left: "Sort"
     right: "Sort"
 
 
-@dataclass(frozen=True)
-class IntSort:
+@dataclass(frozen=True, eq=False)
+class IntSort(S.Interned):
     pass
 
 
-@dataclass(frozen=True)
-class UnitSort:
+@dataclass(frozen=True, eq=False)
+class UnitSort(S.Interned):
     pass
 
 
-@dataclass(frozen=True)
-class SVar:
+@dataclass(frozen=True, eq=False)
+class SVar(S.Interned):
     name: str
 
 
-@dataclass(frozen=True)
-class MuS:
+@dataclass(frozen=True, eq=False)
+class MuS(S.Interned):
     var: str
     body: "Sort"
 
@@ -101,6 +101,7 @@ def subst_sort(s: Sort, var: str, repl: Sort) -> Sort:
     return s
 
 
+@lru_cache(maxsize=None)
 def whnf_sort(s: Sort) -> Sort:
     while isinstance(s, MuS):
         s = subst_sort(s.body, s.var, s)
@@ -627,11 +628,10 @@ def _unify(a: V.Term, b: V.Term, subst: dict[str, V.Term]) -> bool:
 
 
 def resolve(t: V.Term, subst: dict[str, V.Term]) -> V.Term:
+    """t with its bound variables replaced, through to the end of each
+    binding chain; t itself when none occurs in it."""
     t = _walk(t, subst)
-    kids = V.children(t)
-    if not kids:
-        return t
-    return V.rebuild(t, tuple(resolve(k, subst) for k in kids))
+    return V.map_children(t, lambda k: resolve(k, subst)) if V.children(t) else t
 
 
 def unify(ps: tuple[V.Term, ...], qs: tuple[V.Term, ...]) -> Optional[dict[str, V.Term]]:

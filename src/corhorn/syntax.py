@@ -52,24 +52,53 @@ def check_ident(name: str, what: str = "identifier") -> str:
 # Types
 # ---------------------------------------------------------------------------
 
+_INTERNED: dict[tuple, "Interned"] = {}
+
+
+class _Interning(type):
+    def __call__(cls, *args, **kwargs):
+        node = None if kwargs else _INTERNED.get((cls, *args))
+        if node is None:
+            node = super().__call__(*args, **kwargs)
+            node = _INTERNED.setdefault((cls, *node.__reduce__()[1]), node)
+        return node
+
+
+class Interned(metaclass=_Interning):
+    """A hash-consed node (Filliâtre & Conchon, ML Workshop 2006).
+    Constructing one returns the one canonical node with its class and
+    fields, so subclasses, frozen dataclasses with eq=False, compare by
+    identity and hash in O(1).  The table keeps every node a process
+    builds, each entered only once its __init__ has checked it."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
 OWN = "own"
 MUT = "mut"
 IMMUT = "immut"
 
 
-@dataclass(frozen=True)
-class TypeVar:
+@dataclass(frozen=True, eq=False)
+class TypeVar(Interned):
     name: str
 
 
-@dataclass(frozen=True)
-class Mu:
+@dataclass(frozen=True, eq=False)
+class Mu(Interned):
     var: str
     body: "Type"
 
 
-@dataclass(frozen=True)
-class Ptr:
+@dataclass(frozen=True, eq=False)
+class Ptr(Interned):
     kind: str  # OWN | MUT | IMMUT
     lft: Optional[str]  # None exactly when kind == OWN
     target: "Type"
@@ -78,25 +107,25 @@ class Ptr:
         assert (self.kind == OWN) == (self.lft is None)
 
 
-@dataclass(frozen=True)
-class Sum:
+@dataclass(frozen=True, eq=False)
+class Sum(Interned):
     left: "Type"
     right: "Type"
 
 
-@dataclass(frozen=True)
-class Prod:
+@dataclass(frozen=True, eq=False)
+class Prod(Interned):
     left: "Type"
     right: "Type"
 
 
-@dataclass(frozen=True)
-class IntT:
+@dataclass(frozen=True, eq=False)
+class IntT(Interned):
     pass
 
 
-@dataclass(frozen=True)
-class UnitT:
+@dataclass(frozen=True, eq=False)
+class UnitT(Interned):
     pass
 
 
@@ -156,6 +185,7 @@ def free_type_vars(t: Type) -> frozenset[str]:
     return frozenset()
 
 
+@lru_cache(maxsize=None)
 def lifetimes_of(t: Type) -> frozenset[str]:
     """All lifetime variables occurring in t."""
     if isinstance(t, Ptr):
@@ -169,6 +199,15 @@ def lifetimes_of(t: Type) -> frozenset[str]:
 
 
 def subst_lifetimes(t: Type, mapping: dict[str, str]) -> Type:
+    """t with its lifetimes renamed by mapping; t itself when it has none."""
+    lfts = lifetimes_of(t)
+    return _subst_lifetimes(t, tuple(mapping.get(l, l) for l in lfts)) if lfts else t
+
+
+@lru_cache(maxsize=None)
+def _subst_lifetimes(t: Type, images: tuple[str, ...]) -> Type:
+    """Keyed on the images of lifetimes_of(t), in that set's own order."""
+    mapping = dict(zip(lifetimes_of(t), images))
     if isinstance(t, Ptr):
         lft = mapping.get(t.lft, t.lft) if t.lft is not None else None
         return Ptr(t.kind, lft, subst_lifetimes(t.target, mapping))
@@ -227,7 +266,7 @@ def size_of(t: Type) -> int:
     if isinstance(t, Prod):
         return size_of(t.left) + size_of(t.right)
     if isinstance(t, Mu):
-        return size_of(subst_type(t.body, t.var, t))
+        return size_of(unfold_mu(t))
     raise IncompleteType(f"size of incomplete type: {t}")
 
 
@@ -259,6 +298,7 @@ def canon_type(t: Type) -> Type:
     return walk(t, {}, 0)
 
 
+@lru_cache(maxsize=None)
 def unfold_mu(t: Mu) -> Type:
     return subst_type(t.body, t.var, t)
 

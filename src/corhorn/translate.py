@@ -21,6 +21,7 @@ name the three fresh components when dereferencing a mut-of-mut.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from . import logic as L
@@ -38,6 +39,7 @@ class TranslateError(S.CorError):
         self.code = code
 
 
+@lru_cache(maxsize=None)
 def sort_of_type(t: S.Type) -> Sort:
     """Erase lifetimes: own/immut -> box, mut -> mut, rest structurally."""
     if isinstance(t, S.Ptr):

@@ -221,6 +221,18 @@ def test_unify_is_idempotent():
     assert [V.subst_vars(p, out) for p in ps] == [V.subst_vars(q, out) for q in qs]
 
 
+def test_resolve_returns_unchanged_terms_themselves():
+    x, y = V.Var("x"), V.Var("y")
+    ground = V.Pair(V.Box(3), V.Inj(0, V.UNIT))
+    partial = V.Pair(V.Var("z"), V.MutPair(y, 4))
+    out = L.unify((x, y, V.Var("w")), (ground, V.Box(5), partial))
+    assert out["x"] is ground
+    # only the path down to the bound y is rebuilt
+    assert out["w"] == V.Pair(V.Var("z"), V.MutPair(V.Box(5), 4))
+    assert out["w"].fst is partial.fst
+    assert L.resolve(partial, {"q": 1}) is partial
+
+
 # -- refinement ---------------------------------------------------------------------
 
 

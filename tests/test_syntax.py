@@ -1,6 +1,9 @@
+import copy
+import pickle
+
 import pytest
 
-from corhorn import corpus, parser, syntax as S
+from corhorn import corpus, logic as L, parser, syntax as S, translate as T
 
 
 LIST_T = parser.parse_type("mu X. int * own X + unit")
@@ -133,3 +136,48 @@ def test_unknown_function_is_a_cor_error():
         prog.fn("nope")
     assert isinstance(exc.value, S.CorError) and exc.value.code == "UnknownFunction"
     assert str(exc.value) == "[UnknownFunction] no function named 'nope'"
+
+
+def test_types_and_sorts_are_interned():
+    src = "mu X. own (int * mut<'a> X + unit)"
+    t = parser.parse_type(src)
+    assert parser.parse_type(src) is t
+    assert T.sort_of_type(t) is T.sort_of_type(parser.parse_type(src))
+    assert L.MuS("X", L.BoxS(L.SVar("X"))) is L.MuS("X", L.BoxS(L.SVar("X")))
+    ptr = S.Ptr(S.MUT, "a", S.INT)
+    assert S.Ptr(kind=S.MUT, lft="a", target=S.INT) is ptr
+    assert S.Ptr(S.MUT, target=S.INT, lft="a") is ptr
+    for node in (t, ptr, S.INT, T.sort_of_type(t), L.BOOL_S):
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+
+
+def test_interning_keeps_no_node_that_failed_its_check():
+    for _ in range(2):
+        with pytest.raises(AssertionError):
+            S.Ptr(S.OWN, "a", S.INT)
+    assert not [k for k in S._INTERNED if k[:3] == (S.Ptr, S.OWN, "a")]
+
+
+def test_unfold_mu_substitutes_once(monkeypatch):
+    calls = []
+    subst_type = S.subst_type
+
+    def counting(t, var, repl):
+        calls.append(t)
+        return subst_type(t, var, repl)
+
+    monkeypatch.setattr(S, "subst_type", counting)
+    t = S.Mu("Once", S.own(S.Sum(S.UNIT, S.TypeVar("Once"))))
+    assert S.unfold_mu(t) is S.unfold_mu(t) is S.own(S.Sum(S.UNIT, t))
+    assert calls.count(t.body) == 1
+
+
+def test_subst_lifetimes_keys_on_own_lifetimes():
+    t = parser.parse_type("mut<'a> (immut<'b> int)")
+    assert S.subst_lifetimes(S.INT, {"a": "c"}) is S.INT
+    assert S.subst_lifetimes(t, {"x": "y"}) is t
+    got = S.subst_lifetimes(t, {"a": "c", "x": "y"})
+    assert got is parser.parse_type("mut<'c> (immut<'b> int)")
+    assert S.subst_lifetimes(t, {"a": "c"}) is got

@@ -245,6 +245,7 @@ def lockstep_cos_aos(
     fuel: int = 100_000,
     typing: Optional[TypingResult] = None,
     rand_range: tuple[int, int] = (-128, 127),
+    system: Optional[L.CHCSystem] = None,
 ) -> LinkReport:
     """Run both interpreters with one seed, checking the safe-link
     relation after every paired step and equality of final values."""
@@ -356,6 +357,7 @@ def lockstep_aos_sldc(
     fuel: int = 100_000,
     typing: Optional[TypingResult] = None,
     rand_range: tuple[int, int] = (-128, 127),
+    system: Optional[L.CHCSystem] = None,
 ) -> LinkReport:
     """Check that every prophecy-interpreter step corresponds to one
     resolution step using the clause generated from the executed
@@ -363,7 +365,7 @@ def lockstep_aos_sldc(
     refines to the returned value."""
     typing = typing or type_program(prog)
     spec = L.SampleSpec(int_lo=rand_range[0], int_hi=rand_range[1])
-    sys = T.translate_program(prog, typing)
+    sys = system or T.translate_program(prog, typing)
     clause_tags: dict[tuple[str, str], list] = {}
     for c in sys.clauses:
         clause_tags.setdefault((c.tag[0], c.tag[2]), []).append(c)
@@ -454,6 +456,7 @@ def oracle_diff(
     fuel: int = 20_000,
     typing: Optional[TypingResult] = None,
     rand_range: tuple[int, int] = (-8, 8),
+    system: Optional[L.CHCSystem] = None,
 ) -> OracleReport:
     """For every sampled input tuple and seed: if the heap interpreter
     returns a value, some resolution result pattern must refine to it.
@@ -462,7 +465,7 @@ def oracle_diff(
     stuck run, it adds no value, and the report counts both."""
     typing = typing or type_program(prog)
     spec = L.SampleSpec(int_lo=rand_range[0], int_hi=rand_range[1])
-    sys = T.translate_program(prog, typing)
+    sys = system or T.translate_program(prog, typing)
     pred = L.pred_name(fname, S.ENTRY)
     seeds = list(seeds)
     checked = returned = flags = flagged_misses = 0

@@ -600,7 +600,7 @@ def _occurs(name: str, t: V.Term, subst: dict[str, V.Term]) -> bool:
     t = _walk(t, subst)
     if isinstance(t, V.Var):
         return t.name == name
-    return any(_occurs(name, k, subst) for k in V.children(t))
+    return not V.is_closed(t) and any(_occurs(name, k, subst) for k in V.children(t))
 
 
 def _unify(a: V.Term, b: V.Term, subst: dict[str, V.Term]) -> bool:
@@ -631,7 +631,7 @@ def resolve(t: V.Term, subst: dict[str, V.Term]) -> V.Term:
     """t with its bound variables replaced, through to the end of each
     binding chain; t itself when none occurs in it."""
     t = _walk(t, subst)
-    return V.map_children(t, lambda k: resolve(k, subst)) if V.children(t) else t
+    return t if V.is_closed(t) else V.map_children(t, lambda k: resolve(k, subst))
 
 
 def unify(ps: tuple[V.Term, ...], qs: tuple[V.Term, ...]) -> Optional[dict[str, V.Term]]:

@@ -74,7 +74,9 @@ def canon_config(cfg: ResConfig) -> tuple:
 
 def simplify(t: V.Term) -> V.Term:
     """t with its redexes reduced, innermost first; t itself when it
-    has none."""
+    has none, as a pattern has none."""
+    if V.is_pattern(t):
+        return t
     t = V.map_children(t, simplify)
     typ = type(t)
     if typ is V.DerefT:
@@ -97,6 +99,8 @@ def simplify(t: V.Term) -> V.Term:
 
 
 def _find_stuck(t: V.Term) -> Optional[tuple[str, str]]:
+    if V.is_pattern(t):
+        return None
     for k in V.children(t):
         r = _find_stuck(k)
         if r is not None:

@@ -12,6 +12,14 @@ One constructor family serves three roles:
 
 Sharing the constructors keeps substitution, matching and printing in one
 place.
+
+Each compound node caches facts about itself the first time a walk asks:
+whether it is closed (no Var below it), whether it is a pattern, and,
+when closed, its printed form.  A cached fact is a pure function of the
+node's immutable fields, so it can never go stale, and it is left out
+of equality, hashing, repr, copies and pickles.  Walks may therefore
+return a closed subterm unchanged under variable substitution, and a
+pattern unchanged under simplification.
 """
 
 from __future__ import annotations
@@ -29,25 +37,41 @@ class UnitVal:
 UNIT = UnitVal()
 
 
+class _Node:
+    """Base of the compound terms: the lazily cached facts (None until
+    first asked) live in the instance __dict__, beside the fields."""
+
+    _closed = _pattern = _shown = None
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k[0] != "_"}
+
+
+class _Redex(_Node):
+    """Base of the computational forms, which are never patterns."""
+
+    _pattern = False
+
+
 @dataclass(frozen=True)
-class Box:
+class Box(_Node):
     inner: "Term"
 
 
 @dataclass(frozen=True)
-class MutPair:
+class MutPair(_Node):
     cur: "Term"
     fin: "Term"
 
 
 @dataclass(frozen=True)
-class Inj:
+class Inj(_Node):
     tag: int
     payload: "Term"
 
 
 @dataclass(frozen=True)
-class Pair:
+class Pair(_Node):
     fst: "Term"
     snd: "Term"
 
@@ -68,25 +92,25 @@ class Var:
 
 
 @dataclass(frozen=True)
-class DerefT:
+class DerefT(_Redex):
     """*t: current value of a box or mutable-reference term."""
     arg: "Term"
 
 
 @dataclass(frozen=True)
-class FinalT:
+class FinalT(_Redex):
     """^t: final (prophesied) value of a mutable-reference term."""
     arg: "Term"
 
 
 @dataclass(frozen=True)
-class ProjT:
+class ProjT(_Redex):
     arg: "Term"
     index: int
 
 
 @dataclass(frozen=True)
-class BinOpT:
+class BinOpT(_Redex):
     left: "Term"
     op: str
     right: "Term"
@@ -114,22 +138,6 @@ def is_value(t: Term) -> bool:
     return False
 
 
-def is_pattern(t: Term) -> bool:
-    if isinstance(t, Var):
-        return True
-    if isinstance(t, (int, UnitVal)):
-        return True
-    if isinstance(t, Box):
-        return is_pattern(t.inner)
-    if isinstance(t, MutPair):
-        return is_pattern(t.cur) and is_pattern(t.fin)
-    if isinstance(t, Inj):
-        return is_pattern(t.payload)
-    if isinstance(t, Pair):
-        return is_pattern(t.fst) and is_pattern(t.snd)
-    return False
-
-
 _CHILDREN = {
     Box: lambda t: (t.inner,),
     MutPair: lambda t: (t.cur, t.fin),
@@ -145,6 +153,27 @@ _CHILDREN = {
 def children(t: Term) -> tuple[Term, ...]:
     get = _CHILDREN.get(type(t))
     return get(t) if get else ()
+
+
+def is_closed(t: Term) -> bool:
+    """No Var anywhere in t (cached on compound nodes)."""
+    if isinstance(t, _Node):
+        c = t._closed
+        if c is None:
+            c = t.__dict__["_closed"] = all(map(is_closed, children(t)))
+        return c
+    return type(t) is not Var
+
+
+def is_pattern(t: Term) -> bool:
+    """t is built from variables, ints, unit and the constructors only
+    (cached on compound nodes)."""
+    if isinstance(t, _Node):
+        p = t._pattern
+        if p is None:
+            p = t.__dict__["_pattern"] = all(map(is_pattern, children(t)))
+        return p
+    return isinstance(t, (Var, int, UnitVal))
 
 
 _REBUILD = {
@@ -190,9 +219,9 @@ def subst_vars(t: Term, mapping: dict[str, Term]) -> Term:
     has none of them."""
     if type(t) is Var:
         return mapping.get(t.name, t)
-    if type(t) in _CHILDREN:
-        return map_children(t, lambda k: subst_vars(k, mapping))
-    return t
+    if is_closed(t):
+        return t
+    return map_children(t, lambda k: subst_vars(k, mapping))
 
 
 def absvars_in(t: Term) -> set[int]:
@@ -223,12 +252,30 @@ def vars_in(t: Term) -> set[str]:
 
 def show(t: Term, rename=None) -> str:
     """Compact text form: box(v), mut(v,w), inj0 v, (v,w), *t, ^t, t.i.
-    `rename`, if given, maps each variable name to the name shown."""
+    `rename`, if given, maps each variable name to the name shown.  A
+    closed compound node keeps its text, which no renaming changes."""
     typ = type(t)
     if typ is Var:
         return t.name if rename is None else rename(t.name)
     if typ is int:
         return str(t)
+    if isinstance(t, _Node):
+        s = t._shown
+        if s is None:
+            s = _show_node(t, typ, rename)
+            if is_closed(t):
+                t.__dict__["_shown"] = s
+        return s
+    if typ is UnitVal:
+        return "()"
+    if typ is bool:  # guard: Python bools are ints
+        return "1" if t else "0"
+    if typ is AbsVar:
+        return t.label or f"?{t.uid}"
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _show_node(t: Term, typ: type, rename) -> str:
     if typ is Inj:
         return f"inj{t.tag} {show_atom(t.payload, rename)}"
     if typ is Pair:
@@ -237,21 +284,13 @@ def show(t: Term, rename=None) -> str:
         return f"box({show(t.inner, rename)})"
     if typ is MutPair:
         return f"mut({show(t.cur, rename)}, {show(t.fin, rename)})"
-    if typ is UnitVal:
-        return "()"
-    if typ is bool:  # guard: Python bools are ints
-        return "1" if t else "0"
-    if typ is AbsVar:
-        return t.label or f"?{t.uid}"
     if typ is DerefT:
         return f"*{show_atom(t.arg, rename)}"
     if typ is FinalT:
         return f"^{show_atom(t.arg, rename)}"
     if typ is ProjT:
         return f"{show_atom(t.arg, rename)}.{t.index}"
-    if typ is BinOpT:
-        return f"{show_atom(t.left, rename)} {t.op} {show_atom(t.right, rename)}"
-    raise TypeError(f"not a term: {t!r}")
+    return f"{show_atom(t.left, rename)} {t.op} {show_atom(t.right, rename)}"
 
 
 def show_atom(t: Term, rename=None) -> str:

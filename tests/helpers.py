@@ -362,6 +362,23 @@ def canon_config_reference(cfg) -> tuple:
     return (atoms, V.show(walk(cfg.result)))
 
 
+def is_pattern_reference(t) -> bool:
+    """`V.is_pattern` as the plain recursion it was before the answer
+    was cached on the node."""
+    if isinstance(t, (V.Var, int, V.UnitVal)):
+        return True
+    if isinstance(t, (V.Box, V.MutPair, V.Inj, V.Pair)):
+        return all(is_pattern_reference(k) for k in V.children(t))
+    return False
+
+
+def fresh_copy(t):
+    """An equal term built of new compound nodes, none of which has
+    cached a fact yet."""
+    kids = V.children(t)
+    return V.rebuild(t, tuple(fresh_copy(k) for k in kids)) if kids else t
+
+
 # -- trace comparison modulo renaming ----------------------------------------
 
 

@@ -281,6 +281,12 @@ def test_non_decimal_digit_argument_exit_2(capsys):
     assert (code, out, err) == (2, "", "error: 1:1: bad integer literal (got '3²')\n")
 
 
+def test_deeply_nested_argument_exit_2(capsys):
+    deep = "box(" * 1200 + "1" + ")" * 1200
+    code, out, err = run_cli(capsys, "run", INC_MAX, "--fn", "inc_max", "--args", deep)
+    assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -333,6 +339,22 @@ def test_bisim_passes_rand_range_to_both_lockstep_checks(capsys, monkeypatch):
                            "--rand-lo", "0", "--rand-hi", "0")
     assert (code, out) == (0, "2 lockstep runs, 0 divergences\n")
     assert seen == [("lockstep_cos_aos", (0, 0)), ("lockstep_aos_sldc", (0, 0))]
+
+
+def test_bisim_translates_each_program_once(capsys, monkeypatch):
+    from corhorn import translate
+
+    real = translate.translate_program
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(translate, "translate_program", counted)
+    code, out, _ = run_cli(capsys, "bisim", INC_MAX, "--fn", "inc_max", "--runs", "3")
+    assert (code, out) == (0, "6 lockstep runs, 0 divergences\n")
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 import random
 import zlib
 
@@ -8,7 +10,7 @@ import pytest
 from corhorn import corpus, logic as L, parser, sldc, syntax as S, translate, typeck, values as V
 from corhorn.logic import Atom, CHCSystem, Clause, SampleSpec
 
-from helpers import canon_config_reference
+from helpers import canon_config_reference, fresh_copy, is_pattern_reference
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +196,85 @@ def test_walks_return_unchanged_terms_themselves():
     assert got == V.Pair(V.Box(1), t.snd) and got.snd is t.snd
     red = V.Pair(V.DerefT(V.Box(2)), t.snd)
     assert sldc.simplify(red) == V.Pair(2, t.snd) and sldc.simplify(red).snd is t.snd
+
+
+def _first_occurrence_renamer():
+    mapping: dict[str, str] = {}
+    return lambda x: mapping.setdefault(x, f"v{len(mapping)}")
+
+
+def _check_cached_facts(t):
+    """The facts cached on t and on each of its subterms agree with
+    their uncached definitions."""
+    for u in [t, *V.children(t)]:
+        assert V.is_closed(u) == (not V.vars_in(u)), u
+        assert V.is_pattern(u) == is_pattern_reference(u), u
+        assert V.show(u, _first_occurrence_renamer()) == \
+            V.show(fresh_copy(u), _first_occurrence_renamer()), u
+        assert V.show(u) == V.show(fresh_copy(u)), u
+        if u is not t:
+            _check_cached_facts(u)
+
+
+def test_cached_term_facts_agree(monkeypatch):
+    # every stack argument and result of every configuration that
+    # enumerate_results builds on each corpus entry
+    terms = {}
+    real = sldc.canon_config
+
+    def collect(cfg):
+        for x in [*(x for a in cfg.stack for x in a.args), cfg.result]:
+            terms[id(x)] = x
+        return real(cfg)
+
+    monkeypatch.setattr(sldc, "canon_config", collect)
+    for e in corpus.CORPUS:
+        prog = corpus.load(e.name)
+        system = translate.translate_program(prog, typeck.type_program(prog))
+        rng = random.Random(zlib.crc32(e.name.encode()))
+        for _ in range(ENUM_INPUTS):
+            inputs = tuple(corpus.random_inputs(prog, e.entry_fn, rng, ENUM_SPEC))
+            sldc.enumerate_results(system, L.pred_name(e.entry_fn, S.ENTRY), inputs,
+                                   depth=20, spec=ENUM_SPEC)
+    assert len(terms) > 1000
+    for t in terms.values():
+        _check_cached_facts(t)
+    x, y = V.Var("x"), V.Var("y")
+    hand = [
+        V.Inj(0, True), V.Pair(False, V.Inj(1, True)),
+        V.AbsVar(7, "a"), V.Box(V.AbsVar(8)), V.MutPair(V.AbsVar(9, "p"), x),
+        V.Box(V.DerefT(x)), V.Pair(1, V.BinOpT(2, "+", 3)), V.Inj(1, V.ProjT(V.Pair(x, 1), 0)),
+        V.Pair(x, V.Pair(y, x)), V.MutPair(V.Box(y), V.Box(y)),
+    ]
+    for t in hand:
+        _check_cached_facts(t)
+    assert [V.is_closed(t) for t in hand] == [True] * 4 + [False, False, True, False, False, False]
+    assert [V.is_pattern(t) for t in hand] == [True, True] + [False] * 6 + [True, True]
+    assert V.show(hand[0]) == "inj0 1" and V.show(hand[4]) == "mut(p, x)"
+    assert V.show(hand[8], _first_occurrence_renamer()) == "(v0, (v1, v0))"
+    # a closed non-pattern still has its redex reduced
+    assert sldc.simplify(hand[6]) == V.Pair(1, 5)
+    # a node asked about before and after its first use
+    ground = V.Pair(V.Box(3), V.Inj(1, V.UNIT))
+    t = V.MutPair(ground, y)
+    assert (V.is_closed(t), V.is_closed(ground), V.is_pattern(t)) == (False, True, True)
+    got = V.subst_vars(t, {"y": ground})
+    assert got == V.MutPair(ground, ground) and got.cur is ground and got.fin is ground
+    assert V.show(got) == "mut((box(3), inj1 ()), (box(3), inj1 ()))" == V.show(fresh_copy(got))
+    assert (V.is_closed(t), V.is_closed(got), V.is_pattern(got)) == (False, True, True)
+    assert L.resolve(got, {"y": 0}) is got and sldc.simplify(got) is got
+    # the cached facts are invisible to equality, hashing, printing,
+    # copying and pickling
+    for t in [got, *hand]:
+        fresh = fresh_copy(t)
+        fields = {k: getattr(fresh, k) for k in fresh.__match_args__}
+        before = (hash(fresh), repr(fresh), pickle.dumps(fresh))
+        _check_cached_facts(fresh)
+        assert fresh.__dict__ != fields or not V.children(fresh)
+        assert fresh == t and (hash(fresh), repr(fresh), pickle.dumps(fresh)) == before
+        for twin in (copy.copy(fresh), copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))):
+            assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
+            assert vars(twin) == fields
 
 
 # -- bottom-up oracle -----------------------------------------------------------

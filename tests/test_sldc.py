@@ -206,14 +206,13 @@ def _first_occurrence_renamer():
 def _check_cached_facts(t):
     """The facts cached on t and on each of its subterms agree with
     their uncached definitions."""
-    for u in [t, *V.children(t)]:
-        assert V.is_closed(u) == (not V.vars_in(u)), u
-        assert V.is_pattern(u) == is_pattern_reference(u), u
-        assert V.show(u, _first_occurrence_renamer()) == \
-            V.show(fresh_copy(u), _first_occurrence_renamer()), u
-        assert V.show(u) == V.show(fresh_copy(u)), u
-        if u is not t:
-            _check_cached_facts(u)
+    assert V.is_closed(t) == (not V.vars_in(t)), t
+    assert V.is_pattern(t) == is_pattern_reference(t), t
+    assert V.show(t, _first_occurrence_renamer()) == \
+        V.show(fresh_copy(t), _first_occurrence_renamer()), t
+    assert V.show(t) == V.show(fresh_copy(t)), t
+    for k in V.children(t):
+        _check_cached_facts(k)
 
 
 def test_cached_term_facts_agree(monkeypatch):

@@ -31,6 +31,15 @@ EXIT_REFUTED = 1
 EXIT_ERROR = 2
 
 
+def _parse(parse, text: str):
+    """parse(text), with input nested past the recursion limit reported
+    as an error rather than a crash."""
+    try:
+        return parse(text)
+    except RecursionError:
+        raise S.CorError("input nested too deeply") from None
+
+
 def _load(path: str) -> S.Program:
     try:
         source = corpus.resolve_path(path).read_text(encoding="utf-8")
@@ -40,7 +49,7 @@ def _load(path: str) -> S.Program:
         raise S.CorError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
         raise S.CorError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})") from None
-    return cor_parser.parse_program(source)
+    return _parse(cor_parser.parse_program, source)
 
 
 def _write(path: str, text: str) -> None:
@@ -91,7 +100,7 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     """`run` on the heap interpreter, `run-abstract` on the prophecy one."""
     prog = _load(args.file)
-    inputs = cor_parser.parse_value_list(args.args)
+    inputs = _parse(cor_parser.parse_value_list, args.args)
     kw = dict(seed=args.seed, fuel=_at_least(args.fuel, 0, "--fuel"),
               rand_range=_int_range(args.rand_lo, args.rand_hi, "--rand-lo/--rand-hi"),
               keep_trace=args.trace is not None)
@@ -116,7 +125,7 @@ def cmd_translate(args) -> int:
     prog = _load(args.file)
     sys_ = T.translate_program(prog)
     if args.goal:
-        sys_ = T.attach_goal(sys_, prog, T.GoalSpec.parse(args.goal))
+        sys_ = T.attach_goal(sys_, prog, _parse(T.GoalSpec.parse, args.goal))
     text = smtlib.emit_smt2(sys_) if args.format == "smt2" else T.render_system(sys_)
     if args.output:
         _write(args.output, text)
@@ -129,7 +138,7 @@ def cmd_translate(args) -> int:
 def cmd_solve(args) -> int:
     prog = _load(args.file)
     sys_ = T.translate_program(prog)
-    sys_ = T.attach_goal(sys_, prog, T.GoalSpec.parse(args.goal))
+    sys_ = T.attach_goal(sys_, prog, _parse(T.GoalSpec.parse, args.goal))
     script = smtlib.emit_smt2(sys_)
     command = args.solver_cmd or os.environ.get("CORHORN_SOLVER")
     if command:
@@ -309,9 +318,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except S.CorError as e:
         print(f"error: {e}", file=_sys.stderr)
-        return EXIT_ERROR
-    except RecursionError:
-        print("error: input nested too deeply", file=_sys.stderr)
         return EXIT_ERROR
 
 

@@ -245,7 +245,6 @@ def lockstep_cos_aos(
     fuel: int = 100_000,
     typing: Optional[TypingResult] = None,
     rand_range: tuple[int, int] = (-128, 127),
-    system: Optional[L.CHCSystem] = None,
 ) -> LinkReport:
     """Run both interpreters with one seed, checking the safe-link
     relation after every paired step and equality of final values."""
@@ -456,7 +455,6 @@ def oracle_diff(
     fuel: int = 20_000,
     typing: Optional[TypingResult] = None,
     rand_range: tuple[int, int] = (-8, 8),
-    system: Optional[L.CHCSystem] = None,
 ) -> OracleReport:
     """For every sampled input tuple and seed: if the heap interpreter
     returns a value, some resolution result pattern must refine to it.
@@ -465,7 +463,7 @@ def oracle_diff(
     stuck run, it adds no value, and the report counts both."""
     typing = typing or type_program(prog)
     spec = L.SampleSpec(int_lo=rand_range[0], int_hi=rand_range[1])
-    sys = system or T.translate_program(prog, typing)
+    sys = T.translate_program(prog, typing)
     pred = L.pred_name(fname, S.ENTRY)
     seeds = list(seeds)
     checked = returned = flags = flagged_misses = 0

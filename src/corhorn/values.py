@@ -14,10 +14,10 @@ Sharing the constructors keeps substitution, matching and printing in one
 place.
 
 Each compound node caches facts about itself the first time a walk asks:
-whether it is closed (no Var below it), whether it is a pattern, and,
-when closed, its printed form.  A cached fact is a pure function of the
-node's immutable fields, so it can never go stale, and it is left out
-of equality, hashing, repr, copies and pickles.  Walks may therefore
+whether it is closed (no Var below it) and whether it is a pattern.  A
+cached fact is a pure function of the node's immutable fields, so it can
+never go stale, and it is left out of equality, hashing, repr, copies
+and pickles.  Walks may therefore
 return a closed subterm unchanged under variable substitution, and a
 pattern unchanged under simplification.
 """
@@ -41,7 +41,7 @@ class _Node:
     """Base of the compound terms: the lazily cached facts (None until
     first asked) live in the instance __dict__, beside the fields."""
 
-    _closed = _pattern = _shown = None
+    _closed = _pattern = None
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k[0] != "_"}
@@ -252,30 +252,12 @@ def vars_in(t: Term) -> set[str]:
 
 def show(t: Term, rename=None) -> str:
     """Compact text form: box(v), mut(v,w), inj0 v, (v,w), *t, ^t, t.i.
-    `rename`, if given, maps each variable name to the name shown.  A
-    closed compound node keeps its text, which no renaming changes."""
+    `rename`, if given, maps each variable name to the name shown."""
     typ = type(t)
     if typ is Var:
         return t.name if rename is None else rename(t.name)
     if typ is int:
         return str(t)
-    if isinstance(t, _Node):
-        s = t._shown
-        if s is None:
-            s = _show_node(t, typ, rename)
-            if is_closed(t):
-                t.__dict__["_shown"] = s
-        return s
-    if typ is UnitVal:
-        return "()"
-    if typ is bool:  # guard: Python bools are ints
-        return "1" if t else "0"
-    if typ is AbsVar:
-        return t.label or f"?{t.uid}"
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _show_node(t: Term, typ: type, rename) -> str:
     if typ is Inj:
         return f"inj{t.tag} {show_atom(t.payload, rename)}"
     if typ is Pair:
@@ -284,13 +266,21 @@ def _show_node(t: Term, typ: type, rename) -> str:
         return f"box({show(t.inner, rename)})"
     if typ is MutPair:
         return f"mut({show(t.cur, rename)}, {show(t.fin, rename)})"
+    if typ is UnitVal:
+        return "()"
+    if typ is bool:  # guard: Python bools are ints
+        return "1" if t else "0"
+    if typ is AbsVar:
+        return t.label or f"?{t.uid}"
     if typ is DerefT:
         return f"*{show_atom(t.arg, rename)}"
     if typ is FinalT:
         return f"^{show_atom(t.arg, rename)}"
     if typ is ProjT:
         return f"{show_atom(t.arg, rename)}.{t.index}"
-    return f"{show_atom(t.left, rename)} {t.op} {show_atom(t.right, rename)}"
+    if typ is BinOpT:
+        return f"{show_atom(t.left, rename)} {t.op} {show_atom(t.right, rename)}"
+    raise TypeError(f"not a term: {t!r}")
 
 
 def show_atom(t: Term, rename=None) -> str:

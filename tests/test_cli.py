@@ -281,10 +281,31 @@ def test_non_decimal_digit_argument_exit_2(capsys):
     assert (code, out, err) == (2, "", "error: 1:1: bad integer literal (got '3²')\n")
 
 
-def test_deeply_nested_argument_exit_2(capsys):
-    deep = "box(" * 1200 + "1" + ")" * 1200
-    code, out, err = run_cli(capsys, "run", INC_MAX, "--fn", "inc_max", "--args", deep)
+DEEP = "box(" * 1200 + "1" + ")" * 1200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", INC_MAX, "--fn", "inc_max", "--args", DEEP],
+        ["translate", INC_MAX, "--goal", f"inc_max equals {DEEP}"],
+    ],
+    ids=["args", "goal"],
+)
+def test_deeply_nested_argument_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+
+
+def test_recursion_error_past_parsing_propagates(monkeypatch):
+    # Only parsing the command line's input blames the input; a
+    # RecursionError anywhere else is a fault and keeps its traceback.
+    def deep(*args, **kwargs):
+        raise RecursionError
+
+    monkeypatch.setattr(cli.cos, "run", deep)
+    with pytest.raises(RecursionError):
+        cli.main(["run", INC_MAX, "--fn", "inc_max", "--args", "box(4), box(3)"])
 
 
 @pytest.mark.parametrize(

@@ -444,8 +444,8 @@ def summarize_prevalue(v: V.PreValue, t: S.Type, mode: str, frozen_tag: Optional
     if isinstance(v, V.AbsVar):
         if frozen_tag is None:
             raise ShapeMismatch(f"abstract variable {V.show(v)} in an active position")
-        return Counter({Take(frozen_tag, v.uid, S.canon_type(t)): 1})
-    t = S.whnf_type(t)
+        return Counter({Take(frozen_tag, v.uid, S.canon(t)): 1})
+    t = S.whnf(t)
     if isinstance(t, S.Ptr) and t.kind in (S.OWN, S.IMMUT):
         if not isinstance(v, V.Box):
             raise ShapeMismatch(f"expected box at {t}, got {V.show(v)}")
@@ -458,7 +458,7 @@ def summarize_prevalue(v: V.PreValue, t: S.Type, mode: str, frozen_tag: Optional
             if not isinstance(v.fin, V.AbsVar):
                 raise ShapeMismatch("hot mutable reference without a prophecy variable")
             out = summarize_prevalue(v.cur, t.target, HOT, frozen_tag)
-            out[Give(t.lft, v.fin.uid, S.canon_type(t.target))] += 1
+            out[Give(t.lft, v.fin.uid, S.canon(t.target))] += 1
             return out
         return summarize_prevalue(v.cur, t.target, COLD, frozen_tag)
     if isinstance(t, S.Sum):

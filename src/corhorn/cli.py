@@ -319,6 +319,13 @@ def main(argv=None) -> int:
     except S.CorError as e:
         print(f"error: {e}", file=_sys.stderr)
         return EXIT_ERROR
+    except ValueError as e:
+        # Python refuses to print an int past sys.get_int_max_str_digits(),
+        # the same limit that makes the parser reject such a literal.
+        if "integer string conversion" not in str(e):
+            raise
+        print("error: a result value is too large to print", file=_sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

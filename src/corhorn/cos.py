@@ -95,7 +95,7 @@ def sum_side(t: S.Sum, tag: int) -> tuple[S.Type, range]:
 def readout(heap: dict[int, int], addr: int, t: S.Type) -> tuple[V.Value, list[int]]:
     """Read the data of type t at addr; returns the value and the
     footprint (multiset of addresses, as a list)."""
-    t = S.whnf_type(t)
+    t = S.whnf(t)
     if isinstance(t, S.IntT):
         if addr not in heap:
             raise ReadoutError("MissingCell", f"no cell at {addr}")
@@ -141,7 +141,7 @@ def write_value(heap: dict[int, int], t: S.Type, v: V.Value, alloc: Alloc) -> in
 
 
 def _fill(heap: dict[int, int], base: int, t: S.Type, v: V.Value, alloc: Alloc) -> None:
-    t = S.whnf_type(t)
+    t = S.whnf(t)
     if isinstance(t, S.IntT):
         heap[base] = v
     elif isinstance(t, S.UnitT):
@@ -268,7 +268,7 @@ def _step(prog, typing, cfg, rng, alloc, rand_range) -> StepResult:
         if i not in (0, 1):
             raise StuckSignal(f"match: bad tag {i}")
         if t.kind == S.OWN:  # the tag and padding cells are freed; the payload stays
-            _, pad = sum_side(S.whnf_type(t.target), i)
+            _, pad = sum_side(S.whnf(t.target), i)
             del heap[a]
             for k in pad:
                 if a + k not in heap:
@@ -384,7 +384,7 @@ def _step(prog, typing, cfg, rng, alloc, rand_range) -> StepResult:
 
     if isinstance(instr, S.DestructPair):
         t = ty(instr.x)
-        prod = S.whnf_type(t.target)
+        prod = S.whnf(t.target)
         a = frame.pop(instr.x)
         frame[instr.y0] = a
         frame[instr.y1] = a + S.size_of(prod.left)

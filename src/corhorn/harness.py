@@ -70,7 +70,7 @@ def _read_ptr(heap, mode, frz, addr, t: S.Ptr, guide, st: ReadoutState) -> bool:
         return st.diag(f"hot mut at {addr} without prophecy on the abstract side")
     if not _read_data(heap, aos.HOT, frz, addr, t.target, guide.cur, st):
         return False
-    st.summary[aos.Give(t.lft, guide.fin.uid, S.canon_type(t.target), addr)] += 1
+    st.summary[aos.Give(t.lft, guide.fin.uid, S.canon(t.target), addr)] += 1
     return True
 
 
@@ -81,9 +81,9 @@ def _read_data(heap, mode, frz, addr, t: S.Type, guide, st: ReadoutState) -> boo
     A frozen position where the abstract side has a prophecy variable is
     borrowed away: it reads out as a take of that variable."""
     if frz is not None and isinstance(guide, V.AbsVar):
-        st.summary[aos.Take(frz, guide.uid, S.canon_type(t), addr)] += 1
+        st.summary[aos.Take(frz, guide.uid, S.canon(t), addr)] += 1
         return True
-    t = S.whnf_type(t)
+    t = S.whnf(t)
     if isinstance(t, S.IntT):
         if addr not in heap:
             return st.diag(f"missing cell {addr}")
@@ -296,7 +296,7 @@ def resolutive_of(prog: S.Program, typing: TypingResult, acfg: aos.AbsConfig) ->
         is recorded."""
         if isinstance(v, (int, V.UnitVal)):
             return v
-        sort = L.whnf_sort(sort)
+        sort = S.whnf(sort)
         if isinstance(v, V.AbsVar):
             sorts[f"a#{v.uid}"] = sort
             return V.Var(f"a#{v.uid}")

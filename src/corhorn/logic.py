@@ -1,10 +1,12 @@
 """Multi-sorted constrained-Horn-clause logic.
 
 Sorts are trees over box/mut containers, sums, products, int and unit,
-with equi-recursive mu-sorts.  A clause has pattern arguments in its
-head and arbitrary term arguments in body atoms; there are no primitive
-constraints, arithmetic lives inside terms.  A clause with head None is
-a query (an implication to false).
+with equi-recursive mu-sorts; substitution, unfolding and canonical
+renaming of mu-sorts are the binder walks `syntax` shares with types.
+A clause has pattern arguments in its head and arbitrary term arguments
+in body atoms; there are no primitive constraints, arithmetic lives
+inside terms.  A clause with head None is a query (an implication to
+false).
 
 The module covers the static side (sort checking of terms and systems),
 the semantic side (term interpretation, satisfaction of a system by a
@@ -17,7 +19,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from . import syntax as S
@@ -62,14 +63,15 @@ class UnitSort(S.Interned):
 
 
 @dataclass(frozen=True, eq=False)
-class SVar(S.Interned):
+class SVar(S.Variable):
     name: str
 
 
 @dataclass(frozen=True, eq=False)
-class MuS(S.Interned):
+class MuS(S.Binder):
     var: str
     body: "Sort"
+    var_class = SVar
 
 
 INT_S = IntSort()
@@ -83,62 +85,14 @@ class IllSorted(S.CorError):
     pass
 
 
-def subst_sort(s: Sort, var: str, repl: Sort) -> Sort:
-    if isinstance(s, SVar):
-        return repl if s.name == var else s
-    if isinstance(s, MuS):
-        if s.var == var:
-            return s
-        return MuS(s.var, subst_sort(s.body, var, repl))
-    if isinstance(s, BoxS):
-        return BoxS(subst_sort(s.inner, var, repl))
-    if isinstance(s, MutS):
-        return MutS(subst_sort(s.inner, var, repl))
-    if isinstance(s, SumS):
-        return SumS(subst_sort(s.left, var, repl), subst_sort(s.right, var, repl))
-    if isinstance(s, ProdS):
-        return ProdS(subst_sort(s.left, var, repl), subst_sort(s.right, var, repl))
-    return s
-
-
-@lru_cache(maxsize=None)
-def whnf_sort(s: Sort) -> Sort:
-    while isinstance(s, MuS):
-        s = subst_sort(s.body, s.var, s)
-    return s
-
-
-@lru_cache(maxsize=None)
-def canon_sort(s: Sort) -> Sort:
-    def walk(u: Sort, env: dict[str, str], depth: int) -> Sort:
-        if isinstance(u, SVar):
-            return SVar(env.get(u.name, u.name))
-        if isinstance(u, MuS):
-            name = f"X!{depth}"
-            inner = dict(env)
-            inner[u.var] = name
-            return MuS(name, walk(u.body, inner, depth + 1))
-        if isinstance(u, BoxS):
-            return BoxS(walk(u.inner, env, depth))
-        if isinstance(u, MutS):
-            return MutS(walk(u.inner, env, depth))
-        if isinstance(u, SumS):
-            return SumS(walk(u.left, env, depth), walk(u.right, env, depth))
-        if isinstance(u, ProdS):
-            return ProdS(walk(u.left, env, depth), walk(u.right, env, depth))
-        return u
-
-    return walk(s, {}, 0)
-
-
 def sort_equiv(a: Sort, b: Sort, _seen: frozenset = frozenset()) -> bool:
     """Equality up to unfolding mu-sorts (the congruence generated by
     mu X.s ~ s[mu X.s/X]); decided coinductively."""
-    key = (canon_sort(a), canon_sort(b))
+    key = (S.canon(a), S.canon(b))
     if key[0] == key[1] or key in _seen:
         return True
     seen = _seen | {key}
-    aw, bw = whnf_sort(a), whnf_sort(b)
+    aw, bw = S.whnf(a), S.whnf(b)
     if isinstance(aw, BoxS) and isinstance(bw, BoxS):
         return sort_equiv(aw.inner, bw.inner, seen)
     if isinstance(aw, MutS) and isinstance(bw, MutS):
@@ -147,7 +101,7 @@ def sort_equiv(a: Sort, b: Sort, _seen: frozenset = frozenset()) -> bool:
         return sort_equiv(aw.left, bw.left, seen) and sort_equiv(aw.right, bw.right, seen)
     if isinstance(aw, ProdS) and isinstance(bw, ProdS):
         return sort_equiv(aw.left, bw.left, seen) and sort_equiv(aw.right, bw.right, seen)
-    return canon_sort(aw) == canon_sort(bw)
+    return S.canon(aw) == S.canon(bw)
 
 
 def render_sort(s: Sort) -> str:
@@ -208,11 +162,11 @@ def sort_of_term(delta: dict[str, Sort], t: V.Term, expect: Optional[Sort] = Non
             raise IllSorted(f"unbound variable {t.name!r}")
         return delta[t.name]
     if isinstance(t, V.Box):
-        e = whnf_sort(expect) if expect is not None else None
+        e = S.whnf(expect) if expect is not None else None
         inner = e.inner if isinstance(e, BoxS) else None
         return BoxS(sort_of_term(delta, t.inner, inner))
     if isinstance(t, V.MutPair):
-        e = whnf_sort(expect) if expect is not None else None
+        e = S.whnf(expect) if expect is not None else None
         inner = e.inner if isinstance(e, MutS) else None
         cur = sort_of_term(delta, t.cur, inner)
         fin = sort_of_term(delta, t.fin, inner)
@@ -220,29 +174,29 @@ def sort_of_term(delta: dict[str, Sort], t: V.Term, expect: Optional[Sort] = Non
             raise IllSorted(f"mut components disagree: {render_sort(cur)} vs {render_sort(fin)}")
         return MutS(cur)
     if isinstance(t, V.Inj):
-        e = whnf_sort(expect) if expect is not None else None
+        e = S.whnf(expect) if expect is not None else None
         if not isinstance(e, SumS):
             raise IllSorted(f"cannot determine sum sort of {V.show(t)}")
         side = e.left if t.tag == 0 else e.right
         check_term(delta, t.payload, side)
         return e
     if isinstance(t, V.Pair):
-        e = whnf_sort(expect) if expect is not None else None
+        e = S.whnf(expect) if expect is not None else None
         l = sort_of_term(delta, t.fst, e.left if isinstance(e, ProdS) else None)
         r = sort_of_term(delta, t.snd, e.right if isinstance(e, ProdS) else None)
         return ProdS(l, r)
     if isinstance(t, V.DerefT):
-        inner = whnf_sort(sort_of_term(delta, t.arg))
+        inner = S.whnf(sort_of_term(delta, t.arg))
         if isinstance(inner, (BoxS, MutS)):
             return inner.inner
         raise IllSorted(f"*applied to sort {render_sort(inner)}")
     if isinstance(t, V.FinalT):
-        inner = whnf_sort(sort_of_term(delta, t.arg))
+        inner = S.whnf(sort_of_term(delta, t.arg))
         if isinstance(inner, MutS):
             return inner.inner
         raise IllSorted(f"^ applied to sort {render_sort(inner)}")
     if isinstance(t, V.ProjT):
-        inner = whnf_sort(sort_of_term(delta, t.arg))
+        inner = S.whnf(sort_of_term(delta, t.arg))
         if isinstance(inner, ProdS):
             return inner.left if t.index == 0 else inner.right
         raise IllSorted(f"projection applied to sort {render_sort(inner)}")
@@ -256,7 +210,7 @@ def sort_of_term(delta: dict[str, Sort], t: V.Term, expect: Optional[Sort] = Non
 
 
 def check_value(v: V.Value, s: Sort) -> bool:
-    s = whnf_sort(s)
+    s = S.whnf(s)
     if isinstance(s, IntSort):
         return isinstance(v, int) and not isinstance(v, bool)
     if isinstance(s, UnitSort):
@@ -348,7 +302,7 @@ def well_sorted_system(sys: CHCSystem) -> None:
 def equality_clause(sort: Sort) -> tuple[Clause, tuple[str, tuple[Sort, ...]]]:
     """The standard way to get equality without a primitive: one clause
     Eq(x, x) <= true at the given sort."""
-    name = f"eq!{render_sort(canon_sort(sort))}"
+    name = f"eq!{render_sort(S.canon(sort))}"
     clause = Clause(
         binders=(("x", sort),),
         head=Atom(name, (V.Var("x"), V.Var("x"))),
@@ -444,7 +398,7 @@ def enumerate_values(sort: Sort, spec: SampleSpec, depth: Optional[int] = None) 
     """All values of the sort within the bounds: ints in the interval,
     recursion cut at max_depth constructors of mu-unfoldings."""
     depth = spec.max_depth if depth is None else depth
-    s = whnf_sort(sort)
+    s = S.whnf(sort)
     if isinstance(s, IntSort):
         return list(range(spec.int_lo, spec.int_hi + 1))
     if isinstance(s, UnitSort):
@@ -469,7 +423,7 @@ def enumerate_values(sort: Sort, spec: SampleSpec, depth: Optional[int] = None) 
 
 def count_values(sort: Sort, spec: SampleSpec, depth: Optional[int] = None) -> int:
     depth = spec.max_depth if depth is None else depth
-    s = whnf_sort(sort)
+    s = S.whnf(sort)
     if isinstance(s, IntSort):
         return spec.int_count()
     if isinstance(s, UnitSort):
@@ -489,7 +443,7 @@ def count_values(sort: Sort, spec: SampleSpec, depth: Optional[int] = None) -> i
 
 def random_value(sort: Sort, spec: SampleSpec, rng: random.Random, depth: Optional[int] = None) -> V.Value:
     depth = spec.max_depth if depth is None else depth
-    s = whnf_sort(sort)
+    s = S.whnf(sort)
     if isinstance(s, IntSort):
         return rng.randint(spec.int_lo, spec.int_hi)
     if isinstance(s, UnitSort):

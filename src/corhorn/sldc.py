@@ -125,7 +125,7 @@ class CalculateError(S.CorError):
 
 def _expand_var(name: str, kind: str, sorts: dict[str, Sort], renamer: Renamer):
     """Constructor skeleton of fresh variables for a projected variable."""
-    sort = L.whnf_sort(sorts[name])
+    sort = S.whnf(sorts[name])
     if kind in ("deref",):
         if isinstance(sort, L.BoxS):
             v = renamer.fresh(name + "!c")
@@ -326,7 +326,7 @@ def _solve_arg(term, value, delta, binding, pending, checks):
             and _solve_arg(term.snd, value.snd, delta, binding, pending, checks)
         )
     if isinstance(term, V.DerefT):
-        inner = L.whnf_sort(L.sort_of_term(delta, term.arg))
+        inner = S.whnf(L.sort_of_term(delta, term.arg))
         if isinstance(inner, L.BoxS):
             return _solve_arg(term.arg, V.Box(value), delta, binding, pending, checks)
         if isinstance(inner, L.MutS) and isinstance(term.arg, V.Var):
@@ -367,7 +367,7 @@ def _merge_pending(delta, binding, pending, spec):
     bound; partially determined ones contribute bounded enumerations."""
     options: list[tuple[str, list]] = []
     for name, slot in pending.items():
-        sort = L.whnf_sort(delta[name])
+        sort = S.whnf(delta[name])
         if name in binding:
             val = binding[name]
             for key, want in slot.items():

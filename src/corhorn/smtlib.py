@@ -9,6 +9,7 @@ equations in the body, the standard shape CHC solvers accept.
 
 from __future__ import annotations
 
+import math
 import shutil
 import subprocess
 import tempfile
@@ -29,19 +30,11 @@ class EmitError(S.CorError):
 _NAME_PREFIX = {L.UnitSort: "Unit", L.BoxS: "Box", L.MutS: "Mut", L.SumS: "Sum", L.ProdS: "Prod"}
 
 
-def _components(s: Sort) -> list[Sort]:
-    if isinstance(s, (L.BoxS, L.MutS)):
-        return [s.inner]
-    if isinstance(s, (L.SumS, L.ProdS)):
-        return [s.left, s.right]
-    return []
-
-
 def _shape(s: Sort, depth: int = 3) -> tuple:
     """Constructor tags of s unfolded to a fixed depth.  Equivalent sorts
     unfold to the same tree, so they have equal shapes."""
-    s = L.whnf_sort(s)
-    return (type(s), tuple(_shape(c, depth - 1) for c in _components(s)) if depth else ())
+    s = S.whnf(s)
+    return (type(s), tuple(_shape(c, depth - 1) for c in S.children(s)) if depth else ())
 
 
 class SortTable:
@@ -83,14 +76,14 @@ class SortTable:
         return found
 
     def _name(self, sort: Sort) -> str:
-        s = L.whnf_sort(sort)
+        s = S.whnf(sort)
         if isinstance(s, L.IntSort):
             return "Int"
         shape = _shape(s)
         found = self._lookup(s, shape)
         if found is not None:
             return found
-        key = L.canon_sort(s)
+        key = S.canon(s)
         if key in self._in_progress:
             self.mu_count += 1
             return self._add(s, shape, f"Rec{self.mu_count - 1}")
@@ -105,7 +98,7 @@ class SortTable:
     def _make_name(self, s: Sort) -> str:
         if type(s) not in _NAME_PREFIX:
             raise EmitError(f"cannot name sort {L.render_sort(s)}")
-        return "_".join([_NAME_PREFIX[type(s)]] + [self.name(c) for c in _components(s)])
+        return "_".join([_NAME_PREFIX[type(s)]] + [self.name(c) for c in S.children(s)])
 
     def declarations(self) -> str:
         """One mutually recursive declare-datatypes group, in first-need
@@ -151,7 +144,7 @@ class _Emitter:
         self.table = SortTable()
 
     def term(self, t: V.Term, delta: dict[str, Sort], expect: Optional[Sort] = None) -> tuple[str, Sort]:
-        ew = L.whnf_sort(expect) if expect is not None else None
+        ew = S.whnf(expect) if expect is not None else None
         if isinstance(t, bool):
             raise EmitError("Python bool leaked into a term")
         if isinstance(t, int):
@@ -186,20 +179,20 @@ class _Emitter:
             return (f"(mk_{name} {a} {b})", L.ProdS(sa, sb))
         if isinstance(t, V.DerefT):
             inner, s = self.term(t.arg, delta)
-            sw = L.whnf_sort(s)
+            sw = S.whnf(s)
             name = self.table.name(sw)
             if isinstance(sw, (L.BoxS, L.MutS)):
                 return (f"(cur_{name} {inner})", sw.inner)
             raise EmitError(f"* at sort {L.render_sort(s)}")
         if isinstance(t, V.FinalT):
             inner, s = self.term(t.arg, delta)
-            sw = L.whnf_sort(s)
+            sw = S.whnf(s)
             if isinstance(sw, L.MutS):
                 return (f"(proph_{self.table.name(sw)} {inner})", sw.inner)
             raise EmitError(f"^ at sort {L.render_sort(s)}")
         if isinstance(t, V.ProjT):
             inner, s = self.term(t.arg, delta)
-            sw = L.whnf_sort(s)
+            sw = S.whnf(s)
             if isinstance(sw, L.ProdS):
                 sel = "fst" if t.index == 0 else "snd"
                 side = sw.left if t.index == 0 else sw.right
@@ -301,6 +294,8 @@ class SolverConfig:
             raise S.CorError("solver command is empty")
         if self.timeout <= 0:
             raise S.CorError("solver timeout must be positive")
+        if not math.isfinite(self.timeout):
+            raise S.CorError("solver timeout must be finite")
 
 
 @dataclass(frozen=True)

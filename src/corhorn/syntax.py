@@ -7,9 +7,11 @@ joined by gotos), and borrows are delimited by explicitly introduced
 lifetime variables.
 
 This module defines the type and instruction ASTs plus the structural
-utilities the rest of the pipeline needs: memory size of a type,
-completeness of recursive types, capture-avoiding substitution and a
-canonical form for comparing types up to renaming of mu-binders.
+utilities the rest of the pipeline needs: memory size of a type and
+completeness of recursive types.  It also holds the hash-consed node
+base that types and CHC sorts share, and the walks over their
+mu-binders: capture-avoiding substitution, unfolding, and a canonical
+form for comparing nodes up to renaming of binders.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def check_ident(name: str, what: str = "identifier") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Types
+# Interned nodes and the binder walks shared by types and sorts
 # ---------------------------------------------------------------------------
 
 _INTERNED: dict[tuple, "Interned"] = {}
@@ -81,20 +83,107 @@ class Interned(metaclass=_Interning):
         return self
 
 
+class Variable(Interned):
+    """Base of a family's variable node, which has one field, `name`."""
+
+
+class Binder(Interned):
+    """Base of a family's equi-recursive mu node, with fields `var` and
+    `body`; `var_class` is the family's Variable subclass."""
+
+    var_class: type
+
+
+@lru_cache(maxsize=None)
+def children(t: Interned) -> tuple:
+    """The node-valued fields of t, in field order."""
+    return tuple(f for f in t.__reduce__()[1] if isinstance(f, Interned))
+
+
+def map_children(t: Interned, fn) -> Interned:
+    """t with fn applied to each node-valued field; t itself when fn
+    changes none of them, by interning."""
+    cls, fields = t.__reduce__()
+    return cls(*(fn(f) if isinstance(f, Interned) else f for f in fields))
+
+
+def subst(t: Interned, var: str, repl: Interned) -> Interned:
+    """t[repl/var], capture-avoiding for mu-binders."""
+    if isinstance(t, Variable):
+        return repl if t.name == var else t
+    if isinstance(t, Binder):
+        if t.var == var:
+            return t
+        if t.var in free_vars(repl):
+            # rename the binder away from repl's free variables
+            fresh = t.var
+            taken = free_vars(repl) | free_vars(t.body) | {var}
+            while fresh in taken:
+                fresh += "_"
+            t = type(t)(fresh, subst(t.body, t.var, t.var_class(fresh)))
+    return map_children(t, lambda c: subst(c, var, repl))
+
+
+def free_vars(t: Interned) -> frozenset[str]:
+    if isinstance(t, Variable):
+        return frozenset({t.name})
+    out = frozenset().union(*map(free_vars, children(t)))
+    return out - {t.var} if isinstance(t, Binder) else out
+
+
+@lru_cache(maxsize=None)
+def canon(t: Interned) -> Interned:
+    """Rename mu-binders to position-derived names.
+
+    The result is a canonical representative of the alpha-equivalence
+    class, so structural equality on canon forms decides alpha-equality.
+    Generated binder names use the reserved '!' character.
+    """
+
+    def walk(u: Interned, env: dict[str, str], depth: int) -> Interned:
+        if isinstance(u, Variable):
+            return type(u)(env.get(u.name, u.name))
+        if isinstance(u, Binder):
+            name = f"X!{depth}"
+            return type(u)(name, walk(u.body, {**env, u.var: name}, depth + 1))
+        return map_children(u, lambda c: walk(c, env, depth))
+
+    return walk(t, {}, 0)
+
+
+@lru_cache(maxsize=None)
+def unfold(t: Binder) -> Interned:
+    """mu X. b to b[mu X. b/X]."""
+    return subst(t.body, t.var, t)
+
+
+@lru_cache(maxsize=None)
+def whnf(t: Interned) -> Interned:
+    """Unfold top-level mu-binders until a constructor appears."""
+    while isinstance(t, Binder):
+        t = unfold(t)
+    return t
+
+
+# ---------------------------------------------------------------------------
+# Types
+# ---------------------------------------------------------------------------
+
 OWN = "own"
 MUT = "mut"
 IMMUT = "immut"
 
 
 @dataclass(frozen=True, eq=False)
-class TypeVar(Interned):
+class TypeVar(Variable):
     name: str
 
 
 @dataclass(frozen=True, eq=False)
-class Mu(Interned):
+class Mu(Binder):
     var: str
     body: "Type"
+    var_class = TypeVar
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,54 +237,13 @@ def immut(lft: str, t: Type) -> Ptr:
     return Ptr(IMMUT, lft, t)
 
 
-def subst_type(t: Type, var: str, repl: Type) -> Type:
-    """t[repl/var], capture-avoiding for mu-binders."""
-    if isinstance(t, TypeVar):
-        return repl if t.name == var else t
-    if isinstance(t, Mu):
-        if t.var == var:
-            return t
-        if t.var in free_type_vars(repl):
-            # rename the binder away from repl's free variables
-            fresh = t.var
-            taken = free_type_vars(repl) | free_type_vars(t.body)
-            while fresh in taken:
-                fresh += "_"
-            body = subst_type(t.body, t.var, TypeVar(fresh))
-            return Mu(fresh, subst_type(body, var, repl))
-        return Mu(t.var, subst_type(t.body, var, repl))
-    if isinstance(t, Ptr):
-        return Ptr(t.kind, t.lft, subst_type(t.target, var, repl))
-    if isinstance(t, Sum):
-        return Sum(subst_type(t.left, var, repl), subst_type(t.right, var, repl))
-    if isinstance(t, Prod):
-        return Prod(subst_type(t.left, var, repl), subst_type(t.right, var, repl))
-    return t
-
-
-def free_type_vars(t: Type) -> frozenset[str]:
-    if isinstance(t, TypeVar):
-        return frozenset({t.name})
-    if isinstance(t, Mu):
-        return free_type_vars(t.body) - {t.var}
-    if isinstance(t, Ptr):
-        return free_type_vars(t.target)
-    if isinstance(t, (Sum, Prod)):
-        return free_type_vars(t.left) | free_type_vars(t.right)
-    return frozenset()
-
-
 @lru_cache(maxsize=None)
 def lifetimes_of(t: Type) -> frozenset[str]:
     """All lifetime variables occurring in t."""
     if isinstance(t, Ptr):
         base = frozenset() if t.lft is None else frozenset({t.lft})
         return base | lifetimes_of(t.target)
-    if isinstance(t, Mu):
-        return lifetimes_of(t.body)
-    if isinstance(t, (Sum, Prod)):
-        return lifetimes_of(t.left) | lifetimes_of(t.right)
-    return frozenset()
+    return frozenset().union(*map(lifetimes_of, children(t)))
 
 
 def subst_lifetimes(t: Type, mapping: dict[str, str]) -> Type:
@@ -211,13 +259,7 @@ def _subst_lifetimes(t: Type, images: tuple[str, ...]) -> Type:
     if isinstance(t, Ptr):
         lft = mapping.get(t.lft, t.lft) if t.lft is not None else None
         return Ptr(t.kind, lft, subst_lifetimes(t.target, mapping))
-    if isinstance(t, Mu):
-        return Mu(t.var, subst_lifetimes(t.body, mapping))
-    if isinstance(t, Sum):
-        return Sum(subst_lifetimes(t.left, mapping), subst_lifetimes(t.right, mapping))
-    if isinstance(t, Prod):
-        return Prod(subst_lifetimes(t.left, mapping), subst_lifetimes(t.right, mapping))
-    return t
+    return map_children(t, lambda c: subst_lifetimes(c, mapping))
 
 
 def is_complete(t: Type) -> bool:
@@ -232,14 +274,10 @@ def is_complete(t: Type) -> bool:
         if isinstance(u, TypeVar):
             return guarded.get(u.name, False)
         if isinstance(u, Mu):
-            inner = dict(guarded)
-            inner[u.var] = False
-            return walk(u.body, inner)
+            return walk(u.body, {**guarded, u.var: False})
         if isinstance(u, Ptr):
             return walk(u.target, {v: True for v in guarded})
-        if isinstance(u, (Sum, Prod)):
-            return walk(u.left, guarded) and walk(u.right, guarded)
-        return True
+        return all(walk(c, guarded) for c in children(u))
 
     return walk(t, {})
 
@@ -266,48 +304,8 @@ def size_of(t: Type) -> int:
     if isinstance(t, Prod):
         return size_of(t.left) + size_of(t.right)
     if isinstance(t, Mu):
-        return size_of(unfold_mu(t))
+        return size_of(unfold(t))
     raise IncompleteType(f"size of incomplete type: {t}")
-
-
-@lru_cache(maxsize=None)
-def canon_type(t: Type) -> Type:
-    """Rename mu-binders to position-derived names.
-
-    The result is a canonical representative of the alpha-equivalence
-    class, so structural equality on canon forms decides alpha-equality.
-    Generated binder names use the reserved '!' character.
-    """
-
-    def walk(u: Type, env: dict[str, str], depth: int) -> Type:
-        if isinstance(u, TypeVar):
-            return TypeVar(env.get(u.name, u.name))
-        if isinstance(u, Mu):
-            name = f"X!{depth}"
-            inner = dict(env)
-            inner[u.var] = name
-            return Mu(name, walk(u.body, inner, depth + 1))
-        if isinstance(u, Ptr):
-            return Ptr(u.kind, u.lft, walk(u.target, env, depth))
-        if isinstance(u, Sum):
-            return Sum(walk(u.left, env, depth), walk(u.right, env, depth))
-        if isinstance(u, Prod):
-            return Prod(walk(u.left, env, depth), walk(u.right, env, depth))
-        return u
-
-    return walk(t, {}, 0)
-
-
-@lru_cache(maxsize=None)
-def unfold_mu(t: Mu) -> Type:
-    return subst_type(t.body, t.var, t)
-
-
-def whnf_type(t: Type) -> Type:
-    """Unfold top-level mu-binders until a constructor appears."""
-    while isinstance(t, Mu):
-        t = unfold_mu(t)
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -541,13 +539,6 @@ class FunctionDef:
     params: tuple[tuple[str, Type], ...]
     ret: Type
     body: dict[str, Statement] = field(hash=False)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.body.keys())
-
-    def statement(self, label: str) -> Statement:
-        return self.body[label]
 
     def is_simple(self) -> bool:
         """A simple function takes no lifetime parameters; its boundary

@@ -129,7 +129,7 @@ def clauses_for_label(
 
     if isinstance(stmt, S.StmtMatch):
         t = ty(stmt.x)
-        sum_t = S.whnf_type(t.target)
+        sum_t = S.whnf(t.target)
         cur, fin = V.Var(f"{stmt.x}!c"), V.Var(f"{stmt.x}!p")
         split = (cur, fin) if t.kind == S.MUT else (cur,)
         out = []

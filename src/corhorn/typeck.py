@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import syntax as S
-from .syntax import Type, canon_type
+from .syntax import Type
 
 
 class TypeCheckError(S.CorError):
@@ -92,7 +92,7 @@ class WholeCtx:
 
     def canon(self):
         gam = tuple(
-            sorted((x, vi.frozen_at, canon_type(vi.ty)) for x, vi in self.gamma.items())
+            sorted((x, vi.frozen_at, S.canon(vi.ty)) for x, vi in self.gamma.items())
         )
         return (gam, self.lft.carrier, self.lft.order)
 
@@ -123,11 +123,11 @@ def subtype(lft: LftCtx, t: Type, u: Type) -> bool:
 
 
 def _subtype(lft: LftCtx, t: Type, u: Type, _seen: frozenset) -> bool:
-    key = (canon_type(t), canon_type(u))
+    key = (S.canon(t), S.canon(u))
     if key[0] == key[1] or key in _seen:
         return True
     seen = _seen | {key}
-    tw, uw = S.whnf_type(t), S.whnf_type(u)
+    tw, uw = S.whnf(t), S.whnf(u)
     if isinstance(tw, S.Ptr) and isinstance(uw, S.Ptr):
         if tw.kind == S.OWN and uw.kind == S.OWN:
             return _subtype(lft, tw.target, uw.target, seen)
@@ -144,7 +144,7 @@ def _subtype(lft: LftCtx, t: Type, u: Type, _seen: frozenset) -> bool:
         return _subtype(lft, tw.left, uw.left, seen) and _subtype(lft, tw.right, uw.right, seen)
     if isinstance(tw, S.Prod) and isinstance(uw, S.Prod):
         return _subtype(lft, tw.left, uw.left, seen) and _subtype(lft, tw.right, uw.right, seen)
-    return canon_type(tw) == canon_type(uw)
+    return S.canon(tw) == S.canon(uw)
 
 
 def type_equiv(lft: LftCtx, t: Type, u: Type) -> bool:
@@ -265,7 +265,7 @@ def type_instruction(
             _err("TypeMismatch", "swap's first operand must be a mutable reference", f, label)
         if not (isinstance(vy.ty, S.Ptr) and vy.ty.kind in (S.OWN, S.MUT)):
             _err("TypeMismatch", "swap's second operand must be own or mut", f, label)
-        if canon_type(vx.ty.target) != canon_type(vy.ty.target):
+        if S.canon(vx.ty.target) != S.canon(vy.ty.target):
             _err("TypeMismatch", "swap operands must point at the same type", f, label)
         return wc
 
@@ -333,7 +333,7 @@ def type_instruction(
         for x, (px, pt) in zip(instr.args, g.params):
             vi = _take_active(wc, x, "FrozenVariable", f, label)
             want = S.subst_lifetimes(pt, inst)
-            if canon_type(vi.ty) != canon_type(want):
+            if S.canon(vi.ty) != S.canon(want):
                 _err(
                     "TypeMismatch",
                     f"argument {x!r}: expected {want}, got {vi.ty}",
@@ -380,7 +380,7 @@ def type_instruction(
                 _err("UnknownVariable", f"variable {x!r} not in context", f, label)
             if not vi.active:
                 _err("FrozenVariable", f"variable {x!r} is frozen", f, label)
-            if not (isinstance(vi.ty, S.Ptr) and isinstance(S.whnf_type(vi.ty.target), S.IntT)):
+            if not (isinstance(vi.ty, S.Ptr) and isinstance(S.whnf(vi.ty.target), S.IntT)):
                 _err("TypeMismatch", f"operand {x!r} must point at int", f, label)
         _bind_fresh(gamma, instr.y, VarInfo(S.own(S.op_result_type(instr.op))), f, label)
         return wc.with_gamma(gamma)
@@ -395,7 +395,7 @@ def type_instruction(
         side = instr.sum_type.left if instr.index == 0 else instr.sum_type.right
         if not (isinstance(vi.ty, S.Ptr) and vi.ty.kind == S.OWN):
             _err("TypeMismatch", "inj consumes an owning pointer", f, label)
-        if canon_type(vi.ty.target) != canon_type(side):
+        if S.canon(vi.ty.target) != S.canon(side):
             _err("TypeMismatch", f"inj payload type mismatch: {vi.ty.target} vs {side}", f, label)
         del gamma[instr.x]
         _bind_fresh(gamma, instr.y, VarInfo(S.own(instr.sum_type)), f, label)
@@ -457,7 +457,7 @@ def check_return(fn: S.FunctionDef, stmt: S.StmtReturn, wc: WholeCtx, label: str
     extra = set(wc.gamma) - {stmt.x}
     if extra:
         _err("ReturnLeftovers", f"variables still live at return: {sorted(extra)}", f, label)
-    if canon_type(vi.ty) != canon_type(fn.ret):
+    if S.canon(vi.ty) != S.canon(fn.ret):
         _err("TypeMismatch", f"return type mismatch: {vi.ty} vs {fn.ret}", f, label)
     if wc.lft.carrier != frozenset(fn.lft_params):
         local = sorted(wc.lft.carrier - frozenset(fn.lft_params))

@@ -90,13 +90,13 @@ def test_results_are_abs_free():
 def test_summary_hot_mut_gives():
     x = V.AbsVar(7, "x◦")
     out = aos.summarize_prevalue(V.MutPair(4, x), T("mut<'a> int"), aos.HOT, None)
-    assert list(out.keys()) == [aos.Give("a", 7, S.canon_type(S.INT))]
+    assert list(out.keys()) == [aos.Give("a", 7, S.canon(S.INT))]
 
 
 def test_summary_frozen_lender_takes():
     x = V.AbsVar(9, "x◦")
     out = aos.summarize_prevalue(V.Box(x), T("own int"), aos.HOT, "a@0")
-    assert list(out.keys()) == [aos.Take("a@0", 9, S.canon_type(S.INT))]
+    assert list(out.keys()) == [aos.Take("a@0", 9, S.canon(S.INT))]
 
 
 def test_summary_plain_owner_empty():

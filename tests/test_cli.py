@@ -1,5 +1,6 @@
 import json
 import stat
+import sys
 
 import pytest
 
@@ -305,6 +306,55 @@ def test_recursion_error_past_parsing_propagates(monkeypatch):
 
     monkeypatch.setattr(cli.cos, "run", deep)
     with pytest.raises(RecursionError):
+        cli.main(["run", INC_MAX, "--fn", "inc_max", "--args", "box(4), box(3)"])
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf"])
+def test_solve_non_finite_timeout_exit_2(capsys, timeout):
+    code, out, err = run_cli(capsys, "solve", INC_MAX, "--goal", "inc_max returns true",
+                             "--solver-cmd", "cat", "--timeout", timeout)
+    assert (code, out, err) == (2, "", "error: solver timeout must be finite\n")
+
+
+SQUARE_4 = """
+fn sq4(o0: own int) -> own int {
+  entry: let *o1 = *o0 * *o0; goto L1;
+  L1: drop o0; goto L2;
+  L2: let *o2 = *o1 * *o1; goto L3;
+  L3: drop o1; goto L4;
+  L4: let *o3 = *o2 * *o2; goto L5;
+  L5: drop o2; goto L6;
+  L6: let *o4 = *o3 * *o3; goto L7;
+  L7: drop o3; goto L8;
+  L8: return o4;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("run", []), ("run", ["--json"]), ("run", ["--trace", "t.jsonl"]), ("run-abstract", [])],
+    ids=["run", "run-json", "run-trace", "run-abstract"],
+)
+def test_result_too_large_to_print_exit_2(capsys, tmp_path, monkeypatch, command, flags):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter prints ints of any length")
+    (tmp_path / "sq4.cor").write_text(SQUARE_4)
+    monkeypatch.chdir(tmp_path)
+    # squaring a run of d nines gives 2d digits, so sq4 returns 16d > limit
+    nines = "9" * (limit // 16 + 1)
+    got = run_cli(capsys, command, "sq4.cor", "--fn", "sq4", "--args", f"box({nines})", *flags)
+    assert got == (2, "", "error: a result value is too large to print\n")
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_other_value_error_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("not about printing")
+
+    monkeypatch.setattr(cli.cos, "run", broken)
+    with pytest.raises(ValueError, match="not about printing"):
         cli.main(["run", INC_MAX, "--fn", "inc_max", "--args", "box(4), box(3)"])
 
 

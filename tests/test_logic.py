@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from corhorn import logic as L, values as V
+from corhorn import logic as L, syntax as S, values as V
 from corhorn.logic import Atom, CHCSystem, Clause, SampleSpec
 
 from helpers import (
@@ -18,7 +18,7 @@ from helpers import (
 
 
 def test_sort_equiv_mu_unfolding():
-    unfolded = L.subst_sort(LIST_SORT.body, "X", LIST_SORT)
+    unfolded = S.subst(LIST_SORT.body, "X", LIST_SORT)
     assert L.sort_equiv(LIST_SORT, unfolded)
     assert L.sort_equiv(L.BoxS(LIST_SORT), L.BoxS(unfolded))
     assert not L.sort_equiv(LIST_SORT, L.BoxS(L.INT_S))

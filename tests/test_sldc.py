@@ -158,7 +158,7 @@ def _translations():
     progs = [(e.name, corpus.load(e.name), translate.GoalSpec.parse(e.goal)) for e in corpus.CORPUS]
     for name, src, fn, _, _ in CASES:
         prog = parser.parse_program(src)
-        returns_bool = S.whnf_type(prog.fn(fn).ret.target) == S.whnf_type(S.BOOL)
+        returns_bool = S.whnf(prog.fn(fn).ret.target) == S.whnf(S.BOOL)
         goal = translate.GoalSpec.parse(f"{fn} returns true" if returns_bool else f"{fn} equals box(0)")
         progs.append((name, prog, goal))
     for name, prog, goal in progs:

@@ -3,7 +3,7 @@ import pickle
 
 import pytest
 
-from corhorn import corpus, logic as L, parser, syntax as S, translate as T
+from corhorn import corpus, logic as L, parser, syntax as S, translate as T, typeck
 
 
 LIST_T = parser.parse_type("mu X. int * own X + unit")
@@ -30,7 +30,7 @@ def test_size_of_pointers_and_bool():
 
 def test_size_of_agrees_on_unfolding():
     for t in (LIST_T, parser.parse_type("mu X. int * (own X * own X) + unit")):
-        assert S.size_of(t) == S.size_of(S.unfold_mu(t))
+        assert S.size_of(t) == S.size_of(S.unfold(t))
 
 
 def test_is_complete_guarded():
@@ -51,7 +51,7 @@ def test_is_complete_free_variable():
 def test_completeness_preserved_by_unfolding():
     for src in ("mu X. own X", "mu X. int * own X + unit"):
         t = parser.parse_type(src)
-        assert S.is_complete(S.unfold_mu(t))
+        assert S.is_complete(S.unfold(t))
 
 
 def test_size_of_incomplete_raises():
@@ -63,16 +63,16 @@ def test_canon_type_alpha_equivalence():
     a = parser.parse_type("mu X. own X")
     b = parser.parse_type("mu Y. own Y")
     assert a != b
-    assert S.canon_type(a) == S.canon_type(b)
+    assert S.canon(a) == S.canon(b)
     c = parser.parse_type("mu X. mu Y. own (X * Y)")
     d = parser.parse_type("mu P. mu Q. own (P * Q)")
-    assert S.canon_type(c) == S.canon_type(d)
+    assert S.canon(c) == S.canon(d)
 
 
 def test_subst_type_capture_avoiding():
     # (mu Y. own (X * Y))[Y/X] must not capture the bound Y
     t = S.Mu("Y", S.own(S.Prod(S.TypeVar("X"), S.TypeVar("Y"))))
-    out = S.subst_type(t, "X", S.TypeVar("Y"))
+    out = S.subst(t, "X", S.TypeVar("Y"))
     assert isinstance(out, S.Mu)
     assert out.var != "Y"
 
@@ -162,15 +162,15 @@ def test_interning_keeps_no_node_that_failed_its_check():
 
 def test_unfold_mu_substitutes_once(monkeypatch):
     calls = []
-    subst_type = S.subst_type
+    subst = S.subst
 
     def counting(t, var, repl):
         calls.append(t)
-        return subst_type(t, var, repl)
+        return subst(t, var, repl)
 
-    monkeypatch.setattr(S, "subst_type", counting)
+    monkeypatch.setattr(S, "subst", counting)
     t = S.Mu("Once", S.own(S.Sum(S.UNIT, S.TypeVar("Once"))))
-    assert S.unfold_mu(t) is S.unfold_mu(t) is S.own(S.Sum(S.UNIT, t))
+    assert S.unfold(t) is S.unfold(t) is S.own(S.Sum(S.UNIT, t))
     assert calls.count(t.body) == 1
 
 
@@ -181,3 +181,46 @@ def test_subst_lifetimes_keys_on_own_lifetimes():
     got = S.subst_lifetimes(t, {"a": "c", "x": "y"})
     assert got is parser.parse_type("mut<'c> (immut<'b> int)")
     assert S.subst_lifetimes(t, {"a": "c"}) is got
+
+
+def _context_types():
+    """Every type in every label context of the corpus and the feature
+    programs, with the targets of its pointers."""
+    from test_features import CASES
+
+    progs = [corpus.load(e.name) for e in corpus.CORPUS]
+    progs += [parser.parse_program(src) for _, src, *_ in CASES]
+    out = set()
+    for prog in progs:
+        for wc in typeck.type_program(prog).contexts.values():
+            for vi in wc.gamma.values():
+                t = vi.ty
+                out.add(t)
+                while isinstance(t, S.Ptr):
+                    t = t.target
+                    out.add(t)
+    return out
+
+
+def test_lifetime_erasure_commutes_with_binder_walks():
+    types = _context_types()
+    assert len(types) > 50
+    for t in types:
+        assert S.canon(T.sort_of_type(t)) is T.sort_of_type(S.canon(t)), t
+        assert S.whnf(T.sort_of_type(t)) is T.sort_of_type(S.whnf(t)), t
+
+
+def test_subst_sort_capture_avoiding():
+    # (mu Y. X * Y)[Y/X] must not capture the substituted Y
+    s = L.MuS("Y", L.ProdS(L.SVar("X"), L.SVar("Y")))
+    out = S.subst(s, "X", L.SVar("Y"))
+    assert isinstance(out, L.MuS)
+    assert out.var != "Y"
+    assert out.body.left is L.SVar("Y")
+
+
+def test_subst_renames_binder_away_from_the_substituted_name():
+    # renaming Y to make room for the substituted Y must not pick Y_,
+    # the name being substituted for
+    t = S.Mu("Y", S.own(S.Prod(S.TypeVar("X"), S.TypeVar("Y"))))
+    assert S.canon(S.subst(t, "Y_", S.TypeVar("Y"))) is S.canon(t)

@@ -541,7 +541,8 @@ def lifetime_safe_frame(
     if set(theta) != set(local.carrier):
         diags.append(f"frame {idx}: theta domain differs from static lifetime context")
         return diags
-    for a in local.carrier:
+    carrier = sorted(local.carrier)
+    for a in carrier:
         tag = theta[a]
         if tag not in glob.carrier:
             diags.append(f"frame {idx}: tag {tag} not in global context")
@@ -551,8 +552,8 @@ def lifetime_safe_frame(
                 diags.append(f"frame {idx}: parameter '{a} maps to non-earlier tag {tag}")
         elif tag != tagged(a, idx):
             diags.append(f"frame {idx}: local '{a} maps to {tag}, expected {tagged(a, idx)}")
-    for a in local.carrier:
-        for b in local.carrier:
+    for a in carrier:
+        for b in carrier:
             if a in a_ex and b in a_ex:
                 if local.leq(a, b) and not glob.leq(theta[a], theta[b]):
                     diags.append(f"frame {idx}: order of '{a} <= '{b} lost globally")

@@ -10,6 +10,8 @@ borrowed away.  The extended summary and footprint gathered on the way
 must stay safe: every prophecy is shared by exactly one borrower and one
 lender at one address, and every address is either owned by one active
 access or by a frozen owner alongside readers whose lifetimes end first.
+The extended summary is the abstract one with addresses added, so a
+lockstep step checks that one summary, plus lifetime safety.
 
 The prophecy-vs-resolution link renders each abstract configuration as
 a stack of predicate applications (a resolutive configuration) and
@@ -159,6 +161,10 @@ def extended_readout(
                 st.diag(f"frame {i}: variable {x} missing on the abstract side")
                 return st.summary, st.footprint, st.diags
             jobs.append((t, frz, entry.frame[x], gv))
+        extra = set(g_entry.frame) - set(gamma)
+        if extra:
+            st.diag(f"frame {i}: abstract side has variables {sorted(extra)} outside the context")
+            return st.summary, st.footprint, st.diags
     for t, frz, addr, gv in jobs:
         if not _read_ptr(cfg.heap, aos.HOT, frz, addr, t, gv, st):
             break
@@ -194,8 +200,10 @@ def safe_link(
 ) -> tuple[bool, list[str]]:
     """Does the concrete configuration read out safely as the abstract
     one?  Checks the extended readout against acfg and the safety of its
-    summary and footprint; the abstract side's own summary and lifetime
-    safety are `aos.safe_abstract`'s."""
+    summary and footprint.  A passing readout has walked every abstract
+    pre-value at its type, and its summary is the abstract one
+    (`aos.summarize_config`) with addresses added, so only the abstract
+    side's lifetime safety (`aos.lifetime_safe`) is left to check."""
     summary, footprint, diags = extended_readout(typing, cfg, acfg)
     if diags:
         return False, diags
@@ -258,10 +266,10 @@ def lockstep_cos_aos(
     steps: list[LinkStep] = []
     for i in range(fuel + 1):
         point = f"{c.top.fn}:{c.top.label}"
-        ok, diags = safe_link(prog, typing, c, a)
-        ok2, diags2 = aos.safe_abstract(prog, typing, a)
-        steps.append(LinkStep(i, point, ok and ok2, diags + diags2))
-        if not (ok and ok2):
+        _, diags = safe_link(prog, typing, c, a)
+        diags += aos.lifetime_safe(prog, typing, a)
+        steps.append(LinkStep(i, point, not diags, diags))
+        if diags:
             return LinkReport(False, steps, f"link failed at step {i} ({point})")
         rc = cos.step(prog, typing, c, rng_c, alloc, rand_range)
         ra = aos.step(prog, typing, a, rng_a, supply, rand_range)

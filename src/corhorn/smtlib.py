@@ -27,7 +27,27 @@ class EmitError(S.CorError):
     pass
 
 
-_NAME_PREFIX = {L.UnitSort: "Unit", L.BoxS: "Box", L.MutS: "Mut", L.SumS: "Sum", L.ProdS: "Prod"}
+# The SMT datatype of each composite sort class: the prefix of its name,
+# then per constructor its selectors, each with the sort field it reads.
+# A datatype named N has constructors <ctor>_N and selectors <sel>_N.
+_DATATYPES = {
+    L.UnitSort: ("Unit", {
+        "mk": (),
+    }),
+    L.BoxS: ("Box", {
+        "mk": (("cur", "inner"),),
+    }),
+    L.MutS: ("Mut", {
+        "mk": (("cur", "inner"), ("proph", "inner")),
+    }),
+    L.SumS: ("Sum", {
+        "inj0": (("pay0", "left"),),
+        "inj1": (("pay1", "right"),),
+    }),
+    L.ProdS: ("Prod", {
+        "mk": (("fst", "left"), ("snd", "right")),
+    }),
+}
 
 
 def _shape(s: Sort, depth: int = 3) -> tuple:
@@ -96,41 +116,31 @@ class SortTable:
         return self._lookup(s, shape) or self._add(s, shape, name)
 
     def _make_name(self, s: Sort) -> str:
-        if type(s) not in _NAME_PREFIX:
+        if type(s) not in _DATATYPES:
             raise EmitError(f"cannot name sort {L.render_sort(s)}")
-        return "_".join([_NAME_PREFIX[type(s)]] + [self.name(c) for c in S.children(s)])
+        prefix, _ = _DATATYPES[type(s)]
+        return "_".join([prefix] + [self.name(c) for c in S.children(s)])
 
     def declarations(self) -> str:
         """One mutually recursive declare-datatypes group, in first-need
         order."""
         decls = []
-        ctors = []
+        bodies = []
         for rep, name in self.reps:
-            if isinstance(rep, L.IntSort):
-                continue
+            _, ctors = _DATATYPES[type(rep)]
+            alts = []
+            for ctor, selectors in ctors.items():
+                sels = "".join(f" ({sel}_{name} {self.name(getattr(rep, f))})" for sel, f in selectors)
+                alts.append(f"({ctor}_{name}{sels})")
             decls.append(f"({name} 0)")
-            if isinstance(rep, L.UnitSort):
-                ctors.append(f"((mk_{name}))")
-            elif isinstance(rep, L.BoxS):
-                ctors.append(f"((mk_{name} (cur_{name} {self.name(rep.inner)})))")
-            elif isinstance(rep, L.MutS):
-                inner = self.name(rep.inner)
-                ctors.append(f"((mk_{name} (cur_{name} {inner}) (proph_{name} {inner})))")
-            elif isinstance(rep, L.SumS):
-                ctors.append(
-                    f"((inj0_{name} (pay0_{name} {self.name(rep.left)})) "
-                    f"(inj1_{name} (pay1_{name} {self.name(rep.right)})))"
-                )
-            elif isinstance(rep, L.ProdS):
-                ctors.append(
-                    f"((mk_{name} (fst_{name} {self.name(rep.left)}) "
-                    f"(snd_{name} {self.name(rep.right)})))"
-                )
-            else:
-                raise EmitError(f"cannot declare {L.render_sort(rep)}")
+            bodies.append(f"({' '.join(alts)})")
         if not decls:
             return ""
-        return f"(declare-datatypes ({' '.join(decls)}) ({' '.join(ctors)}))"
+        return f"(declare-datatypes ({' '.join(decls)}) ({' '.join(bodies)}))"
+
+
+_SMT_OPS = {"+": "+", "-": "-", "*": "*", ">=": ">=", "<=": "<=",
+            "<": "<", ">": ">", "==": "=", "!=": "distinct"}
 
 
 def _smt_var(name: str) -> str:
@@ -138,87 +148,69 @@ def _smt_var(name: str) -> str:
     return name.replace("◦", "o")
 
 
+def _app(head: str, args: list[str]) -> str:
+    """An application, or the bare symbol when there are no arguments."""
+    return f"({head} {' '.join(args)})" if args else head
+
+
 class _Emitter:
     def __init__(self, sys: CHCSystem):
         self.sys = sys
         self.table = SortTable()
 
-    def term(self, t: V.Term, delta: dict[str, Sort], expect: Optional[Sort] = None) -> tuple[str, Sort]:
-        ew = S.whnf(expect) if expect is not None else None
+    def term(self, t: V.Term, delta: dict[str, Sort], sort: Sort) -> str:
+        """t at a position of the given sort.  Constructors name their
+        datatype from that sort, selectors from their argument's sort."""
         if isinstance(t, bool):
             raise EmitError("Python bool leaked into a term")
         if isinstance(t, int):
-            return (str(t) if t >= 0 else f"(- {-t})", L.INT_S)
-        if isinstance(t, V.UnitVal):
-            return (f"mk_{self.table.name(L.UNIT_S)}", L.UNIT_S)
+            return str(t) if t >= 0 else f"(- {-t})"
         if isinstance(t, V.Var):
-            return (_smt_var(t.name), delta[t.name])
+            return _smt_var(t.name)
+        if isinstance(t, V.UnitVal):
+            return self._construct(t, delta, sort, L.UnitSort, "mk", ())
         if isinstance(t, V.Box):
-            inner, s = self.term(t.inner, delta, ew.inner if isinstance(ew, L.BoxS) else None)
-            name = self.table.name(L.BoxS(s))
-            return (f"(mk_{name} {inner})", L.BoxS(s))
+            return self._construct(t, delta, sort, L.BoxS, "mk", (t.inner,))
         if isinstance(t, V.MutPair):
-            hint = ew.inner if isinstance(ew, L.MutS) else None
-            cur, s = self.term(t.cur, delta, hint)
-            fin, s2 = self.term(t.fin, delta, hint)
-            if not L.sort_equiv(s, s2):
-                raise EmitError("mut components of different sorts")
-            name = self.table.name(L.MutS(s))
-            return (f"(mk_{name} {cur} {fin})", L.MutS(s))
+            return self._construct(t, delta, sort, L.MutS, "mk", (t.cur, t.fin))
         if isinstance(t, V.Inj):
-            if not isinstance(ew, L.SumS):
-                raise EmitError(f"cannot determine sum sort for {V.show(t)}")
-            side = ew.left if t.tag == 0 else ew.right
-            payload, _ = self.term(t.payload, delta, side)
-            name = self.table.name(ew)
-            return (f"(inj{t.tag}_{name} {payload})", ew)
+            return self._construct(t, delta, sort, L.SumS, f"inj{t.tag}", (t.payload,))
         if isinstance(t, V.Pair):
-            a, sa = self.term(t.fst, delta, ew.left if isinstance(ew, L.ProdS) else None)
-            b, sb = self.term(t.snd, delta, ew.right if isinstance(ew, L.ProdS) else None)
-            name = self.table.name(L.ProdS(sa, sb))
-            return (f"(mk_{name} {a} {b})", L.ProdS(sa, sb))
+            return self._construct(t, delta, sort, L.ProdS, "mk", (t.fst, t.snd))
         if isinstance(t, V.DerefT):
-            inner, s = self.term(t.arg, delta)
-            sw = S.whnf(s)
-            name = self.table.name(sw)
-            if isinstance(sw, (L.BoxS, L.MutS)):
-                return (f"(cur_{name} {inner})", sw.inner)
-            raise EmitError(f"* at sort {L.render_sort(s)}")
+            return self._select(t, delta, (L.BoxS, L.MutS), "cur")
         if isinstance(t, V.FinalT):
-            inner, s = self.term(t.arg, delta)
-            sw = S.whnf(s)
-            if isinstance(sw, L.MutS):
-                return (f"(proph_{self.table.name(sw)} {inner})", sw.inner)
-            raise EmitError(f"^ at sort {L.render_sort(s)}")
+            return self._select(t, delta, (L.MutS,), "proph")
         if isinstance(t, V.ProjT):
-            inner, s = self.term(t.arg, delta)
-            sw = S.whnf(s)
-            if isinstance(sw, L.ProdS):
-                sel = "fst" if t.index == 0 else "snd"
-                side = sw.left if t.index == 0 else sw.right
-                return (f"({sel}_{self.table.name(sw)} {inner})", side)
-            raise EmitError(f"projection at sort {L.render_sort(s)}")
+            return self._select(t, delta, (L.ProdS,), "fst" if t.index == 0 else "snd")
         if isinstance(t, V.BinOpT):
-            a, _ = self.term(t.left, delta)
-            b, _ = self.term(t.right, delta)
-            op_map = {"+": "+", "-": "-", "*": "*", ">=": ">=", "<=": "<=",
-                      "<": "<", ">": ">", "==": "=", "!=": "distinct"}
-            smt_op = op_map[t.op]
+            a = self.term(t.left, delta, L.INT_S)
+            b = self.term(t.right, delta, L.INT_S)
             if t.op in S.INT_OPS:
-                return (f"({smt_op} {a} {b})", L.INT_S)
-            bool_name = self.table.name(L.BOOL_S)
-            unit_name = self.table.name(L.UNIT_S)
-            tru = f"(inj1_{bool_name} mk_{unit_name})"
-            fls = f"(inj0_{bool_name} mk_{unit_name})"
-            return (f"(ite ({smt_op} {a} {b}) {tru} {fls})", L.BOOL_S)
+                return f"({_SMT_OPS[t.op]} {a} {b})"
+            tru = self.term(V.TRUE, delta, L.BOOL_S)
+            fls = self.term(V.FALSE, delta, L.BOOL_S)
+            return f"(ite ({_SMT_OPS[t.op]} {a} {b}) {tru} {fls})"
         raise EmitError(f"cannot emit term {t!r}")
 
+    def _construct(self, t, delta, sort: Sort, sort_class: type, ctor: str, args: tuple) -> str:
+        s = S.whnf(sort)
+        if not isinstance(s, sort_class):
+            raise EmitError(f"{V.show(t)} at sort {L.render_sort(s)}")
+        name = self.table.name(s)
+        _, ctors = _DATATYPES[sort_class]
+        parts = [self.term(a, delta, getattr(s, f)) for a, (_, f) in zip(args, ctors[ctor])]
+        return _app(f"{ctor}_{name}", parts)
+
+    def _select(self, t, delta, sort_classes: tuple, sel: str) -> str:
+        s = S.whnf(L.sort_of_term(delta, t.arg))
+        if not isinstance(s, sort_classes):
+            raise EmitError(f"{V.show(t)} at argument sort {L.render_sort(s)}")
+        return f"({sel}_{self.table.name(s)} {self.term(t.arg, delta, s)})"
+
     def atom(self, atom: Atom, delta: dict[str, Sort]) -> str:
-        if not atom.args:
-            return _smt_var(atom.pred)
         sig = self.sys.sigs[atom.pred]
-        args = " ".join(self.term(a, delta, s)[0] for a, s in zip(atom.args, sig))
-        return f"({_smt_var(atom.pred)} {args})"
+        return _app(_smt_var(atom.pred), [self.term(a, delta, s) for a, s in zip(atom.args, sig)])
 
     def clause(self, clause: Clause) -> str:
         delta = dict(clause.binders)
@@ -234,14 +226,9 @@ class _Emitter:
                 else:
                     h = f"h!{i}"
                     extra_binders.append((h, sort))
-                    delta[h] = sort
-                    pat_txt, _ = self.term(pat, delta, sort)
-                    conjuncts.append(f"(= {_smt_var(h)} {pat_txt})")
+                    conjuncts.append(f"(= {_smt_var(h)} {self.term(pat, delta, sort)})")
                     head_args.append(_smt_var(h))
-            if head_args:
-                head_txt = f"({_smt_var(clause.head.pred)} {' '.join(head_args)})"
-            else:
-                head_txt = _smt_var(clause.head.pred)
+            head_txt = _app(_smt_var(clause.head.pred), head_args)
         for a in clause.body:
             conjuncts.append(self.atom(a, delta))
         if not conjuncts:

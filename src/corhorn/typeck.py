@@ -227,7 +227,7 @@ def type_instruction(
         vi = _take_active(wc, instr.x, "BorrowOfFrozen", f, label)
         if not (isinstance(vi.ty, S.Ptr) and vi.ty.kind in (S.OWN, S.MUT)):
             _err("TypeMismatch", f"mutbor needs an owning pointer or mut ref, got {vi.ty}", f, label)
-        for gam in S.lifetimes_of(vi.ty):
+        for gam in sorted(S.lifetimes_of(vi.ty)):
             if not lctx.leq(instr.lft, gam):
                 _err(
                     "BorrowOutlivesData",
@@ -482,13 +482,13 @@ def entry_context(fn: S.FunctionDef) -> WholeCtx:
     gamma = {x: VarInfo(t) for x, t in fn.params}
     lctx = LftCtx.make(fn.lft_params, fn.lft_constraints)
     for x, t in fn.params:
-        for l in S.lifetimes_of(t):
+        for l in sorted(S.lifetimes_of(t)):
             if l not in lctx.carrier:
                 raise TypeCheckError(
                     "UnknownLifetime", f"parameter {x!r} mentions unbound lifetime '{l}",
                     fn.name, S.ENTRY,
                 )
-    for l in S.lifetimes_of(fn.ret):
+    for l in sorted(S.lifetimes_of(fn.ret)):
         if l not in lctx.carrier:
             raise TypeCheckError(
                 "UnknownLifetime", "return type mentions unbound lifetime", fn.name, S.ENTRY

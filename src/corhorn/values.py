@@ -124,20 +124,6 @@ TRUE = Inj(1, UNIT)
 FALSE = Inj(0, UNIT)
 
 
-def is_value(t: Term) -> bool:
-    if isinstance(t, (int, UnitVal)):
-        return True
-    if isinstance(t, Box):
-        return is_value(t.inner)
-    if isinstance(t, MutPair):
-        return is_value(t.cur) and is_value(t.fin)
-    if isinstance(t, Inj):
-        return is_value(t.payload)
-    if isinstance(t, Pair):
-        return is_value(t.fst) and is_value(t.snd)
-    return False
-
-
 _CHILDREN = {
     Box: lambda t: (t.inner,),
     MutPair: lambda t: (t.cur, t.fin),
@@ -174,6 +160,11 @@ def is_pattern(t: Term) -> bool:
             p = t.__dict__["_pattern"] = all(map(is_pattern, children(t)))
         return p
     return isinstance(t, (Var, int, UnitVal))
+
+
+def is_value(t: Term) -> bool:
+    """t is ground: a pattern (so no AbsVar) that is closed (no Var)."""
+    return is_pattern(t) and is_closed(t)
 
 
 _REBUILD = {

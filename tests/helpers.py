@@ -3,6 +3,12 @@ their known models, and the trace comparators used by the goldens."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import corhorn
 from corhorn import logic as L
 from corhorn import values as V
 from corhorn.logic import Atom, CHCSystem, Clause
@@ -509,3 +515,15 @@ def inj(i, v):
 
 
 TRUE_W = inj(1, V.UNIT)
+
+
+# -- hash-order independence -------------------------------------------------
+
+HASH_SEEDS = range(8)
+
+
+def python_under_hash_seed(seed: int, *argv: str) -> subprocess.CompletedProcess:
+    """Run `python argv...` with PYTHONHASHSEED=seed and corhorn importable."""
+    src = str(Path(corhorn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)

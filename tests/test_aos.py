@@ -5,7 +5,7 @@ import pytest
 from corhorn import aos, corpus, parser, syntax as S, typeck, values as V
 from corhorn.aos import AbsSupply
 
-from helpers import mklist
+from helpers import HASH_SEEDS, mklist, python_under_hash_seed
 
 
 def T(src):
@@ -193,3 +193,24 @@ def test_progression_on_safe_configs():
         res = aos.step(prog, typing, cfg, rng, supply)
         assert isinstance(res, aos.Next)
         cfg = res.config
+
+
+MIS_TAGGED_FRAME = """
+from corhorn import aos
+from corhorn.typeck import LftCtx
+lfts = ["a", "b", "c", "d", "e"]
+glob = LftCtx.make([l + "@1" for l in lfts], [])
+local = LftCtx.make(lfts, [("a", "b"), ("c", "d")])
+for d in aos.lifetime_safe_frame(glob, {l: l + "@1" for l in lfts}, local, frozenset(), 0):
+    print(d)
+"""
+
+
+def test_lifetime_safe_frame_diagnostics_independent_of_hash_seed():
+    expected = [f"frame 0: local '{l} maps to {l}@1, expected {l}@0" for l in "abcde"] + [
+        "frame 0: order of 'a,'b disagrees with global",
+        "frame 0: order of 'c,'d disagrees with global",
+    ]
+    for seed in HASH_SEEDS:
+        proc = python_under_hash_seed(seed, "-c", MIS_TAGGED_FRAME)
+        assert proc.stdout.splitlines() == expected, seed

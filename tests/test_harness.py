@@ -189,6 +189,13 @@ def test_guided_readout_diagnostics_pinned(name, inputs, step, corrupt, expected
     assert (ok, diags) == expected
 
 
+def test_safe_link_rejects_extra_abstract_variable():
+    prog, typing, cfg, acfg = _trace_pair("inc_max", INC_MAX_IN, 3)  # inc_max:L3
+    bad = _guide_frame(acfg, 0, zz=V.Box(1))
+    assert harness.safe_link(prog, typing, cfg, bad) == (
+        False, ["frame 0: abstract side has variables ['zz'] outside the context"])
+
+
 def test_hot_mut_without_prophecy_is_a_diagnostic():
     prog, typing, cfg, acfg = _trace_pair("inc_max", INC_MAX_IN, 3)  # inc_max:L3
     ma = acfg.top.frame["ma"]
@@ -220,6 +227,41 @@ def test_lockstep_checks_lifetime_safety_once_per_step(inc_max_setup, monkeypatc
     assert not rep.ok and rep.detail == "link failed at step 0 (inc_max:entry)"
     assert [s.diagnostics for s in rep.steps] == [["lt"]]
     assert len(calls) == 1
+
+
+def test_lockstep_never_calls_safe_abstract(inc_max_setup, monkeypatch):
+    prog, typing = inc_max_setup
+    calls = []
+    real = aos.safe_abstract
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(aos, "safe_abstract", counting)
+    rep = harness.lockstep_cos_aos(prog, "inc_max", [V.Box(4), V.Box(3)], typing=typing)
+    assert rep.ok and calls == []
+
+
+def test_lockstep_lists_each_pairing_diagnostic_once(inc_max_setup, monkeypatch):
+    # the prophecy interpreter hands ma's prophecy to mb as well: a double give
+    prog, typing = inc_max_setup
+    real_step = aos._step
+
+    def double_give(prog_, typing_, cfg, rng, supply, rand_range):
+        out = real_step(prog_, typing_, cfg, rng, supply, rand_range)
+        stmt = prog_.fn(cfg.top.fn).body[cfg.top.label]
+        if isinstance(stmt, S.StmtInstr) and isinstance(stmt.instr, S.MutBor) and stmt.instr.y == "mb":
+            top = out.config.top
+            frame = {**top.frame, "mb": V.MutPair(top.frame["mb"].cur, top.frame["ma"].fin)}
+            entry = dataclasses.replace(top, frame=frame)
+            return aos.Next(aos.AbsConfig((entry,) + out.config.stack[1:], out.config.lft))
+        return out
+
+    monkeypatch.setattr(aos, "_step", double_give)
+    rep = harness.lockstep_cos_aos(prog, "inc_max", [V.Box(4), V.Box(3)], typing=typing)
+    assert rep.detail == "link failed at step 3 (inc_max:L3)"
+    assert rep.steps[-1].diagnostics == ["abs var 0: 2 gives, 1 takes", "abs var 1: 0 gives, 1 takes"]
 
 
 def test_lockstep_aos_sldc_inc_max(inc_max_setup):

@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 
-from corhorn import corpus, smtlib, translate as T
+from corhorn import corpus, logic as L, parser, smtlib, translate as T, values as V
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +165,56 @@ def test_corpus_script_bytes_pinned(entry):
     sys = T.attach_goal(T.translate_program(prog), prog, T.GoalSpec.parse(entry.goal))
     digest = hashlib.sha256(smtlib.emit_smt2(sys).encode()).hexdigest()
     assert digest == SCRIPT_SHA256[entry.name]
+
+
+# SHA-256 of emit_smt2 for the scripts SCRIPT_SHA256 leaves out: each
+# corpus program and each feature-coverage program without a goal, and
+# the `equals` goals, the only path that emits `distinct` and is_true.
+BARE_SCRIPT_SHA256 = {
+    "inc_max": "eafdcf7df045b3c7c3e948b52a3bb7d1984f10baf62cfe6e74ba84cd34b460b7",
+    "inc_max_unsafe": "9f8ac12293188d6d5bbc033ff1eb13c2b4f58927ad8918fbf8c74e7761516cc2",
+    "just_rec": "47b94427fd6cd39a2534fe43b345a81bd200704ced73fecc0eb55ba63cb35f1d",
+    "just_rec_unsafe": "50e9b9f4739fef10f5b2c0f9c7342c85611e568a38442209602371392b5bfbd9",
+    "linger_dec": "54aa466aabebfa00167ae1caabf511fffb24cf6c217d6d64fb9d6603ce34a61e",
+    "linger_dec_unsafe": "8af2a766b4813bd8363555eaac6523c2336b2f7b6dbe87d35af6ab9ee1a68a63",
+    "inc_some": "8ba121f1e5278c07926dbd11dd26793871a20a7e235940e16f0000a79b581fbd",
+    "inc_some_unsafe": "f73684fe68202f671a0737f0d6fb057d27648762916f775a62eace8b98618a83",
+    "inc_some_t": "b73de3b3acf236a60cf8c6d41d4751ad689bf216adb5d3b0b5dee5a6a92e6732",
+    "inc_some_t_unsafe": "44442e6bd4cc7ac98a4a30455745d4fbee271e6f660ec2f885790f8d8011a9db",
+    "swap_mm": "b3e6769cc6de56b35b200eedf69ac10444e373dc37daa8c9b04578600c537b9b",
+    "dup_imm": "bf5f2f6525102003fa4ab053b8d871a8e74ed8df6b36ca77979705e348b4be3a",
+    "read_thru": "1dc75a6a9e7e5c6599e5372294da23e0cca7e0860cd75a4d20003e71f023bd84",
+    "read_imm": "27de3f29dd78eb7f7f3e010350d822df9d1ba72dfd7ffcc201f56d2f4fade998",
+    "pair_mut": "1d3e554e327d63b1079e4e32ff96ae9da53567014a4b59e92d5d7da97f7978e3",
+    "build_and_sum": "dfbcdbca9f05888537c1d3521e35f7c50f795e335fd6a789ed92f9fc51d76973",
+    "read_thru equals box(3)": "df9763d545faf92d8ca6a2095b5a762b9be7e590fff873ae73a39bb469af6784",
+    "build_and_sum equals box(3)": "9e72171a9b3b1cfcc207670ff756cb4c3be8b0210722904876ea303c3623b3d9",
+}
+
+
+def _bare_programs():
+    from test_features import CASES
+
+    progs = {e.name: corpus.load(e.name) for e in corpus.CORPUS}
+    progs.update((name, parser.parse_program(src)) for name, src, *_ in CASES)
+    return progs
+
+
+def test_bare_and_equals_script_bytes_pinned():
+    digests = {}
+    for name, prog in _bare_programs().items():
+        sys = T.translate_program(prog)
+        digests[name] = hashlib.sha256(smtlib.emit_smt2(sys).encode()).hexdigest()
+        if name in ("read_thru", "build_and_sum"):
+            goal = f"{name} equals box(3)"
+            script = smtlib.emit_smt2(T.attach_goal(sys, prog, T.GoalSpec.parse(goal)))
+            assert "distinct" in script and "is_true" in script
+            digests[goal] = hashlib.sha256(script.encode()).hexdigest()
+    assert digests == BARE_SCRIPT_SHA256
+
+
+def test_ill_sorted_head_pattern_is_an_emit_error():
+    # p takes an int; a box in its head has no SMT sort at that position
+    sys = L.CHCSystem([L.Clause((), L.Atom("p", (V.Box(3),)), ())], {"p": (L.INT_S,)})
+    with pytest.raises(smtlib.EmitError):
+        smtlib.emit_smt2(sys)

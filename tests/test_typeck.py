@@ -6,6 +6,8 @@ import pytest
 from corhorn import corpus, parser, syntax as S, typeck
 from corhorn.typeck import LftCtx, TypeCheckError, VarInfo, WholeCtx
 
+from helpers import HASH_SEEDS, python_under_hash_seed
+
 
 LCTX_AB = LftCtx.make(["a", "b"], [("a", "b")])
 LCTX_A = LftCtx.make(["a"], [])
@@ -394,3 +396,39 @@ def test_typing_contexts_pinned():
         doc = typeck.typing_json(prog, typeck.type_program(prog))
         digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
         assert digest == TYPING_JSON_SHA256[name], name
+
+
+# a borrow of data living at two lifetimes, and a parameter mentioning
+# two unbound ones: each message names the first lifetime in sorted order
+BORROW_OF_PAIR = """
+fn f(oa: own int, ob: own int) -> own int {
+  entry: intro 'a; goto L1;
+  L1: intro 'b; goto L2;
+  L2: let ma = mutbor 'a oa; goto L3;
+  L3: let mb = mutbor 'b ob; goto L4;
+  L4: let *oma = ma; goto L5;
+  L5: let *omb = mb; goto L6;
+  L6: let *p = (*oma, *omb); goto L7;
+  L7: intro 'c; goto L8;
+  L8: let mp = mutbor 'c p; goto L9;
+  L9: return oa;
+}
+"""
+UNBOUND_PARAM_LIFETIMES = """
+fn g<'x>(p: mut<'y> (mut<'z> int)) -> own int {
+  entry: return p;
+}
+"""
+
+
+@pytest.mark.parametrize("src, message", [
+    (BORROW_OF_PAIR, "error: f:L8: [BorrowOutlivesData] 'c must end before 'a of the borrowed data"),
+    (UNBOUND_PARAM_LIFETIMES,
+     "error: g:entry: [UnknownLifetime] parameter 'p' mentions unbound lifetime 'y"),
+], ids=["mutbor_of_pair", "entry_params"])
+def test_lifetime_messages_independent_of_hash_seed(tmp_path, src, message):
+    path = tmp_path / "prog.cor"
+    path.write_text(src)
+    for seed in HASH_SEEDS:
+        proc = python_under_hash_seed(seed, "-m", "corhorn", "check", str(path))
+        assert (proc.returncode, proc.stderr.strip()) == (2, message), seed

@@ -1,9 +1,14 @@
+import dataclasses
+import hashlib
+import json
 import random
+import zlib
 
 import pytest
 
 from corhorn import aos, corpus, parser, syntax as S, typeck, values as V
 from corhorn.aos import AbsSupply
+from corhorn.logic import SampleSpec
 
 from helpers import HASH_SEEDS, mklist, python_under_hash_seed
 
@@ -214,3 +219,165 @@ def test_lifetime_safe_frame_diagnostics_independent_of_hash_seed():
     for seed in HASH_SEEDS:
         proc = python_under_hash_seed(seed, "-c", MIS_TAGGED_FRAME)
         assert proc.stdout.splitlines() == expected, seed
+
+
+# -- pinned safety verdicts -----------------------------------------------------
+
+GUARD_SPEC = SampleSpec(-4, 4, max_depth=3)
+
+
+def _guard_programs():
+    from test_features import CASES
+
+    progs = [(e.name, corpus.load(e.name), e.entry_fn) for e in corpus.CORPUS]
+    return progs + [(n, parser.parse_program(src), fn) for n, src, fn, _, _ in CASES]
+
+
+def _rename(v, uid, new, fin, here=False):
+    """v with prophecy uid renamed to new where it is a mutable
+    reference's final component (fin) or anywhere else (not fin)."""
+    if isinstance(v, V.AbsVar):
+        return V.AbsVar(new, v.label) if v.uid == uid and here == fin else v
+    if isinstance(v, V.MutPair):
+        return V.MutPair(_rename(v.cur, uid, new, fin), _rename(v.fin, uid, new, fin, True))
+    return V.map_children(v, lambda k: _rename(k, uid, new, fin))
+
+
+def _renamed(cfg, uid, new, fin):
+    stack = tuple(dataclasses.replace(e, frame={x: _rename(v, uid, new, fin) for x, v in e.frame.items()})
+                  for e in cfg.stack)
+    return aos.AbsConfig(stack, cfg.lft)
+
+
+def _guard_verdicts(prog, typing, cfg):
+    """safe_abstract on cfg and on pairing and lifetime faults injected
+    into it: a prophecy's take renamed away (a dropped take), one
+    prophecy's give moved onto another (a double give), and a global
+    lifetime that no frame accounts for."""
+    faults = [cfg, aos.AbsConfig(cfg.stack, cfg.lft.add("z@99", frozenset()))]
+    uids = sorted(cfg.absvar_uids())
+    if uids:
+        faults.append(_renamed(cfg, uids[0], 10_000, fin=False))
+    if len(uids) > 1:
+        faults.append(_renamed(cfg, uids[1], uids[0], fin=True))
+    return [list(aos.safe_abstract(prog, typing, c)) for c in faults]
+
+
+# SHA-256 per program over safe_abstract's (ok, diags) on every step of
+# three AOS runs (fuel 300, rand_range (-8, 8), inputs and seeds drawn
+# from random.Random(zlib.crc32(name))), with the faults of
+# _guard_verdicts injected into each step.
+PINNED_SAFETY = {
+    "inc_max": (60, "78ca4d67145827c97f5621c77595f50e380cce6ff8b196f49288a5a9d77f5cbb"),
+    "inc_max_unsafe": (60, "2fbbc851a57500454e79e243a118a47a9cb417c8ce72afba568788164bbd70be"),
+    "just_rec": (219, "c308763f3b8728274ab76d719850ab1f07436a87a8e0ce52483a4a4baeae07bb"),
+    "just_rec_unsafe": (72, "e556e373b86052c0bd2aeba1b1fcf225d0d5dead686792e8fd8a4b08ee46cc1c"),
+    "linger_dec": (241, "07bb75b381f23f78c8a3af3e912918dd818483a5949db8305fa114aa4e93160c"),
+    "linger_dec_unsafe": (101, "9e3091cddc12d338b108efdf9523610ab22c986a97e0db844cc2673409c581bc"),
+    "inc_some": (903, "d7e114e08c29ae45bb34e9031619c1af61684f2053a762e4b02c2f2970240379"),
+    "inc_some_unsafe": (721, "441608e8c7bcc00abf9183f5ebf04fbb6dd8c8443bd9f7b67839791f22267ac8"),
+    "inc_some_t": (627, "203a1853c8d870b9dc0d05f597548d81d43d39854109dff19754d2f4254db8ed"),
+    "inc_some_t_unsafe": (681, "8e50ecc4a1705fb1f142b5e7715ebd64b24961c4309c65becdad1e7dcfd9b985"),
+    "swap_mm": (72, "6f0c57c4d89819ad0ae423dd3c2b9c9b360ebb6c18737df358fefd33ddf14af5"),
+    "dup_imm": (39, "5ac1efeb910b25bf3779ffdf6841025abda540ebd72d22e848b55d5ea78d860f"),
+    "read_thru": (30, "5805a5534cdd80934cb6959bac0960f61507298b13b235a468f7b6eb90c04f28"),
+    "read_imm": (60, "42303db08081b63130651e22a5cd994787a2ba1216fc51e6a2a49f1e5c0971a8"),
+    "pair_mut": (39, "f779f605aab3245d06b63ab2050faffeea91da6809b633c54d5ef98dd89ca4bd"),
+    "build_and_sum": (117, "fc4ee5f8e2d9a4442b9e09dfb1f2d6ea7ff6b142d7621b5393aa4a1e259a2cf7"),
+}
+
+
+def test_safety_verdicts_pinned():
+    got = {}
+    for name, prog, fn in _guard_programs():
+        typing = typeck.type_program(prog)
+        rng = random.Random(zlib.crc32(name.encode()))
+        blob, steps = [], 0
+        for _ in range(3):
+            inputs = corpus.random_inputs(prog, fn, rng, GUARD_SPEC)
+            seed = rng.randrange(2 ** 31)
+            out = aos.run(prog, fn, inputs, seed=seed, fuel=300, typing=typing, rand_range=(-8, 8))
+            for cfg in out.trace:
+                assert aos.safe_abstract(prog, typing, cfg) == (True, [])
+                # a shape fault: the top frame's first variable holds a bare int
+                top = cfg.top
+                if top.frame:
+                    bad = dataclasses.replace(top, frame={**top.frame, min(top.frame): 0})
+                    bad_cfg = aos.AbsConfig((bad,) + cfg.stack[1:], cfg.lft)
+                    assert aos.safe_abstract(prog, typing, bad_cfg)[0] is False
+                blob.append(_guard_verdicts(prog, typing, cfg))
+                steps += 1
+        got[name] = (steps, hashlib.sha256(json.dumps(blob).encode()).hexdigest())
+    assert got == PINNED_SAFETY
+
+
+def _inc_max_l3(inc_max_setup):
+    prog, typing = inc_max_setup
+    return run_to(prog, typing, "inc_max", [V.Box(4), V.Box(3)], "L3")
+
+
+def _top_frame(cfg, **changes):
+    top = cfg.top
+    return aos.AbsConfig((dataclasses.replace(top, frame={**top.frame, **changes}),) + cfg.stack[1:],
+                         cfg.lft)
+
+
+def test_pairing_and_lifetime_faults_pinned(inc_max_setup):
+    prog, typing = inc_max_setup
+    cfg = _inc_max_l3(inc_max_setup)
+    ma, mb = cfg.top.frame["ma"], cfg.top.frame["mb"]
+    # the double give of test_lockstep_lists_each_pairing_diagnostic_once
+    double_give = _top_frame(cfg, mb=V.MutPair(mb.cur, ma.fin))
+    dropped_take = _top_frame(cfg, oa=V.Box(4))
+    lft = cfg.lft
+    extra_lifetime = aos.AbsConfig(cfg.stack, lft.add("z@99", frozenset()))
+    lost_lifetime = aos.AbsConfig(cfg.stack, lft.remove(min(lft.carrier)))
+    mistagged = aos.AbsConfig(
+        (dataclasses.replace(cfg.top, theta={k: "x@7" for k in cfg.top.theta}),) + cfg.stack[1:], lft)
+    got = [aos.safe_abstract(prog, typing, c)
+           for c in (double_give, dropped_take, extra_lifetime, lost_lifetime, mistagged)]
+    assert got == [
+        (False, ["abs var 0: 2 gives, 1 takes", "abs var 1: 0 gives, 1 takes"]),
+        (False, ["abs var 0: 1 gives, 0 takes"]),
+        (False, ["global context has 2 lifetimes, frames account for 1"]),
+        (False, ["abs var 0: give lifetime a@0 not before take a@0",
+                 "abs var 1: give lifetime a@0 not before take a@0",
+                 "frame 0: tag a@0 not in global context",
+                 "frame 0: order of 'a,'a disagrees with global",
+                 "global context has 0 lifetimes, frames account for 1"]),
+        (False, ["abs var 0: give lifetime x@7 not before take x@7",
+                 "abs var 1: give lifetime x@7 not before take x@7",
+                 "frame 0: tag x@7 not in global context",
+                 "frame 0: order of 'a,'a disagrees with global"]),
+    ]
+
+
+def _shape_faults(inc_max_setup):
+    """Shape faults injected into inc_max:L3 (oa and ob frozen lenders,
+    ma and mb their borrowers) and into inc_some's entry (oxs a list)."""
+    cfg = _inc_max_l3(inc_max_setup)
+    ma = cfg.top.frame["ma"]
+    some = corpus.load("inc_some")
+    entry = aos.initial_config(some, "inc_some", [V.Box(mklist(1, 2))])
+    return [
+        (cfg, _top_frame(cfg, ob=3)),
+        (cfg, _top_frame(cfg, ma=V.Box(4))),
+        (cfg, _top_frame(cfg, ma=V.MutPair(4, 0))),
+        (cfg, _top_frame(cfg, ma=V.MutPair(V.AbsVar(5, "x◦"), ma.fin))),
+        (cfg, _top_frame(cfg, zz=V.Box(1))),
+        (cfg, aos.AbsConfig((dataclasses.replace(cfg.top, theta={}),), cfg.lft)),
+        (entry, _top_frame(entry, oxs=V.Box(5))),
+        (entry, _top_frame(entry, oxs=V.Box(V.Inj(0, 5)))),
+        (entry, _top_frame(entry, oxs=V.Box(V.Inj(1, 7)))),
+        (entry, _top_frame(entry, oxs=V.Box(V.Inj(0, V.Pair(V.Box(1), V.Box(mklist())))))),
+    ]
+
+
+def test_shape_faults_rejected(inc_max_setup):
+    _, typing = inc_max_setup
+    some = corpus.load("inc_some")
+    typings = {"inc_max": inc_max_setup, "inc_some": (some, typeck.type_program(some))}
+    for good, bad in _shape_faults(inc_max_setup):
+        prog, typing = typings[good.top.fn]
+        assert aos.safe_abstract(prog, typing, good) == (True, [])
+        assert aos.safe_abstract(prog, typing, bad)[0] is False

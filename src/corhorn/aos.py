@@ -11,10 +11,11 @@ local lifetime names to globally tagged lifetimes ("a@3" is the 'a
 introduced by stack frame 3, counting from the bottom), and the
 configuration carries the preorder over all tagged lifetimes.
 
-The module also provides the safety checkers: the summary of a
-configuration pairs every abstract variable with exactly one borrower
-(give) and one lender (take), and the lifetime-safety judgment ties the
-tags to the static contexts.
+The module also provides the safety checkers.  One give/take walk
+(`Walk`) pairs every abstract variable with exactly one borrower (give)
+and one lender (take): without a heap it is a configuration's summary,
+with one the extended readout that `harness` checks.  The
+lifetime-safety judgment ties the tags to the static contexts.
 """
 
 from __future__ import annotations
@@ -24,15 +25,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import cos
 from . import syntax as S
 from . import values as V
 from .machine import (  # the shared names stay reachable as aos.Final, aos.RunError, ...
     Final, Next, RunError, RunOutcome, StepResult, Stuck, StuckSignal, drive, entry_fn, is_final,
 )
-from .typeck import LftCtx, TypingResult, type_equiv, type_program
+from .typeck import LftCtx, TypingResult, VarInfo, type_equiv, type_program
 
 HOT = "hot"
-COLD = "cold"
 
 
 def tagged(name: str, frame_idx: int) -> str:
@@ -413,7 +414,7 @@ def run(
 
 
 # ---------------------------------------------------------------------------
-# Safety: summaries and lifetime safety
+# Safety: the give/take walk, summaries and lifetime safety
 # ---------------------------------------------------------------------------
 
 
@@ -433,66 +434,120 @@ class Take:
     addr: Optional[int] = None
 
 
-class ShapeMismatch(S.CorError):
-    pass
+def _at(addr: Optional[int]) -> str:
+    return "" if addr is None else f" at {addr}"
 
 
-def summarize_prevalue(v: V.PreValue, t: S.Type, mode: str, frozen_tag: Optional[str]) -> Counter:
-    """Summary of one pre-value: give items for prophecies handed out at
-    hot mutable references, a take item when the position belongs to a
-    frozen lender."""
-    if isinstance(v, V.AbsVar):
-        if frozen_tag is None:
-            raise ShapeMismatch(f"abstract variable {V.show(v)} in an active position")
-        return Counter({Take(frozen_tag, v.uid, S.canon(t)): 1})
-    t = S.whnf(t)
-    if isinstance(t, S.Ptr) and t.kind in (S.OWN, S.IMMUT):
-        if not isinstance(v, V.Box):
-            raise ShapeMismatch(f"expected box at {t}, got {V.show(v)}")
-        inner_mode = mode if t.kind == S.OWN else COLD
-        return summarize_prevalue(v.inner, t.target, inner_mode, frozen_tag)
-    if isinstance(t, S.Ptr) and t.kind == S.MUT:
+class Walk:
+    """The give/take walk of frame variables' pre-values at their types:
+    each prophecy pairs with its borrower (a give, at a hot mutable
+    reference) and its frozen lender (a take).  A mode is HOT, or
+    ("cold", lft) below an immutable reference of lifetime lft, where a
+    mutable reference gives nothing.  Without a heap, the walk is the
+    summary of a prophecy configuration.  With one, it is the extended
+    readout of a heap configuration: each pre-value must be the data at
+    its address (cells, sum tags, zero padding), items carry addresses,
+    and each cell read is a footprint mark (hot, frozen tag, address)
+    or (cold, lft, address).  Faults are diagnostics; the walk stops
+    after the first variable that has one."""
+
+    def __init__(self, heap: Optional[dict[int, int]] = None):
+        self.heap = heap
+        self.summary: Counter = Counter()
+        self.footprint: Counter = Counter()
+        self.diags: list[str] = []
+
+    def diag(self, msg: str) -> bool:
+        self.diags.append(msg)
+        return False
+
+    def add(self, theta: dict[str, str], vi: VarInfo, v: V.PreValue, addr: Optional[int] = None) -> "Walk":
+        """Walk v, a frame variable of static info vi (on a heap, pointing
+        at addr), at vi's type with the frame's tagged lifetimes, frozen
+        at the tag that theta must hold for vi's lifetime."""
+        frz = theta.get(vi.frozen_at)  # None for an active variable
+        if frz is None and vi.frozen_at is not None and not self.diags:
+            self.diag(f"frozen lifetime '{vi.frozen_at} not in frame context")
+        if not self.diags:
+            self._ptr(HOT, frz, addr, S.subst_lifetimes(vi.ty, theta), v)
+        return self
+
+    def _mark(self, mode, frz: Optional[str], addr: int) -> None:
+        self.footprint[("hot", frz, addr) if mode == HOT else (*mode, addr)] += 1
+
+    def _ptr(self, mode, frz, addr, t: S.Ptr, v) -> bool:
+        """The pointer pre-value v at pointer type t, pointing at addr."""
+        if t.kind != S.MUT:
+            if not isinstance(v, V.Box):
+                return self.diag(f"expected box{_at(addr)}, abstract side has {V.show(v)}")
+            if t.kind == S.IMMUT and mode == HOT:
+                mode = ("cold", t.lft)
+            return self._data(mode, frz, addr, t.target, v.inner)
         if not isinstance(v, V.MutPair):
-            raise ShapeMismatch(f"expected mut pair at {t}, got {V.show(v)}")
-        if mode == HOT:
-            if not isinstance(v.fin, V.AbsVar):
-                raise ShapeMismatch("hot mutable reference without a prophecy variable")
-            out = summarize_prevalue(v.cur, t.target, HOT, frozen_tag)
-            out[Give(t.lft, v.fin.uid, S.canon(t.target))] += 1
-            return out
-        return summarize_prevalue(v.cur, t.target, COLD, frozen_tag)
-    if isinstance(t, S.Sum):
-        if not isinstance(v, V.Inj):
-            raise ShapeMismatch(f"expected inj at {t}, got {V.show(v)}")
-        return summarize_prevalue(v.payload, t.left if v.tag == 0 else t.right, mode, frozen_tag)
-    if isinstance(t, S.Prod):
-        if not isinstance(v, V.Pair):
-            raise ShapeMismatch(f"expected pair at {t}, got {V.show(v)}")
-        return summarize_prevalue(v.fst, t.left, mode, frozen_tag) + summarize_prevalue(
-            v.snd, t.right, mode, frozen_tag
-        )
-    if isinstance(t, S.IntT):
-        if not isinstance(v, int):
-            raise ShapeMismatch(f"expected int, got {V.show(v)}")
-        return Counter()
-    if isinstance(t, S.UnitT):
-        if not isinstance(v, V.UnitVal):
-            raise ShapeMismatch(f"expected unit, got {V.show(v)}")
-        return Counter()
-    raise ShapeMismatch(f"bad type {t}")
+            return self.diag(f"expected mut pair{_at(addr)}, abstract side has {V.show(v)}")
+        # a cold mutable reference gives nothing: its final component is unobservable
+        if mode == HOT and not isinstance(v.fin, V.AbsVar):
+            return self.diag(f"hot mut{_at(addr)} without prophecy on the abstract side")
+        ok = self._data(mode, frz, addr, t.target, v.cur)
+        if ok and mode == HOT:
+            self.summary[Give(t.lft, v.fin.uid, S.canon(t.target), addr)] += 1
+        return ok
 
-
-def summarize_frame(theta: dict[str, str], frame: dict[str, V.PreValue], gamma: dict) -> Counter:
-    if set(frame) != set(gamma):
-        raise ShapeMismatch("frame and context domains differ")
-    out: Counter = Counter()
-    for x, vi in gamma.items():
-        t = S.subst_lifetimes(vi.ty, theta)
-        frz = theta.get(vi.frozen_at) if vi.frozen_at is not None else None
-        if vi.frozen_at is not None and frz is None:
-            raise ShapeMismatch(f"frozen lifetime '{vi.frozen_at} not in frame context")
-        out += summarize_prevalue(frame[x], t, HOT, frz)
-    return out
+    def _data(self, mode, frz, addr, t: S.Type, v) -> bool:
+        """The pre-value v at data type t, stored at addr.  A frozen
+        position where v is a prophecy variable is borrowed away: a take."""
+        if isinstance(v, V.AbsVar):
+            if frz is None:
+                return self.diag(f"abstract variable {V.show(v)} in an active position")
+            self.summary[Take(frz, v.uid, S.canon(t), addr)] += 1
+            return True
+        t = S.whnf(t)
+        heap = self.heap
+        if isinstance(t, S.IntT):
+            if not isinstance(v, int):
+                return self.diag(f"int position{_at(addr)} vs {V.show(v)}")
+            if heap is not None:
+                if addr not in heap:
+                    return self.diag(f"missing cell {addr}")
+                if heap[addr] != v:
+                    return self.diag(f"cell {addr} holds {heap[addr]}, abstract side has {V.show(v)}")
+                self._mark(mode, frz, addr)
+            return True
+        if isinstance(t, S.UnitT):
+            return isinstance(v, V.UnitVal) or self.diag(f"unit position{_at(addr)} vs {V.show(v)}")
+        if isinstance(t, S.Ptr):
+            if heap is None:
+                return self._ptr(mode, frz, None, t, v)
+            if addr not in heap:
+                return self.diag(f"missing pointer cell {addr}")
+            self._mark(mode, frz, addr)
+            return self._ptr(mode, frz, heap[addr], t, v)
+        if isinstance(t, S.Sum):
+            if not isinstance(v, V.Inj):
+                return self.diag(f"sum position{_at(addr)} vs {V.show(v)}")
+            side, pad = cos.sum_side(t, v.tag)
+            if heap is not None:
+                tag = heap.get(addr)
+                if tag is None:
+                    return self.diag(f"missing tag cell {addr}")
+                if tag not in (0, 1):
+                    return self.diag(f"bad sum tag {tag} at {addr}")
+                if tag != v.tag:
+                    return self.diag(f"tag {tag} at {addr} vs abstract {V.show(v)}")
+                self._mark(mode, frz, addr)
+                for c in (addr + k for k in pad):
+                    if heap.get(c) != 0:
+                        return self.diag(f"bad padding cell {c}")
+                    self._mark(mode, frz, c)
+                addr += 1
+            return self._data(mode, frz, addr, side, v.payload)
+        if isinstance(t, S.Prod):
+            if not isinstance(v, V.Pair):
+                return self.diag(f"pair position{_at(addr)} vs {V.show(v)}")
+            ok0 = self._data(mode, frz, addr, t.left, v.fst)
+            snd = None if heap is None else addr + S.size_of(t.left)
+            return self._data(mode, frz, snd, t.right, v.snd) and ok0
+        return self.diag(f"cannot read type {t}")
 
 
 def frame_gamma(typing: TypingResult, entry, is_top: bool) -> dict:
@@ -502,13 +557,6 @@ def frame_gamma(typing: TypingResult, entry, is_top: bool) -> dict:
     if not is_top:
         gamma.pop(entry.recv, None)
     return gamma
-
-
-def summarize_config(prog: S.Program, typing: TypingResult, cfg: AbsConfig) -> Counter:
-    out: Counter = Counter()
-    for i, e in enumerate(cfg.stack):
-        out += summarize_frame(e.theta, e.frame, frame_gamma(typing, e, i == 0))
-    return out
 
 
 def safe_summary(lctx: LftCtx, summary: Counter) -> list[str]:
@@ -581,10 +629,16 @@ def lifetime_safe(prog: S.Program, typing: TypingResult, cfg: AbsConfig) -> list
 
 
 def safe_abstract(prog: S.Program, typing: TypingResult, cfg: AbsConfig) -> tuple[bool, list[str]]:
-    """Full safety check: summary discipline plus lifetime safety."""
-    try:
-        summary = summarize_config(prog, typing, cfg)
-    except ShapeMismatch as e:
-        return False, [str(e)]
-    diags = safe_summary(cfg.lft, summary) + lifetime_safe(prog, typing, cfg)
+    """Full safety check: the summary (the give/take walk without a
+    heap) and its pairing discipline, plus lifetime safety."""
+    walk = Walk()
+    for i, e in enumerate(cfg.stack):
+        gamma = frame_gamma(typing, e, i == 0)
+        if set(e.frame) != set(gamma):
+            return False, [*walk.diags, "frame and context domains differ"]
+        for x in sorted(gamma):
+            walk.add(e.theta, gamma[x], e.frame[x])
+    if walk.diags:
+        return False, walk.diags
+    diags = safe_summary(cfg.lft, walk.summary) + lifetime_safe(prog, typing, cfg)
     return not diags, diags

@@ -4,14 +4,14 @@ differential oracle.
 
 The heap-vs-prophecy link checks each concrete configuration against
 the prophecy configuration reached by the same steps (the extended
-readout): the heap must hold, at every frame variable, the data of the
-abstract side's pre-value, with its prophecy variables where data is
-borrowed away.  The extended summary and footprint gathered on the way
-must stay safe: every prophecy is shared by exactly one borrower and one
-lender at one address, and every address is either owned by one active
-access or by a frozen owner alongside readers whose lifetimes end first.
-The extended summary is the abstract one with addresses added, so a
-lockstep step checks that one summary, plus lifetime safety.
+readout, `aos.Walk` over the heap): the heap must hold, at every frame
+variable, the data of the abstract side's pre-value, with its prophecy
+variables where data is borrowed away.  The extended summary and
+footprint gathered on the way must stay safe: every prophecy is shared
+by one borrower and one lender at one address, and every address is
+owned by one active access or by a frozen owner alongside readers whose
+lifetimes end first.  The same walk without a heap is the abstract
+summary, so a lockstep step checks one summary, plus lifetime safety.
 
 The prophecy-vs-resolution link renders each abstract configuration as
 a stack of predicate applications (a resolutive configuration) and
@@ -37,96 +37,6 @@ from .machine import Final, Stuck
 from .typeck import TypingResult, type_program
 
 
-@dataclass
-class ReadoutState:
-    summary: Counter = field(default_factory=Counter)
-    footprint: Counter = field(default_factory=Counter)
-    diags: list[str] = field(default_factory=list)
-
-    def diag(self, msg: str) -> bool:
-        self.diags.append(msg)
-        return False
-
-
-def _mark(mode, frozen_at: Optional[str], addr: int):
-    if mode == aos.HOT:
-        return ("hot", frozen_at, addr)
-    return ("cold", mode[1], addr)
-
-
-def _read_ptr(heap, mode, frz, addr, t: S.Ptr, guide, st: ReadoutState) -> bool:
-    """Check the pointer `addr` at (tagged) pointer type t against the
-    pre-value `guide`."""
-    if t.kind in (S.OWN, S.IMMUT):
-        inner_mode = mode if t.kind == S.OWN else (mode if mode != aos.HOT else ("cold", t.lft))
-        if not isinstance(guide, V.Box):
-            return st.diag(f"expected box at {addr}, abstract side has {V.show(guide)}")
-        return _read_data(heap, inner_mode, frz, addr, t.target, guide.inner, st)
-    # mutable reference
-    if not isinstance(guide, V.MutPair):
-        return st.diag(f"expected mut pair at {addr}, abstract side has {V.show(guide)}")
-    if mode != aos.HOT:
-        # cold mutable reference: the final component is unobservable
-        return _read_data(heap, mode, frz, addr, t.target, guide.cur, st)
-    if not isinstance(guide.fin, V.AbsVar):
-        return st.diag(f"hot mut at {addr} without prophecy on the abstract side")
-    if not _read_data(heap, aos.HOT, frz, addr, t.target, guide.cur, st):
-        return False
-    st.summary[aos.Give(t.lft, guide.fin.uid, S.canon(t.target), addr)] += 1
-    return True
-
-
-def _read_data(heap, mode, frz, addr, t: S.Type, guide, st: ReadoutState) -> bool:
-    """Check the data at `addr` of (tagged) type t against the pre-value
-    `guide`.
-
-    A frozen position where the abstract side has a prophecy variable is
-    borrowed away: it reads out as a take of that variable."""
-    if frz is not None and isinstance(guide, V.AbsVar):
-        st.summary[aos.Take(frz, guide.uid, S.canon(t), addr)] += 1
-        return True
-    t = S.whnf(t)
-    if isinstance(t, S.IntT):
-        if addr not in heap:
-            return st.diag(f"missing cell {addr}")
-        if heap[addr] != guide:
-            return st.diag(f"cell {addr} holds {heap[addr]}, abstract side has {V.show(guide)}")
-        st.footprint[_mark(mode, frz, addr)] += 1
-        return True
-    if isinstance(t, S.UnitT):
-        if not isinstance(guide, V.UnitVal):
-            return st.diag(f"unit position at {addr} vs {V.show(guide)}")
-        return True
-    if isinstance(t, S.Ptr):
-        if addr not in heap:
-            return st.diag(f"missing pointer cell {addr}")
-        st.footprint[_mark(mode, frz, addr)] += 1
-        return _read_ptr(heap, mode, frz, heap[addr], t, guide, st)
-    if isinstance(t, S.Sum):
-        if addr not in heap:
-            return st.diag(f"missing tag cell {addr}")
-        tag = heap[addr]
-        if tag not in (0, 1):
-            return st.diag(f"bad sum tag {tag} at {addr}")
-        if not isinstance(guide, V.Inj) or guide.tag != tag:
-            return st.diag(f"tag {tag} at {addr} vs abstract {V.show(guide)}")
-        side, pad = cos.sum_side(t, tag)
-        st.footprint[_mark(mode, frz, addr)] += 1
-        for k in pad:
-            c = addr + k
-            if c not in heap or heap[c] != 0:
-                return st.diag(f"bad padding cell {c}")
-            st.footprint[_mark(mode, frz, c)] += 1
-        return _read_data(heap, mode, frz, addr + 1, side, guide.payload, st)
-    if isinstance(t, S.Prod):
-        if not isinstance(guide, V.Pair):
-            return st.diag(f"pair position at {addr} vs {V.show(guide)}")
-        ok0 = _read_data(heap, mode, frz, addr, t.left, guide.fst, st)
-        ok1 = _read_data(heap, mode, frz, addr + S.size_of(t.left), t.right, guide.snd, st)
-        return ok0 and ok1
-    return st.diag(f"cannot read type {t}")
-
-
 def extended_readout(
     typing: TypingResult,
     cfg: cos.CosConfig,
@@ -134,41 +44,31 @@ def extended_readout(
 ) -> tuple[Counter, Counter, list[str]]:
     """Check a concrete configuration against the abstract configuration
     `guide`: the same program points, and every frame variable's heap
-    data as the guide's pre-value, with frozen/cold choices following
-    the guide.  Returns the extended summary, the footprint and the
-    diagnostics (empty when the two agree)."""
-    st = ReadoutState()
+    data as the guide's pre-value (`aos.Walk` over the heap).  Returns
+    the extended summary, the footprint and the diagnostics (empty when
+    the two agree)."""
+    walk = aos.Walk(cfg.heap)
+
+    def fail(msg: str) -> tuple[Counter, Counter, list[str]]:
+        return walk.summary, walk.footprint, [*walk.diags, msg]
+
     if len(guide.stack) != len(cfg.stack):
-        return st.summary, st.footprint, [
-            f"stack depth {len(cfg.stack)} vs abstract {len(guide.stack)}"
-        ]
-    jobs = []  # (tagged type, frozen tag, address, guide value)
+        return fail(f"stack depth {len(cfg.stack)} vs abstract {len(guide.stack)}")
     for i, (entry, g_entry) in enumerate(zip(cfg.stack, guide.stack)):
         if (g_entry.fn, g_entry.label, g_entry.recv) != (entry.fn, entry.label, entry.recv):
-            st.diag(f"frame {i}: program point mismatch")
-            return st.summary, st.footprint, st.diags
-        theta = g_entry.theta
+            return fail(f"frame {i}: program point mismatch")
         gamma = aos.frame_gamma(typing, entry, i == 0)
         if set(entry.frame) != set(gamma):
-            st.diag(f"frame {i}: variables {sorted(entry.frame)} vs context {sorted(gamma)}")
-            return st.summary, st.footprint, st.diags
+            return fail(f"frame {i}: variables {sorted(entry.frame)} vs context {sorted(gamma)}")
         for x in sorted(gamma):
-            vi = gamma[x]
-            t = S.subst_lifetimes(vi.ty, theta)
-            frz = theta.get(vi.frozen_at) if vi.frozen_at is not None else None
             gv = g_entry.frame.get(x)
             if gv is None:
-                st.diag(f"frame {i}: variable {x} missing on the abstract side")
-                return st.summary, st.footprint, st.diags
-            jobs.append((t, frz, entry.frame[x], gv))
+                return fail(f"frame {i}: variable {x} missing on the abstract side")
+            walk.add(g_entry.theta, gamma[x], gv, entry.frame[x])
         extra = set(g_entry.frame) - set(gamma)
         if extra:
-            st.diag(f"frame {i}: abstract side has variables {sorted(extra)} outside the context")
-            return st.summary, st.footprint, st.diags
-    for t, frz, addr, gv in jobs:
-        if not _read_ptr(cfg.heap, aos.HOT, frz, addr, t, gv, st):
-            break
-    return st.summary, st.footprint, st.diags
+            return fail(f"frame {i}: abstract side has variables {sorted(extra)} outside the context")
+    return walk.summary, walk.footprint, walk.diags
 
 
 def safe_extended(lctx, summary: Counter, footprint: Counter) -> list[str]:
@@ -201,9 +101,10 @@ def safe_link(
     """Does the concrete configuration read out safely as the abstract
     one?  Checks the extended readout against acfg and the safety of its
     summary and footprint.  A passing readout has walked every abstract
-    pre-value at its type, and its summary is the abstract one
-    (`aos.summarize_config`) with addresses added, so only the abstract
-    side's lifetime safety (`aos.lifetime_safe`) is left to check."""
+    pre-value at its type, and its summary is the abstract one (the
+    `aos.Walk` that `aos.safe_abstract` runs without a heap) with
+    addresses added, so only the abstract side's lifetime safety
+    (`aos.lifetime_safe`) is left to check."""
     summary, footprint, diags = extended_readout(typing, cfg, acfg)
     if diags:
         return False, diags

@@ -159,14 +159,18 @@ class _Emitter:
         self.table = SortTable()
 
     def term(self, t: V.Term, delta: dict[str, Sort], sort: Sort) -> str:
-        """t at a position of the given sort.  Constructors name their
+        """t at a position of the given sort, which an int or a variable
+        must have (the same datatype name).  Constructors name their
         datatype from that sort, selectors from their argument's sort."""
         if isinstance(t, bool):
             raise EmitError("Python bool leaked into a term")
-        if isinstance(t, int):
+        if isinstance(t, (int, V.Var)):
+            own = L.INT_S if isinstance(t, int) else delta.get(t.name)
+            if own is not sort and (own is None or self.table.name(own) != self.table.name(sort)):
+                raise EmitError(f"{V.show(t)} at sort {L.render_sort(sort)}")
+            if isinstance(t, V.Var):
+                return _smt_var(t.name)
             return str(t) if t >= 0 else f"(- {-t})"
-        if isinstance(t, V.Var):
-            return _smt_var(t.name)
         if isinstance(t, V.UnitVal):
             return self._construct(t, delta, sort, L.UnitSort, "mk", ())
         if isinstance(t, V.Box):
@@ -222,7 +226,7 @@ class _Emitter:
             head_args = []
             for i, (pat, sort) in enumerate(zip(clause.head.args, sig)):
                 if isinstance(pat, V.Var):
-                    head_args.append(_smt_var(pat.name))
+                    head_args.append(self.term(pat, delta, sort))
                 else:
                     h = f"h!{i}"
                     extra_binders.append((h, sort))

@@ -9,6 +9,7 @@ import pytest
 from corhorn import aos, corpus, parser, syntax as S, typeck, values as V
 from corhorn.aos import AbsSupply
 from corhorn.logic import SampleSpec
+from corhorn.typeck import VarInfo
 
 from helpers import HASH_SEEDS, mklist, python_under_hash_seed
 
@@ -94,18 +95,18 @@ def test_results_are_abs_free():
 
 def test_summary_hot_mut_gives():
     x = V.AbsVar(7, "x◦")
-    out = aos.summarize_prevalue(V.MutPair(4, x), T("mut<'a> int"), aos.HOT, None)
+    out = aos.Walk().add({}, VarInfo(T("mut<'a> int")), V.MutPair(4, x)).summary
     assert list(out.keys()) == [aos.Give("a", 7, S.canon(S.INT))]
 
 
 def test_summary_frozen_lender_takes():
     x = V.AbsVar(9, "x◦")
-    out = aos.summarize_prevalue(V.Box(x), T("own int"), aos.HOT, "a@0")
+    out = aos.Walk().add({"a": "a@0"}, VarInfo(T("own int"), "a"), V.Box(x)).summary
     assert list(out.keys()) == [aos.Take("a@0", 9, S.canon(S.INT))]
 
 
 def test_summary_plain_owner_empty():
-    out = aos.summarize_prevalue(V.Box(4), T("own int"), aos.HOT, None)
+    out = aos.Walk().add({}, VarInfo(T("own int")), V.Box(4)).summary
     assert not out
 
 
@@ -113,13 +114,13 @@ def test_summary_cold_mut_suppressed():
     # a mut reference seen through an immutable reference contributes no give
     x = V.AbsVar(3, "x◦")
     v = V.Box(V.MutPair(5, x))
-    out = aos.summarize_prevalue(v, T("immut<'a> (mut<'b> int)"), aos.HOT, None)
+    out = aos.Walk().add({}, VarInfo(T("immut<'a> (mut<'b> int)")), v).summary
     assert not out
 
 
 def test_summary_shape_mismatch():
-    with pytest.raises(aos.ShapeMismatch):
-        aos.summarize_prevalue(V.AbsVar(1, "a"), T("own int"), aos.HOT, None)
+    walk = aos.Walk().add({}, VarInfo(T("own int")), V.AbsVar(1, "a"))
+    assert walk.diags == ["expected box, abstract side has a"]
 
 
 # -- safety -------------------------------------------------------------------
@@ -381,3 +382,23 @@ def test_shape_faults_rejected(inc_max_setup):
         prog, typing = typings[good.top.fn]
         assert aos.safe_abstract(prog, typing, good) == (True, [])
         assert aos.safe_abstract(prog, typing, bad)[0] is False
+
+
+def test_shape_fault_texts_pinned(inc_max_setup):
+    # the texts of the give/take walk without a heap: as on the heap
+    # side, less the address
+    some = corpus.load("inc_some")
+    typings = {"inc_max": inc_max_setup, "inc_some": (some, typeck.type_program(some))}
+    got = [aos.safe_abstract(*typings[good.top.fn], bad) for good, bad in _shape_faults(inc_max_setup)]
+    assert got == [(False, [d]) for d in [
+        "expected box, abstract side has 3",
+        "expected mut pair, abstract side has box(4)",
+        "hot mut without prophecy on the abstract side",
+        "abstract variable x◦ in an active position",
+        "frame and context domains differ",
+        "frozen lifetime 'a not in frame context",
+        "sum position vs 5",
+        "pair position vs 5",
+        "unit position vs 7",
+        "int position vs box(1)",
+    ]]

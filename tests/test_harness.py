@@ -204,6 +204,24 @@ def test_hot_mut_without_prophecy_is_a_diagnostic():
         False, ["hot mut at 100 without prophecy on the abstract side"])
 
 
+def test_active_abstract_variable_same_diagnostic_on_both_sides():
+    # oa is an active owner at inc_max's entry: no prophecy may sit there
+    prog, typing, cfg, acfg = _trace_pair("inc_max", INC_MAX_IN, 0)
+    bad = _guide_frame(acfg, 0, oa=V.Box(V.AbsVar(9, "x◦")))
+    expected = (False, ["abstract variable x◦ in an active position"])
+    assert harness.safe_link(prog, typing, cfg, bad) == expected
+    assert aos.safe_abstract(prog, typing, bad) == expected
+
+
+def test_missing_frozen_lifetime_same_diagnostic_on_both_sides():
+    # at inc_max:L3, oa and ob are frozen at 'a, which theta must tag
+    prog, typing, cfg, acfg = _trace_pair("inc_max", INC_MAX_IN, 3)
+    bad = _with_frame(acfg, 0, theta={})
+    expected = (False, ["frozen lifetime 'a not in frame context"])
+    assert harness.safe_link(prog, typing, cfg, bad) == expected
+    assert aos.safe_abstract(prog, typing, bad) == expected
+
+
 # -- lockstep ---------------------------------------------------------------------
 
 

@@ -218,3 +218,20 @@ def test_ill_sorted_head_pattern_is_an_emit_error():
     sys = L.CHCSystem([L.Clause((), L.Atom("p", (V.Box(3),)), ())], {"p": (L.INT_S,)})
     with pytest.raises(smtlib.EmitError):
         smtlib.emit_smt2(sys)
+
+
+def test_ill_sorted_int_literal_in_head_is_an_emit_error():
+    # p takes a box of int; a bare int in its head is not of that sort
+    box_int = L.BoxS(L.INT_S)
+    sys = L.CHCSystem([L.Clause((), L.Atom("p", (3,)), ())], {"p": (box_int,)})
+    with pytest.raises(smtlib.EmitError, match="3 at sort"):
+        smtlib.emit_smt2(sys)
+
+
+def test_ill_sorted_variable_in_body_is_an_emit_error():
+    # q takes a box of int; x is bound as an int
+    box_int = L.BoxS(L.INT_S)
+    sys = L.CHCSystem([L.Clause((("x", L.INT_S),), None, (L.Atom("q", (V.Var("x"),)),))],
+                      {"q": (box_int,)})
+    with pytest.raises(smtlib.EmitError, match="x at sort"):
+        smtlib.emit_smt2(sys)

@@ -25,7 +25,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import cos
 from . import syntax as S
 from . import values as V
 from .machine import (  # the shared names stay reachable as aos.Final, aos.RunError, ...
@@ -466,14 +465,14 @@ class Walk:
         at addr), at vi's type with the frame's tagged lifetimes, frozen
         at the tag that theta must hold for vi's lifetime."""
         frz = theta.get(vi.frozen_at)  # None for an active variable
-        if frz is None and vi.frozen_at is not None and not self.diags:
+        if not self.diags and frz is None and vi.frozen_at is not None:
             self.diag(f"frozen lifetime '{vi.frozen_at} not in frame context")
         if not self.diags:
             self._ptr(HOT, frz, addr, S.subst_lifetimes(vi.ty, theta), v)
         return self
 
     def _mark(self, mode, frz: Optional[str], addr: int) -> None:
-        self.footprint[("hot", frz, addr) if mode == HOT else (*mode, addr)] += 1
+        self.footprint[(HOT, frz, addr) if mode == HOT else (*mode, addr)] += 1
 
     def _ptr(self, mode, frz, addr, t: S.Ptr, v) -> bool:
         """The pointer pre-value v at pointer type t, pointing at addr."""
@@ -516,16 +515,16 @@ class Walk:
         if isinstance(t, S.UnitT):
             return isinstance(v, V.UnitVal) or self.diag(f"unit position{_at(addr)} vs {V.show(v)}")
         if isinstance(t, S.Ptr):
-            if heap is None:
-                return self._ptr(mode, frz, None, t, v)
-            if addr not in heap:
-                return self.diag(f"missing pointer cell {addr}")
-            self._mark(mode, frz, addr)
-            return self._ptr(mode, frz, heap[addr], t, v)
+            if heap is not None:
+                if addr not in heap:
+                    return self.diag(f"missing pointer cell {addr}")
+                self._mark(mode, frz, addr)
+                addr = heap[addr]
+            return self._ptr(mode, frz, addr, t, v)
         if isinstance(t, S.Sum):
             if not isinstance(v, V.Inj):
                 return self.diag(f"sum position{_at(addr)} vs {V.show(v)}")
-            side, pad = cos.sum_side(t, v.tag)
+            side, pad = S.sum_side(t, v.tag)
             if heap is not None:
                 tag = heap.get(addr)
                 if tag is None:

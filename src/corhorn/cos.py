@@ -10,7 +10,7 @@ for a fixed seed.
 This module owns the heap layout (`syntax.size_of` gives the sizes):
 an int or a pointer takes one cell, unit none; a sum is a tag cell
 (0 or 1), then the payload of that side at +1, then zero padding up to
-the size of the larger side (`sum_side`); a product is its two
+the size of the larger side (`syntax.sum_side`); a product is its two
 components concatenated.
 
 The readout judgments reconstruct typed values from the heap together
@@ -84,14 +84,6 @@ class CosConfig:
 # ---------------------------------------------------------------------------
 
 
-def sum_side(t: S.Sum, tag: int) -> tuple[S.Type, range]:
-    """The payload type of side `tag` of t, and the offsets from the tag
-    cell of the zero padding cells that fill the payload out to the
-    larger side's size."""
-    side = t.left if tag == 0 else t.right
-    return side, range(1 + S.size_of(side), S.size_of(t))
-
-
 def readout(heap: dict[int, int], addr: int, t: S.Type) -> tuple[V.Value, list[int]]:
     """Read the data of type t at addr; returns the value and the
     footprint (multiset of addresses, as a list)."""
@@ -115,7 +107,7 @@ def readout(heap: dict[int, int], addr: int, t: S.Type) -> tuple[V.Value, list[i
         tag = heap[addr]
         if tag not in (0, 1):
             raise ReadoutError("BadTag", f"sum tag at {addr} is {tag}")
-        side, pad = sum_side(t, tag)
+        side, pad = S.sum_side(t, tag)
         pad_cells = [addr + k for k in pad]
         for c in pad_cells:
             if c not in heap:
@@ -155,7 +147,7 @@ def _fill(heap: dict[int, int], base: int, t: S.Type, v: V.Value, alloc: Alloc) 
         _fill(heap, target, t.target, v.inner, alloc)
         heap[base] = target
     elif isinstance(t, S.Sum):
-        side, pad = sum_side(t, v.tag)
+        side, pad = S.sum_side(t, v.tag)
         heap[base] = v.tag
         _fill(heap, base + 1, side, v.payload, alloc)
         for k in pad:
@@ -268,7 +260,7 @@ def _step(prog, typing, cfg, rng, alloc, rand_range) -> StepResult:
         if i not in (0, 1):
             raise StuckSignal(f"match: bad tag {i}")
         if t.kind == S.OWN:  # the tag and padding cells are freed; the payload stays
-            _, pad = sum_side(S.whnf(t.target), i)
+            _, pad = S.sum_side(S.whnf(t.target), i)
             del heap[a]
             for k in pad:
                 if a + k not in heap:
@@ -367,7 +359,7 @@ def _step(prog, typing, cfg, rng, alloc, rand_range) -> StepResult:
         return Next(retop(goto))
 
     if isinstance(instr, S.InjInstr):
-        side, pad = sum_side(instr.sum_type, instr.index)
+        side, pad = S.sum_side(instr.sum_type, instr.index)
         vals = _take(heap, frame.pop(instr.x), S.size_of(side), "inj")
         b = alloc.fresh(S.size_of(instr.sum_type))
         _put(heap, b, [instr.index] + vals + [0] * len(pad))

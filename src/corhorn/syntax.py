@@ -308,6 +308,14 @@ def size_of(t: Type) -> int:
     raise IncompleteType(f"size of incomplete type: {t}")
 
 
+def sum_side(t: Sum, tag: int) -> tuple[Type, range]:
+    """The payload type of side `tag` of t, and the offsets from the tag
+    cell of the zero padding cells that fill the payload out to the
+    larger side's size."""
+    side = t.left if tag == 0 else t.right
+    return side, range(1 + size_of(side), size_of(t))
+
+
 # ---------------------------------------------------------------------------
 # Constants and operators
 # ---------------------------------------------------------------------------

@@ -222,6 +222,17 @@ def test_missing_frozen_lifetime_same_diagnostic_on_both_sides():
     assert aos.safe_abstract(prog, typing, bad) == expected
 
 
+@pytest.mark.parametrize("changes, text", [
+    ({"mb": None}, "frame 0: variable mb missing on the abstract side"),
+    ({"zz": V.Box(1)}, "frame 0: abstract side has variables ['zz'] outside the context"),
+], ids=["missing", "extra"])
+def test_abstract_frame_domain_same_diagnostic_on_both_sides(changes, text):
+    prog, typing, cfg, acfg = _trace_pair("inc_max", INC_MAX_IN, 3)  # inc_max:L3
+    bad = _guide_frame(acfg, 0, **changes)
+    assert harness.safe_link(prog, typing, cfg, bad) == (False, [text])
+    assert aos.safe_abstract(prog, typing, bad) == (False, [text])
+
+
 # -- lockstep ---------------------------------------------------------------------
 
 

@@ -11,11 +11,19 @@ local lifetime names to globally tagged lifetimes ("a@3" is the 'a
 introduced by stack frame 3, counting from the bottom), and the
 configuration carries the preorder over all tagged lifetimes.
 
-The module also provides the safety checkers.  One give/take walk
-(`Walk`) pairs every abstract variable with exactly one borrower (give)
-and one lender (take): without a heap it is a configuration's summary,
-with one the extended readout that `harness` checks.  The
-lifetime-safety judgment ties the tags to the static contexts.
+The module also provides the safety checkers, for both semantics.
+One give/take walk (`Walk`) pairs every abstract variable with exactly
+one borrower (give) and one lender (take), and one stack walk
+(`walk_stack`) drives it over every frame variable.  Without a heap it
+is a configuration's summary.  With the heap of a concrete
+configuration it is the extended readout: the heap must hold, at every
+frame variable, the data of the abstract side's pre-value, with its
+prophecy variables where data is borrowed away.  The extended summary
+and the footprint gathered on the way must stay safe: every prophecy
+is shared by one borrower and one lender at one address, and every
+address is owned by one active access or by a frozen owner alongside
+readers whose lifetimes end first.  The lifetime-safety judgment ties
+the tags to the static contexts.
 """
 
 from __future__ import annotations
@@ -413,7 +421,7 @@ def run(
 
 
 # ---------------------------------------------------------------------------
-# Safety: the give/take walk, summaries and lifetime safety
+# Safety: the give/take and stack walks, summary, footprint and lifetime safety
 # ---------------------------------------------------------------------------
 
 
@@ -549,13 +557,40 @@ class Walk:
         return self.diag(f"cannot read type {t}")
 
 
-def frame_gamma(typing: TypingResult, entry, is_top: bool) -> dict:
-    """The static context of a stack frame; below the top, without the
-    receiver, which is not populated until the callee returns."""
-    gamma = dict(typing.ctx(entry.fn, entry.label).gamma)
-    if not is_top:
-        gamma.pop(entry.recv, None)
-    return gamma
+def walk_stack(typing: TypingResult, acfg: AbsConfig, cfg=None) -> Walk:
+    """The give/take walk of every frame variable of acfg, in sorted
+    order, at its static context (below the top, without the receiver,
+    which is not populated until the callee returns).  With a heap
+    configuration cfg, the extended readout: cfg must have acfg's stack
+    depth and program points and its frames the context's variables,
+    and the walk reads cfg.heap.  Every fault is a diagnostic on the
+    returned walk; a stack-level one ends the walk."""
+    walk = Walk(None if cfg is None else cfg.heap)
+
+    def fail(msg: str) -> Walk:
+        walk.diags.append(msg)
+        return walk
+
+    if cfg is not None and len(acfg.stack) != len(cfg.stack):
+        return fail(f"stack depth {len(cfg.stack)} vs abstract {len(acfg.stack)}")
+    for i, a in enumerate(acfg.stack):
+        c = None if cfg is None else cfg.stack[i]
+        if c is not None and (a.fn, a.label, a.recv) != (c.fn, c.label, c.recv):
+            return fail(f"frame {i}: program point mismatch")
+        gamma = dict(typing.ctx(a.fn, a.label).gamma)
+        if i:
+            gamma.pop(a.recv, None)
+        if c is not None and set(c.frame) != set(gamma):
+            return fail(f"frame {i}: variables {sorted(c.frame)} vs context {sorted(gamma)}")
+        for x in sorted(gamma):
+            v = a.frame.get(x)
+            if v is None:
+                return fail(f"frame {i}: variable {x} missing on the abstract side")
+            walk.add(a.theta, gamma[x], v, None if c is None else c.frame[x])
+        extra = set(a.frame) - set(gamma)
+        if extra:
+            return fail(f"frame {i}: abstract side has variables {sorted(extra)} outside the context")
+    return walk
 
 
 def safe_summary(lctx: LftCtx, summary: Counter) -> list[str]:
@@ -578,6 +613,27 @@ def safe_summary(lctx: LftCtx, summary: Counter) -> list[str]:
             diags.append(f"abs var {uid}: give/take types differ")
         if not lctx.leq(g.lft, t.lft):
             diags.append(f"abs var {uid}: give lifetime {g.lft} not before take {t.lft}")
+    return diags
+
+
+def safe_footprint(lctx: LftCtx, footprint: Counter) -> list[str]:
+    """Every address is read by one hot access, or by a frozen hot owner
+    alongside cold readers whose lifetimes end first."""
+    diags = []
+    by_addr: dict[int, list] = {}
+    for mark, k in footprint.items():
+        by_addr.setdefault(mark[2], []).extend([mark] * k)
+    for addr, marks in sorted(by_addr.items()):
+        hots = [m for m in marks if m[0] == HOT]
+        colds = [m for m in marks if m[0] == "cold"]
+        if len(hots) == 1 and not colds:
+            continue
+        if len(hots) == 1 and hots[0][1] is not None:
+            if all(lctx.leq(c[1], hots[0][1]) for c in colds):
+                continue
+            diags.append(f"address {addr}: cold access outlives the frozen owner")
+            continue
+        diags.append(f"address {addr}: access marks {sorted(str(m) for m in marks)}")
     return diags
 
 
@@ -628,15 +684,9 @@ def lifetime_safe(prog: S.Program, typing: TypingResult, cfg: AbsConfig) -> list
 
 
 def safe_abstract(prog: S.Program, typing: TypingResult, cfg: AbsConfig) -> tuple[bool, list[str]]:
-    """Full safety check: the summary (the give/take walk without a
-    heap) and its pairing discipline, plus lifetime safety."""
-    walk = Walk()
-    for i, e in enumerate(cfg.stack):
-        gamma = frame_gamma(typing, e, i == 0)
-        if set(e.frame) != set(gamma):
-            return False, [*walk.diags, "frame and context domains differ"]
-        for x in sorted(gamma):
-            walk.add(e.theta, gamma[x], e.frame[x])
+    """Full safety check: the stack walk without a heap (the summary)
+    and its pairing discipline, plus lifetime safety."""
+    walk = walk_stack(typing, cfg)
     if walk.diags:
         return False, walk.diags
     diags = safe_summary(cfg.lft, walk.summary) + lifetime_safe(prog, typing, cfg)

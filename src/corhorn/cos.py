@@ -161,9 +161,10 @@ def _fill(heap: dict[int, int], base: int, t: S.Type, v: V.Value, alloc: Alloc) 
 
 def safe_readout_frame(
     heap: dict[int, int], frame: dict[str, int], gamma: dict
-) -> dict[str, V.Value]:
+) -> tuple[dict[str, V.Value], list[int]]:
     """Read every (owning) variable of a frame and insist the combined
-    footprint has no duplicate address."""
+    footprint has no duplicate address; returns the values and that
+    footprint."""
     if set(frame) != set(gamma):
         raise ReadoutError("FrameMismatch", "frame and context domains differ")
     out: dict[str, V.Value] = {}
@@ -180,7 +181,7 @@ def safe_readout_frame(
         if a in seen:
             raise ReadoutError("DuplicateFootprint", f"address {a} owned twice")
         seen.add(a)
-    return out
+    return out, combined
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +423,8 @@ def run(
     def finish(cfg: CosConfig) -> tuple[V.Value, tuple[int, ...]]:
         top = cfg.top
         gamma = typing.ctx(top.fn, top.label).gamma
-        (value,) = safe_readout_frame(cfg.heap, top.frame, gamma).values()
-        stmt = prog.fn(top.fn).body[top.label]
-        _, m = readout(cfg.heap, top.frame[stmt.x], gamma[stmt.x].ty.target)
+        values, m = safe_readout_frame(cfg.heap, top.frame, gamma)
+        (value,) = values.values()
         return value, tuple(sorted(set(cfg.heap) - set(m)))
 
     return drive(lambda c: step(prog, typing, c, rng, alloc, rand_range),

@@ -3,15 +3,9 @@ the prophecy interpreter and the resolution engine, plus the end-to-end
 differential oracle.
 
 The heap-vs-prophecy link checks each concrete configuration against
-the prophecy configuration reached by the same steps (the extended
-readout, `aos.Walk` over the heap): the heap must hold, at every frame
-variable, the data of the abstract side's pre-value, with its prophecy
-variables where data is borrowed away.  The extended summary and
-footprint gathered on the way must stay safe: every prophecy is shared
-by one borrower and one lender at one address, and every address is
-owned by one active access or by a frozen owner alongside readers whose
-lifetimes end first.  The same walk without a heap is the abstract
-summary, so a lockstep step checks one summary, plus lifetime safety.
+the prophecy configuration reached by the same steps: `aos.walk_stack`
+over the heap (the extended readout), the safety of the summary and
+footprint it gathers, and the abstract side's lifetime safety.
 
 The prophecy-vs-resolution link renders each abstract configuration as
 a stack of predicate applications (a resolutive configuration) and
@@ -37,61 +31,6 @@ from .machine import Final, Stuck
 from .typeck import TypingResult, type_program
 
 
-def extended_readout(
-    typing: TypingResult,
-    cfg: cos.CosConfig,
-    guide: aos.AbsConfig,
-) -> tuple[Counter, Counter, list[str]]:
-    """Check a concrete configuration against the abstract configuration
-    `guide`: the same program points, and every frame variable's heap
-    data as the guide's pre-value (`aos.Walk` over the heap).  Returns
-    the extended summary, the footprint and the diagnostics (empty when
-    the two agree)."""
-    walk = aos.Walk(cfg.heap)
-
-    def fail(msg: str) -> tuple[Counter, Counter, list[str]]:
-        return walk.summary, walk.footprint, [*walk.diags, msg]
-
-    if len(guide.stack) != len(cfg.stack):
-        return fail(f"stack depth {len(cfg.stack)} vs abstract {len(guide.stack)}")
-    for i, (entry, g_entry) in enumerate(zip(cfg.stack, guide.stack)):
-        if (g_entry.fn, g_entry.label, g_entry.recv) != (entry.fn, entry.label, entry.recv):
-            return fail(f"frame {i}: program point mismatch")
-        gamma = aos.frame_gamma(typing, entry, i == 0)
-        if set(entry.frame) != set(gamma):
-            return fail(f"frame {i}: variables {sorted(entry.frame)} vs context {sorted(gamma)}")
-        for x in sorted(gamma):
-            gv = g_entry.frame.get(x)
-            if gv is None:
-                return fail(f"frame {i}: variable {x} missing on the abstract side")
-            walk.add(g_entry.theta, gamma[x], gv, entry.frame[x])
-        extra = set(g_entry.frame) - set(gamma)
-        if extra:
-            return fail(f"frame {i}: abstract side has variables {sorted(extra)} outside the context")
-    return walk.summary, walk.footprint, walk.diags
-
-
-def safe_extended(lctx, summary: Counter, footprint: Counter) -> list[str]:
-    """Safety of the extended summary (paired as in `aos.safe_summary`,
-    at one address) and of the footprint."""
-    diags = aos.safe_summary(lctx, summary)
-    by_addr: dict[int, list] = {}
-    for mark, k in footprint.items():
-        by_addr.setdefault(mark[2], []).extend([mark] * k)
-    for addr, marks in sorted(by_addr.items()):
-        hots = [m for m in marks if m[0] == "hot"]
-        colds = [m for m in marks if m[0] == "cold"]
-        if len(hots) == 1 and not colds:
-            continue
-        if len(hots) == 1 and hots[0][1] is not None:
-            if all(lctx.leq(c[1], hots[0][1]) for c in colds):
-                continue
-            diags.append(f"address {addr}: cold access outlives the frozen owner")
-            continue
-        diags.append(f"address {addr}: access marks {sorted(str(m) for m in marks)}")
-    return diags
-
-
 def safe_link(
     prog: S.Program,
     typing: TypingResult,
@@ -99,16 +38,16 @@ def safe_link(
     acfg: aos.AbsConfig,
 ) -> tuple[bool, list[str]]:
     """Does the concrete configuration read out safely as the abstract
-    one?  Checks the extended readout against acfg and the safety of its
-    summary and footprint.  A passing readout has walked every abstract
-    pre-value at its type, and its summary is the abstract one (the
-    `aos.Walk` that `aos.safe_abstract` runs without a heap) with
-    addresses added, so only the abstract side's lifetime safety
+    one?  Walks acfg's stack over cfg's heap (`aos.walk_stack`) and
+    checks the summary and footprint it gathers.  A passing walk has
+    visited every abstract pre-value at its type, and its summary is the
+    abstract one (the walk that `aos.safe_abstract` runs without a heap)
+    with addresses added, so only the abstract side's lifetime safety
     (`aos.lifetime_safe`) is left to check."""
-    summary, footprint, diags = extended_readout(typing, cfg, acfg)
-    if diags:
-        return False, diags
-    diags = safe_extended(acfg.lft, summary, footprint)
+    walk = aos.walk_stack(typing, acfg, cfg)
+    if walk.diags:
+        return False, walk.diags
+    diags = aos.safe_summary(acfg.lft, walk.summary) + aos.safe_footprint(acfg.lft, walk.footprint)
     return not diags, diags
 
 
@@ -178,7 +117,7 @@ def lockstep_cos_aos(
             if type(rc) is not type(ra):
                 return LinkReport(False, steps, f"one side finished early at step {i}")
             gamma = typing.ctx(c.top.fn, c.top.label).gamma
-            vals = cos.safe_readout_frame(c.heap, c.top.frame, gamma)
+            vals, _ = cos.safe_readout_frame(c.heap, c.top.frame, gamma)
             (cv,) = vals.values()
             (av,) = a.top.frame.values()
             if cv != av:

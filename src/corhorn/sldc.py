@@ -305,26 +305,11 @@ def _solve_arg(term, value, delta, binding, pending, checks):
         return True
     if isinstance(term, (int, V.UnitVal)):
         return term == value
-    if isinstance(term, V.Inj):
-        return (
-            isinstance(value, V.Inj)
-            and term.tag == value.tag
-            and _solve_arg(term.payload, value.payload, delta, binding, pending, checks)
-        )
-    if isinstance(term, V.Box):
-        return isinstance(value, V.Box) and _solve_arg(term.inner, value.inner, delta, binding, pending, checks)
-    if isinstance(term, V.MutPair):
-        return (
-            isinstance(value, V.MutPair)
-            and _solve_arg(term.cur, value.cur, delta, binding, pending, checks)
-            and _solve_arg(term.fin, value.fin, delta, binding, pending, checks)
-        )
-    if isinstance(term, V.Pair):
-        return (
-            isinstance(value, V.Pair)
-            and _solve_arg(term.fst, value.fst, delta, binding, pending, checks)
-            and _solve_arg(term.snd, value.snd, delta, binding, pending, checks)
-        )
+    if isinstance(term, (V.Inj, V.Box, V.MutPair, V.Pair)):
+        if type(value) is not type(term) or (isinstance(term, V.Inj) and term.tag != value.tag):
+            return False
+        return all(_solve_arg(a, b, delta, binding, pending, checks)
+                   for a, b in zip(V.children(term), V.children(value)))
     if isinstance(term, V.DerefT):
         inner = S.whnf(L.sort_of_term(delta, term.arg))
         if isinstance(inner, L.BoxS):

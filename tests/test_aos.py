@@ -395,7 +395,7 @@ def test_shape_fault_texts_pinned(inc_max_setup):
         "expected mut pair, abstract side has box(4)",
         "hot mut without prophecy on the abstract side",
         "abstract variable x◦ in an active position",
-        "frame and context domains differ",
+        "frame 0: abstract side has variables ['zz'] outside the context",
         "frozen lifetime 'a not in frame context",
         "sum position vs 5",
         "pair position vs 5",

@@ -243,7 +243,7 @@ def test_safe_readout_frame_single():
     typing = typeck.type_program(prog)
     gamma = dict(typing.ctx("inc_max", "entry").gamma)
     del gamma["ob"]
-    out = cos.safe_readout_frame({500: 5}, {"oa": 500}, gamma)
+    out, _ = cos.safe_readout_frame({500: 5}, {"oa": 500}, gamma)
     assert out == {"oa": V.Box(5)}
 
 

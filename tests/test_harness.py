@@ -56,7 +56,8 @@ def test_entry_readout_is_abs_free(inc_max_setup):
     prog, typing = inc_max_setup
     cfg = cos.initial_config(prog, typing, "inc_max", [V.Box(4), V.Box(3)], Alloc())
     acfg = aos.initial_config(prog, "inc_max", [V.Box(4), V.Box(3)])
-    summary, footprint, diags = harness.extended_readout(typing, cfg, acfg)
+    walk = aos.walk_stack(typing, acfg, cfg)
+    summary, footprint, diags = walk.summary, walk.footprint, walk.diags
     assert not diags
     assert not summary
     marks = {m[0] for m in footprint}
@@ -65,14 +66,15 @@ def test_entry_readout_is_abs_free(inc_max_setup):
 
 def test_readout_reconstructs_borrows():
     _, typing, cfg, acfg = _trace_pair("inc_max", INC_MAX_IN, 3)  # inc_max:L3
-    summary, footprint, diags = harness.extended_readout(typing, cfg, acfg)
+    walk = aos.walk_stack(typing, acfg, cfg)
+    summary, footprint, diags = walk.summary, walk.footprint, walk.diags
     assert not diags
     # each mutable borrow gives its prophecy, and its frozen lender takes
     # it, at the borrowed address
     pairs = {(type(k).__name__, k.uid, k.addr) for k in summary}
     a, b = acfg.top.frame["ma"].fin.uid, acfg.top.frame["mb"].fin.uid
     assert pairs == {("Give", a, 100), ("Take", a, 100), ("Give", b, 101), ("Take", b, 101)}
-    assert not harness.safe_extended(acfg.lft, summary, footprint)
+    assert not aos.safe_summary(acfg.lft, summary) + aos.safe_footprint(acfg.lft, footprint)
 
 
 def test_readout_corrupted_heap():
@@ -80,7 +82,7 @@ def test_readout_corrupted_heap():
     heap = dict(cfg.heap)
     heap[cfg.top.frame["ord"]] = 7  # a sum tag outside {0, 1}
     broken = cos.CosConfig(cfg.stack, heap)
-    _, _, diags = harness.extended_readout(typing, broken, acfg)
+    diags = aos.walk_stack(typing, acfg, broken).diags
     assert any("tag" in d for d in diags)
 
 
@@ -123,7 +125,7 @@ def test_duplicate_hot_footprint_unsafe(inc_max_setup):
     footprint = {("hot", None, 100): 2}
     from collections import Counter
 
-    diags = harness.safe_extended(lctx, Counter(), Counter(footprint))
+    diags = aos.safe_summary(lctx, Counter()) + aos.safe_footprint(lctx, Counter(footprint))
     assert diags
 
 
@@ -131,9 +133,11 @@ def test_give_and_take_at_different_addresses_unsafe():
     lctx = typeck.LftCtx.make({"a@0"}, set())
     ty = S.IntT()
     summary = Counter({aos.Give("a@0", 7, ty, addr=100): 1, aos.Take("a@0", 7, ty, addr=101): 1})
-    assert harness.safe_extended(lctx, summary, Counter()) == ["abs var 7: give at 100, take at 101"]
+    assert aos.safe_summary(lctx, summary) + aos.safe_footprint(lctx, Counter()) == [
+        "abs var 7: give at 100, take at 101"
+    ]
     same = Counter({aos.Give("a@0", 7, ty, addr=100): 1, aos.Take("a@0", 7, ty, addr=100): 1})
-    assert harness.safe_extended(lctx, same, Counter()) == []
+    assert aos.safe_summary(lctx, same) + aos.safe_footprint(lctx, Counter()) == []
 
 
 def test_frozen_resolved_owner_reads_out():
@@ -148,7 +152,7 @@ def test_frozen_resolved_owner_reads_out():
     cfg, acfg = c_out.trace[i], a_out.trace[i]
     ok, diags = harness.safe_link(prog, typing, cfg, acfg)
     assert ok, diags
-    summary, footprint, _ = harness.extended_readout(typing, cfg, acfg)
+    footprint = aos.walk_stack(typing, acfg, cfg).footprint
     kinds = {m[0] for m in footprint}
     assert "cold" in kinds
     assert any(m[0] == "hot" and m[1] is not None for m in footprint)

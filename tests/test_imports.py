@@ -1,5 +1,7 @@
 """The package stays stdlib-only: every absolute import in its source
-names a standard-library module or corhorn itself."""
+names a standard-library module or corhorn itself.  The prophecy
+interpreter and its safety walks stay independent of the heap
+interpreter and the harness."""
 
 import ast
 import sys
@@ -25,3 +27,18 @@ def test_source_imports_only_the_standard_library():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for name in _absolute_imports(tree):
             assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+
+def test_aos_imports_neither_cos_nor_harness():
+    # the stack walk takes a heap configuration duck-typed, so loading the
+    # prophecy interpreter never loads the heap interpreter
+    path = Path(corhorn.__file__).parent / "aos.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert "machine" in names
+    assert not {part for n in names for part in n.split(".")} & {"cos", "harness"}, names

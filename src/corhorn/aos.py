@@ -23,11 +23,14 @@ and the footprint gathered on the way must stay safe: every prophecy
 is shared by one borrower and one lender at one address, and every
 address is owned by one active access or by a frozen owner alongside
 readers whose lifetimes end first.  The lifetime-safety judgment ties
-the tags to the static contexts.
+the tags to the static contexts.  Given the previous step's records, the
+stack walk reuses each frame whose entries and read cells a step left alone.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -87,15 +90,14 @@ class AbsConfig:
         return self.stack[0]
 
     def subst(self, uid: int, value: V.PreValue) -> "AbsConfig":
+        """Prophecy uid resolved to value; an entry it leaves unchanged is kept as itself."""
         mapping = {uid: value}
-        new = tuple(
-            AbsFrameEntry(
-                e.fn, e.label, e.theta, e.recv,
-                {x: V.subst_absvars(v, mapping) for x, v in e.frame.items()},
-            )
-            for e in self.stack
-        )
-        return AbsConfig(new, self.lft)
+        new = []
+        for e in self.stack:
+            frame = {x: V.subst_absvars(v, mapping) for x, v in e.frame.items()}
+            same = all(map(operator.is_, frame.values(), e.frame.values()))
+            new.append(e if same else AbsFrameEntry(e.fn, e.label, e.theta, e.recv, frame))
+        return AbsConfig(tuple(new), self.lft)
 
     def absvar_uids(self) -> set[int]:
         out: set[int] = set()
@@ -458,11 +460,11 @@ class Walk:
     or (cold, lft, address).  Faults are diagnostics; the walk stops
     after the first variable that has one."""
 
-    def __init__(self, heap: Optional[dict[int, int]] = None):
+    def __init__(self, heap: Optional[dict[int, int]] = None, diags: Optional[list[str]] = None):
         self.heap = heap
         self.summary: Counter = Counter()
         self.footprint: Counter = Counter()
-        self.diags: list[str] = []
+        self.diags: list[str] = [] if diags is None else diags
 
     def diag(self, msg: str) -> bool:
         self.diags.append(msg)
@@ -478,6 +480,11 @@ class Walk:
         if not self.diags:
             self._ptr(HOT, frz, addr, S.subst_lifetimes(vi.ty, theta), v)
         return self
+
+    def merge(self, summary: Counter, footprint: Counter) -> None:
+        """Add another walk's counts (by dict.update where no key is shared)."""
+        for total, part in ((self.summary, summary), (self.footprint, footprint)):
+            (dict.update if total.keys().isdisjoint(part) else Counter.update)(total, part)
 
     def _mark(self, mode, frz: Optional[str], addr: int) -> None:
         self.footprint[(HOT, frz, addr) if mode == HOT else (*mode, addr)] += 1
@@ -557,15 +564,24 @@ class Walk:
         return self.diag(f"cannot read type {t}")
 
 
-def walk_stack(typing: TypingResult, acfg: AbsConfig, cfg=None) -> Walk:
+def walk_stack(typing: TypingResult, acfg: AbsConfig, cfg=None, memo: Optional[list] = None) -> Walk:
     """The give/take walk of every frame variable of acfg, in sorted
     order, at its static context (below the top, without the receiver,
     which is not populated until the callee returns).  With a heap
     configuration cfg, the extended readout: cfg must have acfg's stack
     depth and program points and its frames the context's variables,
     and the walk reads cfg.heap.  Every fault is a diagnostic on the
-    returned walk; a stack-level one ends the walk."""
+    returned walk; a stack-level one ends the walk.
+
+    memo, the previous walk's records if given, is updated in place: each
+    frame that passes is recorded with its two entries, summary, footprint
+    and the cells it read.  Until a fault is found, a frame whose entries
+    are its record's objects at the same index, and whose recorded cells
+    still hold their values, adds its recorded counts without a walk."""
     walk = Walk(None if cfg is None else cfg.heap)
+    heap = walk.heap
+    memo = [] if memo is None else memo
+    prev, memo[:] = memo[:], []
 
     def fail(msg: str) -> Walk:
         walk.diags.append(msg)
@@ -575,6 +591,12 @@ def walk_stack(typing: TypingResult, acfg: AbsConfig, cfg=None) -> Walk:
         return fail(f"stack depth {len(cfg.stack)} vs abstract {len(acfg.stack)}")
     for i, a in enumerate(acfg.stack):
         c = None if cfg is None else cfg.stack[i]
+        rec = prev[i] if i < len(prev) else None
+        if (rec is not None and not walk.diags and rec[0] is a and rec[1] is c
+                and (heap is None or rec[4].items() <= heap.items())):
+            walk.merge(rec[2], rec[3])
+            memo.append(rec)
+            continue
         if c is not None and (a.fn, a.label, a.recv) != (c.fn, c.label, c.recv):
             return fail(f"frame {i}: program point mismatch")
         gamma = dict(typing.ctx(a.fn, a.label).gamma)
@@ -582,14 +604,18 @@ def walk_stack(typing: TypingResult, acfg: AbsConfig, cfg=None) -> Walk:
             gamma.pop(a.recv, None)
         if c is not None and set(c.frame) != set(gamma):
             return fail(f"frame {i}: variables {sorted(c.frame)} vs context {sorted(gamma)}")
-        for x in sorted(gamma):
-            v = a.frame.get(x)
-            if v is None:
-                return fail(f"frame {i}: variable {x} missing on the abstract side")
-            walk.add(a.theta, gamma[x], v, None if c is None else c.frame[x])
+        frame = Walk(heap, walk.diags)  # the walk stops after the first fault, across frames
+        for x in itertools.takewhile(a.frame.__contains__, sorted(gamma)):
+            frame.add(a.theta, gamma[x], a.frame[x], None if c is None else c.frame[x])
+        walk.merge(frame.summary, frame.footprint)
+        missing = sorted(set(gamma) - set(a.frame))
+        if missing:
+            return fail(f"frame {i}: variable {missing[0]} missing on the abstract side")
         extra = set(a.frame) - set(gamma)
         if extra:
             return fail(f"frame {i}: abstract side has variables {sorted(extra)} outside the context")
+        cells = {m[2]: heap[m[2]] for m in frame.footprint}
+        memo.append(None if walk.diags else (a, c, frame.summary, frame.footprint, cells))
     return walk
 
 
@@ -620,14 +646,14 @@ def safe_footprint(lctx: LftCtx, footprint: Counter) -> list[str]:
     """Every address is read by one hot access, or by a frozen hot owner
     alongside cold readers whose lifetimes end first."""
     diags = []
+    reads = Counter(mark[2] for mark in footprint.elements())
     by_addr: dict[int, list] = {}
     for mark, k in footprint.items():
-        by_addr.setdefault(mark[2], []).extend([mark] * k)
+        if mark[0] != HOT or reads[mark[2]] != 1:  # one hot access alone is safe
+            by_addr.setdefault(mark[2], []).extend([mark] * k)
     for addr, marks in sorted(by_addr.items()):
         hots = [m for m in marks if m[0] == HOT]
         colds = [m for m in marks if m[0] == "cold"]
-        if len(hots) == 1 and not colds:
-            continue
         if len(hots) == 1 and hots[0][1] is not None:
             if all(lctx.leq(c[1], hots[0][1]) for c in colds):
                 continue

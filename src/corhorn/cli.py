@@ -169,7 +169,7 @@ def cmd_bisim(args) -> int:
     kw = dict(fuel=_at_least(args.fuel, 0, "--fuel"), typing=typing, rand_range=rand_range)
     system = T.translate_program(prog, typing)
     failures = []
-    runs = 0
+    runs = out_of_fuel = 0
     for _ in range(_at_least(args.runs, 1, "--runs")):
         inputs = corpus.random_inputs(prog, args.fn, rng, spec)
         seed = rng.randrange(2 ** 31)
@@ -177,11 +177,13 @@ def cmd_bisim(args) -> int:
         r2 = harness.lockstep_aos_sldc(prog, args.fn, inputs, seed=seed, system=system, **kw)
         runs += 2
         for kind, rep in (("cos-aos", r1), ("aos-sldc", r2)):
+            out_of_fuel += rep.detail == rep.FUEL_OUT
             if not rep.ok:
                 failures.append({"kind": kind, "inputs": [V.show(v) for v in inputs],
                                  "seed": seed, "report": rep.to_json()})
-    payload = {"runs": runs, "failures": failures}
-    _emit(args, payload, f"{runs} lockstep runs, {len(failures)} divergences")
+    payload = {"runs": runs, "failures": failures, "out_of_fuel": out_of_fuel}
+    fuel_note = f", {out_of_fuel} ended at fuel" if out_of_fuel else ""
+    _emit(args, payload, f"{runs} lockstep runs, {len(failures)} divergences{fuel_note}")
     return EXIT_OK if not failures else EXIT_REFUTED
 
 

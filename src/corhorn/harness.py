@@ -5,12 +5,15 @@ differential oracle.
 The heap-vs-prophecy link checks each concrete configuration against
 the prophecy configuration reached by the same steps: `aos.walk_stack`
 over the heap (the extended readout), the safety of the summary and
-footprint it gathers, and the abstract side's lifetime safety.
+footprint it gathers, and the abstract side's lifetime safety.  Each
+step walks again only the frames it changed (`aos.walk_stack`).
 
 The prophecy-vs-resolution link renders each abstract configuration as
 a stack of predicate applications (a resolutive configuration) and
 checks that each interpreter step is matched by one resolution step
-using exactly the clause generated from the executed statement.
+using exactly the clause generated from the executed statement.  Each
+step renders again only the frames it changed, and the refinement check
+takes a candidate atom that is the target's own atom as matched.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ def safe_link(
     typing: TypingResult,
     cfg: cos.CosConfig,
     acfg: aos.AbsConfig,
+    memo: Optional[list] = None,
 ) -> tuple[bool, list[str]]:
     """Does the concrete configuration read out safely as the abstract
     one?  Walks acfg's stack over cfg's heap (`aos.walk_stack`) and
@@ -43,8 +47,9 @@ def safe_link(
     visited every abstract pre-value at its type, and its summary is the
     abstract one (the walk that `aos.safe_abstract` runs without a heap)
     with addresses added, so only the abstract side's lifetime safety
-    (`aos.lifetime_safe`) is left to check."""
-    walk = aos.walk_stack(typing, acfg, cfg)
+    (`aos.lifetime_safe`) is left to check.  With memo, the previous
+    step's records, the walk reuses each frame the step left unchanged."""
+    walk = aos.walk_stack(typing, acfg, cfg, memo)
     if walk.diags:
         return False, walk.diags
     diags = aos.safe_summary(acfg.lft, walk.summary) + aos.safe_footprint(acfg.lft, walk.footprint)
@@ -66,6 +71,8 @@ class LinkStep:
 
 @dataclass
 class LinkReport:
+    FUEL_OUT = "fuel exhausted with all steps linked"  # the detail of a run cut by its fuel
+
     ok: bool
     steps: list[LinkStep]
     detail: str = ""
@@ -104,9 +111,10 @@ def lockstep_cos_aos(
     c = cos.initial_config(prog, typing, fname, inputs, alloc)
     a = aos.initial_config(prog, fname, inputs)
     steps: list[LinkStep] = []
+    memo: list = []
     for i in range(fuel + 1):
         point = f"{c.top.fn}:{c.top.label}"
-        _, diags = safe_link(prog, typing, c, a)
+        _, diags = safe_link(prog, typing, c, a, memo)
         diags += aos.lifetime_safe(prog, typing, a)
         steps.append(LinkStep(i, point, not diags, diags))
         if diags:
@@ -127,21 +135,24 @@ def lockstep_cos_aos(
             reason = (rc if isinstance(rc, Stuck) else ra).reason
             return LinkReport(False, steps, f"stuck at step {i}: {reason}")
         c, a = rc.config, ra.config
-    return LinkReport(True, steps, "fuel exhausted with all steps linked")
+    return LinkReport(True, steps, LinkReport.FUEL_OUT)
 
 
 # -- prophecy interpreter vs resolution -------------------------------------
 
 
-def resolutive_of(prog: S.Program, typing: TypingResult, acfg: aos.AbsConfig) -> sldc.ResConfig:
+def resolutive_of(prog: S.Program, typing: TypingResult, acfg: aos.AbsConfig,
+                  memo: Optional[list] = None) -> sldc.ResConfig:
     """Render an abstract configuration as a resolutive configuration:
     one atom per frame, prophecy variables as logic variables, fresh
-    result variables threading each receiver."""
-    sorts: dict[str, L.Sort] = {}
+    result variables threading each receiver.  memo, the previous
+    rendering's (entry, atom, sorts) per frame if given, is updated in
+    place; a frame whose entry is the recorded object at the same index
+    keeps its atom and sorts (its r#i names depend only on the index)."""
 
-    def term_of(v: V.PreValue, sort: L.Sort) -> V.Term:
+    def term_of(v: V.PreValue, sort: L.Sort, sorts: dict) -> V.Term:
         """v with each prophecy variable as a logic variable, whose sort
-        is recorded."""
+        is recorded in sorts."""
         if isinstance(v, (int, V.UnitVal)):
             return v
         sort = S.whnf(sort)
@@ -149,29 +160,38 @@ def resolutive_of(prog: S.Program, typing: TypingResult, acfg: aos.AbsConfig) ->
             sorts[f"a#{v.uid}"] = sort
             return V.Var(f"a#{v.uid}")
         if isinstance(v, V.Box):
-            return V.Box(term_of(v.inner, sort.inner))
+            return V.Box(term_of(v.inner, sort.inner, sorts))
         if isinstance(v, V.MutPair):
-            return V.MutPair(term_of(v.cur, sort.inner), term_of(v.fin, sort.inner))
+            return V.MutPair(term_of(v.cur, sort.inner, sorts), term_of(v.fin, sort.inner, sorts))
         if isinstance(v, V.Inj):
-            return V.Inj(v.tag, term_of(v.payload, sort.left if v.tag == 0 else sort.right))
-        return V.Pair(term_of(v.fst, sort.left), term_of(v.snd, sort.right))
+            return V.Inj(v.tag, term_of(v.payload, sort.left if v.tag == 0 else sort.right, sorts))
+        return V.Pair(term_of(v.fst, sort.left, sorts), term_of(v.snd, sort.right, sorts))
 
+    memo = [] if memo is None else memo
+    prev, memo[:] = memo[:], []
     atoms = []
+    sorts: dict[str, L.Sort] = {}
     for i, entry in enumerate(acfg.stack):
-        wc = typing.ctx(entry.fn, entry.label)
-        frame: dict[str, V.Term] = dict(entry.frame)
-        if i > 0:
-            frame[entry.recv] = V.Var(f"r#{i - 1}")
-        args = []
-        for x in T.label_vars(wc):
-            val = frame[x]
-            if isinstance(val, V.Var):
-                args.append(val)
-            else:
-                args.append(term_of(val, T.sort_of_type(wc.gamma[x].ty)))
-        sorts[f"r#{i}"] = T.sort_of_type(prog.fn(entry.fn).ret)
-        args.append(V.Var(f"r#{i}"))
-        atoms.append(L.Atom(L.pred_name(entry.fn, entry.label), tuple(args)))
+        rec = prev[i] if i < len(prev) else None
+        if rec is None or rec[0] is not entry:
+            wc = typing.ctx(entry.fn, entry.label)
+            frame: dict[str, V.Term] = dict(entry.frame)
+            if i > 0:
+                frame[entry.recv] = V.Var(f"r#{i - 1}")
+            args = []
+            frame_sorts: dict[str, L.Sort] = {}
+            for x in T.label_vars(wc):
+                val = frame[x]
+                if isinstance(val, V.Var):
+                    args.append(val)
+                else:
+                    args.append(term_of(val, T.sort_of_type(wc.gamma[x].ty), frame_sorts))
+            frame_sorts[f"r#{i}"] = T.sort_of_type(prog.fn(entry.fn).ret)
+            args.append(V.Var(f"r#{i}"))
+            rec = (entry, L.Atom(L.pred_name(entry.fn, entry.label), tuple(args)), frame_sorts)
+        atoms.append(rec[1])
+        sorts.update(rec[2])
+        memo.append(rec)
     n = len(acfg.stack) - 1
     return sldc.ResConfig(tuple(atoms), V.Var(f"r#{n}"), sorts)
 
@@ -181,6 +201,10 @@ def _config_refines(cand: sldc.ResConfig, target: sldc.ResConfig) -> bool:
         return False
     m: dict[str, V.Term] = {}
     for ca, ta in zip(cand.stack, target.stack):
+        if ca is ta:  # matches itself: each of its variables binds to itself
+            if any(m.setdefault(x, V.Var(x)) != V.Var(x) for t in ca.args for x in V.vars_in(t)):
+                return False
+            continue
         if ca.pred != ta.pred or len(ca.args) != len(ta.args):
             return False
         if not all(L.match_into(x, y, m) for x, y in zip(ca.args, ta.args)):
@@ -220,7 +244,8 @@ def lockstep_aos_sldc(
     rng = random.Random(seed)
     renamer = sldc.Renamer()
     a = aos.initial_config(prog, fname, inputs)
-    k = resolutive_of(prog, typing, a)
+    memo: list = []
+    k = resolutive_of(prog, typing, a, memo)
     steps: list[LinkStep] = []
     for i in range(fuel + 1):
         top = a.top
@@ -245,7 +270,7 @@ def lockstep_aos_sldc(
             branch = 0 if a2.top.label == stmt.l0 else 1
         clauses = _clauses_for_step(clause_tags, top.fn, top.label, branch)
         cands = sldc.step(k, clauses, renamer, spec)
-        target = resolutive_of(prog, typing, a2)
+        target = resolutive_of(prog, typing, a2, memo)
         ok = any(_config_refines(c, target) for c in cands if not c.done)
         steps.append(
             LinkStep(i, point, ok, [] if ok else [f"{len(cands)} candidates, none refines to the target"])
@@ -253,7 +278,7 @@ def lockstep_aos_sldc(
         if not ok:
             return LinkReport(False, steps, f"diverged at step {i} ({point})")
         a, k = a2, target
-    return LinkReport(True, steps, "fuel exhausted with all steps linked")
+    return LinkReport(True, steps, LinkReport.FUEL_OUT)
 
 
 # ---------------------------------------------------------------------------

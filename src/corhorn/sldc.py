@@ -22,6 +22,7 @@ independent oracle for the least model on small systems.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -148,7 +149,12 @@ def _expand_var(name: str, kind: str, sorts: dict[str, Sort], renamer: Renamer):
 
 
 def _subst_atoms(atoms: Iterable[Atom], mapping: dict[str, V.Term]) -> tuple[Atom, ...]:
-    return tuple(Atom(a.pred, tuple(V.subst_vars(x, mapping) for x in a.args)) for a in atoms)
+    """The atoms with mapping applied; an atom it leaves unchanged is kept as itself."""
+    out = []
+    for a in atoms:
+        args = tuple([V.subst_vars(x, mapping) for x in a.args])
+        out.append(a if all(map(operator.is_, args, a.args)) else Atom(a.pred, args))
+    return tuple(out)
 
 
 def calculate(

@@ -412,6 +412,16 @@ def test_bisim_passes_rand_range_to_both_lockstep_checks(capsys, monkeypatch):
     assert seen == [("lockstep_cos_aos", (0, 0)), ("lockstep_aos_sldc", (0, 0))]
 
 
+def test_bisim_reports_runs_that_end_at_fuel(capsys):
+    code, out, _ = run_cli(capsys, "bisim", JUST_REC, "--fn", "just_rec_main", "--runs", "3",
+                           "--fuel", "5", "--json")
+    blob = json.loads(out)
+    assert (code, blob["runs"], blob["failures"], blob["out_of_fuel"]) == (0, 6, [], 6)
+    code, out, _ = run_cli(capsys, "bisim", JUST_REC, "--fn", "just_rec_main", "--runs", "3",
+                           "--fuel", "5")
+    assert (code, out) == (0, "6 lockstep runs, 0 divergences, 6 ended at fuel\n")
+
+
 def test_bisim_translates_each_program_once(capsys, monkeypatch):
     from corhorn import translate
 

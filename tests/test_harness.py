@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from corhorn import aos, corpus, cos, harness, logic as L, syntax as S, typeck, values as V
+from corhorn import aos, corpus, cos, harness, logic as L, sldc, syntax as S, typeck, values as V
 from corhorn.cos import Alloc
 
 from helpers import drop_swap_exchange, mklist, stuck_at_swap
@@ -127,6 +127,13 @@ def test_duplicate_hot_footprint_unsafe(inc_max_setup):
 
     diags = aos.safe_summary(lctx, Counter()) + aos.safe_footprint(lctx, Counter(footprint))
     assert diags
+
+
+def test_lone_cold_footprint_mark_unsafe():
+    lctx = typeck.LftCtx.make({"a@0"}, set())
+    assert aos.safe_footprint(lctx, Counter({("cold", "a@0", 100): 1, ("hot", None, 101): 1})) == [
+        "address 100: access marks [\"('cold', 'a@0', 100)\"]"
+    ]
 
 
 def test_give_and_take_at_different_addresses_unsafe():
@@ -335,6 +342,105 @@ def test_mutation_broken_aos_rule_detected(inc_max_setup, monkeypatch):
     assert not rep.ok
     swap_step = next(i for i, s in enumerate(rep.steps) if s.point == "inc_max:L7")
     assert rep.steps[-1].index == swap_step + 1  # first divergence right after
+
+
+# -- incremental lockstep ---------------------------------------------------------
+
+
+def test_lockstep_checks_link_and_render_once_per_step(inc_max_setup, monkeypatch):
+    prog, typing = inc_max_setup
+    calls = Counter()
+    for name in ("safe_link", "resolutive_of"):
+        def counted(*args, _name=name, _real=getattr(harness, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+    r1 = harness.lockstep_cos_aos(prog, "inc_max", [V.Box(4), V.Box(3)], typing=typing)
+    r2 = harness.lockstep_aos_sldc(prog, "inc_max", [V.Box(4), V.Box(3)], typing=typing)
+    assert r1.ok and r2.ok
+    assert calls == {"safe_link": len(r1.steps), "resolutive_of": len(r2.steps)}
+
+
+def test_incremental_lockstep_agrees_with_full_checks(monkeypatch):
+    """At every step of both lockstep checks, on a few criterion-6 draws
+    of each corpus entry, the stack walk, the rendering and the
+    refinement verdicts with the previous step's records equal those
+    computed from scratch."""
+    real_walk, real_render, real_refines = aos.walk_stack, harness.resolutive_of, harness._config_refines
+    reused = Counter()
+
+    def walk_stack(typing, acfg, cfg=None, memo=None):
+        prev = list(memo or ())
+        walk, full = real_walk(typing, acfg, cfg, memo), real_walk(typing, acfg, cfg)
+        assert (list(walk.summary.items()), list(walk.footprint.items()), walk.diags) == (
+            list(full.summary.items()), list(full.footprint.items()), full.diags)
+        reused["frames"] += sum(r is not None and r is p for r, p in zip(memo, prev))
+        return walk
+
+    def resolutive_of(prog, typing, acfg, memo=None):
+        prev = list(memo or ())
+        k, full = real_render(prog, typing, acfg, memo), real_render(prog, typing, acfg)
+        assert (k.stack, k.result, list(k.sorts.items())) == (
+            full.stack, full.result, list(full.sorts.items()))
+        reused["atoms"] += sum(r is p for r, p in zip(memo, prev))
+        return k
+
+    def config_refines(cand, target):
+        fresh = sldc.ResConfig(tuple(L.Atom(a.pred, a.args) for a in target.stack),
+                               target.result, target.sorts)
+        ok = real_refines(cand, target)
+        assert ok == real_refines(cand, fresh)
+        reused["shared atoms"] += sum(a is b for a, b in zip(cand.stack, target.stack))
+        return ok
+
+    monkeypatch.setattr(aos, "walk_stack", walk_stack)
+    monkeypatch.setattr(harness, "resolutive_of", resolutive_of)
+    monkeypatch.setattr(harness, "_config_refines", config_refines)
+    for e in corpus.CORPUS:
+        prog = corpus.load(e.name)
+        typing = typeck.type_program(prog)
+        rng = random.Random(zlib.crc32(e.name.encode()))
+        for _ in range(3):
+            inputs = corpus.random_inputs(prog, e.entry_fn, rng, L.SampleSpec(-4, 4, max_depth=3))
+            kw = dict(seed=rng.randrange(2 ** 31), fuel=250, typing=typing, rand_range=(-8, 8))
+            assert harness.lockstep_cos_aos(prog, e.entry_fn, inputs, **kw).ok
+            assert harness.lockstep_aos_sldc(prog, e.entry_fn, inputs, **kw).ok
+    assert min(reused.values()) > 100, reused
+
+
+def test_walk_memo_rereads_a_changed_lower_frame_cell():
+    # a step that changes a cell only a lower frame read: that frame's
+    # record is not reused, and the diagnostic is the full walk's
+    prog = corpus.load("inc_some")
+    typing = typeck.type_program(prog)
+    c_out = cos.run(prog, "inc_some", INC_SOME_IN, typing=typing)
+    a_out = aos.run(prog, "inc_some", INC_SOME_IN, typing=typing)
+    memo: list = []
+    for c, a in zip(c_out.trace, a_out.trace):
+        prev = list(memo)
+        assert harness.safe_link(prog, typing, c, a, memo) == (True, [])
+        kept = [any(r is p for p in prev) for r in memo]
+        only = ({x for r, k in zip(memo, kept) if k for x in r[4]}
+                - {x for r, k in zip(memo, kept) if not k for x in r[4]})
+        if only:
+            break
+    addr = min(only)
+    bad = _heap_cell(c, addr, c.heap[addr] + 7)
+    full = harness.safe_link(prog, typing, bad, a)
+    assert not full[0] and full[1]
+    assert harness.safe_link(prog, typing, bad, a, prev) == full
+
+
+def test_config_refines_binds_the_variables_of_a_shared_atom():
+    # an atom that is the target's own matches itself only if its
+    # variables are still free or bound to themselves
+    shared = L.Atom("q", (V.Var("x"), 1))
+    cand = sldc.ResConfig((L.Atom("p", (V.Var("x"),)), shared), V.Var("r"))
+    for head, ok in ((V.Var("x"), True), (V.Var("y"), False), (5, False)):
+        target = sldc.ResConfig((L.Atom("p", (head,)), shared), V.Var("r"))
+        copy = sldc.ResConfig((target.stack[0], L.Atom("q", shared.args)), V.Var("r"))
+        assert harness._config_refines(cand, target) is harness._config_refines(cand, copy) is ok
 
 
 def test_oracle_diff_never_returning():

@@ -7,7 +7,7 @@ import zlib
 
 import pytest
 
-from corhorn import corpus, logic as L, parser, sldc, syntax as S, translate, typeck, values as V
+from corhorn import aos, corpus, logic as L, parser, sldc, syntax as S, translate, typeck, values as V
 from corhorn.logic import Atom, CHCSystem, Clause, SampleSpec
 
 from helpers import canon_config_reference, fresh_copy, is_pattern_reference
@@ -196,6 +196,24 @@ def test_walks_return_unchanged_terms_themselves():
     assert got == V.Pair(V.Box(1), t.snd) and got.snd is t.snd
     red = V.Pair(V.DerefT(V.Box(2)), t.snd)
     assert sldc.simplify(red) == V.Pair(2, t.snd) and sldc.simplify(red).snd is t.snd
+
+
+def test_substitutions_return_untouched_atoms_and_frame_entries_themselves():
+    atoms = tuple(a for _, system in _translations() for c in system.clauses for a in c.body)
+    assert len(atoms) > 100
+    assert all(b is a for a, b in zip(atoms, sldc._subst_atoms(atoms, {"no such var": 0})))
+    touched, untouched = Atom("p", (V.Box(V.Var("x")), 1)), Atom("q", (V.Var("y"), V.Box(2)))
+    got = sldc._subst_atoms((touched, untouched), {"x": 3})
+    assert got == (Atom("p", (V.Box(3), 1)), untouched) and got[1] is untouched
+    # resolving a prophecy rebuilds only the frame entries that hold it
+    p = V.AbsVar(0, "p")
+    holds = aos.AbsFrameEntry("f", "L1", {}, None, {"x": V.MutPair(1, p), "y": V.Box(2)})
+    free = aos.AbsFrameEntry("g", "L2", {}, "r", {"z": V.Box(V.Pair(3, V.UNIT))})
+    cfg = aos.AbsConfig((holds, free), typeck.LftCtx.empty())
+    new = cfg.subst(0, 5)
+    assert new.stack[0].frame == {"x": V.MutPair(1, 5), "y": V.Box(2)}
+    assert new.stack[0].frame["y"] is holds.frame["y"] and new.stack[1] is free
+    assert all(b is a for a, b in zip(cfg.stack, cfg.subst(1, 5).stack))
 
 
 def _first_occurrence_renamer():

@@ -12,8 +12,8 @@ The prophecy-vs-resolution link renders each abstract configuration as
 a stack of predicate applications (a resolutive configuration) and
 checks that each interpreter step is matched by one resolution step
 using exactly the clause generated from the executed statement.  Each
-step renders again only the frames it changed, and the refinement check
-takes a candidate atom that is the target's own atom as matched.
+step renders again only the frames it changed; an atom that a candidate
+shares with the target matches by binding its variables to themselves.
 """
 
 from __future__ import annotations

@@ -574,14 +574,17 @@ def walk_stack(typing: TypingResult, acfg: AbsConfig, cfg=None, memo: Optional[l
     returned walk; a stack-level one ends the walk.
 
     memo, the previous walk's records if given, is updated in place: each
-    frame that passes is recorded with its two entries, summary, footprint
-    and the cells it read.  Until a fault is found, a frame whose entries
-    are its record's objects at the same index, and whose recorded cells
-    still hold their values, adds its recorded counts without a walk."""
+    frame that passes is recorded, by its place from the stack bottom,
+    with its two entries, summary, footprint and the cells it read.
+    Until a fault is found, a frame whose entries are its record's
+    objects, and whose recorded cells still hold their values, adds its
+    recorded counts without a walk.  A call or a return gives the frame
+    it touches new entries, so a reused frame keeps its top-or-not role."""
     walk = Walk(None if cfg is None else cfg.heap)
     heap = walk.heap
     memo = [] if memo is None else memo
-    prev, memo[:] = memo[:], []
+    n = len(acfg.stack)
+    prev, memo[:] = memo[:], [None] * n
 
     def fail(msg: str) -> Walk:
         walk.diags.append(msg)
@@ -591,11 +594,12 @@ def walk_stack(typing: TypingResult, acfg: AbsConfig, cfg=None, memo: Optional[l
         return fail(f"stack depth {len(cfg.stack)} vs abstract {len(acfg.stack)}")
     for i, a in enumerate(acfg.stack):
         c = None if cfg is None else cfg.stack[i]
-        rec = prev[i] if i < len(prev) else None
+        j = n - 1 - i  # the place from the stack bottom
+        rec = prev[j] if j < len(prev) else None
         if (rec is not None and not walk.diags and rec[0] is a and rec[1] is c
                 and (heap is None or rec[4].items() <= heap.items())):
             walk.merge(rec[2], rec[3])
-            memo.append(rec)
+            memo[j] = rec
             continue
         if c is not None and (a.fn, a.label, a.recv) != (c.fn, c.label, c.recv):
             return fail(f"frame {i}: program point mismatch")
@@ -615,7 +619,7 @@ def walk_stack(typing: TypingResult, acfg: AbsConfig, cfg=None, memo: Optional[l
         if extra:
             return fail(f"frame {i}: abstract side has variables {sorted(extra)} outside the context")
         cells = {m[2]: heap[m[2]] for m in frame.footprint}
-        memo.append(None if walk.diags else (a, c, frame.summary, frame.footprint, cells))
+        memo[j] = None if walk.diags else (a, c, frame.summary, frame.footprint, cells)
     return walk
 
 

@@ -167,14 +167,13 @@ def cmd_bisim(args) -> int:
     rand_range = _int_range(args.rand_lo, args.rand_hi, "--rand-lo/--rand-hi")
     spec = L.SampleSpec(*rand_range, max_depth=3)
     kw = dict(fuel=_at_least(args.fuel, 0, "--fuel"), typing=typing, rand_range=rand_range)
-    system = T.translate_program(prog, typing)
     failures = []
     runs = out_of_fuel = 0
     for _ in range(_at_least(args.runs, 1, "--runs")):
         inputs = corpus.random_inputs(prog, args.fn, rng, spec)
         seed = rng.randrange(2 ** 31)
         r1 = harness.lockstep_cos_aos(prog, args.fn, inputs, seed=seed, **kw)
-        r2 = harness.lockstep_aos_sldc(prog, args.fn, inputs, seed=seed, system=system, **kw)
+        r2 = harness.lockstep_aos_sldc(prog, args.fn, inputs, seed=seed, **kw)
         runs += 2
         for kind, rep in (("cos-aos", r1), ("aos-sldc", r2)):
             out_of_fuel += rep.detail == rep.FUEL_OUT

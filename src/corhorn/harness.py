@@ -11,9 +11,12 @@ step walks again only the frames it changed (`aos.walk_stack`).
 The prophecy-vs-resolution link renders each abstract configuration as
 a stack of predicate applications (a resolutive configuration) and
 checks that each interpreter step is matched by one resolution step
-using exactly the clause generated from the executed statement.  Each
-step renders again only the frames it changed; an atom that a candidate
-shares with the target matches by binding its variables to themselves.
+using exactly the clause generated from the executed statement, taken
+from `translate.clauses_for_label`.  Each step renders again only the
+frames it changed; an atom that a candidate shares with the target
+matches by binding its variables to themselves.  The rendering and the
+oracle's query build their label atoms with `translate.label_atom`, so
+the argument order is decided there alone.
 """
 
 from __future__ import annotations
@@ -153,7 +156,7 @@ def resolutive_of(prog: S.Program, typing: TypingResult, acfg: aos.AbsConfig,
     def term_of(v: V.PreValue, sort: L.Sort, sorts: dict) -> V.Term:
         """v with each prophecy variable as a logic variable, whose sort
         is recorded in sorts."""
-        if isinstance(v, (int, V.UnitVal)):
+        if isinstance(v, (int, V.UnitVal, V.Var)):
             return v
         sort = S.whnf(sort)
         if isinstance(v, V.AbsVar):
@@ -174,21 +177,16 @@ def resolutive_of(prog: S.Program, typing: TypingResult, acfg: aos.AbsConfig,
     for i, entry in enumerate(acfg.stack):
         rec = prev[i] if i < len(prev) else None
         if rec is None or rec[0] is not entry:
-            wc = typing.ctx(entry.fn, entry.label)
+            gamma = typing.ctx(entry.fn, entry.label).gamma
+            frame_sorts: dict[str, L.Sort] = {}
             frame: dict[str, V.Term] = dict(entry.frame)
             if i > 0:
                 frame[entry.recv] = V.Var(f"r#{i - 1}")
-            args = []
-            frame_sorts: dict[str, L.Sort] = {}
-            for x in T.label_vars(wc):
-                val = frame[x]
-                if isinstance(val, V.Var):
-                    args.append(val)
-                else:
-                    args.append(term_of(val, T.sort_of_type(wc.gamma[x].ty), frame_sorts))
+            args = {x: term_of(frame[x], T.sort_of_type(info.ty), frame_sorts)
+                    for x, info in sorted(gamma.items())}
             frame_sorts[f"r#{i}"] = T.sort_of_type(prog.fn(entry.fn).ret)
-            args.append(V.Var(f"r#{i}"))
-            rec = (entry, L.Atom(L.pred_name(entry.fn, entry.label), tuple(args)), frame_sorts)
+            args[T.RES] = V.Var(f"r#{i}")
+            rec = (entry, T.label_atom(typing, entry.fn, entry.label, args), frame_sorts)
         atoms.append(rec[1])
         sorts.update(rec[2])
         memo.append(rec)
@@ -212,14 +210,6 @@ def _config_refines(cand: sldc.ResConfig, target: sldc.ResConfig) -> bool:
     return L.match_into(cand.result, target.result, m)
 
 
-def _clauses_for_step(clause_tags, fn, label, branch: Optional[int]):
-    out = []
-    for c in clause_tags.get((fn, label), ()):
-        if branch is None or c.tag[3] == branch:
-            out.append(c)
-    return out
-
-
 def lockstep_aos_sldc(
     prog: S.Program,
     fname: str,
@@ -228,18 +218,15 @@ def lockstep_aos_sldc(
     fuel: int = 100_000,
     typing: Optional[TypingResult] = None,
     rand_range: tuple[int, int] = (-128, 127),
-    system: Optional[L.CHCSystem] = None,
 ) -> LinkReport:
     """Check that every prophecy-interpreter step corresponds to one
     resolution step using the clause generated from the executed
-    statement, ending in an empty-stack configuration whose result
-    refines to the returned value."""
+    statement (`translate.clauses_for_label`, once per label; of a
+    match, the arm taken), ending in an empty-stack configuration whose
+    result refines to the returned value.  Translates nothing else."""
     typing = typing or type_program(prog)
     spec = L.SampleSpec(int_lo=rand_range[0], int_hi=rand_range[1])
-    sys = system or T.translate_program(prog, typing)
-    clause_tags: dict[tuple[str, str], list] = {}
-    for c in sys.clauses:
-        clause_tags.setdefault((c.tag[0], c.tag[2]), []).append(c)
+    label_clauses: dict[tuple[str, str], list[L.Clause]] = {}
     supply = aos.AbsSupply()
     rng = random.Random(seed)
     renamer = sldc.Renamer()
@@ -251,9 +238,12 @@ def lockstep_aos_sldc(
         top = a.top
         point = f"{top.fn}:{top.label}"
         stmt = prog.fn(top.fn).body[top.label]
+        clauses = label_clauses.get((top.fn, top.label))
+        if clauses is None:
+            clauses = label_clauses[top.fn, top.label] = T.clauses_for_label(
+                prog, typing, top.fn, top.label, stmt)
         ra = aos.step(prog, typing, a, rng, supply, rand_range)
         if isinstance(ra, Final):
-            clauses = _clauses_for_step(clause_tags, top.fn, top.label, None)
             cands = sldc.step(k, clauses, renamer, spec)
             (value,) = a.top.frame.values()
             done = [c for c in cands if c.done and L.refines_to(c.result, value)]
@@ -265,10 +255,8 @@ def lockstep_aos_sldc(
         if isinstance(ra, Stuck):
             return LinkReport(False, steps, f"interpreter stuck at step {i}: {ra.reason}")
         a2 = ra.config
-        branch = None
         if isinstance(stmt, S.StmtMatch):
-            branch = 0 if a2.top.label == stmt.l0 else 1
-        clauses = _clauses_for_step(clause_tags, top.fn, top.label, branch)
+            clauses = [clauses[0 if a2.top.label == stmt.l0 else 1]]
         cands = sldc.step(k, clauses, renamer, spec)
         target = resolutive_of(prog, typing, a2, memo)
         ok = any(_config_refines(c, target) for c in cands if not c.done)
@@ -337,7 +325,7 @@ def oracle_diff(
     typing = typing or type_program(prog)
     spec = L.SampleSpec(int_lo=rand_range[0], int_hi=rand_range[1])
     sys = T.translate_program(prog, typing)
-    pred = L.pred_name(fname, S.ENTRY)
+    params = [x for x, _ in prog.fn(fname).params]
     seeds = list(seeds)
     checked = returned = flags = flagged_misses = 0
     misses: list[dict] = []
@@ -355,7 +343,8 @@ def oracle_diff(
         if not values:
             continue
         returned += 1
-        enum = sldc.enumerate_results(sys, pred, tuple(tup), depth=depth, spec=spec)
+        query = T.label_atom(typing, fname, S.ENTRY, dict(zip(params, tup)))
+        enum = sldc.enumerate_results(sys, query.pred, query.args[:-1], depth=depth, spec=spec)
         if enum.budget_exceeded:
             flags += 1
         for w in values:

@@ -243,8 +243,10 @@ def enumerate_results(
     spec: Optional[SampleSpec] = None,
 ) -> EnumOutcome:
     """All result patterns derivable for pred(inputs..., r) within the
-    depth/width budget.  Deduplicates configurations up to variable
-    renaming, which keeps the stuck-arithmetic branching in check."""
+    depth/width budget.  The inputs are in predicate order (for a label
+    predicate, `translate.label_atom`'s), not parameter order.
+    Deduplicates configurations up to variable renaming, which keeps the
+    stuck-arithmetic branching in check."""
     spec = spec or SampleSpec()
     if pred not in sys.sigs:
         raise L.IllSorted(f"unknown predicate {pred}")

@@ -1,8 +1,9 @@
 """Translation from typed programs to CHC systems.
 
 Each (function, label) pair becomes a predicate over the label's live
-variables plus a result position.  Each labeled statement becomes one
-clause (one per arm for a match) of a single form,
+variables, sorted, plus a result position (`label_atom` builds every
+atom).  Each labeled statement becomes one clause (one per arm for a
+match) of a single form,
 
     P_label(vars, some pinned to patterns) <= [callee and] P_next(vars, some replaced by terms)
 
@@ -61,8 +62,8 @@ def sort_of_type(t: S.Type) -> Sort:
 
 
 def label_vars(wc: WholeCtx) -> list[str]:
-    """The fixed enumeration order for a label's variables: lexicographic,
-    with the result position appended last."""
+    """A label predicate's argument order: its live variables, sorted,
+    then the result.  Only `label_atom` and `_binders` read it."""
     return sorted(wc.gamma)
 
 
@@ -70,11 +71,14 @@ def signature_for(
     prog: S.Program, typing: TypingResult, f: str, label: str
 ) -> tuple[str, tuple[Sort, ...], dict[str, Sort], Atom]:
     binders = _binders(typing, prog, f, label)
-    head = _atom(typing, f, label, {})
+    head = label_atom(typing, f, label, {})
     return pred_name(f, label), tuple(s for _, s in binders), dict(binders), head
 
 
-def _atom(typing: TypingResult, f: str, label: str, subst: dict[str, V.Term]) -> Atom:
+def label_atom(typing: TypingResult, f: str, label: str, subst: dict[str, V.Term]) -> Atom:
+    """f's label predicate applied to subst, keyed by variable name and
+    RES, in `label_vars` order; a name missing from subst stands for
+    itself.  Every atom of a label predicate is built here."""
     wc = typing.ctx(f, label)
     args = [subst.get(x, V.Var(x)) for x in label_vars(wc)]
     args.append(subst.get(RES, V.Var(RES)))
@@ -107,8 +111,8 @@ def clauses_for_label(
     def clause(to, pin=None, subst=None, drop=(), fresh=(), at=label, pre=(), case=0):
         """P_label(pinned) <= pre and P_to(substituted), binding at's variables
         minus drop, then res, then fresh; to=None leaves out the successor."""
-        head = _atom(typing, f, label, pin or {})
-        body = pre + ((_atom(typing, f, to, subst or {}),) if to is not None else ())
+        head = label_atom(typing, f, label, pin or {})
+        body = pre + ((label_atom(typing, f, to, subst or {}),) if to is not None else ())
         binders = _binders(typing, prog, f, at, drop=drop, fresh=fresh)
         return [Clause(binders, head, body, tag=(f, order, label, case))]
 
@@ -201,10 +205,9 @@ def clauses_for_label(
         return clause(goto)
 
     if isinstance(instr, S.Call):
-        callee = Atom(
-            pred_name(instr.fn, S.ENTRY),
-            tuple(V.Var(x) for x in instr.args) + (V.Var(instr.y),),
-        )
+        # parameters take the arguments by position, put in the callee's predicate order
+        args = {p: V.Var(x) for (p, _), x in zip(prog.fn(instr.fn).params, instr.args)}
+        callee = label_atom(typing, instr.fn, S.ENTRY, {**args, RES: V.Var(instr.y)})
         ret_sort = sort_of_type(typing.ty(f, goto, instr.y))
         return clause(goto, pre=(callee,), fresh=((instr.y, ret_sort),))
 

@@ -25,8 +25,8 @@ def drop_swap_exchange(monkeypatch) -> None:
 
     def sabotaged(prog_, typing_, f, label, stmt, order=0):
         if isinstance(stmt, S.StmtInstr) and isinstance(stmt.instr, S.Swap):
-            plain = T._atom(typing_, f, label, {})
-            nxt = T._atom(typing_, f, stmt.goto, {})
+            plain = T.label_atom(typing_, f, label, {})
+            nxt = T.label_atom(typing_, f, stmt.goto, {})
             return [
                 T.Clause(T._binders(typing_, prog_, f, label), plain, (nxt,),
                          tag=(f, order, label, 0))

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 import zlib
@@ -430,6 +431,34 @@ def test_walk_memo_rereads_a_changed_lower_frame_cell():
     full = harness.safe_link(prog, typing, bad, a)
     assert not full[0] and full[1]
     assert harness.safe_link(prog, typing, bad, a, prev) == full
+
+
+def test_walk_memo_keeps_lower_frames_across_calls_and_returns():
+    # a call or a return shifts every lower frame by one; a lower frame
+    # whose two entries are recorded and whose read cells are unchanged
+    # is not walked again
+    kept = Counter()
+    for name, seed in itertools.product(("just_rec", "linger_dec", "inc_some", "inc_some_t"), range(3)):
+        e = corpus.entry(name)
+        prog = corpus.load(name)
+        typing = typeck.type_program(prog)
+        inputs = corpus.random_inputs(prog, e.entry_fn, random.Random(seed), L.SampleSpec(-4, 4, max_depth=3))
+        kw = dict(seed=seed, fuel=250, typing=typing, rand_range=(-8, 8))
+        c_out, a_out = cos.run(prog, e.entry_fn, inputs, **kw), aos.run(prog, e.entry_fn, inputs, **kw)
+        memo: list = []
+        depth = None
+        for c, a in zip(c_out.trace, a_out.trace):
+            recs = {(id(r[0]), id(r[1])): r for r in memo if r is not None}
+            assert not aos.walk_stack(typing, a, c, memo).diags
+            if depth is not None and depth != len(a.stack):
+                kind = "call" if depth < len(a.stack) else "return"
+                for i in range(1, len(a.stack)):
+                    rec = recs.get((id(a.stack[i]), id(c.stack[i])))
+                    if rec is not None and rec[4].items() <= c.heap.items():
+                        assert any(r is rec for r in memo), (name, kind, i)
+                        kept[kind] += 1
+            depth = len(a.stack)
+    assert min(kept["call"], kept["return"]) > 20, kept
 
 
 def test_config_refines_binds_the_variables_of_a_shared_atom():

@@ -414,6 +414,48 @@ def test_enumeration_pinned():
     assert digests == PINNED_ENUM_DIGESTS
 
 
+def _enumerations(e):
+    """(outcome, covered) for each input tuple `_enum_digest` draws for
+    corpus entry e: covered is the sorted shown values of the result
+    sort at ENUM_SPEC that the outcome's patterns cover."""
+    prog = corpus.load(e.name)
+    system = translate.translate_program(prog, typeck.type_program(prog))
+    pred = L.pred_name(e.entry_fn, S.ENTRY)
+    values = L.enumerate_values(system.sigs[pred][-1], ENUM_SPEC)
+    rng = random.Random(zlib.crc32(e.name.encode()))
+    for _ in range(ENUM_INPUTS):
+        inputs = tuple(corpus.random_inputs(prog, e.entry_fn, rng, ENUM_SPEC))
+        out = sldc.enumerate_results(system, pred, inputs, depth=ENUM_DEPTH.get(e.name, 40),
+                                     width=ENUM_WIDTH, spec=ENUM_SPEC)
+        yield out, sorted(V.show(w) for w in values if sldc.covers_value(out, w))
+
+
+# SHA-256 per corpus entry over the number of result patterns,
+# `budget_exceeded` and the covered values of `_enumerations`: what an
+# enumeration derives, whatever the steps it took and the patterns' text.
+PINNED_COVERAGE_DIGESTS = {
+    "inc_max": "577aeab844a49e4d8c6c460094d24c8065e8489caa3e15653222685a9ecf384b",
+    "inc_max_unsafe": "72315e98e898a592df2475b3d234494827156f33ab5102efc282cbe187b01fe6",
+    "just_rec": "efc1af00129c118132acd3f7121eb1f097dbf91b76f1cd39cf33bafd51c131f2",
+    "just_rec_unsafe": "b2a4fce006314898d3481389ce227ab01351f74cc156dda16108bff1883f7c0c",
+    "linger_dec": "efc1af00129c118132acd3f7121eb1f097dbf91b76f1cd39cf33bafd51c131f2",
+    "linger_dec_unsafe": "b2a4fce006314898d3481389ce227ab01351f74cc156dda16108bff1883f7c0c",
+    "inc_some": "511aec1554b46a91b1d1ac23b81120a89e7a09666800abca5605cf05a350e87b",
+    "inc_some_unsafe": "5c8f1403081207491575413ec22a60c203acfb7ead90845d5584527f5cf0f0f2",
+    "inc_some_t": "8801761f9960e00e5f2a2acdbb675e8ceddab968003bce147c8f5c3bad4aa869",
+    "inc_some_t_unsafe": "0043513ac907561654a49f0a3d4cb9c8a1131b570bb0a993022cc3e8608457f2",
+}
+
+
+def test_enumeration_coverage_pinned():
+    digests = {}
+    for e in corpus.CORPUS:
+        blob = [[len(out.patterns), out.budget_exceeded, covered]
+                for out, covered in _enumerations(e)]
+        digests[e.name] = hashlib.sha256(json.dumps(blob).encode()).hexdigest()
+    assert digests == PINNED_COVERAGE_DIGESTS
+
+
 # -- pinned step output -----------------------------------------------------------
 
 STEP_LAYERS = 25  # frontier layers of each enumeration whose successors are hashed

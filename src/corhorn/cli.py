@@ -210,7 +210,8 @@ def cmd_oracle(args) -> int:
         prog, args.fn, tuples, seeds=seeds, depth=depth,
         rand_range=rand_range,
     )
-    _emit(args, rep.to_json(),
+    payload = {**rep.to_json(), "sldc": {"steps": rep.sldc_steps, "dedup_hits": rep.dedup_hits}}
+    _emit(args, payload,
           f"{rep.checked} inputs checked, {rep.returned} returned, "
           f"{len(rep.misses)} misses, {rep.budget_flags} budget flags")
     if rep.stuck:

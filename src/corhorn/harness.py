@@ -287,6 +287,10 @@ class OracleReport:
     # of to_json.  A stuck run is a fault of the heap semantics.
     stuck: int = 0
     out_of_fuel: int = 0
+    # the enumerations' resolution steps and dedup hits (`EnumOutcome`),
+    # also kept out of to_json
+    sldc_steps: int = 0
+    dedup_hits: int = 0
 
     @property
     def ok(self) -> bool:
@@ -327,7 +331,7 @@ def oracle_diff(
     sys = T.translate_program(prog, typing)
     params = [x for x, _ in prog.fn(fname).params]
     seeds = list(seeds)
-    checked = returned = flags = flagged_misses = 0
+    checked = returned = flags = flagged_misses = sldc_steps = dedup_hits = 0
     misses: list[dict] = []
     ends: Counter = Counter()
     for tup in input_tuples:
@@ -345,6 +349,8 @@ def oracle_diff(
         returned += 1
         query = T.label_atom(typing, fname, S.ENTRY, dict(zip(params, tup)))
         enum = sldc.enumerate_results(sys, query.pred, query.args[:-1], depth=depth, spec=spec)
+        sldc_steps += enum.steps
+        dedup_hits += enum.dedup_hits
         if enum.budget_exceeded:
             flags += 1
         for w in values:
@@ -358,4 +364,4 @@ def oracle_diff(
                     }
                 )
     return OracleReport(checked, returned, misses, flags, flagged_misses,
-                        ends["stuck"], ends["out_of_fuel"])
+                        ends["stuck"], ends["out_of_fuel"], sldc_steps, dedup_hits)

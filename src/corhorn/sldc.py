@@ -15,6 +15,16 @@ the result stay patterns.
 Variables that survive to a result pattern are don't-care markers;
 `refines_to`/`refine_default` from the logic module instantiate them.
 
+`enumerate_results` explores configurations breadth first and drops a
+successor it has seen before up to variable renaming and up to the
+arguments at ignored positions (`ignored_positions`): a position that
+every clause of its predicate fills with a variable occurring nowhere
+else in the clause.  Such an argument cannot change what a
+configuration derives, so the many integer branches of a value that a
+label drops right away (`t = rand(); c = t >= 0; drop t`) fall into a
+few classes at that label (redundant argument filtering, Leuschel &
+Sørensen 1996, applied to the dedup key only).
+
 A naive bottom-up fixpoint over bounded ground facts doubles as an
 independent oracle for the least model on small systems.
 """
@@ -23,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -148,13 +159,19 @@ def _expand_var(name: str, kind: str, sorts: dict[str, Sort], renamer: Renamer):
     raise CalculateError(kind)
 
 
-def _subst_atoms(atoms: Iterable[Atom], mapping: dict[str, V.Term]) -> tuple[Atom, ...]:
-    """The atoms with mapping applied; an atom it leaves unchanged is kept as itself."""
+def _map_atoms(atoms: Iterable[Atom], fn) -> tuple[Atom, ...]:
+    """The atoms with fn applied to every argument; an atom whose
+    arguments fn all returns unchanged is kept as itself."""
     out = []
     for a in atoms:
-        args = tuple([V.subst_vars(x, mapping) for x in a.args])
+        args = tuple([fn(x) for x in a.args])
         out.append(a if all(map(operator.is_, args, a.args)) else Atom(a.pred, args))
     return tuple(out)
+
+
+def _subst_atoms(atoms: Iterable[Atom], mapping: dict[str, V.Term]) -> tuple[Atom, ...]:
+    """The atoms with mapping applied; an atom it leaves unchanged is kept as itself."""
+    return _map_atoms(atoms, lambda x: V.subst_vars(x, mapping))
 
 
 def calculate(
@@ -170,7 +187,7 @@ def calculate(
     work = [(body, rest, result, sorts)]
     while work:
         body, rest, res, srt = work.pop()
-        body = tuple(Atom(a.pred, tuple(simplify(x) for x in a.args)) for a in body)
+        body = _map_atoms(body, simplify)
         stuck = None
         for a in body:
             for x in a.args:
@@ -227,11 +244,56 @@ def step(
     return out
 
 
+def _lone_head_vars(c: Clause) -> set[int]:
+    """The positions of c's head that hold a variable occurring nowhere
+    else in c."""
+    uses: Counter = Counter()
+    for atom in (c.head, *c.body):
+        for a in atom.args:
+            if type(a) is V.Var:
+                uses[a.name] += 1
+            elif not V.is_closed(a):
+                uses.update(V.vars_in(a))
+    return {i for i, a in enumerate(c.head.args) if type(a) is V.Var and uses[a.name] == 1}
+
+
+def ignored_positions(index: dict[str, list[Clause]]) -> dict[str, frozenset[int]]:
+    """For each predicate of the clause index (`CHCSystem.by_pred`), the
+    argument positions where every one of its clauses has a variable
+    occurring nowhere else in that clause; predicates with none, and
+    predicates with no clauses, are left out.  Unifying such a position
+    binds only that clause variable, so two configurations equal up to
+    renaming apart from these arguments have the same successors and
+    results up to renaming."""
+    out: dict[str, frozenset[int]] = {}
+    for pred, clauses in index.items():
+        if clauses:
+            ignored = set.intersection(*map(_lone_head_vars, clauses))
+            if ignored:
+                out[pred] = frozenset(ignored)
+    return out
+
+
+_IGNORED = V.UNIT  # what every ignored argument shows as in a dedup key
+
+
+def _dedup_key(cfg: ResConfig, ignored: dict[str, frozenset[int]]) -> tuple:
+    """`canon_config` of cfg with every argument at an ignored position
+    replaced by one placeholder."""
+    stack = tuple(
+        Atom(a.pred, tuple([_IGNORED if i in pos else x for i, x in enumerate(a.args)]))
+        if (pos := ignored.get(a.pred)) else a
+        for a in cfg.stack
+    )
+    return canon_config(ResConfig(stack, cfg.result))
+
+
 @dataclass
 class EnumOutcome:
     patterns: list[tuple[V.Term, dict[str, Sort]]]
     budget_exceeded: bool
     steps: int = 0
+    dedup_hits: int = 0  # successors dropped as already seen
 
 
 def enumerate_results(
@@ -245,8 +307,10 @@ def enumerate_results(
     """All result patterns derivable for pred(inputs..., r) within the
     depth/width budget.  The inputs are in predicate order (for a label
     predicate, `translate.label_atom`'s), not parameter order.
-    Deduplicates configurations up to variable renaming, which keeps the
-    stuck-arithmetic branching in check."""
+    Deduplicates configurations up to variable renaming and up to the
+    arguments at `ignored_positions`, which keeps the stuck-arithmetic
+    branching in check; `steps` counts every successor and `dedup_hits`
+    those dropped as already seen."""
     spec = spec or SampleSpec()
     if pred not in sys.sigs:
         raise L.IllSorted(f"unknown predicate {pred}")
@@ -258,13 +322,14 @@ def enumerate_results(
             raise L.IllSorted(f"input {V.show(v)} does not have sort {L.render_sort(s)}")
     renamer = Renamer()
     index = sys.by_pred()
+    ignored = ignored_positions(index)
     r = renamer.fresh("r")
     init = ResConfig((Atom(pred, tuple(inputs) + (V.Var(r),)),), V.Var(r), {r: sig[-1]})
-    seen = {canon_config(init)}
+    seen = {_dedup_key(init, ignored)}
     frontier = [init]
     results: dict[tuple, tuple[V.Term, dict[str, Sort]]] = {}
     flag = False
-    steps = 0
+    steps = hits = 0
     for _ in range(depth):
         if not frontier:
             break
@@ -272,9 +337,10 @@ def enumerate_results(
         for cfg in frontier:
             for nxt in step(cfg, index.get(cfg.stack[0].pred, ()), renamer, spec):
                 steps += 1
-                key = canon_config(nxt)
+                key = _dedup_key(nxt, ignored)
                 if key in seen:
-                    continue  # identical configurations derive identical results
+                    hits += 1
+                    continue  # it derives what the one seen derives, up to renaming
                 seen.add(key)
                 if nxt.done:
                     results[key] = (nxt.result, nxt.sorts)
@@ -286,7 +352,7 @@ def enumerate_results(
         frontier = new
     if frontier:
         flag = True
-    return EnumOutcome(list(results.values()), flag, steps)
+    return EnumOutcome(list(results.values()), flag, steps, hits)
 
 
 def covers_value(outcome: EnumOutcome, w: V.Value) -> bool:

@@ -194,6 +194,31 @@ def test_oracle_budget_cut_misses_are_no_verdict(capsys):
     assert err.startswith("no verdict: ")
 
 
+def test_oracle_json_reports_resolution_work(capsys, monkeypatch):
+    # "sldc" sums what each enumeration did; the report's own keys stay
+    from corhorn import sldc
+
+    outcomes = []
+    real = sldc.enumerate_results
+
+    def recorded(*args, **kwargs):
+        outcomes.append(real(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(sldc, "enumerate_results", recorded)
+    argv = ["oracle", "corpus/linger_dec.cor", "--fn", "linger_dec_main", "--range", "1",
+            "--depth", "40", "--run-seeds", "1"]
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0 and len(outcomes) == 3
+    blob = json.loads(out)
+    assert list(blob) == ["schema", "checked", "returned", "misses", "budget_flags", "ok", "sldc"]
+    assert blob["sldc"] == {"steps": sum(o.steps for o in outcomes),
+                            "dedup_hits": sum(o.dedup_hits for o in outcomes)}
+    assert blob["sldc"]["dedup_hits"] > 0
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, "3 inputs checked, 3 returned, 0 misses, 3 budget flags\n")
+
+
 def test_oracle_refutes_broken_translation(capsys, monkeypatch):
     drop_swap_exchange(monkeypatch)
     code, out, err = run_cli(

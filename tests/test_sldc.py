@@ -142,6 +142,50 @@ def test_canon_config_equals_rename_then_show(monkeypatch):
         (("p", ("inj0 (inj1 v0)", "-2")),), "v0")
 
 
+def test_calculate_keeps_unchanged_body_atoms_themselves():
+    x, y = V.Var("x"), V.Var("y")
+    body = (Atom("p", (V.Box(x), 3)), Atom("q", (y, V.Pair(x, V.UNIT))))
+    (out,) = sldc.calculate(body, (), y, {}, sldc.Renamer(), SampleSpec(-1, 1))
+    assert out.stack == body and all(b is a for a, b in zip(body, out.stack))
+    # a redex rebuilds only its own atom
+    red = Atom("r", (V.DerefT(V.Box(2)), x))
+    (out,) = sldc.calculate(body + (red,), (), y, {}, sldc.Renamer(), SampleSpec(-1, 1))
+    assert out.stack[:2] == body and all(b is a for a, b in zip(body, out.stack))
+    assert out.stack[2] == Atom("r", (2, x)) and out.stack[2].args[1] is x
+
+
+def test_ignored_positions_hand_built():
+    x, y, z = V.Var("x"), V.Var("y"), V.Var("z")
+    box = L.BoxS(L.INT_S)
+    sys = CHCSystem(
+        [
+            # a non-linear head variable, also through a constructor
+            Clause((("x", L.INT_S),), Atom("nonlin", (x, x)), ()),
+            Clause((("x", L.INT_S),), Atom("nested", (x, V.Box(x))), ()),
+            # x is used in the body, y nowhere else
+            Clause((("x", L.INT_S), ("y", L.INT_S)), Atom("body", (x, y)), (Atom("q", (x,)),)),
+            # a constructor head argument
+            Clause((("x", L.INT_S), ("y", L.INT_S)), Atom("ctor", (V.Box(x), y)), ()),
+            # two clauses: the positions both ignore
+            Clause((("x", L.INT_S), ("y", L.INT_S), ("z", L.INT_S)), Atom("two", (x, y, z)),
+                   (Atom("q", (x,)),)),
+            Clause((("x", L.INT_S), ("y", L.INT_S), ("z", L.INT_S)), Atom("two", (x, y, z)),
+                   (Atom("q", (z,)),)),
+        ],
+        # q has no clauses
+        {"nonlin": (L.INT_S, L.INT_S), "nested": (L.INT_S, box), "body": (L.INT_S, L.INT_S),
+         "ctor": (box, L.INT_S), "two": (L.INT_S, L.INT_S, L.INT_S), "q": (L.INT_S,)},
+    )
+    assert sldc.ignored_positions(sys.by_pred()) == {"body": {1}, "ctor": {1}, "two": {1}}
+
+
+def test_ignored_positions_of_a_drop_label():
+    # `drop t` keeps t in its own predicate and passes nothing of it on
+    prog = corpus.load("linger_dec")
+    ignored = sldc.ignored_positions(translate.translate_program(prog).by_pred())
+    assert ignored["linger_dec!L8"] == {2}
+
+
 def test_canon_config_renaming():
     a = sldc.ResConfig((Atom("p", (V.Var("x"), V.Var("x"))),), V.Var("x"), {})
     b = sldc.ResConfig((Atom("p", (V.Var("z"), V.Var("z"))),), V.Var("z"), {})
@@ -383,14 +427,14 @@ ENUM_DEPTH = {"linger_dec": 60, "linger_dec_unsafe": 60, "inc_some": 150,
 PINNED_ENUM_DIGESTS = {
     "inc_max": "92dee532fbed12c9bcc6e044dfedd316753cb2207b86b07ef562bafd65fe3b39",
     "inc_max_unsafe": "7efa8c7f4a29797b6f1515ee1e8b8ca114e694c0c4a4aeaa99b888d0462e7e82",
-    "just_rec": "a2dc1f016ff8aa20a6899dfd6b38fc25b8604dad88eb31cc142460c32a9a7258",
-    "just_rec_unsafe": "f4f6d9636d33c28f93eccd0ce9dab461d3ef7ff249d3b26c4628f06d258f4474",
-    "linger_dec": "44f72b278ececa336cef4861ca563446d171a11207dd0d0c1e4bda3b8a71d6a0",
-    "linger_dec_unsafe": "0b25e2c0b1bbe9929dc24803d3c30978f53400f74f765fb8107f8d35d5708fbd",
-    "inc_some": "5617d9cbf9f39e1d11d60281626c5443527f377fa4c2f11f8ecb345ae0cc1702",
-    "inc_some_unsafe": "eab992360b9e1cfd1fef4d99ab5e008221c005565f5522a8af3bef5560b983d1",
-    "inc_some_t": "8ced9045ffd7831c11de41416efc115a2c7ff72f555e368a3fd313ce1552a1f1",
-    "inc_some_t_unsafe": "3647d6717b8b828aeb35b843a42bf7ff613d6d968821b158d313fc7698172c7d",
+    "just_rec": "7e3c9380ff538fcad6414786ebcd0069dc66eaf591335b38985eadb7605b50a9",
+    "just_rec_unsafe": "3a254e09c3a1097af09cc18ea6372b0ddd64f8c65add3b8032ed3aa8fb3a2dc2",
+    "linger_dec": "b3e7ca3df6fad244aacc1c848f15bacde54b9360a85a69c32713c64a4819c545",
+    "linger_dec_unsafe": "5931a575943e0678d5fc5d8778d3cf0237cea8ae2f3dc20558ba555b83745057",
+    "inc_some": "0dddeac3cebaf8fc24f9d3c4f78329a6242db47f9dc0046e5738b45ea912dbe0",
+    "inc_some_unsafe": "7f80efefafc53bb52ff297b721c1eb22b39ae6c20c6c61d632a05967da601691",
+    "inc_some_t": "d66b00e6a6cfe5c9d57b7738d6174fcae05283713f0bdf5e5073301f0e4c8f9c",
+    "inc_some_t_unsafe": "ac369081be504442e1f12f7480c46a974bcb1c0ca1903e66e3835ed4f90935fb",
 }
 
 
@@ -510,3 +554,44 @@ PINNED_STEP_DIGESTS = {
 def test_step_successors_pinned():
     digests = {e.name: _step_digest(e) for e in corpus.CORPUS}
     assert digests == PINNED_STEP_DIGESTS
+
+
+def _differential_programs():
+    """(name, program, entry function, depth) for each corpus entry and
+    each test_features program."""
+    from test_features import CASES
+
+    for e in corpus.CORPUS:
+        yield e.name, corpus.load(e.name), e.entry_fn, ENUM_DEPTH.get(e.name, 40)
+    for name, src, fn, _, _ in CASES:
+        yield name, parser.parse_program(src), fn, 40
+
+
+def _derivations() -> dict[str, list[tuple[tuple, int]]]:
+    """Per program, for each sampled input: (what the enumeration
+    derives, its steps)."""
+    rows: dict[str, list[tuple[tuple, int]]] = {}
+    for name, prog, fn, depth in _differential_programs():
+        system = translate.translate_program(prog, typeck.type_program(prog))
+        pred = L.pred_name(fn, S.ENTRY)
+        values = L.enumerate_values(system.sigs[pred][-1], ENUM_SPEC)
+        rng = random.Random(zlib.crc32(name.encode()))
+        for _ in range(ENUM_INPUTS):
+            inputs = tuple(corpus.random_inputs(prog, fn, rng, ENUM_SPEC))
+            out = sldc.enumerate_results(system, pred, inputs, depth=depth, width=ENUM_WIDTH,
+                                         spec=ENUM_SPEC)
+            covered = [V.show(w) for w in values if sldc.covers_value(out, w)]
+            rows.setdefault(name, []).append(
+                ((len(out.patterns), out.budget_exceeded, covered), out.steps))
+    return rows
+
+
+def test_ignoring_arguments_saves_steps_only(monkeypatch):
+    merged = _derivations()
+    monkeypatch.setattr(sldc, "ignored_positions", lambda index: {})
+    plain = _derivations()
+    assert merged.keys() == plain.keys() and len(plain) == len(corpus.CORPUS) + 6
+    for name, rows in plain.items():
+        assert [d for d, _ in merged[name]] == [d for d, _ in rows], name
+        assert all(m <= p for (_, m), (_, p) in zip(merged[name], rows)), name
+    assert sum(n for _, n in merged["linger_dec"]) < sum(n for _, n in plain["linger_dec"])

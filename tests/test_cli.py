@@ -206,7 +206,7 @@ def test_oracle_json_reports_resolution_work(capsys, monkeypatch):
         return outcomes[-1]
 
     monkeypatch.setattr(sldc, "enumerate_results", recorded)
-    argv = ["oracle", "corpus/linger_dec.cor", "--fn", "linger_dec_main", "--range", "1",
+    argv = ["oracle", str(corpus.source_path("linger_dec")), "--fn", "linger_dec_main", "--range", "1",
             "--depth", "40", "--run-seeds", "1"]
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 0 and len(outcomes) == 3

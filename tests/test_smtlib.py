@@ -1,4 +1,5 @@
 import hashlib
+import re
 import stat
 import textwrap
 
@@ -235,3 +236,30 @@ def test_ill_sorted_variable_in_body_is_an_emit_error():
                       {"q": (box_int,)})
     with pytest.raises(smtlib.EmitError, match="x at sort"):
         smtlib.emit_smt2(sys)
+
+
+# SMT-LIB 2.6: a numeral is 0 or a digit run without a leading zero; a
+# simple symbol is a non-empty run of ASCII letters, digits and
+# ~!@$%^&*_-+=<>.?/ that does not start with a digit.
+_NUMERAL = re.compile(r"(0|[1-9][0-9]*)\Z")
+_SIMPLE_SYMBOL = re.compile(r"[A-Za-z~!@$%^&*_\-+=<>.?/][A-Za-z0-9~!@$%^&*_\-+=<>.?/]*\Z")
+
+
+def _pinned_scripts():
+    """Every script SCRIPT_SHA256 and BARE_SCRIPT_SHA256 pin, by key."""
+    for entry in corpus.CORPUS:
+        prog = corpus.load(entry.name)
+        goal = T.GoalSpec.parse(entry.goal)
+        yield entry.name, smtlib.emit_smt2(T.attach_goal(T.translate_program(prog), prog, goal))
+    for name, prog in _bare_programs().items():
+        sys = T.translate_program(prog)
+        yield f"{name} bare", smtlib.emit_smt2(sys)
+        if name in ("read_thru", "build_and_sum"):
+            goal = T.GoalSpec.parse(f"{name} equals box(3)")
+            yield f"{name} equals", smtlib.emit_smt2(T.attach_goal(sys, prog, goal))
+
+
+def test_pinned_scripts_use_numerals_and_simple_symbols_only():
+    for name, script in _pinned_scripts():
+        for tok in re.findall(r"[^\s()]+", script):
+            assert _NUMERAL.match(tok) or _SIMPLE_SYMBOL.match(tok), (name, tok)

@@ -432,3 +432,80 @@ def test_lifetime_messages_independent_of_hash_seed(tmp_path, src, message):
     for seed in HASH_SEEDS:
         proc = python_under_hash_seed(seed, "-m", "corhorn", "check", str(path))
         assert (proc.returncode, proc.stderr.strip()) == (2, message), seed
+
+
+# Each failing program above, typed through type_program, with the exact
+# message and location of its error; the last is raised by a rule helper
+# deep inside type_instruction.
+TYPE_ERROR_CASES = {
+    "leftover_variable": ("""
+    fn f(x: own int, z: own int) -> own int {
+      entry: return x;
+    }
+    """, "f:entry: [ReturnLeftovers] variables still live at return: ['z']"),
+    "leftover_lifetime": ("""
+    fn f(x: own int) -> own int {
+      entry: intro 'a; goto L1;
+      L1: return x;
+    }
+    """, "f:L1: [ReturnLeftovers] local lifetimes still live at return: ['a']"),
+    "missing_final_drop": (
+        corpus.source_path("inc_max").read_text().replace(
+            "L12: drop oa; goto L13;", "L12: oa as own int; goto L13;"),
+        "inc_max:L14: [ReturnLeftovers] variables still live at return: ['oa']",
+    ),
+    "match_on_non_sum": ("""
+    fn f(x: own int) -> own int {
+      entry: match *x { inj0 *a => goto L1, inj1 *b => goto L1 };
+      L1: return x;
+    }
+    """, "f:entry: [MatchOnNonSum] match needs a pointer to a sum type, "
+         "got Ptr(kind='own', lft=None, target=IntT())"),
+    "constraint_unsatisfied": ("""
+    fn g<'p, 'q | 'p <= 'q>(x: mut<'p> int) -> mut<'p> int {
+      entry: return x;
+    }
+    fn f(ox: own int) -> own unit {
+      entry: intro 'a; goto L1;
+      L1: intro 'b; goto L2;
+      L2: let mx = mutbor 'b ox; goto L3;
+      L3: let my = g<'b, 'a>(mx); goto L4;
+      L4: drop my; goto L5;
+      L5: now 'b; goto L6;
+      L6: now 'a; goto L7;
+      L7: drop ox; goto L8;
+      L8: let *u = (); goto L9;
+      L9: return u;
+    }
+    """, "f:L3: [ConstraintUnsatisfied] required 'b <= 'a does not hold here"),
+    "inconsistent_join": ("""
+    fn f(x: own bool) -> own unit {
+      entry: match *x { inj0 *a => goto L1, inj1 *b => goto L2 };
+      L1: let *c = 1; goto L3;
+      L2: let *c = (); goto L3;
+      L3: drop c; goto L4;
+      L4: drop a; goto L5;
+      L5: let *u = (); goto L6;
+      L6: return u;
+    }
+    """, "f:L2: [InconsistentJoin] two gotos reach 'L3' with different contexts"),
+    "use_of_frozen": ("""
+    fn f(x: own int) -> own int {
+      entry: intro 'a; goto L1;
+      L1: let m = mutbor 'a x; goto L2;
+      L2: drop x; goto L3;
+      L3: return x;
+    }
+    """, "f:L2: [FrozenVariable] variable 'x' is frozen until 'a"),
+}
+
+
+@pytest.mark.parametrize("name", list(TYPE_ERROR_CASES))
+def test_type_error_messages_pinned(name):
+    src, message = TYPE_ERROR_CASES[name]
+    with pytest.raises(TypeCheckError) as e:
+        typeck.type_program(parser.parse_program(src))
+    where, _, rest = message.partition(": [")
+    fn, label = where.split(":")
+    code = rest.partition("]")[0]
+    assert (str(e.value), e.value.code, e.value.fn, e.value.label) == (message, code, fn, label)

@@ -74,8 +74,8 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         tok = self.toks[self.pos]
@@ -166,9 +166,7 @@ class _Parser:
             if fn.name in fns:
                 self.error(f"duplicate function {fn.name!r}")
             fns[fn.name] = fn
-        prog = S.Program(fns)
-        S.validate_program(prog)
-        return prog
+        return S.Program(fns)
 
     def fndef(self) -> S.FunctionDef:
         self.expect("ident", "fn")

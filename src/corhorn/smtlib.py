@@ -5,6 +5,11 @@ sorts (up to mu-unfolding) share one declaration, so a recursive sort
 and its unfolding meet in the same SMT sort.  Head patterns compile to
 fresh universally quantified variables constrained by constructor
 equations in the body, the standard shape CHC solvers accept.
+
+Names are written as they are: Cor identifiers are ASCII
+(`syntax.check_ident`), and the names translate and the emitter make
+add only '!', '_', digits and ASCII letters, so every one is an SMT-LIB
+simple symbol.
 """
 
 from __future__ import annotations
@@ -143,11 +148,6 @@ _SMT_OPS = {"+": "+", "-": "-", "*": "*", ">=": ">=", "<=": "<=",
             "<": "<", ">": ">", "==": "=", "!=": "distinct"}
 
 
-def _smt_var(name: str) -> str:
-    # '!' is legal in SMT simple symbols; '@' and '#' are not in our names
-    return name.replace("◦", "o")
-
-
 def _app(head: str, args: list[str]) -> str:
     """An application, or the bare symbol when there are no arguments."""
     return f"({head} {' '.join(args)})" if args else head
@@ -169,7 +169,7 @@ class _Emitter:
             if own is not sort and (own is None or self.table.name(own) != self.table.name(sort)):
                 raise EmitError(f"{V.show(t)} at sort {L.render_sort(sort)}")
             if isinstance(t, V.Var):
-                return _smt_var(t.name)
+                return t.name
             return str(t) if t >= 0 else f"(- {-t})"
         if isinstance(t, V.UnitVal):
             return self._construct(t, delta, sort, L.UnitSort, "mk", ())
@@ -214,7 +214,7 @@ class _Emitter:
 
     def atom(self, atom: Atom, delta: dict[str, Sort]) -> str:
         sig = self.sys.sigs[atom.pred]
-        return _app(_smt_var(atom.pred), [self.term(a, delta, s) for a, s in zip(atom.args, sig)])
+        return _app(atom.pred, [self.term(a, delta, s) for a, s in zip(atom.args, sig)])
 
     def clause(self, clause: Clause) -> str:
         delta = dict(clause.binders)
@@ -230,9 +230,9 @@ class _Emitter:
                 else:
                     h = f"h!{i}"
                     extra_binders.append((h, sort))
-                    conjuncts.append(f"(= {_smt_var(h)} {self.term(pat, delta, sort)})")
-                    head_args.append(_smt_var(h))
-            head_txt = _app(_smt_var(clause.head.pred), head_args)
+                    conjuncts.append(f"(= {h} {self.term(pat, delta, sort)})")
+                    head_args.append(h)
+            head_txt = _app(clause.head.pred, head_args)
         for a in clause.body:
             conjuncts.append(self.atom(a, delta))
         if not conjuncts:
@@ -245,7 +245,7 @@ class _Emitter:
         impl = f"(=> {body_txt} {head_txt})"
         if not binders:
             return f"(assert {impl})"
-        quant = " ".join(f"({_smt_var(x)} {self.table.name(s)})" for x, s in binders)
+        quant = " ".join(f"({x} {self.table.name(s)})" for x, s in binders)
         return f"(assert (forall ({quant}) {impl}))"
 
 
@@ -264,7 +264,7 @@ def emit_smt2(sys: CHCSystem) -> str:
         lines.append(decls)
     for pred, sig in sys.sigs.items():
         args = " ".join(em.table.name(s) for s in sig)
-        lines.append(f"(declare-fun {_smt_var(pred)} ({args}) Bool)")
+        lines.append(f"(declare-fun {pred} ({args}) Bool)")
     lines.extend(clause_texts)
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"

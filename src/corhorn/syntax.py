@@ -557,7 +557,21 @@ class FunctionDef:
 
 @dataclass(frozen=True)
 class Program:
+    """A whole program; it validates itself on construction, so every
+    Program the pipeline sees is well-formed."""
+
     functions: dict[str, FunctionDef] = field(hash=False)
+
+    def __post_init__(self):
+        for fn in self:
+            validate_function(fn)
+        for fn in self:
+            for label, stmt in fn.body.items():
+                if isinstance(stmt, StmtInstr) and isinstance(stmt.instr, Call):
+                    if stmt.instr.fn not in self.functions:
+                        raise ProgramError(
+                            f"{fn.name}:{label}: call to undefined function {stmt.instr.fn!r}"
+                        )
 
     def __iter__(self) -> Iterable[FunctionDef]:
         return iter(self.functions.values())
@@ -602,8 +616,13 @@ def validate_function(fn: FunctionDef) -> None:
                 raise ProgramError(
                     f"{fn.name}: goto target {target!r} undefined (at {label})"
                 )
+        if isinstance(stmt, StmtMatch):
+            check_ident(stmt.y0, "variable")
+            check_ident(stmt.y1, "variable")
         if isinstance(stmt, StmtInstr):
             bs = bound_vars(stmt.instr)
+            for y in bs:
+                check_ident(y, "variable")
             if len(set(bs)) != len(bs):
                 raise ProgramError(f"{fn.name}:{label}: bound variables must be distinct")
             if isinstance(stmt.instr, Swap) and stmt.instr.x == stmt.instr.y:
@@ -623,15 +642,3 @@ def validate_function(fn: FunctionDef) -> None:
     unreachable = set(fn.body) - seen
     if unreachable:
         raise ProgramError(f"{fn.name}: unreachable labels {sorted(unreachable)}")
-
-
-def validate_program(prog: Program) -> None:
-    for fn in prog:
-        validate_function(fn)
-    for fn in prog:
-        for label, stmt in fn.body.items():
-            if isinstance(stmt, StmtInstr) and isinstance(stmt.instr, Call):
-                if stmt.instr.fn not in prog.functions:
-                    raise ProgramError(
-                        f"{fn.name}:{label}: call to undefined function {stmt.instr.fn!r}"
-                    )

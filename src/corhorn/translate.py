@@ -2,8 +2,8 @@
 
 Each (function, label) pair becomes a predicate over the label's live
 variables, sorted, plus a result position (`label_atom` builds every
-atom).  Each labeled statement becomes one clause (one per arm for a
-match) of a single form,
+atom, `_binders` every signature and clause binder list).  Each labeled
+statement becomes one clause (one per arm for a match) of a single form,
 
     P_label(vars, some pinned to patterns) <= [callee and] P_next(vars, some replaced by terms)
 
@@ -29,7 +29,7 @@ from . import logic as L
 from . import syntax as S
 from . import values as V
 from .logic import Atom, CHCSystem, Clause, Sort, pred_name
-from .typeck import TypingResult, WholeCtx
+from .typeck import TypingResult, WholeCtx, type_program
 
 RES = "res"
 
@@ -65,14 +65,6 @@ def label_vars(wc: WholeCtx) -> list[str]:
     """A label predicate's argument order: its live variables, sorted,
     then the result.  Only `label_atom` and `_binders` read it."""
     return sorted(wc.gamma)
-
-
-def signature_for(
-    prog: S.Program, typing: TypingResult, f: str, label: str
-) -> tuple[str, tuple[Sort, ...], dict[str, Sort], Atom]:
-    binders = _binders(typing, prog, f, label)
-    head = label_atom(typing, f, label, {})
-    return pred_name(f, label), tuple(s for _, s in binders), dict(binders), head
 
 
 def label_atom(typing: TypingResult, f: str, label: str, subst: dict[str, V.Term]) -> Atom:
@@ -238,17 +230,13 @@ def clauses_for_label(
 
 
 def translate_program(prog: S.Program, typing: Optional[TypingResult] = None) -> CHCSystem:
-    from .typeck import type_program
-
     typing = typing or type_program(prog)
     sigs: dict[str, tuple[Sort, ...]] = {}
     clauses: list[Clause] = []
     for fn in prog:
-        for label in fn.body:
-            name, sorts, _, _ = signature_for(prog, typing, fn.name, label)
-            sigs[name] = sorts
-    for fn in prog:
         for order, (label, stmt) in enumerate(fn.body.items()):
+            binders = _binders(typing, prog, fn.name, label)
+            sigs[pred_name(fn.name, label)] = tuple(s for _, s in binders)
             clauses += clauses_for_label(prog, typing, fn.name, label, stmt, order)
     return CHCSystem(clauses, sigs)
 

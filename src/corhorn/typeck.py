@@ -7,6 +7,10 @@ of lifetime variables.  Contexts are propagated from `entry` along goto
 edges; a label reached twice must be reached with syntactically equal
 contexts (up to renaming of mu-binders) -- there is no implicit
 weakening, programs say `x as T` where they need it.
+
+The rules raise a `TypeCheckError` without a location; `type_program`,
+which knows the function and label it is typing, adds both.  Programs
+are well-formed by construction (`syntax.Program`).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ class TypeCheckError(S.CorError):
     def __init__(self, code: str, msg: str, fn: str = "?", label: str = "?"):
         super().__init__(f"{fn}:{label}: [{code}] {msg}")
         self.code = code
+        self.msg = msg
         self.fn = fn
         self.label = label
 
@@ -185,101 +190,97 @@ def _has_unguarded_owner(t: Type) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _err(code: str, msg: str, fn: str, label: str):
-    raise TypeCheckError(code, msg, fn, label)
+def _err(code: str, msg: str):
+    raise TypeCheckError(code, msg)
 
 
-def _take_active(wc: WholeCtx, x: str, code_frozen: str, fn: str, label: str) -> VarInfo:
+def _take_active(wc: WholeCtx, x: str, code_frozen: str) -> VarInfo:
     vi = wc.gamma.get(x)
     if vi is None:
-        _err("UnknownVariable", f"variable {x!r} not in context", fn, label)
+        _err("UnknownVariable", f"variable {x!r} not in context")
     if not vi.active:
-        _err(code_frozen, f"variable {x!r} is frozen until '{vi.frozen_at}", fn, label)
+        _err(code_frozen, f"variable {x!r} is frozen until '{vi.frozen_at}")
     return vi
 
 
-def _bind_fresh(gamma: dict[str, VarInfo], y: str, vi: VarInfo, fn: str, label: str):
+def _bind_fresh(gamma: dict[str, VarInfo], y: str, vi: VarInfo):
     if y in gamma:
-        _err("VariableRedefined", f"variable {y!r} already in context", fn, label)
+        _err("VariableRedefined", f"variable {y!r} already in context")
     gamma[y] = vi
 
 
-def _check_complete(t: Type, fn: str, label: str):
+def _check_complete(t: Type):
     if not S.is_complete(t):
-        _err("IncompleteType", "type written in instruction must be complete", fn, label)
+        _err("IncompleteType", "type written in instruction must be complete")
 
 
 def type_instruction(
-    prog: S.Program, fn: S.FunctionDef, instr: S.Instruction, wc: WholeCtx, label: str = "?"
+    prog: S.Program, fn: S.FunctionDef, instr: S.Instruction, wc: WholeCtx
 ) -> WholeCtx:
     """The unique successor whole context of one instruction, or a
-    diagnostic.  Mirrors one typing rule per instruction form."""
-    f = fn.name
+    diagnostic without a location (`type_program` adds it).  Mirrors one
+    typing rule per instruction form."""
     a_ex = frozenset(fn.lft_params)
     gamma = dict(wc.gamma)
     lctx = wc.lft
 
     if isinstance(instr, S.MutBor):
         if instr.lft not in lctx.carrier:
-            _err("UnknownLifetime", f"lifetime '{instr.lft} not introduced", f, label)
+            _err("UnknownLifetime", f"lifetime '{instr.lft} not introduced")
         if instr.lft in a_ex:
-            _err("LifetimeParamBorrow", "cannot borrow at a lifetime parameter", f, label)
-        vi = _take_active(wc, instr.x, "BorrowOfFrozen", f, label)
+            _err("LifetimeParamBorrow", "cannot borrow at a lifetime parameter")
+        vi = _take_active(wc, instr.x, "BorrowOfFrozen")
         if not (isinstance(vi.ty, S.Ptr) and vi.ty.kind in (S.OWN, S.MUT)):
-            _err("TypeMismatch", f"mutbor needs an owning pointer or mut ref, got {vi.ty}", f, label)
+            _err("TypeMismatch", f"mutbor needs an owning pointer or mut ref, got {vi.ty}")
         for gam in sorted(S.lifetimes_of(vi.ty)):
             if not lctx.leq(instr.lft, gam):
-                _err(
-                    "BorrowOutlivesData",
-                    f"'{instr.lft} must end before '{gam} of the borrowed data",
-                    f, label,
-                )
+                msg = f"'{instr.lft} must end before '{gam} of the borrowed data"
+                _err("BorrowOutlivesData", msg)
         del gamma[instr.x]
         gamma[instr.x] = VarInfo(vi.ty, frozen_at=instr.lft)
-        _bind_fresh(gamma, instr.y, VarInfo(S.mut(instr.lft, vi.ty.target)), f, label)
+        _bind_fresh(gamma, instr.y, VarInfo(S.mut(instr.lft, vi.ty.target)))
         return wc.with_gamma(gamma)
 
     if isinstance(instr, S.Drop):
-        vi = _take_active(wc, instr.x, "FrozenVariable", f, label)
+        vi = _take_active(wc, instr.x, "FrozenVariable")
         t = vi.ty
         if isinstance(t, S.Ptr) and t.kind == S.OWN and _has_unguarded_owner(t.target):
             _err(
                 "DropOfBorrowGuardedOwn",
                 "cannot drop an owner whose payload holds unguarded owners or mut refs",
-                f, label,
             )
         del gamma[instr.x]
         return wc.with_gamma(gamma)
 
     if isinstance(instr, S.Immut):
-        vi = _take_active(wc, instr.x, "FrozenVariable", f, label)
+        vi = _take_active(wc, instr.x, "FrozenVariable")
         if not (isinstance(vi.ty, S.Ptr) and vi.ty.kind == S.MUT):
-            _err("TypeMismatch", f"immut needs a mutable reference, got {vi.ty}", f, label)
+            _err("TypeMismatch", f"immut needs a mutable reference, got {vi.ty}")
         gamma[instr.x] = VarInfo(S.immut(vi.ty.lft, vi.ty.target))
         return wc.with_gamma(gamma)
 
     if isinstance(instr, S.Swap):
-        vx = _take_active(wc, instr.x, "FrozenVariable", f, label)
-        vy = _take_active(wc, instr.y, "FrozenVariable", f, label)
+        vx = _take_active(wc, instr.x, "FrozenVariable")
+        vy = _take_active(wc, instr.y, "FrozenVariable")
         if not (isinstance(vx.ty, S.Ptr) and vx.ty.kind == S.MUT):
-            _err("TypeMismatch", "swap's first operand must be a mutable reference", f, label)
+            _err("TypeMismatch", "swap's first operand must be a mutable reference")
         if not (isinstance(vy.ty, S.Ptr) and vy.ty.kind in (S.OWN, S.MUT)):
-            _err("TypeMismatch", "swap's second operand must be own or mut", f, label)
+            _err("TypeMismatch", "swap's second operand must be own or mut")
         if S.canon(vx.ty.target) != S.canon(vy.ty.target):
-            _err("TypeMismatch", "swap operands must point at the same type", f, label)
+            _err("TypeMismatch", "swap operands must point at the same type")
         return wc
 
     if isinstance(instr, S.MakePtr):
-        vi = _take_active(wc, instr.x, "FrozenVariable", f, label)
+        vi = _take_active(wc, instr.x, "FrozenVariable")
         del gamma[instr.x]
-        _bind_fresh(gamma, instr.y, VarInfo(S.own(vi.ty)), f, label)
+        _bind_fresh(gamma, instr.y, VarInfo(S.own(vi.ty)))
         return wc.with_gamma(gamma)
 
     if isinstance(instr, S.Deref):
-        vi = _take_active(wc, instr.x, "FrozenVariable", f, label)
+        vi = _take_active(wc, instr.x, "FrozenVariable")
         outer = vi.ty
         if not (isinstance(outer, S.Ptr) and isinstance(outer.target, S.Ptr)):
-            _err("TypeMismatch", f"deref needs a pointer to a pointer, got {outer}", f, label)
+            _err("TypeMismatch", f"deref needs a pointer to a pointer, got {outer}")
         inner = outer.target
         if outer.kind == S.OWN:
             composed = inner
@@ -289,71 +290,64 @@ def type_instruction(
             kind = S.MUT if (outer.kind == S.MUT and inner.kind == S.MUT) else S.IMMUT
             composed = S.Ptr(kind, outer.lft, inner.target)
         del gamma[instr.x]
-        _bind_fresh(gamma, instr.y, VarInfo(composed), f, label)
+        _bind_fresh(gamma, instr.y, VarInfo(composed))
         return wc.with_gamma(gamma)
 
     if isinstance(instr, S.CopyDeref):
-        vi = _take_active(wc, instr.x, "FrozenVariable", f, label)
+        vi = _take_active(wc, instr.x, "FrozenVariable")
         if not isinstance(vi.ty, S.Ptr):
-            _err("TypeMismatch", "copy needs a pointer", f, label)
+            _err("TypeMismatch", "copy needs a pointer")
         if not is_copy(vi.ty.target):
-            _err("NotCopyable", f"type {vi.ty.target} is not copyable", f, label)
-        _bind_fresh(gamma, instr.y, VarInfo(S.own(vi.ty.target)), f, label)
+            _err("NotCopyable", f"type {vi.ty.target} is not copyable")
+        _bind_fresh(gamma, instr.y, VarInfo(S.own(vi.ty.target)))
         return wc.with_gamma(gamma)
 
     if isinstance(instr, S.TypeWeaken):
-        vi = _take_active(wc, instr.x, "FrozenVariable", f, label)
-        _check_complete(instr.ty, f, label)
+        vi = _take_active(wc, instr.x, "FrozenVariable")
+        _check_complete(instr.ty)
         if not isinstance(instr.ty, S.Ptr):
-            _err("TypeMismatch", "weakening target must be a pointer type", f, label)
+            _err("TypeMismatch", "weakening target must be a pointer type")
         if not subtype(lctx, vi.ty, instr.ty):
-            _err("NotSubtype", f"{vi.ty} is not a subtype of {instr.ty}", f, label)
+            _err("NotSubtype", f"{vi.ty} is not a subtype of {instr.ty}")
         gamma[instr.x] = VarInfo(instr.ty)
         return wc.with_gamma(gamma)
 
     if isinstance(instr, S.Call):
         if instr.fn not in prog.functions:
-            _err("UnknownFunction", f"call to undefined function {instr.fn!r}", f, label)
+            _err("UnknownFunction", f"call to undefined function {instr.fn!r}")
         g = prog.fn(instr.fn)
         if len(instr.lfts) != len(g.lft_params):
-            _err("ArityMismatch", "wrong number of lifetime arguments", f, label)
+            _err("ArityMismatch", "wrong number of lifetime arguments")
         if len(instr.args) != len(g.params):
-            _err("ArityMismatch", "wrong number of arguments", f, label)
+            _err("ArityMismatch", "wrong number of arguments")
         for l in instr.lfts:
             if l not in lctx.carrier:
-                _err("UnknownLifetime", f"lifetime '{l} not introduced", f, label)
+                _err("UnknownLifetime", f"lifetime '{l} not introduced")
         inst = dict(zip(g.lft_params, instr.lfts))
         for lo, hi in g.lft_constraints:
             if not lctx.leq(inst[lo], inst[hi]):
-                _err(
-                    "ConstraintUnsatisfied",
-                    f"required '{inst[lo]} <= '{inst[hi]} does not hold here",
-                    f, label,
-                )
+                msg = f"required '{inst[lo]} <= '{inst[hi]} does not hold here"
+                _err("ConstraintUnsatisfied", msg)
         for x, (px, pt) in zip(instr.args, g.params):
-            vi = _take_active(wc, x, "FrozenVariable", f, label)
+            vi = _take_active(wc, x, "FrozenVariable")
             want = S.subst_lifetimes(pt, inst)
             if S.canon(vi.ty) != S.canon(want):
-                _err(
-                    "TypeMismatch",
-                    f"argument {x!r}: expected {want}, got {vi.ty}",
-                    f, label,
-                )
+                _err("TypeMismatch", f"argument {x!r}: expected {want}, got {vi.ty}")
             del gamma[x]
         ret = S.subst_lifetimes(g.ret, inst)
-        _bind_fresh(gamma, instr.y, VarInfo(ret), f, label)
+        _bind_fresh(gamma, instr.y, VarInfo(ret))
         return wc.with_gamma(gamma)
 
     if isinstance(instr, S.IntroLft):
         if instr.lft in lctx.carrier:
-            _err("LifetimeRedefined", f"lifetime '{instr.lft} already live", f, label)
+            _err("LifetimeRedefined", f"lifetime '{instr.lft} already live")
         return wc.with_lft(lctx.add(instr.lft, a_ex))
 
     if isinstance(instr, S.NowLft):
         if instr.lft in a_ex:
-            _err("LifetimeParamNow", "cannot end a lifetime parameter", f, label)
+            _err("LifetimeParamNow", "cannot end a lifetime parameter")
         if instr.lft not in lctx.carrier:
-            _err("UnknownLifetime", f"lifetime '{instr.lft} not introduced", f, label)
+            _err("UnknownLifetime", f"lifetime '{instr.lft} not introduced")
         thawed = {
             x: (VarInfo(vi.ty) if vi.frozen_at == instr.lft else vi)
             for x, vi in gamma.items()
@@ -363,63 +357,63 @@ def type_instruction(
     if isinstance(instr, S.LftLeq):
         for l in (instr.lo, instr.hi):
             if l in a_ex:
-                _err("LifetimeParamConstraint", "cannot constrain lifetime parameters", f, label)
+                _err("LifetimeParamConstraint", "cannot constrain lifetime parameters")
             if l not in lctx.carrier:
-                _err("UnknownLifetime", f"lifetime '{l} not introduced", f, label)
+                _err("UnknownLifetime", f"lifetime '{l} not introduced")
         return wc.with_lft(lctx.relate(instr.lo, instr.hi))
 
     if isinstance(instr, S.ConstInstr):
         t = S.INT if isinstance(instr.value, int) else S.UNIT
-        _bind_fresh(gamma, instr.y, VarInfo(S.own(t)), f, label)
+        _bind_fresh(gamma, instr.y, VarInfo(S.own(t)))
         return wc.with_gamma(gamma)
 
     if isinstance(instr, S.BinOpInstr):
         for x in (instr.x, instr.x2):
             vi = wc.gamma.get(x)
             if vi is None:
-                _err("UnknownVariable", f"variable {x!r} not in context", f, label)
+                _err("UnknownVariable", f"variable {x!r} not in context")
             if not vi.active:
-                _err("FrozenVariable", f"variable {x!r} is frozen", f, label)
+                _err("FrozenVariable", f"variable {x!r} is frozen")
             if not (isinstance(vi.ty, S.Ptr) and isinstance(S.whnf(vi.ty.target), S.IntT)):
-                _err("TypeMismatch", f"operand {x!r} must point at int", f, label)
-        _bind_fresh(gamma, instr.y, VarInfo(S.own(S.op_result_type(instr.op))), f, label)
+                _err("TypeMismatch", f"operand {x!r} must point at int")
+        _bind_fresh(gamma, instr.y, VarInfo(S.own(S.op_result_type(instr.op))))
         return wc.with_gamma(gamma)
 
     if isinstance(instr, S.RandInstr):
-        _bind_fresh(gamma, instr.y, VarInfo(S.own(S.INT)), f, label)
+        _bind_fresh(gamma, instr.y, VarInfo(S.own(S.INT)))
         return wc.with_gamma(gamma)
 
     if isinstance(instr, S.InjInstr):
-        _check_complete(instr.sum_type, f, label)
-        vi = _take_active(wc, instr.x, "FrozenVariable", f, label)
+        _check_complete(instr.sum_type)
+        vi = _take_active(wc, instr.x, "FrozenVariable")
         side = instr.sum_type.left if instr.index == 0 else instr.sum_type.right
         if not (isinstance(vi.ty, S.Ptr) and vi.ty.kind == S.OWN):
-            _err("TypeMismatch", "inj consumes an owning pointer", f, label)
+            _err("TypeMismatch", "inj consumes an owning pointer")
         if S.canon(vi.ty.target) != S.canon(side):
-            _err("TypeMismatch", f"inj payload type mismatch: {vi.ty.target} vs {side}", f, label)
+            _err("TypeMismatch", f"inj payload type mismatch: {vi.ty.target} vs {side}")
         del gamma[instr.x]
-        _bind_fresh(gamma, instr.y, VarInfo(S.own(instr.sum_type)), f, label)
+        _bind_fresh(gamma, instr.y, VarInfo(S.own(instr.sum_type)))
         return wc.with_gamma(gamma)
 
     if isinstance(instr, S.MakePair):
-        v0 = _take_active(wc, instr.x0, "FrozenVariable", f, label)
-        v1 = _take_active(wc, instr.x1, "FrozenVariable", f, label)
+        v0 = _take_active(wc, instr.x0, "FrozenVariable")
+        v1 = _take_active(wc, instr.x1, "FrozenVariable")
         for v in (v0, v1):
             if not (isinstance(v.ty, S.Ptr) and v.ty.kind == S.OWN):
-                _err("TypeMismatch", "pair construction consumes owning pointers", f, label)
+                _err("TypeMismatch", "pair construction consumes owning pointers")
         del gamma[instr.x0]
         del gamma[instr.x1]
-        _bind_fresh(gamma, instr.y, VarInfo(S.own(S.Prod(v0.ty.target, v1.ty.target))), f, label)
+        _bind_fresh(gamma, instr.y, VarInfo(S.own(S.Prod(v0.ty.target, v1.ty.target))))
         return wc.with_gamma(gamma)
 
     if isinstance(instr, S.DestructPair):
-        vi = _take_active(wc, instr.x, "FrozenVariable", f, label)
+        vi = _take_active(wc, instr.x, "FrozenVariable")
         if not (isinstance(vi.ty, S.Ptr) and isinstance(vi.ty.target, S.Prod)):
-            _err("TypeMismatch", f"pair destruction needs a pointer to a product, got {vi.ty}", f, label)
+            _err("TypeMismatch", f"pair destruction needs a pointer to a product, got {vi.ty}")
         prod = vi.ty.target
         del gamma[instr.x]
-        _bind_fresh(gamma, instr.y0, VarInfo(S.Ptr(vi.ty.kind, vi.ty.lft, prod.left)), f, label)
-        _bind_fresh(gamma, instr.y1, VarInfo(S.Ptr(vi.ty.kind, vi.ty.lft, prod.right)), f, label)
+        _bind_fresh(gamma, instr.y0, VarInfo(S.Ptr(vi.ty.kind, vi.ty.lft, prod.left)))
+        _bind_fresh(gamma, instr.y1, VarInfo(S.Ptr(vi.ty.kind, vi.ty.lft, prod.right)))
         return wc.with_gamma(gamma)
 
     raise TypeError(f"not an instruction: {instr!r}")
@@ -431,37 +425,35 @@ def type_instruction(
 
 
 def match_branch_contexts(
-    prog: S.Program, fn: S.FunctionDef, stmt: S.StmtMatch, wc: WholeCtx, label: str
+    prog: S.Program, fn: S.FunctionDef, stmt: S.StmtMatch, wc: WholeCtx
 ) -> tuple[WholeCtx, WholeCtx]:
-    f = fn.name
-    vi = _take_active(wc, stmt.x, "FrozenVariable", f, label)
+    vi = _take_active(wc, stmt.x, "FrozenVariable")
     if not (isinstance(vi.ty, S.Ptr) and isinstance(vi.ty.target, S.Sum)):
-        _err("MatchOnNonSum", f"match needs a pointer to a sum type, got {vi.ty}", f, label)
+        _err("MatchOnNonSum", f"match needs a pointer to a sum type, got {vi.ty}")
     sum_t = vi.ty.target
     out = []
     for binder, side in ((stmt.y0, sum_t.left), (stmt.y1, sum_t.right)):
         gamma = dict(wc.gamma)
         del gamma[stmt.x]
-        _bind_fresh(gamma, binder, VarInfo(S.Ptr(vi.ty.kind, vi.ty.lft, side)), f, label)
+        _bind_fresh(gamma, binder, VarInfo(S.Ptr(vi.ty.kind, vi.ty.lft, side)))
         out.append(wc.with_gamma(gamma))
     return out[0], out[1]
 
 
-def check_return(fn: S.FunctionDef, stmt: S.StmtReturn, wc: WholeCtx, label: str):
-    f = fn.name
+def check_return(fn: S.FunctionDef, stmt: S.StmtReturn, wc: WholeCtx):
     vi = wc.gamma.get(stmt.x)
     if vi is None:
-        _err("UnknownVariable", f"return of unknown variable {stmt.x!r}", f, label)
+        _err("UnknownVariable", f"return of unknown variable {stmt.x!r}")
     if not vi.active:
-        _err("FrozenVariable", f"cannot return frozen variable {stmt.x!r}", f, label)
+        _err("FrozenVariable", f"cannot return frozen variable {stmt.x!r}")
     extra = set(wc.gamma) - {stmt.x}
     if extra:
-        _err("ReturnLeftovers", f"variables still live at return: {sorted(extra)}", f, label)
+        _err("ReturnLeftovers", f"variables still live at return: {sorted(extra)}")
     if S.canon(vi.ty) != S.canon(fn.ret):
-        _err("TypeMismatch", f"return type mismatch: {vi.ty} vs {fn.ret}", f, label)
+        _err("TypeMismatch", f"return type mismatch: {vi.ty} vs {fn.ret}")
     if wc.lft.carrier != frozenset(fn.lft_params):
         local = sorted(wc.lft.carrier - frozenset(fn.lft_params))
-        _err("ReturnLeftovers", f"local lifetimes still live at return: {local}", f, label)
+        _err("ReturnLeftovers", f"local lifetimes still live at return: {local}")
 
 
 @dataclass
@@ -498,8 +490,8 @@ def entry_context(fn: S.FunctionDef) -> WholeCtx:
 
 def type_program(prog: S.Program) -> TypingResult:
     """Assign a whole context to every reachable label of every function,
-    breadth-first in goto distance from entry."""
-    S.validate_program(prog)
+    breadth-first in goto distance from entry.  An error raised while
+    typing a label gets that function and label as its location here."""
     contexts: dict[tuple[str, str], WholeCtx] = {}
     a_ex = {fn.name: frozenset(fn.lft_params) for fn in prog}
 
@@ -507,30 +499,30 @@ def type_program(prog: S.Program) -> TypingResult:
         f = fn.name
         contexts[(f, S.ENTRY)] = entry_context(fn)
         queue = [S.ENTRY]
-        seen = {S.ENTRY}
 
-        def register(src_label: str, target: str, ctx: WholeCtx):
+        def register(target: str, ctx: WholeCtx):
             got = contexts.get((f, target))
             if got is None:
                 contexts[(f, target)] = ctx
-                if target not in seen:
-                    seen.add(target)
-                    queue.append(target)
+                queue.append(target)
             elif not got.same(ctx):
-                _err("InconsistentJoin", f"two gotos reach {target!r} with different contexts", f, src_label)
+                _err("InconsistentJoin", f"two gotos reach {target!r} with different contexts")
 
         while queue:
             label = queue.pop(0)
             wc = contexts[(f, label)]
             stmt = fn.body[label]
-            if isinstance(stmt, S.StmtReturn):
-                check_return(fn, stmt, wc, label)
-            elif isinstance(stmt, S.StmtInstr):
-                register(label, stmt.goto, type_instruction(prog, fn, stmt.instr, wc, label))
-            elif isinstance(stmt, S.StmtMatch):
-                c0, c1 = match_branch_contexts(prog, fn, stmt, wc, label)
-                register(label, stmt.l0, c0)
-                register(label, stmt.l1, c1)
+            try:
+                if isinstance(stmt, S.StmtReturn):
+                    check_return(fn, stmt, wc)
+                elif isinstance(stmt, S.StmtInstr):
+                    register(stmt.goto, type_instruction(prog, fn, stmt.instr, wc))
+                elif isinstance(stmt, S.StmtMatch):
+                    c0, c1 = match_branch_contexts(prog, fn, stmt, wc)
+                    register(stmt.l0, c0)
+                    register(stmt.l1, c1)
+            except TypeCheckError as e:
+                raise TypeCheckError(e.code, e.msg, f, label) from None
 
     return TypingResult(contexts, a_ex)
 

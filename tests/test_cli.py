@@ -47,6 +47,13 @@ def test_check_type_error_exit_2(tmp_path, capsys):
     assert "ReturnLeftovers" in err
 
 
+def test_check_non_ascii_variable_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cor"
+    bad.write_text("fn f() -> own int { entry: let *é = 5; goto L1; L1: return é; }")
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert (code, out, err) == (2, "", "error: bad variable: 'é'\n")
+
+
 def test_run_command(capsys):
     code, out, _ = run_cli(
         capsys, "run", INC_MAX, "--fn", "inc_max", "--args", "box(4), box(3)", "--json"

@@ -507,8 +507,11 @@ STEP_LAYERS = 25  # frontier layers of each enumeration whose successors are has
 
 def _step_digest(e) -> str:
     """SHA-256 over the raw successors `step` returns, fresh names and all,
-    over the first frontier layers of an enumeration that follows
-    `enumerate_results` (same inputs, dedup and width)."""
+    over the first frontier layers of a breadth-first enumeration with
+    `enumerate_results`' inputs and width.  It dedups on the full
+    `canon_config`, not modulo `sldc.ignored_positions` as
+    `enumerate_results` does, so past the first drop label its frontiers
+    hold configurations the enumeration merges."""
     prog = corpus.load(e.name)
     system = translate.translate_program(prog, typeck.type_program(prog))
     pred = L.pred_name(e.entry_fn, S.ENTRY)

@@ -224,3 +224,51 @@ def test_subst_renames_binder_away_from_the_substituted_name():
     # the name being substituted for
     t = S.Mu("Y", S.own(S.Prod(S.TypeVar("X"), S.TypeVar("Y"))))
     assert S.canon(S.subst(t, "Y_", S.TypeVar("Y"))) is S.canon(t)
+
+
+# a variable bound by a statement must be an ASCII identifier like every
+# other name, or it would reach an SMT-LIB script as an illegal symbol
+NON_ASCII_BINDERS = {
+    "let": """
+    fn f() -> own int {
+      entry: let *é = 5; goto L1;
+      L1: return é;
+    }
+    """,
+    "destructuring": """
+    fn f(x: own (int * int)) -> own int {
+      entry: let (*é, *b) = *x; goto L1;
+      L1: return b;
+    }
+    """,
+    "match_arm": """
+    fn f(x: own bool) -> own unit {
+      entry: match *x { inj0 *a => goto L1, inj1 *é => goto L1 };
+      L1: return x;
+    }
+    """,
+}
+
+
+@pytest.mark.parametrize("name", list(NON_ASCII_BINDERS))
+def test_bound_variables_must_be_identifiers(name):
+    with pytest.raises(S.InvalidName) as exc:
+        parser.parse_program(NON_ASCII_BINDERS[name])
+    assert str(exc.value) == "bad variable: 'é'"
+
+
+def _hand_built(body, callee="f"):
+    own_int = S.own(S.INT)
+    return {callee: S.FunctionDef(callee, (), (), (("x", own_int),), own_int, body)}
+
+
+@pytest.mark.parametrize("functions, message", [
+    (_hand_built({"entry": S.StmtInstr(S.Call("y", "g", (), ("x",)), "L1"), "L1": S.StmtReturn("y")}),
+     "f:entry: call to undefined function 'g'"),
+    (_hand_built({"entry": S.StmtReturn("x"), "L1": S.StmtReturn("x")}),
+     "f: unreachable labels ['L1']"),
+], ids=["undefined_call", "unreachable_label"])
+def test_program_validates_itself_on_construction(functions, message):
+    with pytest.raises(S.ProgramError) as exc:
+        S.Program(functions)
+    assert str(exc.value) == message

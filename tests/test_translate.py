@@ -37,8 +37,8 @@ def inc_max_setup():
 
 def test_take_max_entry_signature(inc_max_setup):
     prog, typing, sys = inc_max_setup
-    name, sorts, delta, head = T.signature_for(prog, typing, "take_max", "entry")
-    assert name == "take_max!entry"
+    sorts = sys.sigs["take_max!entry"]
+    head = T.label_atom(typing, "take_max", "entry", {})
     assert sorts == (L.MutS(L.INT_S), L.MutS(L.INT_S), L.MutS(L.INT_S))
     assert head == Atom("take_max!entry", (V.Var("ma"), V.Var("mb"), V.Var("res")))
 
@@ -53,14 +53,15 @@ def test_result_only_signature():
     """
     prog = parser.parse_program(src)
     typing = typeck.type_program(prog)
-    name, sorts, _, head = T.signature_for(prog, typing, "f", "entry")
+    sorts = T.translate_program(prog, typing).sigs["f!entry"]
+    head = T.label_atom(typing, "f", "entry", {})
     assert sorts == (L.BoxS(L.BOOL_S),)
     assert head.args == (V.Var("res"),)
 
 
 def test_inc_max_l4_signature(inc_max_setup):
-    prog, typing, _ = inc_max_setup
-    _, sorts, _, _ = T.signature_for(prog, typing, "inc_max", "L4")
+    prog, typing, sys = inc_max_setup
+    sorts = sys.sigs["inc_max!L4"]
     # {mc, oa, ob} sorted + result
     assert sorts == (
         L.MutS(L.INT_S), L.BoxS(L.INT_S), L.BoxS(L.INT_S), L.BoxS(L.BOOL_S)

@@ -336,8 +336,8 @@ def test_instruction_determinism_on_corpus():
     for fname, fn in prog.functions.items():
         for label, stmt in fn.body.items():
             if isinstance(stmt, S.StmtInstr):
-                a = typeck.type_instruction(prog, fn, stmt.instr, typing.ctx(fname, label), label)
-                b = typeck.type_instruction(prog, fn, stmt.instr, typing.ctx(fname, label), label)
+                a = typeck.type_instruction(prog, fn, stmt.instr, typing.ctx(fname, label))
+                b = typeck.type_instruction(prog, fn, stmt.instr, typing.ctx(fname, label))
                 assert a.same(b)
 
 

@@ -257,9 +257,10 @@ def test_bound_variables_must_be_identifiers(name):
     assert str(exc.value) == "bad variable: 'é'"
 
 
-def _hand_built(body, callee="f"):
+def _hand_built(body):
+    """One function f(x: own int) -> own int with the given body."""
     own_int = S.own(S.INT)
-    return {callee: S.FunctionDef(callee, (), (), (("x", own_int),), own_int, body)}
+    return {"f": S.FunctionDef("f", (), (), (("x", own_int),), own_int, body)}
 
 
 @pytest.mark.parametrize("functions, message", [

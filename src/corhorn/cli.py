@@ -210,7 +210,8 @@ def cmd_oracle(args) -> int:
         prog, args.fn, tuples, seeds=seeds, depth=depth,
         rand_range=rand_range,
     )
-    payload = {**rep.to_json(), "sldc": {"steps": rep.sldc_steps, "dedup_hits": rep.dedup_hits}}
+    payload = {**rep.to_json(), "sldc": {"steps": rep.sldc_steps, "dedup_hits": rep.dedup_hits,
+                                         "merged": rep.merged}}
     _emit(args, payload,
           f"{rep.checked} inputs checked, {rep.returned} returned, "
           f"{len(rep.misses)} misses, {rep.budget_flags} budget flags")

@@ -287,10 +287,11 @@ class OracleReport:
     # of to_json.  A stuck run is a fault of the heap semantics.
     stuck: int = 0
     out_of_fuel: int = 0
-    # the enumerations' resolution steps and dedup hits (`EnumOutcome`),
-    # also kept out of to_json
+    # the enumerations' resolution steps, dedup hits and merged integer
+    # branches (`EnumOutcome`), also kept out of to_json
     sldc_steps: int = 0
     dedup_hits: int = 0
+    merged: int = 0
 
     @property
     def ok(self) -> bool:
@@ -331,7 +332,7 @@ def oracle_diff(
     sys = T.translate_program(prog, typing)
     params = [x for x, _ in prog.fn(fname).params]
     seeds = list(seeds)
-    checked = returned = flags = flagged_misses = sldc_steps = dedup_hits = 0
+    checked = returned = flags = flagged_misses = sldc_steps = dedup_hits = merged = 0
     misses: list[dict] = []
     ends: Counter = Counter()
     for tup in input_tuples:
@@ -351,6 +352,7 @@ def oracle_diff(
         enum = sldc.enumerate_results(sys, query.pred, query.args[:-1], depth=depth, spec=spec)
         sldc_steps += enum.steps
         dedup_hits += enum.dedup_hits
+        merged += enum.merged
         if enum.budget_exceeded:
             flags += 1
         for w in values:
@@ -364,4 +366,4 @@ def oracle_diff(
                     }
                 )
     return OracleReport(checked, returned, misses, flags, flagged_misses,
-                        ends["stuck"], ends["out_of_fuel"], sldc_steps, dedup_hits)
+                        ends["stuck"], ends["out_of_fuel"], sldc_steps, dedup_hits, merged)

@@ -23,7 +23,12 @@ else in the clause.  Such an argument cannot change what a
 configuration derives, so the many integer branches of a value that a
 label drops right away (`t = rand(); c = t >= 0; drop t`) fall into a
 few classes at that label (redundant argument filtering, Leuschel &
-Sørensen 1996, applied to the dedup key only).
+Sørensen 1996, applied to the dedup key only).  The enumeration does not
+build the branches this dedup would drop: when the stuck variable's only
+use outside ignored arguments is a comparison with an int literal,
+`calculate` builds one branch per outcome, on the value full branching
+builds first (`_branch_classes`, `Merge`).  `step` without a `Merge`,
+as the lockstep calls it, still branches once per integer.
 
 A naive bottom-up fixpoint over bounded ground facts doubles as an
 independent oracle for the least model on small systems.
@@ -174,42 +179,117 @@ def _subst_atoms(atoms: Iterable[Atom], mapping: dict[str, V.Term]) -> tuple[Ato
     return _map_atoms(atoms, lambda x: V.subst_vars(x, mapping))
 
 
+_COMPARISONS = frozenset({">=", "<=", "<", ">", "==", "!="})
+
+
+def _uses(t: V.Term, x: V.Var) -> list[V.Term]:
+    """Where variable x occurs in t: a comparison `x op c` or `c op x`
+    with an int literal c counts as one place, any other occurrence is x
+    itself."""
+    if V.is_closed(t):
+        return []
+    if type(t) is V.Var:
+        return [t] if t == x else []
+    if type(t) is V.BinOpT and t.op in _COMPARISONS and (
+            t.left == x and type(t.right) is int or t.right == x and type(t.left) is int):
+        return [t]
+    return [u for k in V.children(t) for u in _uses(k, x)]
+
+
+def _branch_classes(
+    name: str, body: tuple[Atom, ...], rest: tuple[Atom, ...], result: V.Term,
+    ignored: Optional[dict[str, frozenset[int]]], spec: SampleSpec,
+) -> list:
+    """The class of each integer branch on the stuck variable `name`, in
+    the order `calculate` builds them (spec's ints, high to low); the
+    value itself when every integer needs its own branch.  With an
+    ignored-position map, when `name` occurs in the atoms of body and
+    rest, outside their ignored positions, and in the result only once,
+    as an operand of a comparison with an int literal, the class is the
+    comparison's outcome: two values with one outcome give
+    configurations that equal each other up to renaming and ignored
+    arguments."""
+    values = range(spec.int_hi, spec.int_lo - 1, -1)
+    if ignored is None:
+        return list(values)
+    x = V.Var(name)
+    uses = _uses(result, x)
+    for a in itertools.chain(body, rest):
+        pos = ignored.get(a.pred, ())
+        uses += [u for i, arg in enumerate(a.args) if i not in pos for u in _uses(arg, x)]
+    if len(uses) != 1 or type(uses[0]) is not V.BinOpT:
+        return list(values)
+    c = uses[0]
+    if type(c.left) is int:
+        return [S.eval_op(c.op, c.left, n) for n in values]
+    return [S.eval_op(c.op, n, c.right) for n in values]
+
+
+@dataclass
+class Merge:
+    """The ignored positions (`ignored_positions`) that let `calculate`
+    build one integer branch per class (`_branch_classes`), and the count
+    of integer branches it did not build."""
+    ignored: dict[str, frozenset[int]]
+    merged: int = 0
+
+
+def _first_stuck(body: tuple[Atom, ...]) -> Optional[tuple[str, str]]:
+    for a in body:
+        for x in a.args:
+            if not V.is_pattern(x):
+                stuck = _find_stuck(x)
+                if stuck is None:
+                    raise CalculateError(f"cannot normalize term {V.show(x)}")
+                return stuck
+    return None
+
+
 def calculate(
     body: tuple[Atom, ...], rest: tuple[Atom, ...], result: V.Term,
     sorts: dict[str, Sort], renamer: Renamer, spec: SampleSpec,
+    merge: Optional[Merge] = None,
 ) -> list[ResConfig]:
     """Normalize the pre-resolutive configuration with stack body + rest
     until every stack atom argument is a pattern.  May branch on stuck
-    arithmetic.  Only `body` is normalized: `rest` and `result` must be
-    patterns already, and every substitution made here maps variables
-    to patterns, which keeps them patterns."""
+    arithmetic, one branch per integer, or with `merge` one per class of
+    `_branch_classes`: only the first value of a class is built, which is
+    the one the dedup of `enumerate_results` would keep, and the renamer
+    skips the names each other value of the class would have drawn, so
+    the configurations built are those of full branching.  Only `body`
+    is normalized: `rest` and `result` must be patterns already, and
+    every substitution made here maps variables to patterns, which keeps
+    them patterns."""
     out: list[ResConfig] = []
-    work = [(body, rest, result, sorts)]
-    while work:
-        body, rest, res, srt = work.pop()
+    ignored = merge.ignored if merge else None
+
+    def branch(body, rest, res, srt):
         body = _map_atoms(body, simplify)
-        stuck = None
-        for a in body:
-            for x in a.args:
-                if not V.is_pattern(x):
-                    stuck = _find_stuck(x)
-                    if stuck is None:
-                        raise CalculateError(f"cannot normalize term {V.show(x)}")
-                    break
-            if stuck:
-                break
+        stuck = _first_stuck(body)
         if stuck is None:
             out.append(ResConfig(body + rest, res, srt))
-            continue
+            return
         kind, name = stuck
-        if kind == "int":
-            branches = [({name: n}, srt) for n in range(spec.int_lo, spec.int_hi + 1)]
-        else:
+        if kind != "int":
             skel, fresh_sorts = _expand_var(name, kind, srt, renamer)
-            branches = [({name: skel}, {**srt, **fresh_sorts})]
-        for mapping, new_sorts in branches:
-            work.append((_subst_atoms(body, mapping), _subst_atoms(rest, mapping),
-                         V.subst_vars(res, mapping), new_sorts))
+            mapping = {name: skel}
+            branch(_subst_atoms(body, mapping), _subst_atoms(rest, mapping),
+                   V.subst_vars(res, mapping), {**srt, **fresh_sorts})
+            return
+        drawn: dict = {}  # per class, the names its first value drew
+        classes = _branch_classes(name, body, rest, res, ignored, spec)
+        for n, cls in zip(range(spec.int_hi, spec.int_lo - 1, -1), classes):
+            if cls in drawn:
+                renamer.n += drawn[cls]
+                merge.merged += 1
+                continue
+            start = renamer.n
+            mapping = {name: n}
+            branch(_subst_atoms(body, mapping), _subst_atoms(rest, mapping),
+                   V.subst_vars(res, mapping), srt)
+            drawn[cls] = renamer.n - start
+
+    branch(body, rest, result, sorts)
     return out
 
 
@@ -219,14 +299,16 @@ def calculate(
 
 
 def step(
-    cfg: ResConfig, clauses: Iterable[Clause], renamer: Renamer, spec: SampleSpec
+    cfg: ResConfig, clauses: Iterable[Clause], renamer: Renamer, spec: SampleSpec,
+    merge: Optional[Merge] = None,
 ) -> list[ResConfig]:
     """All successors of one resolution step of the first stack atom
     against each candidate clause.  Every candidate's binders get fresh
     names, in binder order, whether or not its head unifies.  cfg's
     stack and result must be patterns, as must every clause head: the
     unifier then maps variables to patterns, and `calculate` need only
-    normalize the clause body."""
+    normalize the clause body.  Without `merge`, stuck arithmetic
+    branches once per integer."""
     if not cfg.stack:
         return []
     first = cfg.stack[0]
@@ -240,7 +322,7 @@ def step(
         sorts = dict(cfg.sorts)
         sorts.update((fresh[x].name, s) for x, s in clause.binders)
         out.extend(calculate(body, _subst_atoms(cfg.stack[1:], mgu),
-                             V.subst_vars(cfg.result, mgu), sorts, renamer, spec))
+                             V.subst_vars(cfg.result, mgu), sorts, renamer, spec, merge))
     return out
 
 
@@ -294,6 +376,7 @@ class EnumOutcome:
     budget_exceeded: bool
     steps: int = 0
     dedup_hits: int = 0  # successors dropped as already seen
+    merged: int = 0  # integer branches not built (`Merge`)
 
 
 def enumerate_results(
@@ -308,9 +391,10 @@ def enumerate_results(
     depth/width budget.  The inputs are in predicate order (for a label
     predicate, `translate.label_atom`'s), not parameter order.
     Deduplicates configurations up to variable renaming and up to the
-    arguments at `ignored_positions`, which keeps the stuck-arithmetic
-    branching in check; `steps` counts every successor and `dedup_hits`
-    those dropped as already seen."""
+    arguments at `ignored_positions`, and builds one stuck-arithmetic
+    branch per class that this dedup would merge (`_branch_classes`);
+    `steps` counts every successor, `dedup_hits` those dropped as
+    already seen and `merged` the integer branches not built."""
     spec = spec or SampleSpec()
     if pred not in sys.sigs:
         raise L.IllSorted(f"unknown predicate {pred}")
@@ -322,10 +406,10 @@ def enumerate_results(
             raise L.IllSorted(f"input {V.show(v)} does not have sort {L.render_sort(s)}")
     renamer = Renamer()
     index = sys.by_pred()
-    ignored = ignored_positions(index)
+    merge = Merge(ignored_positions(index))
     r = renamer.fresh("r")
     init = ResConfig((Atom(pred, tuple(inputs) + (V.Var(r),)),), V.Var(r), {r: sig[-1]})
-    seen = {_dedup_key(init, ignored)}
+    seen = {_dedup_key(init, merge.ignored)}
     frontier = [init]
     results: dict[tuple, tuple[V.Term, dict[str, Sort]]] = {}
     flag = False
@@ -335,9 +419,9 @@ def enumerate_results(
             break
         new: list[ResConfig] = []
         for cfg in frontier:
-            for nxt in step(cfg, index.get(cfg.stack[0].pred, ()), renamer, spec):
+            for nxt in step(cfg, index.get(cfg.stack[0].pred, ()), renamer, spec, merge):
                 steps += 1
-                key = _dedup_key(nxt, ignored)
+                key = _dedup_key(nxt, merge.ignored)
                 if key in seen:
                     hits += 1
                     continue  # it derives what the one seen derives, up to renaming
@@ -352,7 +436,7 @@ def enumerate_results(
         frontier = new
     if frontier:
         flag = True
-    return EnumOutcome(list(results.values()), flag, steps, hits)
+    return EnumOutcome(list(results.values()), flag, steps, hits, merge.merged)
 
 
 def covers_value(outcome: EnumOutcome, w: V.Value) -> bool:

@@ -6,7 +6,8 @@ and its unfolding meet in the same SMT sort.  Head patterns compile to
 fresh universally quantified variables constrained by constructor
 equations in the body, the standard shape CHC solvers accept.
 
-Names are written as they are: Cor identifiers are ASCII
+Names are written as they are: Cor identifiers are ASCII and none is an
+SMT-LIB reserved word or a core symbol the emitter applies
 (`syntax.check_ident`), and the names translate and the emitter make
 add only '!', '_', digits and ASCII letters, so every one is an SMT-LIB
 simple symbol.

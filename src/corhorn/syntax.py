@@ -35,6 +35,18 @@ RESERVED_WORDS = frozenset(
     }
 )
 
+# Identifier-shaped words that SMT-LIB 2.6 reserves, and the core symbols
+# the SMT-LIB emitter applies by name (it never applies `or` or `not`).
+# A variable becomes a binder of the script: a reserved word is no legal
+# binder, and a binder named like an applied symbol hides it.
+SMT_RESERVED_WORDS = frozenset(
+    {
+        "_", "exists", "forall", "par", "BINARY", "DECIMAL", "HEXADECIMAL",
+        "NUMERAL", "STRING", "assert", "echo", "exit", "pop", "push", "reset",
+        "and", "ite", "distinct",
+    }
+)
+
 
 class CorError(Exception):
     """Base class for all errors raised by the corhorn pipeline."""
@@ -45,7 +57,7 @@ class InvalidName(CorError):
 
 
 def check_ident(name: str, what: str = "identifier") -> str:
-    if not IDENT_RE.match(name) or name in RESERVED_WORDS:
+    if not IDENT_RE.match(name) or name in RESERVED_WORDS or name in SMT_RESERVED_WORDS:
         raise InvalidName(f"bad {what}: {name!r}")
     return name
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from corhorn import cli, corpus
+from corhorn import cli, corpus, parser, syntax as S
 from helpers import drop_swap_exchange, stuck_at_swap
 
 
@@ -52,6 +52,28 @@ def test_check_non_ascii_variable_exit_2(tmp_path, capsys):
     bad.write_text("fn f() -> own int { entry: let *é = 5; goto L1; L1: return é; }")
     code, out, err = run_cli(capsys, "check", str(bad))
     assert (code, out, err) == (2, "", "error: bad variable: 'é'\n")
+
+
+# The identifier-shaped words SMT-LIB 2.6 reserves, and the core symbols
+# the SMT-LIB emitter applies by name.
+SMT_RESERVED = ["_", "exists", "forall", "par", "BINARY", "DECIMAL", "HEXADECIMAL", "NUMERAL",
+                "STRING", "assert", "echo", "exit", "pop", "push", "reset", "and", "ite", "distinct"]
+
+
+@pytest.mark.parametrize("word", SMT_RESERVED)
+def test_check_smt_reserved_variable_exit_2(tmp_path, capsys, word):
+    src = f"fn f() -> own int {{ entry: let *{word} = 5; goto L1; L1: return {word}; }}"
+    with pytest.raises(S.InvalidName):
+        parser.parse_program(src)
+    bad = tmp_path / "bad.cor"
+    bad.write_text(src)
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert (code, out, err) == (2, "", f"error: bad variable: {word!r}\n")
+
+
+def test_smt_core_symbols_the_emitter_never_applies_stay_identifiers():
+    # the corpus binds `or` (inc_max, just_rec, linger_dec)
+    assert [S.check_ident(w) for w in ("or", "not")] == ["or", "not"]
 
 
 def test_run_command(capsys):
@@ -220,8 +242,9 @@ def test_oracle_json_reports_resolution_work(capsys, monkeypatch):
     blob = json.loads(out)
     assert list(blob) == ["schema", "checked", "returned", "misses", "budget_flags", "ok", "sldc"]
     assert blob["sldc"] == {"steps": sum(o.steps for o in outcomes),
-                            "dedup_hits": sum(o.dedup_hits for o in outcomes)}
-    assert blob["sldc"]["dedup_hits"] > 0
+                            "dedup_hits": sum(o.dedup_hits for o in outcomes),
+                            "merged": sum(o.merged for o in outcomes)}
+    assert blob["sldc"]["merged"] > 0
     code, out, _ = run_cli(capsys, *argv)
     assert (code, out) == (0, "3 inputs checked, 3 returned, 0 misses, 3 budget flags\n")
 

@@ -154,6 +154,66 @@ def test_calculate_keeps_unchanged_body_atoms_themselves():
     assert out.stack[2] == Atom("r", (2, x)) and out.stack[2].args[1] is x
 
 
+# -- integer branches, one per comparison outcome ---------------------------------
+
+X, R = V.Var("x"), V.Var("r")
+COIN = V.BinOpT(X, ">=", 0)
+IGNORE_1 = {"q": frozenset({1})}  # q's argument 1 is read by no clause
+
+
+def _calculated(body, result=R, rest=()):
+    """calculate on body + rest at ints -8..8, merging modulo IGNORE_1;
+    the configurations and the Merge."""
+    merge = sldc.Merge(IGNORE_1)
+    sorts = {"x": L.INT_S, "y": L.INT_S, "r": L.INT_S}
+    return sldc.calculate(body, rest, result, sorts, sldc.Renamer(), SampleSpec(-8, 8), merge), merge
+
+
+def test_coin_branches_once_per_outcome():
+    # x sits at the ignored position too: one branch for true, one for false
+    out, merge = _calculated((Atom("q", (COIN, X, R)),))
+    assert sorted(c.stack[0].args[1] for c in out) == [-1, 8]
+    assert [c.stack[0].args[:2] for c in out] == [(V.TRUE, 8), (V.FALSE, -1)]
+    assert merge.merged == 15
+    # a variable with no use left keeps every value
+    assert sldc._branch_classes("x", out[0].stack, (), R, IGNORE_1, SampleSpec(-2, 2)) == [
+        2, 1, 0, -1, -2]
+
+
+@pytest.mark.parametrize("body, result, rest", [
+    ((Atom("q", (COIN, X, R)),), X, ()),  # x in the result
+    ((Atom("q", (COIN, X, X)),), R, ()),  # x at a second position no clause ignores
+    ((Atom("q", (COIN, X, R)),), R, (Atom("q", (R, R, X)),)),  # likewise, in the rest
+    ((Atom("q", (V.BinOpT(X, "-", 1), X, R)),), R, ()),  # not a comparison
+    ((Atom("q", (V.BinOpT(X, "<", V.Var("y")), X, R)),), R, ()),  # not against a literal
+], ids=["result", "second_position", "rest", "minus", "two_variables"])
+def test_other_uses_keep_every_integer(body, result, rest):
+    out, _ = _calculated(body, result, rest)
+    assert sorted({c.stack[0].args[1] for c in out}) == list(range(-8, 9))
+
+
+def test_step_without_merge_branches_per_integer():
+    clause = Clause((("x", L.INT_S), ("r", L.INT_S)), Atom("p", (R,)), (Atom("q", (COIN, X, R)),))
+    cfg = sldc.ResConfig((Atom("p", (V.Var("s"),)),), V.Var("s"), {"s": L.INT_S})
+    full = sldc.step(cfg, [clause], sldc.Renamer(), SampleSpec(-8, 8))
+    assert [c.stack[0].args[1] for c in full] == list(range(8, -9, -1))
+    merged = sldc.step(cfg, [clause], sldc.Renamer(), SampleSpec(-8, 8), sldc.Merge(IGNORE_1))
+    assert merged == [full[0], full[9]]
+
+
+def test_merged_branches_draw_the_names_of_full_branching():
+    # each branch expands *b after the comparison, drawing one fresh name;
+    # the branch for -1 is the tenth built, so it draws the tenth name
+    body = (Atom("q", (COIN, X, V.DerefT(V.Var("b")))),)
+    full_renamer, merge_renamer = sldc.Renamer(), sldc.Renamer()
+    sorts = {"x": L.INT_S, "b": L.BoxS(L.INT_S)}
+    full = sldc.calculate(body, (), R, sorts, full_renamer, SampleSpec(-8, 8))
+    merged = sldc.calculate(body, (), R, sorts, merge_renamer, SampleSpec(-8, 8), sldc.Merge(IGNORE_1))
+    assert merged == [full[0], full[9]]
+    assert [c.stack[0].args[2] for c in merged] == [V.Var("b!c!1"), V.Var("b!c!10")]
+    assert merge_renamer.n == full_renamer.n == 17
+
+
 def test_ignored_positions_hand_built():
     x, y, z = V.Var("x"), V.Var("y"), V.Var("z")
     box = L.BoxS(L.INT_S)
@@ -427,14 +487,14 @@ ENUM_DEPTH = {"linger_dec": 60, "linger_dec_unsafe": 60, "inc_some": 150,
 PINNED_ENUM_DIGESTS = {
     "inc_max": "92dee532fbed12c9bcc6e044dfedd316753cb2207b86b07ef562bafd65fe3b39",
     "inc_max_unsafe": "7efa8c7f4a29797b6f1515ee1e8b8ca114e694c0c4a4aeaa99b888d0462e7e82",
-    "just_rec": "7e3c9380ff538fcad6414786ebcd0069dc66eaf591335b38985eadb7605b50a9",
-    "just_rec_unsafe": "3a254e09c3a1097af09cc18ea6372b0ddd64f8c65add3b8032ed3aa8fb3a2dc2",
-    "linger_dec": "b3e7ca3df6fad244aacc1c848f15bacde54b9360a85a69c32713c64a4819c545",
-    "linger_dec_unsafe": "5931a575943e0678d5fc5d8778d3cf0237cea8ae2f3dc20558ba555b83745057",
-    "inc_some": "0dddeac3cebaf8fc24f9d3c4f78329a6242db47f9dc0046e5738b45ea912dbe0",
-    "inc_some_unsafe": "7f80efefafc53bb52ff297b721c1eb22b39ae6c20c6c61d632a05967da601691",
-    "inc_some_t": "d66b00e6a6cfe5c9d57b7738d6174fcae05283713f0bdf5e5073301f0e4c8f9c",
-    "inc_some_t_unsafe": "ac369081be504442e1f12f7480c46a974bcb1c0ca1903e66e3835ed4f90935fb",
+    "just_rec": "f2bb1811650dd1013b29340bb1ec27138f27f379f1675a18336f439e75efcb78",
+    "just_rec_unsafe": "0cf1a37d8379cbdbe390a49c5f009545068958668d206db3b5882b49bd6919b4",
+    "linger_dec": "352ecafcefade18a0ad9ac07c9d83aaa45d65f38aceea25d63cfe1fbefd2dc41",
+    "linger_dec_unsafe": "eecb11c65082812c7540173487d0d8c70bb8cb4e5fd01c61a9cab566e15751ec",
+    "inc_some": "3bb819a487e5a706de87afa0f50ea8fa6f88276a7093c0f4084412945f7b0b61",
+    "inc_some_unsafe": "c64f58f0ebda74183b3d4d2c99c1404e2da10ce8ab96edac7998e61d7bb06600",
+    "inc_some_t": "114eabe04ab8feabe3dc5fd56cc2c455703c8bc218e100b44bd0fba559724993",
+    "inc_some_t_unsafe": "23ad10311399c89c2cc782c49052830315d0813d1b48d5e0cfb7556c5c3d4a3f",
 }
 
 
@@ -598,3 +658,34 @@ def test_ignoring_arguments_saves_steps_only(monkeypatch):
         assert [d for d, _ in merged[name]] == [d for d, _ in rows], name
         assert all(m <= p for (_, m), (_, p) in zip(merged[name], rows)), name
     assert sum(n for _, n in merged["linger_dec"]) < sum(n for _, n in plain["linger_dec"])
+
+
+def _shown_enumerations() -> dict[str, list[tuple[tuple, int]]]:
+    """Per program, for each sampled input: (the shown result patterns
+    with their variables' sorts, the budget flag), and the steps."""
+    rows: dict[str, list[tuple[tuple, int]]] = {}
+    for name, prog, fn, depth in _differential_programs():
+        system = translate.translate_program(prog, typeck.type_program(prog))
+        pred = L.pred_name(fn, S.ENTRY)
+        rng = random.Random(zlib.crc32(name.encode()))
+        for _ in range(ENUM_INPUTS):
+            inputs = tuple(corpus.random_inputs(prog, fn, rng, ENUM_SPEC))
+            out = sldc.enumerate_results(system, pred, inputs, depth=depth, width=ENUM_WIDTH,
+                                         spec=ENUM_SPEC)
+            shown = [(V.show(p), sorted((x, L.render_sort(s)) for x, s in sorts.items()))
+                     for p, sorts in out.patterns]
+            rows.setdefault(name, []).append(((shown, out.budget_exceeded), out.steps))
+    return rows
+
+
+def test_merging_integer_branches_saves_steps_only(monkeypatch):
+    merged = _shown_enumerations()
+    monkeypatch.setattr(sldc, "_branch_classes",
+                        lambda name, body, rest, result, ignored, spec:
+                        list(range(spec.int_hi, spec.int_lo - 1, -1)))
+    full = _shown_enumerations()
+    assert merged.keys() == full.keys() and len(full) == len(corpus.CORPUS) + 6
+    for name, rows in full.items():
+        assert [d for d, _ in merged[name]] == [d for d, _ in rows], name
+        assert all(m <= f for (_, m), (_, f) in zip(merged[name], rows)), name
+    assert sum(n for _, n in merged["linger_dec"]) < sum(n for _, n in full["linger_dec"])

@@ -565,9 +565,9 @@ def test_enumeration_coverage_pinned():
 STEP_LAYERS = 25  # frontier layers of each enumeration whose successors are hashed
 
 
-def _step_digest(e) -> str:
-    """SHA-256 over the raw successors `step` returns, fresh names and all,
-    over the first frontier layers of a breadth-first enumeration with
+def _step_successors(e):
+    """The raw successors `step` returns, fresh names and all, over the
+    first frontier layers of a breadth-first enumeration with
     `enumerate_results`' inputs and width.  It dedups on the full
     `canon_config`, not modulo `sldc.ignored_positions` as
     `enumerate_results` does, so past the first drop label its frontiers
@@ -577,7 +577,6 @@ def _step_digest(e) -> str:
     pred = L.pred_name(e.entry_fn, S.ENTRY)
     index = system.by_pred()
     rng = random.Random(zlib.crc32(e.name.encode()))
-    h = hashlib.sha256()
     for _ in range(ENUM_INPUTS):
         inputs = tuple(corpus.random_inputs(prog, e.entry_fn, rng, ENUM_SPEC))
         renamer = sldc.Renamer()
@@ -590,12 +589,19 @@ def _step_digest(e) -> str:
             new = []
             for cfg in frontier:
                 for nxt in sldc.step(cfg, index.get(cfg.stack[0].pred, ()), renamer, ENUM_SPEC):
-                    h.update(repr((nxt.stack, nxt.result, sorted(nxt.sorts.items()))).encode())
+                    yield nxt
                     key = sldc.canon_config(nxt)
                     if key not in seen and not nxt.done:
                         seen.add(key)
                         new.append(nxt)
             frontier = new[:ENUM_WIDTH]
+
+
+def _step_digest(e) -> str:
+    """SHA-256 over `_step_successors`, raw names included."""
+    h = hashlib.sha256()
+    for nxt in _step_successors(e):
+        h.update(repr((nxt.stack, nxt.result, sorted(nxt.sorts.items()))).encode())
     return h.hexdigest()
 
 
@@ -617,6 +623,36 @@ PINNED_STEP_DIGESTS = {
 def test_step_successors_pinned():
     digests = {e.name: _step_digest(e) for e in corpus.CORPUS}
     assert digests == PINNED_STEP_DIGESTS
+
+
+def _step_renaming_digest(e) -> str:
+    """SHA-256 over `_step_successors` up to renaming: each successor's
+    `canon_config` and the sorts it records, without their names."""
+    h = hashlib.sha256()
+    for nxt in _step_successors(e):
+        h.update(repr((sldc.canon_config(nxt), sorted(map(repr, nxt.sorts.values())))).encode())
+    return h.hexdigest()
+
+
+# SHA-256 per corpus entry of _step_renaming_digest: which side of a
+# unification is bound, and so which raw names survive, does not move it.
+PINNED_STEP_RENAMING_DIGESTS = {
+    "inc_max": "d6f828dd4619808917e4ed22dec8876ffd918bc118b80f241578dd89c807ef01",
+    "inc_max_unsafe": "3266d3383d504c3ef10e84c02dfb848f3a67904b0bc6df18b3e3b6c43becf725",
+    "just_rec": "beef4f1d61a76f876caeba45aefb2ebfe8794b1635b4dd08831addb7b93ce56e",
+    "just_rec_unsafe": "034e85c1886ac41a8a3a7d52e5a03414139f59feec415909ca6655d9e7151879",
+    "linger_dec": "175cb536f9f12291d55651bd2d9ac6d60982383bcee519882dad51dda3e6d927",
+    "linger_dec_unsafe": "8a9867124a0456a0d97c4ce82d95da40d5e7aeb685efe2cf3eb034af80340b76",
+    "inc_some": "507e747bc5e54e75d8ded1399a0ed6b2d8341c877e3983e0ed8014a6075d9fcf",
+    "inc_some_unsafe": "36bc4508cfdaa8f691700dee1845df756694fcc5b4780e26fec580f80e79c266",
+    "inc_some_t": "0b0fffc8d2d77cc5bf605b817bbb391fcfa65ee35b011546c53971a52ca620b4",
+    "inc_some_t_unsafe": "fda7f64d0afac30acf16e6bab6f0b417c0e6ee8bdd35bac34dd9f5d6e95bdc29",
+}
+
+
+def test_step_successors_up_to_renaming_pinned():
+    digests = {e.name: _step_renaming_digest(e) for e in corpus.CORPUS}
+    assert digests == PINNED_STEP_RENAMING_DIGESTS
 
 
 def _differential_programs():

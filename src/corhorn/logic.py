@@ -16,6 +16,7 @@ unification of pattern tuples, which the resolution engine builds on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -250,6 +251,17 @@ class Clause:
             for a in atom.args:
                 out |= V.vars_in(a)
         return out
+
+    @functools.cached_property
+    def var_head(self) -> Optional[tuple[str, ...]]:
+        """The names of the head's arguments when every one is a variable
+        and no two are the same, else None.  Such a head unifies with any
+        goal of its arity, binding each of its variables to the goal's
+        argument at its place (the WAM's `get_variable`, Warren 1983)."""
+        if self.head is None:
+            return None
+        names = tuple(a.name for a in self.head.args if type(a) is V.Var)
+        return names if len(set(names)) == len(self.head.args) else None
 
 
 @dataclass

@@ -2,12 +2,19 @@
 
 A resolutive configuration is a stack of elementary formulas (predicate
 applications whose arguments are patterns) plus a result pattern.  One
-step unifies the first stack entry with a freshly renamed clause head,
-replaces it by the clause's body atoms, and then "calculates": reduces
-redexes like *box(t) or 3 + 4, conservatively expands variables blocked
-under a projection into constructor skeletons of fresh variables, and
-branches over a bounded integer range when arithmetic is stuck on a
-symbolic operand (the engine's documented incompleteness boundary).
+step unifies a freshly renamed clause head with the first stack entry,
+head first, so that the clause's variables are bound to the goal's terms
+and a configuration variable is bound only where it meets a head
+constructor (a match arm's `box(inj0 c)`).  A head of distinct variables
+binds each to the goal's argument without unification, as the WAM's
+`get_variable` does (Warren 1983).  The rest of the stack and the result
+take only the bindings of configuration variables, and are kept as
+themselves when there are none.  The step replaces the first entry by
+the clause's body atoms, and then "calculates": reduces redexes like
+*box(t) or 3 + 4, conservatively expands variables blocked under a
+projection into constructor skeletons of fresh variables, and branches
+over a bounded integer range when arithmetic is stuck on a symbolic
+operand (the engine's documented incompleteness boundary).
 Calculation normalizes only the clause body: clause heads are patterns,
 so the unifier maps variables to patterns and the rest of the stack and
 the result stay patterns.
@@ -304,25 +311,39 @@ def step(
 ) -> list[ResConfig]:
     """All successors of one resolution step of the first stack atom
     against each candidate clause.  Every candidate's binders get fresh
-    names, in binder order, whether or not its head unifies.  cfg's
-    stack and result must be patterns, as must every clause head: the
-    unifier then maps variables to patterns, and `calculate` need only
-    normalize the clause body.  Without `merge`, stuck arithmetic
-    branches once per integer."""
+    names, in binder order, whether or not its head unifies.  The renamed
+    head is unified with the goal, head first, so the clause's variables
+    are bound to the goal's terms; a configuration variable is bound only
+    where it meets a head constructor.  A head of distinct variables
+    (`Clause.var_head`) binds each to the goal's argument without
+    unification.  The rest of the stack and the result take only the
+    bindings of configuration variables, and are kept as themselves when
+    there are none.  cfg's stack and result must be patterns, as must
+    every clause head: the unifier then maps variables to patterns, and
+    `calculate` need only normalize the clause body.  Without `merge`,
+    stuck arithmetic branches once per integer."""
     if not cfg.stack:
         return []
-    first = cfg.stack[0]
+    first, rest = cfg.stack[0], cfg.stack[1:]
     out: list[ResConfig] = []
     for clause in clauses:
         fresh = {x: V.Var(renamer.fresh(x)) for x, _ in clause.binders}
-        mgu = L.unify(first.args, tuple(V.subst_vars(x, fresh) for x in clause.head.args))
-        if mgu is None:
-            continue
-        body = _subst_atoms(clause.body, {x: mgu.get(v.name, v) for x, v in fresh.items()})
+        new_rest, result = rest, cfg.result
+        if clause.var_head is not None:
+            theta = fresh | dict(zip(clause.var_head, first.args))
+        else:
+            mgu = L.unify(tuple(V.subst_vars(x, fresh) for x in clause.head.args), first.args)
+            if mgu is None:
+                continue
+            theta = {x: mgu.get(v.name, v) for x, v in fresh.items()}
+            names = {v.name for v in fresh.values()}
+            own = {v: t for v, t in mgu.items() if v not in names}
+            if own:
+                new_rest, result = _subst_atoms(rest, own), V.subst_vars(result, own)
+        body = _subst_atoms(clause.body, theta)
         sorts = dict(cfg.sorts)
         sorts.update((fresh[x].name, s) for x, s in clause.binders)
-        out.extend(calculate(body, _subst_atoms(cfg.stack[1:], mgu),
-                             V.subst_vars(cfg.result, mgu), sorts, renamer, spec, merge))
+        out.extend(calculate(body, new_rest, result, sorts, renamer, spec, merge))
     return out
 
 

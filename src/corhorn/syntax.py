@@ -48,6 +48,14 @@ SMT_RESERVED_WORDS = frozenset(
 )
 
 
+# The constructors and selectors the SMT-LIB emitter declares
+# (`smtlib._DATATYPES`) are named `<constructor or selector>_<datatype>`,
+# and every datatype name starts with one of these prefixes.  A binder of
+# that shape would hide the function where its clause applies it.
+SMT_DATATYPE_SYMBOL_RE = re.compile(
+    r"(mk|inj0|inj1|cur|proph|pay0|pay1|fst|snd)_(Unit|Box|Mut|Sum|Prod|Rec)")
+
+
 class CorError(Exception):
     """Base class for all errors raised by the corhorn pipeline."""
 
@@ -57,7 +65,8 @@ class InvalidName(CorError):
 
 
 def check_ident(name: str, what: str = "identifier") -> str:
-    if not IDENT_RE.match(name) or name in RESERVED_WORDS or name in SMT_RESERVED_WORDS:
+    if (not IDENT_RE.match(name) or name in RESERVED_WORDS or name in SMT_RESERVED_WORDS
+            or SMT_DATATYPE_SYMBOL_RE.match(name)):
         raise InvalidName(f"bad {what}: {name!r}")
     return name
 

@@ -71,6 +71,20 @@ def test_check_smt_reserved_variable_exit_2(tmp_path, capsys, word):
     assert (code, out, err) == (2, "", f"error: bad variable: {word!r}\n")
 
 
+@pytest.mark.parametrize("word", ["mk_Box_Int", "cur_Mut_Int", "proph_Mut_Box_Int", "mk_Unit",
+                                  "inj1_Sum_Unit_Unit", "pay0_Sum_Int_Int", "snd_Prod_Int_Rec0",
+                                  "fst_Rec1"])
+def test_check_smt_datatype_symbol_variable_exit_2(tmp_path, capsys, word):
+    # named like a constructor or selector of the script, the binder would hide it
+    src = f"fn f() -> own int {{ entry: let *{word} = 5; goto L1; L1: return {word}; }}"
+    bad = tmp_path / "bad.cor"
+    bad.write_text(src)
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert (code, out, err) == (2, "", f"error: bad variable: {word!r}\n")
+    assert [S.check_ident(w) for w in ("mk", "mk_box", "Box_Int", "cur_Int")] == \
+        ["mk", "mk_box", "Box_Int", "cur_Int"]
+
+
 def test_smt_core_symbols_the_emitter_never_applies_stay_identifiers():
     # the corpus binds `or` (inc_max, just_rec, linger_dec)
     assert [S.check_ident(w) for w in ("or", "not")] == ["or", "not"]

@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import json
 import pickle
@@ -54,9 +55,42 @@ def test_step_renames_every_candidate():
     ]
     cfg = sldc.ResConfig((Atom("p", (3, V.Var("r"))),), V.Var("r"), {"r": L.INT_S})
     (nxt,) = sldc.step(cfg, clauses, sldc.Renamer(), SampleSpec(-2, 2))
-    assert nxt.stack == (Atom("q", (V.Var("w!4"),)),)
-    assert nxt.result == V.Var("w!4")
+    assert nxt.stack == (Atom("q", (V.Var("r"),)),)
+    assert nxt.result == V.Var("r")
     assert nxt.sorts == {"r": L.INT_S, "z!3": L.INT_S, "w!4": L.INT_S}
+
+
+def test_var_head_keeps_rest_and_result_themselves():
+    # p(x, y) <= q(y, x): each head variable binds to the goal's argument
+    clause = Clause((("x", L.INT_S), ("y", L.INT_S)), Atom("p", (V.Var("x"), V.Var("y"))),
+                    (Atom("q", (V.Var("y"), V.Var("x"))),))
+    assert clause.var_head == ("x", "y")
+    r = V.Var("r")
+    rest = (Atom("s", (V.Box(r),)), Atom("t", (r, 2)))
+    cfg = sldc.ResConfig((Atom("p", (1, r)), *rest), V.Pair(r, 3), {"r": L.INT_S})
+    (nxt,) = sldc.step(cfg, [clause], sldc.Renamer(), SampleSpec(-2, 2))
+    assert nxt.stack[0] == Atom("q", (r, 1))
+    assert all(a is b for a, b in zip(nxt.stack[1:], rest)) and len(nxt.stack) == 3
+    assert nxt.result is cfg.result
+    assert nxt.sorts == {"r": L.INT_S, "x!1": L.INT_S, "y!2": L.INT_S}
+
+
+def test_match_arm_head_substitutes_rest():
+    # p(box(inj0 c), y) <= q(c, y) against p(b, r): b binds to the head's
+    # constructor, so the atoms and the result holding b are rebuilt
+    sum_s = L.SumS(L.INT_S, L.INT_S)
+    c, y = V.Var("c"), V.Var("y")
+    clause = Clause((("c", L.INT_S), ("y", L.INT_S)), Atom("p", (V.Box(V.Inj(0, c)), y)),
+                    (Atom("q", (c, y)),))
+    assert clause.var_head is None
+    b, r = V.Var("b"), V.Var("r")
+    untouched = Atom("u", (r,))
+    cfg = sldc.ResConfig((Atom("p", (b, r)), Atom("t", (b, r)), untouched), V.Pair(b, r),
+                         {"b": L.BoxS(sum_s), "r": L.INT_S})
+    (nxt,) = sldc.step(cfg, [clause], sldc.Renamer(), SampleSpec(-2, 2))
+    skel = V.Box(V.Inj(0, V.Var("c!1")))
+    assert nxt.stack == (Atom("q", (V.Var("c!1"), r)), Atom("t", (skel, r)), untouched)
+    assert nxt.stack[2] is untouched and nxt.result == V.Pair(skel, r)
 
 
 def test_rand_clause_leaves_dont_care(inc_max_sys):
@@ -356,7 +390,7 @@ def test_cached_term_facts_agree(monkeypatch):
         for _ in range(ENUM_INPUTS):
             inputs = tuple(corpus.random_inputs(prog, e.entry_fn, rng, ENUM_SPEC))
             sldc.enumerate_results(system, L.pred_name(e.entry_fn, S.ENTRY), inputs,
-                                   depth=20, spec=ENUM_SPEC)
+                                   depth=40, spec=ENUM_SPEC)
     assert len(terms) > 1000
     for t in terms.values():
         _check_cached_facts(t)
@@ -607,16 +641,16 @@ def _step_digest(e) -> str:
 
 # SHA-256 per corpus entry of _step_digest.
 PINNED_STEP_DIGESTS = {
-    "inc_max": "d9cff4641c72c417123b2b63f8a16b427d25885ca6a849b096e6f7db7f029b37",
-    "inc_max_unsafe": "8e57fde969152ef6895044b0f47042ee94f1245dae902dc3b7d400059b707eef",
-    "just_rec": "8ef7db03e14aa530a8c36581992b2de541c02427622306b057fe3feef737eb66",
-    "just_rec_unsafe": "1b12176c4c6bccc3df8c4926bb954009440f105cdabeba46c376c730e0520887",
-    "linger_dec": "752fee34f42a54c2177e4397d67710de9362294dde05e2285c86faea34c0b23f",
-    "linger_dec_unsafe": "6fdb1b77a91480d0557e39a00169cf099a2c92abc9cd3b3f00b92f7a24d5a790",
-    "inc_some": "779df09c8b27401ebf91645733a4f02d16d2110f66030321a97f85e7bcf46e18",
-    "inc_some_unsafe": "d04e3c11489d210fda15822ec5d66d1e57e8558ea970df9a4305148b4aec5bb6",
-    "inc_some_t": "83074a3768afb2c475834b3cb09094c340f499ae5d44acf57917cdc56a1b2ce1",
-    "inc_some_t_unsafe": "a539fd1432e3c7b40ac21d040a2b524ac98c2eb3c86c8cd5a7977327b9b5120e",
+    "inc_max": "f0144ab0c8bd27b44b2446cd935e62cd2872018990c53949d86cc3aa493c50fa",
+    "inc_max_unsafe": "27c4942d64b8af0d81b2e3304c5675e6d9dfaf7d068ae834e2bd9793d9bd8673",
+    "just_rec": "edbaebfd96771e29f2f1b8590511ebcfc99ff56f46cc31e253d0fec75abd67b6",
+    "just_rec_unsafe": "c3a95c2e401bb0b62649ace88e4053235f63b244998df6c67d2c4a22ebb0b629",
+    "linger_dec": "9e478a97f6d55908cc469d4205d9217af5e1d798f8336d62e4718060e12c826b",
+    "linger_dec_unsafe": "57691446ae39edcabcb51b1b433f58e9e596975a9913d29f4793d8eca74a7a16",
+    "inc_some": "ef607cf9387db8ed73c74e77d7a8b46c3354ea62c964c45b063d45f5ddb240d0",
+    "inc_some_unsafe": "23bac5fb17a8bbad7e342d16a1a28fd4b33c16df6c481bc72d8a2a45c83ca69d",
+    "inc_some_t": "ddb0d24c110441fba99f409e3f3e53b918e1e5bea7e20aa24843cedf605aac60",
+    "inc_some_t_unsafe": "0d2760264bb423f3b4336666604f4735f947de22c1264e96d41de796e566c251",
 }
 
 
@@ -725,3 +759,43 @@ def test_merging_integer_branches_saves_steps_only(monkeypatch):
         assert [d for d, _ in merged[name]] == [d for d, _ in rows], name
         assert all(m <= f for (_, m), (_, f) in zip(merged[name], rows)), name
     assert sum(n for _, n in merged["linger_dec"]) < sum(n for _, n in full["linger_dec"])
+
+
+def _raw_successor_digests(monkeypatch) -> dict[str, str]:
+    """Per program of `_differential_programs`, SHA-256 over the raw
+    successors of every `step` that `enumerate_results` takes on its
+    sampled inputs: stack, result and sorts, fresh names and all."""
+    real = sldc.step
+    show_sort = functools.cache(repr)  # sorts are interned and shared by every successor
+
+    def recording(*args, **kw):
+        out = real(*args, **kw)
+        for nxt in out:
+            sorts = [(x, show_sort(s)) for x, s in sorted(nxt.sorts.items())]
+            h.update(repr((nxt.stack, nxt.result, sorts)).encode())
+        return out
+
+    monkeypatch.setattr(sldc, "step", recording)
+    digests = {}
+    for name, prog, fn, depth in _differential_programs():
+        system = translate.translate_program(prog, typeck.type_program(prog))
+        pred = L.pred_name(fn, S.ENTRY)
+        rng = random.Random(zlib.crc32(name.encode()))
+        h = hashlib.sha256()
+        for _ in range(ENUM_INPUTS):
+            inputs = tuple(corpus.random_inputs(prog, fn, rng, ENUM_SPEC))
+            sldc.enumerate_results(system, pred, inputs, depth=depth, width=ENUM_WIDTH,
+                                   spec=ENUM_SPEC)
+        digests[name] = h.hexdigest()
+    monkeypatch.setattr(sldc, "step", real)
+    return digests
+
+
+def test_var_heads_step_as_general_unification(monkeypatch):
+    heads = [c.var_head for _, system in _translations() for c in system.clauses if c.head]
+    assert heads.count(None) < len(heads) / 2  # most heads take the variable-head path
+    fast = _raw_successor_digests(monkeypatch)
+    # without the per-clause fact every head goes through L.unify
+    monkeypatch.setattr(L.Clause, "var_head", None)
+    general = _raw_successor_digests(monkeypatch)
+    assert fast == general and len(fast) == len(corpus.CORPUS) + 6

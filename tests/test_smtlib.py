@@ -5,7 +5,7 @@ import textwrap
 
 import pytest
 
-from corhorn import corpus, logic as L, parser, smtlib, translate as T, values as V
+from corhorn import corpus, logic as L, parser, smtlib, syntax as S, translate as T, values as V
 
 
 @pytest.fixture(scope="module")
@@ -263,3 +263,36 @@ def test_pinned_scripts_use_numerals_and_simple_symbols_only():
     for name, script in _pinned_scripts():
         for tok in re.findall(r"[^\s()]+", script):
             assert _NUMERAL.match(tok) or _SIMPLE_SYMBOL.match(tok), (name, tok)
+
+
+def _datatype_symbols(script: str) -> set[str]:
+    """The constructors and selectors of the script's declare-datatypes."""
+    toks = re.findall(r"\(|\)|[^\s()]+", script)
+    out: set[str] = set()
+    if "declare-datatypes" not in toks:
+        return out
+    i, depth = toks.index("declare-datatypes") + 1, 1
+    while depth:
+        # at depth 4 a list opens a constructor, at depth 5 a selector
+        if toks[i] == "(":
+            depth += 1
+            if depth in (4, 5) and toks[i + 1] != "(":
+                out.add(toks[i + 1])
+        elif toks[i] == ")":
+            depth -= 1
+        i += 1
+    return out
+
+
+def test_declared_datatype_symbols_are_not_identifiers():
+    names = {sym for _, ctors in smtlib._DATATYPES.values()
+             for ctor, selectors in ctors.items() for sym in (ctor, *(sel for sel, _ in selectors))}
+    declared = set().union(*(_datatype_symbols(script) for _, script in _pinned_scripts()))
+    assert {x.split("_")[0] for x in declared} == names
+    for sym in declared:
+        assert S.SMT_DATATYPE_SYMBOL_RE.match(sym), sym
+    # every constructor and selector on every datatype prefix, and on a RecN name
+    for sym in names:
+        for prefix, _ in [*smtlib._DATATYPES.values(), ("Rec0", None)]:
+            with pytest.raises(S.InvalidName):
+                S.check_ident(f"{sym}_{prefix}")

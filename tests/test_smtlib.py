@@ -296,3 +296,6 @@ def test_declared_datatype_symbols_are_not_identifiers():
         for prefix, _ in [*smtlib._DATATYPES.values(), ("Rec0", None)]:
             with pytest.raises(S.InvalidName):
                 S.check_ident(f"{sym}_{prefix}")
+    # names of no declared symbol's shape stay identifiers (Int is no datatype)
+    assert [S.check_ident(w) for w in ("mk", "mk_box", "Box_Int", "cur_Int")] == \
+        ["mk", "mk_box", "Box_Int", "cur_Int"]

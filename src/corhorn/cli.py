@@ -12,6 +12,7 @@ import itertools
 import json
 import os
 import random
+import shlex
 import sys as _sys
 
 from . import aos
@@ -160,6 +161,21 @@ def cmd_solve(args) -> int:
     return EXIT_ERROR
 
 
+_BISIM_DEFAULTS = {"fuel": 400, "rand_lo": -8, "rand_hi": 8}
+
+
+def _bisim_repro(args, draws: int) -> str:
+    """The command line that reruns the draw-th draw of `corhorn bisim`
+    as its last run: the command's RNG draws only each run's inputs and
+    interpreter seed, so the first draws of a shorter run are the same."""
+    words = ["corhorn", "bisim", args.file, "--fn", args.fn,
+             "--seed", str(args.seed), "--runs", str(draws)]
+    for dest, default in _BISIM_DEFAULTS.items():
+        if getattr(args, dest) != default:
+            words += [f"--{dest.replace('_', '-')}", str(getattr(args, dest))]
+    return shlex.join(words)
+
+
 def cmd_bisim(args) -> int:
     prog = _load(args.file)
     typing = typeck.type_program(prog)
@@ -169,7 +185,7 @@ def cmd_bisim(args) -> int:
     kw = dict(fuel=_at_least(args.fuel, 0, "--fuel"), typing=typing, rand_range=rand_range)
     failures = []
     runs = out_of_fuel = 0
-    for _ in range(_at_least(args.runs, 1, "--runs")):
+    for draw in range(1, _at_least(args.runs, 1, "--runs") + 1):
         inputs = corpus.random_inputs(prog, args.fn, rng, spec)
         seed = rng.randrange(2 ** 31)
         r1 = harness.lockstep_cos_aos(prog, args.fn, inputs, seed=seed, **kw)
@@ -179,10 +195,14 @@ def cmd_bisim(args) -> int:
             out_of_fuel += rep.detail == rep.FUEL_OUT
             if not rep.ok:
                 failures.append({"kind": kind, "inputs": [V.show(v) for v in inputs],
-                                 "seed": seed, "report": rep.to_json()})
+                                 "seed": seed, "report": rep.to_json(),
+                                 "repro": _bisim_repro(args, draw)})
     payload = {"runs": runs, "failures": failures, "out_of_fuel": out_of_fuel}
     fuel_note = f", {out_of_fuel} ended at fuel" if out_of_fuel else ""
-    _emit(args, payload, f"{runs} lockstep runs, {len(failures)} divergences{fuel_note}")
+    human = f"{runs} lockstep runs, {len(failures)} divergences{fuel_note}"
+    if failures:
+        human += f"\nfirst divergence reruns with: {failures[0]['repro']}"
+    _emit(args, payload, human)
     return EXIT_OK if not failures else EXIT_REFUTED
 
 
@@ -290,9 +310,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fuel", type=int, default=400)
-    p.add_argument("--rand-lo", type=int, default=-8)
-    p.add_argument("--rand-hi", type=int, default=8)
+    for dest, default in _BISIM_DEFAULTS.items():
+        p.add_argument(f"--{dest.replace('_', '-')}", type=int, default=default)
     p.set_defaults(func=cmd_bisim)
 
     p = sub.add_parser("oracle", help="differential test: heap runs vs resolution")

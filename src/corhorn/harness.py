@@ -13,10 +13,14 @@ a stack of predicate applications (a resolutive configuration) and
 checks that each interpreter step is matched by one resolution step
 using exactly the clause generated from the executed statement, taken
 from `translate.clauses_for_label`.  Each step renders again only the
-frames it changed; an atom that a candidate shares with the target
-matches by binding its variables to themselves.  The rendering and the
-oracle's query build their label atoms with `translate.label_atom`, so
-the argument order is decided there alone.
+frames it changed, and a frame rendered again reuses the term of each
+pre-value the previous step rendered.  A resolution step keeps the
+target's terms where it binds a clause variable to them, so most of a
+candidate's arguments, and many of its atoms, are the target's own
+objects; `logic.match_into` matches such an argument by identity,
+binding its variables to themselves without walking it.  The rendering
+and the oracle's query build their label atoms with
+`translate.label_atom`, so the argument order is decided there alone.
 """
 
 from __future__ import annotations
@@ -149,9 +153,12 @@ def resolutive_of(prog: S.Program, typing: TypingResult, acfg: aos.AbsConfig,
     """Render an abstract configuration as a resolutive configuration:
     one atom per frame, prophecy variables as logic variables, fresh
     result variables threading each receiver.  memo, the previous
-    rendering's (entry, atom, sorts) per frame if given, is updated in
-    place; a frame whose entry is the recorded object at the same index
-    keeps its atom and sorts (its r#i names depend only on the index)."""
+    rendering's (entry, atom, sorts, renderings) per frame if given, is
+    updated in place; a frame whose entry is the recorded object at the
+    same index keeps its atom and sorts (its r#i names depend only on
+    the index).  A frame rendered again reuses the term of each
+    pre-value that some frame of the previous rendering held, as the
+    same object at the same sort."""
 
     def term_of(v: V.PreValue, sort: L.Sort, sorts: dict) -> V.Term:
         """v with each prophecy variable as a logic variable, whose sort
@@ -172,21 +179,38 @@ def resolutive_of(prog: S.Program, typing: TypingResult, acfg: aos.AbsConfig,
 
     memo = [] if memo is None else memo
     prev, memo[:] = memo[:], []
+    # the previous rendering's (pre-value, sort, term, sorts it records)
+    # by id of the pre-value, which each entry holds, so no id is reused
+    pool: Optional[dict] = None
     atoms = []
     sorts: dict[str, L.Sort] = {}
     for i, entry in enumerate(acfg.stack):
         rec = prev[i] if i < len(prev) else None
         if rec is None or rec[0] is not entry:
+            if pool is None:
+                pool = {}
+                for r in prev:
+                    pool.update(r[3])
             gamma = typing.ctx(entry.fn, entry.label).gamma
             frame_sorts: dict[str, L.Sort] = {}
-            frame: dict[str, V.Term] = dict(entry.frame)
-            if i > 0:
-                frame[entry.recv] = V.Var(f"r#{i - 1}")
-            args = {x: term_of(frame[x], T.sort_of_type(info.ty), frame_sorts)
-                    for x, info in sorted(gamma.items())}
+            renders: dict[int, tuple] = {}
+            args: dict[str, V.Term] = {}
+            for x, info in sorted(gamma.items()):
+                v = V.Var(f"r#{i - 1}") if i > 0 and x == entry.recv else entry.frame[x]
+                if isinstance(v, (int, V.UnitVal, V.Var)):
+                    args[x] = v
+                    continue
+                sort = T.sort_of_type(info.ty)
+                hit = pool.get(id(v))
+                if hit is None or hit[1] is not sort:
+                    v_sorts: dict[str, L.Sort] = {}
+                    hit = (v, sort, term_of(v, sort, v_sorts), tuple(v_sorts.items()))
+                renders[id(v)] = hit
+                frame_sorts.update(hit[3])
+                args[x] = hit[2]
             frame_sorts[f"r#{i}"] = T.sort_of_type(prog.fn(entry.fn).ret)
             args[T.RES] = V.Var(f"r#{i}")
-            rec = (entry, T.label_atom(typing, entry.fn, entry.label, args), frame_sorts)
+            rec = (entry, T.label_atom(typing, entry.fn, entry.label, args), frame_sorts, renders)
         atoms.append(rec[1])
         sorts.update(rec[2])
         memo.append(rec)
@@ -199,10 +223,6 @@ def _config_refines(cand: sldc.ResConfig, target: sldc.ResConfig) -> bool:
         return False
     m: dict[str, V.Term] = {}
     for ca, ta in zip(cand.stack, target.stack):
-        if ca is ta:  # matches itself: each of its variables binds to itself
-            if any(m.setdefault(x, V.Var(x)) != V.Var(x) for t in ca.args for x in V.vars_in(t)):
-                return False
-            continue
         if ca.pred != ta.pred or len(ca.args) != len(ta.args):
             return False
         if not all(L.match_into(x, y, m) for x, y in zip(ca.args, ta.args)):

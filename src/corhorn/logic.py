@@ -622,7 +622,15 @@ def unify(ps: tuple[V.Term, ...], qs: tuple[V.Term, ...]) -> Optional[dict[str, 
 
 def match_into(p: V.Term, w: V.Term, binding: dict[str, V.Term]) -> bool:
     """Can pattern p be instantiated to w by extending `binding`?
-    Repeated pattern variables must take equal values."""
+    Repeated pattern variables must take equal values.  A p that is w
+    itself matches by binding each of its variables to itself, without
+    walking it."""
+    if p is w:
+        for x in V.var_leaves(p):
+            b = binding.setdefault(x.name, x)
+            if b is not x and b != x:
+                return False
+        return True
     if isinstance(p, V.Var):
         if p.name in binding:
             return binding[p.name] == w

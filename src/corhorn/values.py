@@ -14,12 +14,13 @@ Sharing the constructors keeps substitution, matching and printing in one
 place.
 
 Each compound node caches facts about itself the first time a walk asks:
-whether it is closed (no Var below it) and whether it is a pattern.  A
-cached fact is a pure function of the node's immutable fields, so it can
-never go stale, and it is left out of equality, hashing, repr, copies
-and pickles.  Walks may therefore
-return a closed subterm unchanged under variable substitution, and a
-pattern unchanged under simplification.
+whether it is closed (no Var below it), whether it is a pattern, and its
+distinct Var leaves.  A cached fact is a pure function of the node's
+immutable fields, so it can never go stale, and it is left out of
+equality, hashing, repr, copies and pickles.  Walks may therefore return
+a closed subterm unchanged under variable substitution, and a pattern
+unchanged under simplification; `logic.match_into` matches a term
+against itself through its cached leaves.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class _Node:
     """Base of the compound terms: the lazily cached facts (None until
     first asked) live in the instance __dict__, beside the fields."""
 
-    _closed = _pattern = None
+    _closed = _pattern = _vars = None
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k[0] != "_"}
@@ -162,6 +163,26 @@ def is_pattern(t: Term) -> bool:
     return isinstance(t, (Var, int, UnitVal))
 
 
+def var_leaves(t: Term) -> tuple[Var, ...]:
+    """The distinct Var leaves of t, in the order of their first
+    occurrence (cached on compound nodes)."""
+    if isinstance(t, _Node):
+        vs = t._vars
+        if vs is None:
+            parts = [p for p in map(var_leaves, children(t)) if p]
+            if len(parts) < 2:
+                vs = parts[0] if parts else ()
+            else:
+                seen: dict[str, Var] = {}
+                for p in parts:
+                    for v in p:
+                        seen.setdefault(v.name, v)
+                vs = tuple(seen.values())
+            t.__dict__["_vars"] = vs
+        return vs
+    return (t,) if type(t) is Var else ()
+
+
 def is_value(t: Term) -> bool:
     """t is ground: a pattern (so no AbsVar) that is closed (no Var)."""
     return is_pattern(t) and is_closed(t)
@@ -229,16 +250,7 @@ def absvars_in(t: Term) -> set[int]:
 
 
 def vars_in(t: Term) -> set[str]:
-    out: set[str] = set()
-
-    def go(u: Term):
-        if isinstance(u, Var):
-            out.add(u.name)
-        for k in children(u):
-            go(k)
-
-    go(t)
-    return out
+    return {v.name for v in var_leaves(t)}
 
 
 def show(t: Term, rename=None) -> str:

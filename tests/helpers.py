@@ -378,6 +378,21 @@ def is_pattern_reference(t) -> bool:
     return False
 
 
+def var_names_reference(t) -> list[str]:
+    """The names of t's distinct variables in the order of their first
+    occurrence, by the plain recursion that `V.var_leaves` caches."""
+    out: dict[str, None] = {}
+
+    def go(u):
+        if isinstance(u, V.Var):
+            out.setdefault(u.name)
+        for k in V.children(u):
+            go(k)
+
+    go(t)
+    return list(out)
+
+
 def fresh_copy(t):
     """An equal term built of new compound nodes, none of which has
     cached a fact yet."""

@@ -1,4 +1,5 @@
 import json
+import shlex
 import stat
 import sys
 
@@ -212,6 +213,28 @@ def test_bisim_command(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["runs"] == 6 and blob["failures"] == []
+
+
+def test_bisim_failure_repro_reruns_the_failing_draw(capsys, monkeypatch):
+    # each failure's repro line reruns its draw as the last run, and that
+    # run's last failure is the original one; only non-default flags show
+    from corhorn import aos
+
+    stuck_at_swap(aos, monkeypatch)
+    argv = ["bisim", INC_MAX, "--fn", "inc_max", "--seed", "5", "--runs", "3",
+            "--fuel", "300", "--rand-lo", "-3"]
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    failures = json.loads(out)["failures"]
+    assert code == 1 and len(failures) == 6
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out.splitlines()[-1]) == (1, f"first divergence reruns with: {failures[0]['repro']}")
+    for draw in (1, 2, 3):
+        repro = f"corhorn bisim {shlex.quote(INC_MAX)} --fn inc_max --seed 5 --runs {draw} " \
+                "--fuel 300 --rand-lo -3"
+        original = [f for f in failures if f["repro"] == repro]
+        assert [f["kind"] for f in original] == ["cos-aos", "aos-sldc"]
+        code, out, _ = run_cli(capsys, *shlex.split(repro)[1:], "--json")
+        assert code == 1 and json.loads(out)["failures"][-1] == original[-1]
 
 
 def test_oracle_command(capsys):

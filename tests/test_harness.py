@@ -11,7 +11,7 @@ import pytest
 from corhorn import aos, corpus, cos, harness, logic as L, sldc, syntax as S, typeck, values as V
 from corhorn.cos import Alloc
 
-from helpers import drop_swap_exchange, mklist, stuck_at_swap
+from helpers import drop_swap_exchange, fresh_copy, mklist, stuck_at_swap
 
 
 @pytest.fixture(scope="module")
@@ -388,11 +388,17 @@ def test_incremental_lockstep_agrees_with_full_checks(monkeypatch):
         return k
 
     def config_refines(cand, target):
-        fresh = sldc.ResConfig(tuple(L.Atom(a.pred, a.args) for a in target.stack),
+        # built apart, so no candidate atom or argument is the target's own
+        fresh = sldc.ResConfig(tuple(L.Atom(a.pred, tuple(map(fresh_copy, a.args)))
+                                     for a in target.stack),
                                target.result, target.sorts)
         ok = real_refines(cand, target)
         assert ok == real_refines(cand, fresh)
         reused["shared atoms"] += sum(a is b for a, b in zip(cand.stack, target.stack))
+        reused["shared arguments"] += sum(
+            x is y and bool(V.children(x))
+            for a, b in zip(cand.stack, target.stack) if a is not b
+            for x, y in zip(a.args, b.args))
         return ok
 
     monkeypatch.setattr(aos, "walk_stack", walk_stack)

@@ -1,4 +1,6 @@
+import copy
 import random
+from collections import Counter
 
 import pytest
 
@@ -241,6 +243,55 @@ def test_refines_to():
     assert L.refines_to(V.MutPair(V.Var("x"), V.Var("x")), V.MutPair(4, 4))
     assert not L.refines_to(V.MutPair(V.Var("x"), V.Var("x")), V.MutPair(4, 5))
     assert not L.refines_to(V.Inj(0, V.Var("x")), V.Inj(1, V.UNIT))
+
+
+def test_match_into_itself_binds_each_variable_to_itself():
+    x, y = V.Var("x"), V.Var("y")
+    p = V.Pair(V.MutPair(x, V.Box(y)), V.Inj(0, V.Pair(x, V.Box(y))))
+    m: dict = {}
+    assert L.match_into(p, p, m) and list(m.items()) == [("x", x), ("y", y)]
+    assert m["x"] is x and m["y"] is y
+    m = {"y": V.Var("y"), "z": 5}
+    assert L.match_into(p, p, m) and m == {"y": y, "z": 5, "x": x}
+    for taken in (V.Var("w"), 3, V.Box(y)):
+        assert not L.match_into(p, p, {"y": taken})
+    closed = V.Pair(V.Box(3), V.Inj(1, V.UNIT))
+    m = {"x": 7}
+    assert L.match_into(closed, closed, m) and m == {"x": 7}
+
+
+def _random_pattern(rng, depth):
+    pick = rng.randrange(7 if depth else 3)
+    if pick == 0:
+        return V.Var(rng.choice("xyz"))
+    if pick == 1:
+        return rng.randrange(-2, 3)
+    if pick == 2:
+        return V.UNIT
+    if pick == 3:
+        return V.Box(_random_pattern(rng, depth - 1))
+    if pick == 4:
+        return V.Inj(rng.randrange(2), _random_pattern(rng, depth - 1))
+    make = V.MutPair if pick == 5 else V.Pair
+    return make(_random_pattern(rng, depth - 1), _random_pattern(rng, depth - 1))
+
+
+def test_match_into_itself_agrees_with_a_structural_match():
+    # the identity path gives the verdict and the binding, in its order,
+    # that matching against an equal copy built apart gives
+    rng = random.Random(24)
+    seen = Counter()
+    for _ in range(600):
+        p = _random_pattern(rng, 4)
+        pre = {x: rng.choice([V.Var(x), V.Var("w"), 1, V.Box(V.Var(x))])
+               for x in "xyz" if rng.random() < 0.3}
+        mine, apart = dict(pre), dict(pre)
+        ok = L.match_into(p, p, mine)
+        assert ok == L.match_into(p, copy.deepcopy(p), apart)
+        assert list(mine.items()) == list(apart.items())
+        seen[ok, V.is_closed(p), bool(pre)] += 1
+    assert min(seen[k] for k in [(True, True, False), (True, False, False), (True, False, True),
+                                 (False, False, True)]) > 10, seen
 
 
 def test_refine_default():

@@ -11,7 +11,7 @@ import pytest
 from corhorn import aos, corpus, logic as L, parser, sldc, syntax as S, translate, typeck, values as V
 from corhorn.logic import Atom, CHCSystem, Clause, SampleSpec
 
-from helpers import canon_config_reference, fresh_copy, is_pattern_reference
+from helpers import canon_config_reference, fresh_copy, is_pattern_reference, var_names_reference
 
 
 @pytest.fixture(scope="module")
@@ -362,7 +362,10 @@ def _first_occurrence_renamer():
 def _check_cached_facts(t):
     """The facts cached on t and on each of its subterms agree with
     their uncached definitions."""
-    assert V.is_closed(t) == (not V.vars_in(t)), t
+    names = var_names_reference(t)
+    assert [v.name for v in V.var_leaves(t)] == names and V.vars_in(t) == set(names), t
+    assert all(type(v) is V.Var for v in V.var_leaves(t)), t
+    assert V.is_closed(t) == (not names), t
     assert V.is_pattern(t) == is_pattern_reference(t), t
     assert V.show(t, _first_occurrence_renamer()) == \
         V.show(fresh_copy(t), _first_occurrence_renamer()), t
@@ -425,7 +428,7 @@ def test_cached_term_facts_agree(monkeypatch):
         fields = {k: getattr(fresh, k) for k in fresh.__match_args__}
         before = (hash(fresh), repr(fresh), pickle.dumps(fresh))
         _check_cached_facts(fresh)
-        assert fresh.__dict__ != fields or not V.children(fresh)
+        assert "_vars" in vars(fresh) or not V.children(fresh)
         assert fresh == t and (hash(fresh), repr(fresh), pickle.dumps(fresh)) == before
         for twin in (copy.copy(fresh), copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))):
             assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)

@@ -229,8 +229,8 @@ def test_bisim_failure_repro_reruns_the_failing_draw(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, *argv)
     assert (code, out.splitlines()[-1]) == (1, f"first divergence reruns with: {failures[0]['repro']}")
     for draw in (1, 2, 3):
-        repro = f"corhorn bisim {shlex.quote(INC_MAX)} --fn inc_max --seed 5 --runs {draw} " \
-                "--fuel 300 --rand-lo -3"
+        repro = (f"corhorn bisim {shlex.quote(INC_MAX)} --fn inc_max --seed 5 --runs {draw} "
+                 "--fuel 300 --rand-lo -3")
         original = [f for f in failures if f["repro"] == repro]
         assert [f["kind"] for f in original] == ["cos-aos", "aos-sldc"]
         code, out, _ = run_cli(capsys, *shlex.split(repro)[1:], "--json")

@@ -181,16 +181,14 @@ def resolutive_of(prog: S.Program, typing: TypingResult, acfg: aos.AbsConfig,
     prev, memo[:] = memo[:], []
     # the previous rendering's (pre-value, sort, term, sorts it records)
     # by id of the pre-value, which each entry holds, so no id is reused
-    pool: Optional[dict] = None
+    pool: dict[int, tuple] = {}
+    for rec in prev:
+        pool.update(rec[3])
     atoms = []
     sorts: dict[str, L.Sort] = {}
     for i, entry in enumerate(acfg.stack):
         rec = prev[i] if i < len(prev) else None
         if rec is None or rec[0] is not entry:
-            if pool is None:
-                pool = {}
-                for r in prev:
-                    pool.update(r[3])
             gamma = typing.ctx(entry.fn, entry.label).gamma
             frame_sorts: dict[str, L.Sort] = {}
             renders: dict[int, tuple] = {}

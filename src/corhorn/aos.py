@@ -36,6 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import logic as L
 from . import syntax as S
 from . import values as V
 from .machine import (  # the shared names stay reachable as aos.Final, aos.RunError, ...
@@ -334,9 +335,7 @@ def _step(prog, typing, cfg, rng, supply, rand_range) -> StepResult:
         b = val_of(need(instr.x2))
         if not isinstance(a, int) or not isinstance(b, int):
             raise StuckSignal("binop: non-integer operands")
-        res = S.eval_op(instr.op, a, b)
-        frame[instr.y] = V.Box(res if isinstance(res, int) and not isinstance(res, bool)
-                               else (V.TRUE if res else V.FALSE))
+        frame[instr.y] = V.Box(L.apply_op(instr.op, a, b))
         return Next(retop(goto))
 
     if isinstance(instr, S.RandInstr):

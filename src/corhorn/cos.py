@@ -184,6 +184,16 @@ def safe_readout_frame(
     return out, combined
 
 
+def read_result(typing: TypingResult, cfg: CosConfig) -> tuple[V.Value, tuple[int, ...]]:
+    """The value a final configuration returns, read out of the heap
+    (`safe_readout_frame` of its one frame), and the cells it leaked:
+    every address outside the read footprint, in order."""
+    top = cfg.top
+    values, m = safe_readout_frame(cfg.heap, top.frame, typing.ctx(top.fn, top.label).gamma)
+    (value,) = values.values()
+    return value, tuple(sorted(set(cfg.heap) - set(m)))
+
+
 # ---------------------------------------------------------------------------
 # Small-step transition
 # ---------------------------------------------------------------------------
@@ -420,12 +430,5 @@ def run(
     rng = random.Random(seed)
     cfg = initial_config(prog, typing, fname, inputs, alloc)
 
-    def finish(cfg: CosConfig) -> tuple[V.Value, tuple[int, ...]]:
-        top = cfg.top
-        gamma = typing.ctx(top.fn, top.label).gamma
-        values, m = safe_readout_frame(cfg.heap, top.frame, gamma)
-        (value,) = values.values()
-        return value, tuple(sorted(set(cfg.heap) - set(m)))
-
     return drive(lambda c: step(prog, typing, c, rng, alloc, rand_range),
-                 cfg, fuel, keep_trace, finish)
+                 cfg, fuel, keep_trace, lambda c: read_result(typing, c))

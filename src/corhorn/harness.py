@@ -131,9 +131,7 @@ def lockstep_cos_aos(
         if isinstance(rc, Final) or isinstance(ra, Final):
             if type(rc) is not type(ra):
                 return LinkReport(False, steps, f"one side finished early at step {i}")
-            gamma = typing.ctx(c.top.fn, c.top.label).gamma
-            vals, _ = cos.safe_readout_frame(c.heap, c.top.frame, gamma)
-            (cv,) = vals.values()
+            cv, _ = cos.read_result(typing, c)
             (av,) = a.top.frame.values()
             if cv != av:
                 return LinkReport(False, steps, f"final values differ: {V.show(cv)} vs {V.show(av)}")

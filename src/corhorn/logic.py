@@ -12,6 +12,13 @@ The module covers the static side (sort checking of terms and systems),
 the semantic side (term interpretation, satisfaction of a system by a
 predicate structure, sampled/exhaustive model checking) and syntactic
 unification of pattern tuples, which the resolution engine builds on.
+
+The term forms *t, ^t, t.i and the operators get their meaning from one
+redex rule, `reduce`, and `apply_op` alone turns an operator's result
+into an int or V.TRUE/V.FALSE.  Every term evaluator is a walk plus that
+rule: `interpret_term` here, `sldc.simplify` in the resolution engine,
+and the prophecy interpreter's binop rule.  The rule lives here rather
+than in `values`, which imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -333,50 +340,56 @@ class Undefined(S.CorError):
     pass
 
 
+def apply_op(op: str, a: int, b: int) -> V.Value:
+    """The value of `a op b`: an int for arithmetic, V.TRUE or V.FALSE
+    for a comparison."""
+    res = S.eval_op(op, a, b)
+    if type(res) is bool:
+        return V.TRUE if res else V.FALSE
+    return res
+
+
+def reduce(t: V.Term) -> V.Term:
+    """The one-step rule for a redex at the root of t: *box(v) -> v,
+    *mut(c, p) -> c, ^mut(c, p) -> p, (a, b).i -> its i-th component,
+    int op int -> `apply_op`.  t itself when none applies: a constructor,
+    or a redex stuck on a variable or on the wrong constructor."""
+    typ = type(t)
+    if typ is V.DerefT:
+        arg = t.arg
+        if type(arg) is V.Box:
+            return arg.inner
+        if type(arg) is V.MutPair:
+            return arg.cur
+    elif typ is V.FinalT:
+        if type(t.arg) is V.MutPair:
+            return t.arg.fin
+    elif typ is V.ProjT:
+        if type(t.arg) is V.Pair:
+            return t.arg.fst if t.index == 0 else t.arg.snd
+    elif typ is V.BinOpT and type(t.left) is int and type(t.right) is int:
+        return apply_op(t.op, t.left, t.right)
+    return t
+
+
 def interpret_term(valuation: dict[str, V.Value], t: V.Term) -> V.Value:
-    if isinstance(t, bool):
-        raise Undefined("Python bool leaked into a term")
-    if isinstance(t, (int, V.UnitVal)):
-        return t
-    if isinstance(t, V.Var):
+    """The value of t under the valuation: each variable looked up, then
+    `reduce` applied to every node, innermost first.  Raises Undefined
+    on an unbound variable, an abstract variable, a Python bool and a
+    redex that stays stuck."""
+    typ = type(t)
+    if typ is V.Var:
         if t.name not in valuation:
             raise Undefined(f"unbound variable {t.name!r}")
         return valuation[t.name]
-    if isinstance(t, V.Box):
-        return V.Box(interpret_term(valuation, t.inner))
-    if isinstance(t, V.MutPair):
-        return V.MutPair(interpret_term(valuation, t.cur), interpret_term(valuation, t.fin))
-    if isinstance(t, V.Inj):
-        return V.Inj(t.tag, interpret_term(valuation, t.payload))
-    if isinstance(t, V.Pair):
-        return V.Pair(interpret_term(valuation, t.fst), interpret_term(valuation, t.snd))
-    if isinstance(t, V.DerefT):
-        v = interpret_term(valuation, t.arg)
-        if isinstance(v, V.Box):
-            return v.inner
-        if isinstance(v, V.MutPair):
-            return v.cur
-        raise Undefined(f"* of non-pointer value {V.show(v)}")
-    if isinstance(t, V.FinalT):
-        v = interpret_term(valuation, t.arg)
-        if isinstance(v, V.MutPair):
-            return v.fin
-        raise Undefined(f"^ of non-mut value {V.show(v)}")
-    if isinstance(t, V.ProjT):
-        v = interpret_term(valuation, t.arg)
-        if isinstance(v, V.Pair):
-            return v.fst if t.index == 0 else v.snd
-        raise Undefined(f"projection of non-pair value {V.show(v)}")
-    if isinstance(t, V.BinOpT):
-        a = interpret_term(valuation, t.left)
-        b = interpret_term(valuation, t.right)
-        if not isinstance(a, int) or not isinstance(b, int):
-            raise Undefined("arithmetic on non-integers")
-        res = S.eval_op(t.op, a, b)
-        if isinstance(res, bool):
-            return V.TRUE if res else V.FALSE
-        return res
-    raise Undefined(f"cannot interpret {t!r}")
+    if typ is int or typ is V.UnitVal:
+        return t
+    if typ is bool or typ is V.AbsVar:
+        raise Undefined(f"not a logical term: {t!r}")
+    v = reduce(V.map_children(t, lambda k: interpret_term(valuation, k)))
+    if isinstance(v, V.Redex):
+        raise Undefined(f"no rule reduces {V.show(v)}")
+    return v
 
 
 PredCheck = Callable[[tuple], bool]
@@ -654,11 +667,4 @@ def refine_default(p: V.Term, delta: dict[str, Sort], spec: Optional[SampleSpec]
     """Instantiate the don't-care variables of a result pattern with
     default values of their sorts."""
     spec = spec or SampleSpec()
-
-    def go(t: V.Term) -> V.Term:
-        if isinstance(t, V.Var):
-            return default_value(delta[t.name], spec)
-        kids = V.children(t)
-        return V.rebuild(t, tuple(go(k) for k in kids)) if kids else t
-
-    return go(p)
+    return V.subst_vars(p, {x: default_value(delta[x], spec) for x in V.vars_in(p)})

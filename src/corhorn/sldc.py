@@ -11,10 +11,11 @@ binds each to the goal's argument without unification, as the WAM's
 take only the bindings of configuration variables, and are kept as
 themselves when there are none.  The step replaces the first entry by
 the clause's body atoms, and then "calculates": reduces redexes like
-*box(t) or 3 + 4, conservatively expands variables blocked under a
-projection into constructor skeletons of fresh variables, and branches
-over a bounded integer range when arithmetic is stuck on a symbolic
-operand (the engine's documented incompleteness boundary).
+*box(t) or 3 + 4 by the one redex rule `logic.reduce`, expands a
+variable that blocks a *, ^ or projection redex into the constructor
+skeleton its sort decides (box, mut or pair of fresh variables), and
+branches over a bounded integer range when arithmetic is stuck on a
+symbolic operand (the engine's documented incompleteness boundary).
 Calculation normalizes only the clause body: clause heads are patterns,
 so the unifier maps variables to patterns and the rest of the stack and
 the result stay patterns.
@@ -97,49 +98,27 @@ def canon_config(cfg: ResConfig) -> tuple:
 
 
 def simplify(t: V.Term) -> V.Term:
-    """t with its redexes reduced, innermost first; t itself when it
-    has none, as a pattern has none."""
+    """t with its redexes reduced by `logic.reduce`, innermost first; t
+    itself when it has none, as a pattern has none."""
     if V.is_pattern(t):
         return t
-    t = V.map_children(t, simplify)
-    typ = type(t)
-    if typ is V.DerefT:
-        if type(t.arg) is V.Box:
-            return t.arg.inner
-        if type(t.arg) is V.MutPair:
-            return t.arg.cur
-    elif typ is V.FinalT:
-        if type(t.arg) is V.MutPair:
-            return t.arg.fin
-    elif typ is V.ProjT:
-        if type(t.arg) is V.Pair:
-            return t.arg.fst if t.index == 0 else t.arg.snd
-    elif typ is V.BinOpT and isinstance(t.left, int) and isinstance(t.right, int):
-        res = S.eval_op(t.op, t.left, t.right)
-        if isinstance(res, bool):
-            return V.TRUE if res else V.FALSE
-        return res
-    return t
+    return L.reduce(V.map_children(t, simplify))
 
 
-def _find_stuck(t: V.Term) -> Optional[tuple[str, str]]:
+def _find_stuck(t: V.Term) -> Optional[tuple[V.Term, str]]:
+    """The innermost redex of a simplified t that a variable operand
+    blocks, and that variable's name (the left operand's first); None
+    when no variable blocks one."""
     if V.is_pattern(t):
         return None
     for k in V.children(t):
         r = _find_stuck(k)
         if r is not None:
             return r
-    if isinstance(t, V.DerefT) and isinstance(t.arg, V.Var):
-        return ("deref", t.arg.name)
-    if isinstance(t, V.FinalT) and isinstance(t.arg, V.Var):
-        return ("final", t.arg.name)
-    if isinstance(t, V.ProjT) and isinstance(t.arg, V.Var):
-        return ("proj", t.arg.name)
-    if isinstance(t, V.BinOpT):
-        if isinstance(t.left, V.Var):
-            return ("int", t.left.name)
-        if isinstance(t.right, V.Var):
-            return ("int", t.right.name)
+    if isinstance(t, V.Redex):
+        for k in V.children(t):
+            if type(k) is V.Var:
+                return t, k.name
     return None
 
 
@@ -147,28 +126,21 @@ class CalculateError(S.CorError):
     pass
 
 
-def _expand_var(name: str, kind: str, sorts: dict[str, Sort], renamer: Renamer):
-    """Constructor skeleton of fresh variables for a projected variable."""
+def _expand_var(name: str, sorts: dict[str, Sort], renamer: Renamer):
+    """Constructor skeleton of fresh variables for a variable that blocks
+    a redex, decided by its sort alone: box(x!c), mut(x!c, x!p) or
+    (x!0, x!1), with the fresh variables' sorts."""
     sort = S.whnf(sorts[name])
-    if kind in ("deref",):
-        if isinstance(sort, L.BoxS):
-            v = renamer.fresh(name + "!c")
-            return V.Box(V.Var(v)), {v: sort.inner}
-        if isinstance(sort, L.MutS):
-            c, p = renamer.fresh(name + "!c"), renamer.fresh(name + "!p")
-            return V.MutPair(V.Var(c), V.Var(p)), {c: sort.inner, p: sort.inner}
-        raise CalculateError(f"* applied to variable of sort {L.render_sort(sort)}")
-    if kind == "final":
-        if isinstance(sort, L.MutS):
-            c, p = renamer.fresh(name + "!c"), renamer.fresh(name + "!p")
-            return V.MutPair(V.Var(c), V.Var(p)), {c: sort.inner, p: sort.inner}
-        raise CalculateError(f"^ applied to variable of sort {L.render_sort(sort)}")
-    if kind == "proj":
-        if isinstance(sort, L.ProdS):
-            a, b = renamer.fresh(name + "!0"), renamer.fresh(name + "!1")
-            return V.Pair(V.Var(a), V.Var(b)), {a: sort.left, b: sort.right}
-        raise CalculateError(f"projection of variable of sort {L.render_sort(sort)}")
-    raise CalculateError(kind)
+    if isinstance(sort, L.BoxS):
+        v = renamer.fresh(name + "!c")
+        return V.Box(V.Var(v)), {v: sort.inner}
+    if isinstance(sort, L.MutS):
+        c, p = renamer.fresh(name + "!c"), renamer.fresh(name + "!p")
+        return V.MutPair(V.Var(c), V.Var(p)), {c: sort.inner, p: sort.inner}
+    if isinstance(sort, L.ProdS):
+        a, b = renamer.fresh(name + "!0"), renamer.fresh(name + "!1")
+        return V.Pair(V.Var(a), V.Var(b)), {a: sort.left, b: sort.right}
+    raise CalculateError(f"cannot expand variable {name!r} of sort {L.render_sort(sort)}")
 
 
 def _map_atoms(atoms: Iterable[Atom], fn) -> tuple[Atom, ...]:
@@ -241,7 +213,7 @@ class Merge:
     merged: int = 0
 
 
-def _first_stuck(body: tuple[Atom, ...]) -> Optional[tuple[str, str]]:
+def _first_stuck(body: tuple[Atom, ...]) -> Optional[tuple[V.Term, str]]:
     for a in body:
         for x in a.args:
             if not V.is_pattern(x):
@@ -276,9 +248,9 @@ def calculate(
         if stuck is None:
             out.append(ResConfig(body + rest, res, srt))
             return
-        kind, name = stuck
-        if kind != "int":
-            skel, fresh_sorts = _expand_var(name, kind, srt, renamer)
+        redex, name = stuck
+        if type(redex) is not V.BinOpT:
+            skel, fresh_sorts = _expand_var(name, srt, renamer)
             mapping = {name: skel}
             branch(_subst_atoms(body, mapping), _subst_atoms(rest, mapping),
                    V.subst_vars(res, mapping), {**srt, **fresh_sorts})

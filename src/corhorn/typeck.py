@@ -313,8 +313,6 @@ def type_instruction(
         return wc.with_gamma(gamma)
 
     if isinstance(instr, S.Call):
-        if instr.fn not in prog.functions:
-            _err("UnknownFunction", f"call to undefined function {instr.fn!r}")
         g = prog.fn(instr.fn)
         if len(instr.lfts) != len(g.lft_params):
             _err("ArityMismatch", "wrong number of lifetime arguments")

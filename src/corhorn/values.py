@@ -48,7 +48,7 @@ class _Node:
         return {k: v for k, v in self.__dict__.items() if k[0] != "_"}
 
 
-class _Redex(_Node):
+class Redex(_Node):
     """Base of the computational forms, which are never patterns."""
 
     _pattern = False
@@ -93,25 +93,25 @@ class Var:
 
 
 @dataclass(frozen=True)
-class DerefT(_Redex):
+class DerefT(Redex):
     """*t: current value of a box or mutable-reference term."""
     arg: "Term"
 
 
 @dataclass(frozen=True)
-class FinalT(_Redex):
+class FinalT(Redex):
     """^t: final (prophesied) value of a mutable-reference term."""
     arg: "Term"
 
 
 @dataclass(frozen=True)
-class ProjT(_Redex):
+class ProjT(Redex):
     arg: "Term"
     index: int
 
 
 @dataclass(frozen=True)
-class BinOpT(_Redex):
+class BinOpT(Redex):
     left: "Term"
     op: str
     right: "Term"

@@ -42,3 +42,14 @@ def test_aos_imports_neither_cos_nor_harness():
             names.update(alias.name for alias in node.names)
     assert "machine" in names
     assert not {part for n in names for part in n.split(".")} & {"cos", "harness"}, names
+
+
+def test_values_imports_no_corhorn_module():
+    # terms stay the bottom layer: every evaluator builds on them, and
+    # the rules that give the term forms their meaning live in logic
+    path = Path(corhorn.__file__).parent / "values.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    relative = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert not relative, relative
+    assert not [n for n in _absolute_imports(tree) if n.split(".")[0] == "corhorn"]

@@ -101,6 +101,28 @@ def test_interpret_total_on_random_well_sorted_terms():
         assert L.interpret_term({}, v) == v
 
 
+@pytest.mark.parametrize("term", [
+    V.Var("x"),
+    V.Box(V.Var("x")),
+    V.AbsVar(3, "p"),
+    V.MutPair(1, V.AbsVar(3)),
+    V.DerefT(V.Inj(0, 1)),
+    V.DerefT(V.Pair(1, 2)),
+    V.FinalT(V.Box(1)),
+    V.ProjT(V.Box(1), 0),
+    V.BinOpT(V.Inj(0, V.UNIT), "+", 1),
+    V.BinOpT(1, "<", V.Box(2)),
+    True,
+    V.Pair(1, False),
+    V.BinOpT(True, "+", 1),
+], ids=V.show)
+def test_interpret_undefined(term):
+    # an unbound variable, an abstract variable, a redex stuck on the
+    # wrong constructor and a leaked Python bool have no value
+    with pytest.raises(L.Undefined):
+        L.interpret_term({"y": 0}, term)
+
+
 # -- system well-sortedness -------------------------------------------------------
 
 

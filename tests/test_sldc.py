@@ -336,6 +336,73 @@ def test_walks_return_unchanged_terms_themselves():
     assert sldc.simplify(red) == V.Pair(2, t.snd) and sldc.simplify(red).snd is t.snd
 
 
+_X, _Y = V.Var("x"), V.Var("y")
+REDEXES = [
+    # the definitional equations of the term forms, with their operands
+    # given as variables bound to the values of VALUATION
+    (V.DerefT(V.Box(_X)), _X),
+    (V.DerefT(V.MutPair(_X, _Y)), _X),
+    (V.FinalT(V.MutPair(_X, _Y)), _Y),
+    (V.ProjT(V.Pair(_X, _Y), 0), _X),
+    (V.ProjT(V.Pair(_X, _Y), 1), _Y),
+    # the operators: ints for arithmetic, inj1 () / inj0 () for comparisons
+    (V.BinOpT(7, "+", -3), 4),
+    (V.BinOpT(7, "-", 9), -2),
+    (V.BinOpT(-7, "*", 3), -21),
+    (V.BinOpT(3, ">=", 3), V.Inj(1, V.UNIT)),
+    (V.BinOpT(2, ">=", 3), V.Inj(0, V.UNIT)),
+    (V.BinOpT(3, "<=", 3), V.Inj(1, V.UNIT)),
+    (V.BinOpT(4, "<=", 3), V.Inj(0, V.UNIT)),
+    (V.BinOpT(5, "==", 5), V.Inj(1, V.UNIT)),
+    (V.BinOpT(5, "==", 6), V.Inj(0, V.UNIT)),
+    (V.BinOpT(5, "!=", 6), V.Inj(1, V.UNIT)),
+    (V.BinOpT(5, "!=", 5), V.Inj(0, V.UNIT)),
+    (V.BinOpT(2, "<", 3), V.Inj(1, V.UNIT)),
+    (V.BinOpT(3, "<", 3), V.Inj(0, V.UNIT)),
+    (V.BinOpT(4, ">", 3), V.Inj(1, V.UNIT)),
+    (V.BinOpT(3, ">", 3), V.Inj(0, V.UNIT)),
+    # inner redexes first
+    (V.BinOpT(V.DerefT(V.Box(2)), "*", V.ProjT(V.Pair(1, 5), 1)), 10),
+    (V.Box(V.FinalT(V.DerefT(V.Box(V.MutPair(_X, _Y))))), V.Box(_Y)),
+]
+VALUATION = {"x": V.Box(V.Inj(1, 3)), "y": -4}
+
+
+@pytest.mark.parametrize("term,want", REDEXES, ids=lambda t: V.show(t))
+def test_redex_equations(term, want):
+    got = sldc.simplify(term)
+    assert got == want and type(got) is type(want)
+    got, want = L.interpret_term(VALUATION, term), V.subst_vars(want, VALUATION)
+    assert got == want and type(got) is type(want)
+
+
+def _node_types(t):
+    return {type(t)}.union(*map(_node_types, V.children(t)))
+
+
+def test_interpretation_is_simplification_of_the_instance():
+    # every clause argument of the translated programs, under sampled
+    # valuations of its clause's binders
+    spec = SampleSpec(-4, 4, max_depth=3)
+    seen = set()
+    count = 0
+    for name, system in _translations():
+        rng = random.Random(zlib.crc32(name.encode()))
+        for c in system.clauses:
+            args = [x for a in ((c.head,) if c.head else ()) + c.body for x in a.args]
+            for _ in range(3):
+                val = {x: L.random_value(s, spec, rng) for x, s in c.binders}
+                for arg in args:
+                    got = L.interpret_term(val, arg)
+                    assert V.is_value(got), (name, c.tag, V.show(arg))
+                    assert got == sldc.simplify(V.subst_vars(arg, val)), (name, c.tag, V.show(arg))
+                    count += 1
+                seen.update(*map(_node_types, args))
+    assert count > 10000
+    assert seen == {int, V.UnitVal, V.Var, V.Box, V.MutPair, V.Inj, V.Pair,
+                    V.DerefT, V.FinalT, V.ProjT, V.BinOpT}
+
+
 def test_substitutions_return_untouched_atoms_and_frame_entries_themselves():
     atoms = tuple(a for _, system in _translations() for c in system.clauses for a in c.body)
     assert len(atoms) > 100

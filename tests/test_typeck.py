@@ -284,7 +284,7 @@ def test_unknown_function_diagnostic():
     fn = fn_stub()
     prog = parser.parse_program("fn g(x: own int) -> own int { entry: return x; }")
     ctx = wc({"x": VarInfo(T("own int"))})
-    with pytest.raises(TypeCheckError) as e:
+    with pytest.raises(S.UnknownFunction) as e:
         typeck.type_instruction(prog, fn, S.Call("y", "nope", (), ("x",)), ctx)
     assert e.value.code == "UnknownFunction"
 

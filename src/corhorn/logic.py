@@ -244,6 +244,12 @@ class Atom:
     pred: str
     args: tuple[V.Term, ...]
 
+    # `sldc._dedup_key`'s part for this atom, cached in the instance
+    # __dict__ and, like the facts `values` caches on a term, left out of
+    # equality, hashing, repr, copies and pickles
+    _key = None
+    __getstate__ = V._Node.__getstate__
+
 
 @dataclass(frozen=True)
 class Clause:
@@ -374,7 +380,7 @@ def reduce(t: V.Term) -> V.Term:
 
 def interpret_term(valuation: dict[str, V.Value], t: V.Term) -> V.Value:
     """The value of t under the valuation: each variable looked up, then
-    `reduce` applied to every node, innermost first.  Raises Undefined
+    `reduce` applied to every redex, innermost first.  Raises Undefined
     on an unbound variable, an abstract variable, a Python bool and a
     redex that stays stuck."""
     typ = type(t)
@@ -386,9 +392,11 @@ def interpret_term(valuation: dict[str, V.Value], t: V.Term) -> V.Value:
         return t
     if typ is bool or typ is V.AbsVar:
         raise Undefined(f"not a logical term: {t!r}")
-    v = reduce(V.map_children(t, lambda k: interpret_term(valuation, k)))
+    v = V.map_children(t, lambda k: interpret_term(valuation, k))
     if isinstance(v, V.Redex):
-        raise Undefined(f"no rule reduces {V.show(v)}")
+        v = reduce(v)
+        if isinstance(v, V.Redex):
+            raise Undefined(f"no rule reduces {V.show(v)}")
     return v
 
 
@@ -492,14 +500,43 @@ def random_value(sort: Sort, spec: SampleSpec, rng: random.Random, depth: Option
     raise Undefined(f"cannot sample sort {render_sort(sort)}")
 
 
+def _first_value(sort: Sort, depth: int) -> Optional[V.Value]:
+    """`enumerate_values(sort, SampleSpec(0, 0, depth))[0]`, built
+    directly; None when that list is empty."""
+    s = S.whnf(sort)
+    if isinstance(s, IntSort):
+        return 0
+    if isinstance(s, UnitSort):
+        return V.UNIT
+    if isinstance(s, BoxS):
+        v = _first_value(s.inner, depth)
+        return None if v is None else V.Box(v)
+    if isinstance(s, MutS):
+        v = _first_value(s.inner, depth)
+        return None if v is None else V.MutPair(v, v)
+    if isinstance(s, ProdS):
+        a = _first_value(s.left, depth)
+        b = None if a is None else _first_value(s.right, depth)
+        return None if b is None else V.Pair(a, b)
+    if isinstance(s, SumS):
+        if depth <= 0:
+            return None
+        for tag, side in ((0, s.left), (1, s.right)):
+            v = _first_value(side, depth - 1)
+            if v is not None:
+                return V.Inj(tag, v)
+        return None
+    raise Undefined(f"cannot enumerate sort {render_sort(sort)}")
+
+
 def default_value(sort: Sort, spec: Optional[SampleSpec] = None) -> V.Value:
     """A canonical inhabitant: 0, unit, and for sums the first side that
     bottoms out within the depth budget."""
     spec = spec or SampleSpec()
     for depth in range(spec.max_depth, spec.max_depth + 8):
-        vals = enumerate_values(sort, SampleSpec(0, 0, depth))
-        if vals:
-            return vals[0]
+        v = _first_value(sort, depth)
+        if v is not None:
+            return v
     raise Undefined(f"no inhabitant found for {render_sort(sort)}")
 
 

@@ -22,6 +22,9 @@ the result stay patterns.
 
 Variables that survive to a result pattern are don't-care markers;
 `refines_to`/`refine_default` from the logic module instantiate them.
+A configuration's sorts (`Sorts`) share its parent's and add only the
+variables its step drew, so building them costs nothing in the number
+of variables drawn before.
 
 `enumerate_results` explores configurations breadth first and drops a
 successor it has seen before up to variable renaming and up to the
@@ -31,7 +34,10 @@ else in the clause.  Such an argument cannot change what a
 configuration derives, so the many integer branches of a value that a
 label drops right away (`t = rand(); c = t >= 0; drop t`) fall into a
 few classes at that label (redundant argument filtering, Leuschel &
-Sørensen 1996, applied to the dedup key only).  The enumeration does not
+Sørensen 1996, applied to the dedup key only).  The key (`_dedup_key`)
+is assembled, not printed: each atom caches its shape and variable
+names, so a key shows only the atoms a step built anew, and an atom the
+step kept as itself brings its cached part.  The enumeration does not
 build the branches this dedup would drop: when the stuck variable's only
 use outside ignored arguments is a comparison with an int literal,
 `calculate` builds one branch per outcome, on the value full branching
@@ -47,6 +53,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -65,11 +72,57 @@ class Renamer:
         return f"{base}!{self.n}"
 
 
+class Sorts(Mapping):
+    """The sorts of a configuration's variables: its parent's sorts plus
+    the ones a step adds, which share the parent's rather than copy them,
+    so that building one costs nothing in the parent's size.  Iteration
+    follows the insertion order of a dict updated with the parent's sorts
+    and then with `new`."""
+
+    __slots__ = ("parent", "new")
+
+    def __init__(self, parent: Mapping[str, Sort], new: dict[str, Sort]):
+        self.parent, self.new = parent, new
+
+    def __getitem__(self, x: str) -> Sort:
+        m = self
+        while type(m) is Sorts:
+            s = m.new.get(x)
+            if s is not None:
+                return s
+            m = m.parent
+        return m[x]
+
+    def _flat(self) -> dict[str, Sort]:
+        layers = []
+        m = self
+        while type(m) is Sorts:
+            layers.append(m.new)
+            m = m.parent
+        out = dict(m)
+        for new in reversed(layers):
+            out.update(new)
+        return out
+
+    def __iter__(self):
+        return iter(self._flat())
+
+    def __len__(self) -> int:
+        return len(self._flat())
+
+    def __repr__(self) -> str:
+        return repr(self._flat())
+
+
 @dataclass(frozen=True)
 class ResConfig:
+    """A resolutive configuration: the stack, the result pattern and the
+    sorts of the variables drawn so far, which each successor a step
+    builds shares (`Sorts`)."""
+
     stack: tuple[Atom, ...]
     result: V.Term
-    sorts: dict[str, Sort] = field(hash=False, default_factory=dict)
+    sorts: Mapping[str, Sort] = field(hash=False, default_factory=dict)
 
     @property
     def done(self) -> bool:
@@ -126,7 +179,7 @@ class CalculateError(S.CorError):
     pass
 
 
-def _expand_var(name: str, sorts: dict[str, Sort], renamer: Renamer):
+def _expand_var(name: str, sorts: Mapping[str, Sort], renamer: Renamer):
     """Constructor skeleton of fresh variables for a variable that blocks
     a redex, decided by its sort alone: box(x!c), mut(x!c, x!p) or
     (x!0, x!1), with the fresh variables' sorts."""
@@ -226,7 +279,7 @@ def _first_stuck(body: tuple[Atom, ...]) -> Optional[tuple[V.Term, str]]:
 
 def calculate(
     body: tuple[Atom, ...], rest: tuple[Atom, ...], result: V.Term,
-    sorts: dict[str, Sort], renamer: Renamer, spec: SampleSpec,
+    sorts: Mapping[str, Sort], renamer: Renamer, spec: SampleSpec,
     merge: Optional[Merge] = None,
 ) -> list[ResConfig]:
     """Normalize the pre-resolutive configuration with stack body + rest
@@ -253,7 +306,7 @@ def calculate(
             skel, fresh_sorts = _expand_var(name, srt, renamer)
             mapping = {name: skel}
             branch(_subst_atoms(body, mapping), _subst_atoms(rest, mapping),
-                   V.subst_vars(res, mapping), {**srt, **fresh_sorts})
+                   V.subst_vars(res, mapping), Sorts(srt, fresh_sorts))
             return
         drawn: dict = {}  # per class, the names its first value drew
         classes = _branch_classes(name, body, rest, res, ignored, spec)
@@ -313,8 +366,7 @@ def step(
             if own:
                 new_rest, result = _subst_atoms(rest, own), V.subst_vars(result, own)
         body = _subst_atoms(clause.body, theta)
-        sorts = dict(cfg.sorts)
-        sorts.update((fresh[x].name, s) for x, s in clause.binders)
+        sorts = Sorts(cfg.sorts, {fresh[x].name: s for x, s in clause.binders})
         out.extend(calculate(body, new_rest, result, sorts, renamer, spec, merge))
     return out
 
@@ -352,15 +404,49 @@ def ignored_positions(index: dict[str, list[Clause]]) -> dict[str, frozenset[int
 _IGNORED = V.UNIT  # what every ignored argument shows as in a dedup key
 
 
+def _atom_key(a: Atom, pos: Optional[frozenset[int]]) -> tuple[str, tuple[str, ...]]:
+    """a's shape: a shown with its own variables renamed v0, v1, ... in
+    first-occurrence order and `_IGNORED` at the positions in pos; and
+    the names of those variables in that order.  Cached on a, keyed by
+    the identity of pos."""
+    cached = a._key
+    if cached is not None and cached[0] is pos:
+        return cached[1], cached[2]
+    local: dict[str, str] = {}
+
+    def rename(x: str) -> str:
+        v = local.get(x)
+        if v is None:
+            v = local[x] = f"v{len(local)}"
+        return v
+
+    args = [V.show(_IGNORED if pos and i in pos else x, rename) for i, x in enumerate(a.args)]
+    shape, names = f"{a.pred}({', '.join(args)})", tuple(local)
+    a.__dict__["_key"] = (pos, shape, names)
+    return shape, names
+
+
 def _dedup_key(cfg: ResConfig, ignored: dict[str, frozenset[int]]) -> tuple:
-    """`canon_config` of cfg with every argument at an ignored position
-    replaced by one placeholder."""
-    stack = tuple(
-        Atom(a.pred, tuple([_IGNORED if i in pos else x for i, x in enumerate(a.args)]))
-        if (pos := ignored.get(a.pred)) else a
-        for a in cfg.stack
-    )
-    return canon_config(ResConfig(stack, cfg.result))
+    """A key that two configurations share exactly when `canon_config`
+    shows them alike once every argument at an ignored position is
+    replaced by `_IGNORED`.  It is built from each atom's cached shape and
+    variable names (`_atom_key`), not printed: the shapes, the number of
+    each atom variable in first-occurrence order over the stack, and the
+    result shown with those numbers."""
+    nums: dict[str, int] = {}
+    shapes, order = [], []
+    for a in cfg.stack:
+        shape, names = _atom_key(a, ignored.get(a.pred))
+        shapes.append(shape)
+        order += [nums.setdefault(x, len(nums)) for x in names]
+
+    def rename(x: str) -> str:
+        n = nums.get(x)
+        if n is None:
+            n = nums[x] = len(nums)
+        return f"v{n}"
+
+    return tuple(shapes), tuple(order), V.show(cfg.result, rename)
 
 
 @dataclass

@@ -11,7 +11,8 @@ One constructor family serves three roles:
                   clause logic; patterns are the Deref-free fragment).
 
 Sharing the constructors keeps substitution, matching and printing in one
-place.
+place.  Every term walk maps a node through `map_children`, one map per
+node type, which keeps the node itself when no child changed.
 
 Each compound node caches facts about itself the first time a walk asks:
 whether it is closed (no Var below it), whether it is a pattern, and its
@@ -188,32 +189,29 @@ def is_value(t: Term) -> bool:
     return is_pattern(t) and is_closed(t)
 
 
-_REBUILD = {
-    Box: lambda t, k: Box(k[0]),
-    MutPair: lambda t, k: MutPair(k[0], k[1]),
-    Inj: lambda t, k: Inj(t.tag, k[0]),
-    Pair: lambda t, k: Pair(k[0], k[1]),
-    DerefT: lambda t, k: DerefT(k[0]),
-    FinalT: lambda t, k: FinalT(k[0]),
-    ProjT: lambda t, k: ProjT(k[0], t.index),
-    BinOpT: lambda t, k: BinOpT(k[0], t.op, k[1]),
+# One map per node type (`map_children`).  A node of two children tests
+# them with `&`, not `and`, so that fn runs on the right child, after the
+# left, whatever it returned for the left.
+_MAP = {
+    Box: lambda t, fn: t if (k := fn(t.inner)) is t.inner else Box(k),
+    MutPair: lambda t, fn: t if ((a := fn(t.cur)) is t.cur) & ((b := fn(t.fin)) is t.fin)
+    else MutPair(a, b),
+    Inj: lambda t, fn: t if (k := fn(t.payload)) is t.payload else Inj(t.tag, k),
+    Pair: lambda t, fn: t if ((a := fn(t.fst)) is t.fst) & ((b := fn(t.snd)) is t.snd)
+    else Pair(a, b),
+    DerefT: lambda t, fn: t if (k := fn(t.arg)) is t.arg else DerefT(k),
+    FinalT: lambda t, fn: t if (k := fn(t.arg)) is t.arg else FinalT(k),
+    ProjT: lambda t, fn: t if (k := fn(t.arg)) is t.arg else ProjT(k, t.index),
+    BinOpT: lambda t, fn: t if ((a := fn(t.left)) is t.left) & ((b := fn(t.right)) is t.right)
+    else BinOpT(a, t.op, b),
 }
-
-
-def rebuild(t: Term, kids: tuple[Term, ...]) -> Term:
-    make = _REBUILD.get(type(t))
-    return make(t, kids) if make else t
 
 
 def map_children(t: Term, fn) -> Term:
     """t with fn applied to each child; t itself when fn returns every
     child unchanged, so walks allocate only along changed paths."""
-    kids = children(t)
-    new = tuple([fn(k) for k in kids])
-    for a, b in zip(new, kids):
-        if a is not b:
-            return rebuild(t, new)
-    return t
+    m = _MAP.get(type(t))
+    return m(t, fn) if m else t
 
 
 def subst_absvars(t: Term, mapping: dict[int, Term]) -> Term:

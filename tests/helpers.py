@@ -3,6 +3,7 @@ their known models, and the trace comparators used by the goldens."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -350,6 +351,18 @@ def inc_some_system() -> tuple[CHCSystem, dict]:
 # -- reference implementations ----------------------------------------------
 
 
+def map_term_fields(t, fn):
+    """A new node of t's type with fn applied to each field annotated as a
+    term, built from `dataclasses.fields` alone and so apart from
+    `values.map_children`; t itself when it has no such field (ints,
+    unit, variables)."""
+    fields = dataclasses.fields(t) if dataclasses.is_dataclass(t) else ()
+    if not any("Term" in f.type for f in fields):
+        return t
+    return type(t)(*(fn(getattr(t, f.name)) if "Term" in f.type else getattr(t, f.name)
+                     for f in fields))
+
+
 def canon_config_reference(cfg) -> tuple:
     """`sldc.canon_config` as a rename pass followed by `V.show`: every
     variable renamed v0, v1, ... in first-occurrence order, then each
@@ -361,8 +374,7 @@ def canon_config_reference(cfg) -> tuple:
             if t.name not in mapping:
                 mapping[t.name] = f"v{len(mapping)}"
             return V.Var(mapping[t.name])
-        kids = V.children(t)
-        return V.rebuild(t, tuple(walk(k) for k in kids)) if kids else t
+        return map_term_fields(t, walk)
 
     atoms = tuple((a.pred, tuple(V.show(walk(x)) for x in a.args)) for a in cfg.stack)
     return (atoms, V.show(walk(cfg.result)))
@@ -396,8 +408,7 @@ def var_names_reference(t) -> list[str]:
 def fresh_copy(t):
     """An equal term built of new compound nodes, none of which has
     cached a fact yet."""
-    kids = V.children(t)
-    return V.rebuild(t, tuple(fresh_copy(k) for k in kids)) if kids else t
+    return map_term_fields(t, fresh_copy)
 
 
 # -- trace comparison modulo renaming ----------------------------------------

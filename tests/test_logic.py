@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from corhorn import logic as L, syntax as S, values as V
+from corhorn import corpus, logic as L, syntax as S, translate, typeck, values as V
 from corhorn.logic import Atom, CHCSystem, Clause, SampleSpec
 
 from helpers import (
@@ -320,6 +320,25 @@ def test_refine_default():
     out = L.refine_default(V.Box(V.Var("x")), {"x": LIST_SORT})
     assert V.is_value(out)
     assert L.check_value(out, L.BoxS(LIST_SORT))
+
+
+def test_default_value_is_the_first_enumerated_value():
+    # every signature sort of the translated corpus, and a sort with no
+    # value within the default depth
+    sorts = {}
+    for e in corpus.CORPUS:
+        prog = corpus.load(e.name)
+        for sig in translate.translate_program(prog, typeck.type_program(prog)).sigs.values():
+            sorts.update((S.canon(s), s) for s in sig)
+    deep = L.UNIT_S
+    for _ in range(6):
+        deep = L.SumS(deep, deep)
+    for s in [*sorts.values(), deep]:
+        d = SampleSpec().max_depth
+        while not (values := L.enumerate_values(s, SampleSpec(0, 0, d))):
+            d += 1
+        assert L.default_value(s) == values[0], s
+    assert len(sorts) > 20 and d == 6
 
 
 def test_enumerate_count_agree():

@@ -11,7 +11,8 @@ import pytest
 from corhorn import aos, corpus, logic as L, parser, sldc, syntax as S, translate, typeck, values as V
 from corhorn.logic import Atom, CHCSystem, Clause, SampleSpec
 
-from helpers import canon_config_reference, fresh_copy, is_pattern_reference, var_names_reference
+from helpers import (canon_config_reference, fresh_copy, is_pattern_reference, map_term_fields,
+                     var_names_reference)
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,25 @@ def test_step_renames_every_candidate():
     assert nxt.stack == (Atom("q", (V.Var("r"),)),)
     assert nxt.result == V.Var("r")
     assert nxt.sorts == {"r": L.INT_S, "z!3": L.INT_S, "w!4": L.INT_S}
+
+
+def test_sorts_share_the_parent_and_read_as_the_updated_dict():
+    root = {"r": L.INT_S, "a": L.UNIT_S}
+    one = sldc.Sorts(root, {"x!1": L.BOOL_S, "a": L.INT_S})
+    two = sldc.Sorts(one, {"y!2": L.INT_S})
+    want = {**root, **one.new, **two.new}
+    assert list(two.items()) == list(want.items()) and two == want
+    assert len(two) == 4 and repr(two) == repr(want) and two["a"] == L.INT_S
+    with pytest.raises(KeyError):
+        two["z"]
+    assert root == {"r": L.INT_S, "a": L.UNIT_S}
+    # a step's successor adds its binders, in binder order, to its parent's
+    clause = Clause((("x", L.INT_S), ("y", L.BOOL_S)), Atom("p", (V.Var("x"), V.Var("y"))), ())
+    cfg = sldc.ResConfig((Atom("p", (1, V.Var("r"))),), V.Var("r"), two)
+    renamer = sldc.Renamer()
+    renamer.n = 2
+    (nxt,) = sldc.step(cfg, [clause], renamer, SampleSpec(-2, 2))
+    assert nxt.sorts.parent is two and list(nxt.sorts) == [*two, "x!3", "y!4"]
 
 
 def test_var_head_keeps_rest_and_result_themselves():
@@ -137,18 +157,41 @@ def test_enumerate_unbounded_recursion_flags():
     assert any(L.refines_to(p, V.Box(V.TRUE)) for p, _ in out.patterns)
 
 
+def _masked(cfg, ignored):
+    """cfg with every argument at an ignored position replaced by the
+    placeholder `sldc._dedup_key` reads there."""
+    return sldc.ResConfig(tuple(
+        Atom(a.pred, tuple(sldc._IGNORED if i in ignored.get(a.pred, ()) else x
+                           for i, x in enumerate(a.args)))
+        for a in cfg.stack), cfg.result)
+
+
+def _check_dedup_classes(pairs):
+    """Two configurations get equal dedup keys exactly when `canon_config`
+    shows their masked copies alike: over the (dedup key, canon_config of
+    the masked copy) pairs, each side determines the other."""
+    by_key, by_canon = {}, {}
+    for key, canon in pairs:
+        assert by_key.setdefault(key, canon) == canon, key
+        assert by_canon.setdefault(canon, key) == key, canon
+
+
 def test_canon_config_equals_rename_then_show(monkeypatch):
     # every configuration enumerate_results keys, on each corpus entry
-    real = sldc.canon_config
+    real, canon = sldc._dedup_key, sldc.canon_config
     keyed = []
+    pairs, unmasked = set(), {}  # unmasked: canon_config of each masked copy's originals
 
-    def checked(cfg):
-        key = real(cfg)
+    def checked(cfg, ignored):
+        key = canon(cfg)
         assert key == canon_config_reference(cfg), cfg
         keyed.append(key)
-        return key
+        dedup, masked = real(cfg, ignored), canon(_masked(cfg, ignored))
+        pairs.add((dedup, masked))
+        unmasked.setdefault(masked, set()).add(key)
+        return dedup
 
-    monkeypatch.setattr(sldc, "canon_config", checked)
+    monkeypatch.setattr(sldc, "_dedup_key", checked)
     for e in corpus.CORPUS:
         prog = corpus.load(e.name)
         system = translate.translate_program(prog, typeck.type_program(prog))
@@ -158,6 +201,9 @@ def test_canon_config_equals_rename_then_show(monkeypatch):
             sldc.enumerate_results(system, L.pred_name(e.entry_fn, S.ENTRY), inputs,
                                    depth=20, spec=ENUM_SPEC)
     assert len(keyed) > 1000
+    _check_dedup_classes(pairs)
+    # configurations fell into shared classes, some only through the mask
+    assert len(pairs) < len(keyed) and any(len(c) > 1 for c in unmasked.values())
     x, y = V.Var("x"), V.Var("y")
     hand = [
         (V.Inj(0, V.Inj(1, x)), V.Inj(1, V.Inj(0, V.Inj(1, V.UNIT)))),
@@ -169,10 +215,22 @@ def test_canon_config_equals_rename_then_show(monkeypatch):
         (V.BinOpT(V.DerefT(x), "-", -1), V.Inj(0, V.BinOpT(y, "<", V.ProjT(x, 1)))),
         (V.FinalT(V.Inj(1, y)), V.DerefT(V.BinOpT(x, "+", y))),
     ]
+    hand_pairs = []
     for arg, res in hand:
         cfg = sldc.ResConfig((Atom("p", (arg, V.Var("z"))), Atom("q", (y,))), res, {})
-        assert real(cfg) == canon_config_reference(cfg)
-    assert real(sldc.ResConfig((Atom("p", (V.Inj(0, V.Inj(1, x)), -2)),), x, {})) == (
+        assert canon(cfg) == canon_config_reference(cfg)
+        # the same atoms keyed under each mask in turn, then the first again:
+        # the part cached on an atom follows the mask
+        for ignored in ({}, {"p": frozenset({1})}, {"p": frozenset({0, 1})}, {}):
+            hand_pairs.append((real(cfg, ignored), canon(_masked(cfg, ignored))))
+    # three keys per configuration, but masking hand[2]'s () changes nothing
+    assert len(set(hand_pairs)) == 3 * len(hand) - 1
+    # two configurations whose atoms show alike, one with q sharing p's variable
+    for v in (x, y):
+        cfg = sldc.ResConfig((Atom("p", (V.Pair(x, x), V.Var("z"))), Atom("q", (v,))), V.UNIT, {})
+        hand_pairs.append((real(cfg, {}), canon(cfg)))
+    _check_dedup_classes(hand_pairs)
+    assert canon(sldc.ResConfig((Atom("p", (V.Inj(0, V.Inj(1, x)), -2)),), x, {})) == (
         (("p", ("inj0 (inj1 v0)", "-2")),), "v0")
 
 
@@ -336,6 +394,27 @@ def test_walks_return_unchanged_terms_themselves():
     assert sldc.simplify(red) == V.Pair(2, t.snd) and sldc.simplify(red).snd is t.snd
 
 
+def test_map_children_maps_each_child_left_then_right():
+    # one node of each type, mapped by a fn that replaces one variable:
+    # every child is visited, in order, whether or not an earlier one
+    # changed, and the result is the field-wise rebuild of the reference
+    x, y = V.Var("x"), V.Var("y")
+    nodes = [V.Box(x), V.MutPair(x, y), V.Inj(1, y), V.Pair(y, x), V.DerefT(y),
+             V.FinalT(x), V.ProjT(x, 1), V.BinOpT(x, "+", y)]
+    for t in nodes:
+        for var in (x, y):
+            def fn(k):
+                seen.append(k)
+                return V.Box(k) if k is var else k
+            seen = []
+            got = V.map_children(t, fn)
+            assert seen == list(V.children(t)), t
+            assert got == map_term_fields(t, lambda k: V.Box(k) if k is var else k), t
+            assert (got is t) == (var not in seen), t
+    for leaf in (3, V.UNIT, x, V.AbsVar(1)):
+        assert V.map_children(leaf, V.Box) is leaf
+
+
 _X, _Y = V.Var("x"), V.Var("y")
 REDEXES = [
     # the definitional equations of the term forms, with their operands
@@ -444,15 +523,16 @@ def _check_cached_facts(t):
 def test_cached_term_facts_agree(monkeypatch):
     # every stack argument and result of every configuration that
     # enumerate_results builds on each corpus entry
-    terms = {}
-    real = sldc.canon_config
+    terms, atoms = {}, {}
+    real = sldc._dedup_key
 
-    def collect(cfg):
+    def collect(cfg, ignored):
         for x in [*(x for a in cfg.stack for x in a.args), cfg.result]:
             terms[id(x)] = x
-        return real(cfg)
+        atoms.update((id(a), a) for a in cfg.stack)
+        return real(cfg, ignored)
 
-    monkeypatch.setattr(sldc, "canon_config", collect)
+    monkeypatch.setattr(sldc, "_dedup_key", collect)
     for e in corpus.CORPUS:
         prog = corpus.load(e.name)
         system = translate.translate_program(prog, typeck.type_program(prog))
@@ -500,6 +580,17 @@ def test_cached_term_facts_agree(monkeypatch):
         for twin in (copy.copy(fresh), copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))):
             assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
             assert vars(twin) == fields
+    # and so is the dedup key part cached on each stack atom
+    assert len(atoms) > 1000
+    for a in atoms.values():
+        fresh = Atom(a.pred, tuple(map(fresh_copy, a.args)))
+        before = (hash(fresh), repr(fresh), pickle.dumps(fresh))
+        sldc._atom_key(fresh, None)
+        assert "_key" in vars(a) and "_key" in vars(fresh)
+        assert fresh == a and (hash(fresh), repr(fresh), pickle.dumps(fresh)) == before
+        for twin in (copy.copy(fresh), copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))):
+            assert twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
+            assert vars(twin) == {"pred": a.pred, "args": twin.args}
 
 
 # -- bottom-up oracle -----------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 from corhorn import corpus, logic as L, parser, smtlib, syntax as S, translate as T, typeck, values as V
 from corhorn.logic import Atom, Clause
 
+from helpers import map_term_fields
+
 
 def Ty(src):
     return parser.parse_type(src)
@@ -80,8 +82,7 @@ def clause_canon(c: Clause):
             if t.name not in mapping:
                 mapping[t.name] = f"v{len(mapping)}"
             return V.Var(mapping[t.name])
-        kids = V.children(t)
-        return V.rebuild(t, tuple(walk(k) for k in kids)) if kids else t
+        return map_term_fields(t, walk)
 
     atoms = []
     for atom in ((c.head,) if c.head else ()) + c.body:

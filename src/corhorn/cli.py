@@ -8,7 +8,6 @@ corpus-list.  Exit codes: 0 success/verified, 1 refuted/violated,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import random
@@ -213,19 +212,10 @@ def cmd_oracle(args) -> int:
     seeds = range(_at_least(args.run_seeds, 1, "--run-seeds"))
     depth = _at_least(args.depth, 1, "--depth")
     spec = L.SampleSpec(*rand_range, max_depth=3)
-    arg_sorts = [T.sort_of_type(t) for _, t in fn.params]
-    total = 1
-    for s in arg_sorts:
-        total *= max(L.count_values(s, spec), 1)
-    if total <= args.max_exhaustive:
-        domains = [L.enumerate_values(s, spec) for s in arg_sorts]
-        tuples = list(itertools.product(*domains))
-    else:
-        rng = random.Random(args.seed)
-        tuples = [
-            tuple(L.random_value(s, spec, rng) for s in arg_sorts)
-            for _ in range(_at_least(args.samples, 1, "--samples"))
-        ]
+    tuples = list(L.valuations([T.sort_of_type(t) for _, t in fn.params], spec,
+                               random.Random(args.seed), args.max_exhaustive, args.samples))
+    if not tuples:  # --samples below 1 on a drawn domain, or an empty enumeration
+        _at_least(args.samples, 1, "--samples")
     rep = harness.oracle_diff(
         prog, args.fn, tuples, seeds=seeds, depth=depth,
         rand_range=rand_range,

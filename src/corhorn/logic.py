@@ -9,9 +9,11 @@ inside terms.  A clause with head None is a query (an implication to
 false).
 
 The module covers the static side (sort checking of terms and systems),
-the semantic side (term interpretation, satisfaction of a system by a
-predicate structure, sampled/exhaustive model checking) and syntactic
-unification of pattern tuples, which the resolution engine builds on.
+the semantic side (term interpretation, the values of a sort, model
+checking) and syntactic unification of pattern tuples, which the
+resolution engine builds on.  `valuations` alone chooses between every
+combination of values and random draws: the oracle command takes its
+inputs from it, and the model check its clause valuations.
 
 The term forms *t, ^t, t.i and the operators get their meaning from one
 redex rule, `reduce`, and `apply_op` alone turns an operator's result
@@ -25,9 +27,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from . import syntax as S
 from . import values as V
@@ -324,19 +327,6 @@ def well_sorted_system(sys: CHCSystem) -> None:
         well_sorted_clause(sys.sigs, clause)
 
 
-def equality_clause(sort: Sort) -> tuple[Clause, tuple[str, tuple[Sort, ...]]]:
-    """The standard way to get equality without a primitive: one clause
-    Eq(x, x) <= true at the given sort."""
-    name = f"eq!{render_sort(S.canon(sort))}"
-    clause = Clause(
-        binders=(("x", sort),),
-        head=Atom(name, (V.Var("x"), V.Var("x"))),
-        body=(),
-        tag=("eq", render_sort(sort)),
-    )
-    return clause, (name, (sort, sort))
-
-
 # ---------------------------------------------------------------------------
 # Interpretation and model checking
 # ---------------------------------------------------------------------------
@@ -403,17 +393,6 @@ def interpret_term(valuation: dict[str, V.Value], t: V.Term) -> V.Value:
 PredCheck = Callable[[tuple], bool]
 
 
-def as_pred_structure(model: dict[str, Union[PredCheck, set, frozenset]]) -> dict[str, PredCheck]:
-    out: dict[str, PredCheck] = {}
-    for name, m in model.items():
-        if callable(m):
-            out[name] = m
-        else:
-            table = frozenset(m)
-            out[name] = lambda args, _t=table: args in _t
-    return out
-
-
 @dataclass
 class SampleSpec:
     """Bounds for enumerating/sampling the value domain of a sort."""
@@ -421,44 +400,68 @@ class SampleSpec:
     int_lo: int = -8
     int_hi: int = 8
     max_depth: int = 4  # constructor depth cap for recursive sorts
-    exhaustive_limit: int = 10 ** 6
 
-    def int_count(self) -> int:
-        return self.int_hi - self.int_lo + 1
+
+@functools.lru_cache(maxsize=None)
+def _void(s: Sort) -> bool:
+    """Whether s has no finite value, each free variable taken as empty:
+    the least fixpoint of mu X. b is empty just when b is, X empty."""
+    parts = map(_void, S.children(s))
+    return isinstance(s, SVar) or (all if isinstance(s, SumS) else any)(parts)
+
+
+@functools.lru_cache(maxsize=None)
+def _check_finite(sort: Sort) -> None:
+    """Raise Undefined unless every sort reached from this one by
+    unfolding and taking parts has a finite value: the walks below cut
+    recursion only at sums, and would not end on one that has none."""
+    parts = [sort]
+    for s in parts:  # grows as it is walked
+        s = S.whnf(s)
+        if _void(s):
+            raise Undefined(f"sort {render_sort(s)} has no finite value")
+        parts += [p for p in S.children(s) if p not in parts]
+
+
+def _depth(sort: Sort, spec: SampleSpec) -> int:
+    """The depth a walk starts at: the spec's cap, once the sort passes `_check_finite`."""
+    _check_finite(sort)
+    return spec.max_depth
+
+
+def _values(sort: Sort, spec: SampleSpec, depth: int) -> Iterator[V.Value]:
+    """The values of `enumerate_values`, lazily and in its order: the
+    first value of a mut or pair costs the values of its two parts."""
+    s = S.whnf(sort)
+    if isinstance(s, IntSort):
+        yield from range(spec.int_lo, spec.int_hi + 1)
+    elif isinstance(s, UnitSort):
+        yield V.UNIT
+    elif isinstance(s, BoxS):
+        yield from map(V.Box, _values(s.inner, spec, depth))
+    elif isinstance(s, MutS):
+        yield from itertools.starmap(V.MutPair, itertools.product(_values(s.inner, spec, depth), repeat=2))
+    elif isinstance(s, ProdS):
+        yield from itertools.starmap(V.Pair, itertools.product(_values(s.left, spec, depth),
+                                                               _values(s.right, spec, depth)))
+    elif not isinstance(s, SumS):
+        raise Undefined(f"cannot enumerate sort {render_sort(sort)}")
+    elif depth > 0:
+        yield from (V.Inj(0, v) for v in _values(s.left, spec, depth - 1))
+        yield from (V.Inj(1, v) for v in _values(s.right, spec, depth - 1))
 
 
 def enumerate_values(sort: Sort, spec: SampleSpec, depth: Optional[int] = None) -> list[V.Value]:
     """All values of the sort within the bounds: ints in the interval,
-    recursion cut at max_depth constructors of mu-unfoldings."""
-    depth = spec.max_depth if depth is None else depth
-    s = S.whnf(sort)
-    if isinstance(s, IntSort):
-        return list(range(spec.int_lo, spec.int_hi + 1))
-    if isinstance(s, UnitSort):
-        return [V.UNIT]
-    if isinstance(s, BoxS):
-        return [V.Box(v) for v in enumerate_values(s.inner, spec, depth)]
-    if isinstance(s, MutS):
-        inner = enumerate_values(s.inner, spec, depth)
-        return [V.MutPair(a, b) for a in inner for b in inner]
-    if isinstance(s, ProdS):
-        ls = enumerate_values(s.left, spec, depth)
-        rs = enumerate_values(s.right, spec, depth)
-        return [V.Pair(a, b) for a in ls for b in rs]
-    if isinstance(s, SumS):
-        if depth <= 0:
-            return []
-        out = [V.Inj(0, v) for v in enumerate_values(s.left, spec, depth - 1)]
-        out += [V.Inj(1, v) for v in enumerate_values(s.right, spec, depth - 1)]
-        return out
-    raise Undefined(f"cannot enumerate sort {render_sort(sort)}")
+    recursion cut at max_depth sums along each path, left parts major."""
+    return list(_values(sort, spec, _depth(sort, spec) if depth is None else depth))
 
 
 def count_values(sort: Sort, spec: SampleSpec, depth: Optional[int] = None) -> int:
-    depth = spec.max_depth if depth is None else depth
+    depth = _depth(sort, spec) if depth is None else depth
     s = S.whnf(sort)
     if isinstance(s, IntSort):
-        return spec.int_count()
+        return spec.int_hi - spec.int_lo + 1
     if isinstance(s, UnitSort):
         return 1
     if isinstance(s, BoxS):
@@ -475,21 +478,22 @@ def count_values(sort: Sort, spec: SampleSpec, depth: Optional[int] = None) -> i
 
 
 def random_value(sort: Sort, spec: SampleSpec, rng: random.Random, depth: Optional[int] = None) -> V.Value:
-    depth = spec.max_depth if depth is None else depth
+    depth = _depth(sort, spec) if depth is None else depth
     s = S.whnf(sort)
-    if isinstance(s, IntSort):
+    typ = type(s)  # the sort classes have no subclasses
+    if typ is IntSort:
         return rng.randint(spec.int_lo, spec.int_hi)
-    if isinstance(s, UnitSort):
+    if typ is UnitSort:
         return V.UNIT
-    if isinstance(s, BoxS):
+    if typ is BoxS:
         return V.Box(random_value(s.inner, spec, rng, depth))
-    if isinstance(s, MutS):
+    if typ is MutS:
         return V.MutPair(random_value(s.inner, spec, rng, depth),
                          random_value(s.inner, spec, rng, depth))
-    if isinstance(s, ProdS):
+    if typ is ProdS:
         return V.Pair(random_value(s.left, spec, rng, depth),
                       random_value(s.right, spec, rng, depth))
-    if isinstance(s, SumS):
+    if typ is SumS:
         # prefer the cheaper side when the depth budget runs out
         sides = [(0, s.left), (1, s.right)]
         if depth <= 0:
@@ -500,44 +504,26 @@ def random_value(sort: Sort, spec: SampleSpec, rng: random.Random, depth: Option
     raise Undefined(f"cannot sample sort {render_sort(sort)}")
 
 
-def _first_value(sort: Sort, depth: int) -> Optional[V.Value]:
-    """`enumerate_values(sort, SampleSpec(0, 0, depth))[0]`, built
-    directly; None when that list is empty."""
-    s = S.whnf(sort)
-    if isinstance(s, IntSort):
-        return 0
-    if isinstance(s, UnitSort):
-        return V.UNIT
-    if isinstance(s, BoxS):
-        v = _first_value(s.inner, depth)
-        return None if v is None else V.Box(v)
-    if isinstance(s, MutS):
-        v = _first_value(s.inner, depth)
-        return None if v is None else V.MutPair(v, v)
-    if isinstance(s, ProdS):
-        a = _first_value(s.left, depth)
-        b = None if a is None else _first_value(s.right, depth)
-        return None if b is None else V.Pair(a, b)
-    if isinstance(s, SumS):
-        if depth <= 0:
-            return None
-        for tag, side in ((0, s.left), (1, s.right)):
-            v = _first_value(side, depth - 1)
-            if v is not None:
-                return V.Inj(tag, v)
-        return None
-    raise Undefined(f"cannot enumerate sort {render_sort(sort)}")
+def valuations(sorts: list[Sort], spec: SampleSpec, rng: random.Random,
+               limit: int, samples: int) -> Iterator[tuple[V.Value, ...]]:
+    """Tuples of values of the sorts, in their order: every combination
+    of their `enumerate_values` when there are at most `limit` (a sort
+    with none in the bounds counting as one), else `samples` tuples of
+    `random_value` draws, each drawn left to right."""
+    if math.prod(max(count_values(s, spec), 1) for s in sorts) <= limit:
+        yield from itertools.product(*(enumerate_values(s, spec) for s in sorts))
+    else:
+        for _ in range(samples):  # count_values has checked each sort
+            yield tuple([random_value(s, spec, rng, spec.max_depth) for s in sorts])
 
 
 def default_value(sort: Sort, spec: Optional[SampleSpec] = None) -> V.Value:
-    """A canonical inhabitant: 0, unit, and for sums the first side that
-    bottoms out within the depth budget."""
+    """A canonical inhabitant: the first value `enumerate_values` gives with
+    ints 0..0 at the least depth, from the spec's cap up, that has any."""
     spec = spec or SampleSpec()
-    for depth in range(spec.max_depth, spec.max_depth + 8):
-        v = _first_value(sort, depth)
-        if v is not None:
+    for depth in itertools.count(_depth(sort, spec)):
+        for v in _values(sort, SampleSpec(0, 0, depth), depth):
             return v
-    raise Undefined(f"no inhabitant found for {render_sort(sort)}")
 
 
 @dataclass
@@ -559,45 +545,29 @@ def _clause_holds(model: dict[str, PredCheck], clause: Clause, valuation: dict[s
     return model[clause.head.pred](args)
 
 
-def check_model_sampled(
-    sys: CHCSystem,
-    model: dict[str, Union[PredCheck, set, frozenset]],
-    spec: Optional[SampleSpec] = None,
-    budget: int = 10 ** 5,
-    seed: int = 0,
-) -> Verdict:
-    """Check every clause under the predicate structure.
+EXHAUSTIVE_LIMIT = 10 ** 6  # the most valuations of a clause the model check enumerates
 
-    Per clause: exhaustive over the bounded value domain when its size
-    fits the exhaustive limit, otherwise `budget` random samples.  A
-    returned violation is a genuine countermodel witness; no violation
-    found is a semi-decision within the bounds.
+
+def check_model_sampled(sys: CHCSystem, model: dict[str, PredCheck], spec: Optional[SampleSpec] = None,
+                        budget: int = 10 ** 5, seed: int = 0) -> Verdict:
+    """Check every clause under the predicate structure, which maps each
+    predicate to a test on argument tuples.
+
+    Per clause: the `valuations` of its binders, exhaustive up to
+    EXHAUSTIVE_LIMIT, otherwise `budget` random samples.  A returned
+    violation is a genuine countermodel witness; no violation found is
+    a semi-decision within the bounds.
     """
     spec = spec or SampleSpec()
-    preds = as_pred_structure(model)
     rng = random.Random(seed)
     checked = 0
     for clause in sys.clauses:
-        binders = clause.binders
-        size = 1
-        for _, sort in binders:
-            size *= max(count_values(sort, spec), 1)
-            if size > spec.exhaustive_limit:
-                break
-        if size <= spec.exhaustive_limit:
-            names = [name for name, _ in binders]
-            domains = [enumerate_values(sort, spec) for _, sort in binders]
-            for combo in itertools.product(*domains):
-                valuation = dict(zip(names, combo))
-                checked += 1
-                if not _clause_holds(preds, clause, valuation):
-                    return Verdict(True, clause, valuation, checked)
-        else:
-            for _ in range(budget):
-                valuation = {name: random_value(sort, spec, rng) for name, sort in binders}
-                checked += 1
-                if not _clause_holds(preds, clause, valuation):
-                    return Verdict(True, clause, valuation, checked)
+        names = [name for name, _ in clause.binders]
+        for combo in valuations([s for _, s in clause.binders], spec, rng, EXHAUSTIVE_LIMIT, budget):
+            valuation = dict(zip(names, combo))
+            checked += 1
+            if not _clause_holds(model, clause, valuation):
+                return Verdict(True, clause, valuation, checked)
     return Verdict(False, checked=checked)
 
 

@@ -257,7 +257,7 @@ def test_criterion_6_bisimulation_suites():
 
 def test_criterion_7_model_validation():
     t0 = time.time()
-    spec = SampleSpec(-8, 8, max_depth=4, exhaustive_limit=10 ** 6)
+    spec = SampleSpec(-8, 8, max_depth=4)
     checked = 0
     for name, builder in (
         ("take_max/inc_max", take_max_inc_max_system),

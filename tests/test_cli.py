@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 import stat
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from corhorn import cli, corpus, parser, syntax as S
+from corhorn import cli, corpus, parser, syntax as S, values as V
 from helpers import drop_swap_exchange, stuck_at_swap
 
 
@@ -245,6 +246,67 @@ def test_oracle_command(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["ok"] and blob["checked"] == 25
+
+
+@pytest.mark.parametrize(
+    "flags, stdout_sha256, inputs_sha256",
+    [
+        (["--range", "2"],
+         "9f3407a4d2b0320c4c1f5f5202a3e11d18f1602b20de7bd4041972437c8b3a7a",
+         "1b909af21eb89d9e04d579f22a50a31aec27b55c5e1303bf3340346569a8c6fa"),
+        (["--range", "8", "--max-exhaustive", "10", "--samples", "20", "--seed", "3"],
+         "c148f9816c264fa22f5f0dcfd989a5b811273a94c83ea7964b670808733f720d",
+         "e0622dfae6c8ef48cf1ee5fd3dd193bc9b8b940764f51af23aaf82419bccf996"),
+    ],
+    ids=["exhaustive", "sampled"],
+)
+def test_oracle_inputs_and_report_pinned(capsys, monkeypatch, flags, stdout_sha256, inputs_sha256):
+    # the input tuples the command checks, in order, and its report
+    from corhorn import harness
+
+    inputs = []
+    real = harness.oracle_diff
+
+    def recorded(prog, fn, tuples, **kwargs):
+        inputs.extend([V.show(v) for v in t] for t in tuples)
+        return real(prog, fn, tuples, **kwargs)
+
+    monkeypatch.setattr(harness, "oracle_diff", recorded)
+    code, out, _ = run_cli(capsys, "oracle", INC_MAX, "--fn", "inc_max", *flags, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
+    assert hashlib.sha256(json.dumps(inputs).encode()).hexdigest() == inputs_sha256
+
+
+def test_oracle_samples_0_is_fine_on_an_exhaustive_domain(capsys):
+    # --samples is only read when the inputs are drawn: at --range 1 the
+    # 9 input pairs are all checked, and the report is the same
+    code, out, err = run_cli(capsys, "oracle", INC_MAX, "--fn", "inc_max", "--range", "1", "--json")
+    assert (code, json.loads(out)["checked"]) == (0, 9)
+    assert run_cli(capsys, "oracle", INC_MAX, "--fn", "inc_max", "--range", "1", "--samples", "0",
+                   "--json") == (code, out, err)
+
+
+@pytest.mark.parametrize("command", [["oracle"], ["bisim", "--runs", "1"]], ids=["oracle", "bisim"])
+@pytest.mark.parametrize(
+    "param, part",
+    [
+        # recursion through a box alone: every value would be infinite
+        ("mu X. own X", "box (mu X. box X)"),
+        # both summands recur: the sum guards it, yet no value ends
+        ("mu X. own X + own X", "box (mu X. box X + box X)"),
+        # an int makes the sum finite, but its other side still has no value
+        ("int + (mu X. own X)", "box (mu X. box X)"),
+    ],
+    ids=["unguarded", "both-summands", "one-summand"],
+)
+def test_sort_with_no_finite_value_exit_2(capsys, tmp_path, command, param, part):
+    # the type checks, but the input walks would recurse without end
+    src = tmp_path / "f.cor"
+    src.write_text(f"fn f(x: own ({param})) -> own ({param}) {{ entry: return x; }}")
+    assert run_cli(capsys, "check", str(src))[0] == 0
+    code, out, err = run_cli(capsys, command[0], str(src), "--fn", "f", *command[1:])
+    assert (code, out, err) == (2, "", f"error: sort {part} has no finite value\n")
 
 
 def test_oracle_budget_cut_misses_are_no_verdict(capsys):

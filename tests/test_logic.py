@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -9,6 +11,7 @@ from corhorn.logic import Atom, CHCSystem, Clause, SampleSpec
 
 from helpers import (
     LIST_SORT,
+    eq_clause,
     inc_some_system,
     linger_dec_system,
     mklist,
@@ -160,8 +163,8 @@ def test_head_must_be_pattern():
 
 
 def test_equality_clause():
-    clause, (name, sig) = L.equality_clause(L.INT_S)
-    sys = CHCSystem([clause], {name: sig})
+    name = "eq!int"
+    sys = CHCSystem([eq_clause(name, L.INT_S)], {name: (L.INT_S, L.INT_S)})
     L.well_sorted_system(sys)
     verdict = L.check_model_sampled(sys, {name: lambda args: args[0] == args[1]})
     assert not verdict.violated
@@ -185,6 +188,40 @@ def test_take_max_countermodel_detected():
     verdict = L.check_model_sampled(sys, broken, SampleSpec(-3, 3), budget=4000)
     assert verdict.violated
     assert verdict.clause.tag == ("goal",)
+
+
+MODEL_CHECK_PINS = {
+    # system: (checked, violated)
+    "take_max/inc_max": (10607, False),
+    "choose/linger_dec": (11113, False),
+    "take_some/sum/inc_some": (11461, False),
+}
+MODEL_CHECK_SHA256 = "62b52919bfacfe4cfc9fbfe3b945e67f53910e193b821c2c6606f48e6b36636f"
+
+
+def test_model_check_valuations_pinned(monkeypatch):
+    # every valuation the criterion-7 checks try, in order: a change to
+    # how they are enumerated or drawn must leave each one as it was
+    seen = []
+    real = L._clause_holds
+
+    def recorded(model, clause, valuation):
+        seen.append((clause.tag, [(x, V.show(v)) for x, v in sorted(valuation.items())]))
+        return real(model, clause, valuation)
+
+    monkeypatch.setattr(L, "_clause_holds", recorded)
+    got = {}
+    for name, builder in (
+        ("take_max/inc_max", take_max_inc_max_system),
+        ("choose/linger_dec", linger_dec_system),
+        ("take_some/sum/inc_some", inc_some_system),
+    ):
+        sys, model = builder()
+        verdict = L.check_model_sampled(sys, model, SampleSpec(-8, 8, max_depth=4), budget=200, seed=7)
+        got[name] = (verdict.checked, verdict.violated)
+    assert got == MODEL_CHECK_PINS
+    assert len(seen) == sum(checked for checked, _ in got.values())
+    assert hashlib.sha256(json.dumps(seen).encode()).hexdigest() == MODEL_CHECK_SHA256
 
 
 def test_query_clause_head_none():

@@ -212,9 +212,10 @@ def cmd_oracle(args) -> int:
     seeds = range(_at_least(args.run_seeds, 1, "--run-seeds"))
     depth = _at_least(args.depth, 1, "--depth")
     spec = L.SampleSpec(*rand_range, max_depth=3)
-    tuples = list(L.valuations([T.sort_of_type(t) for _, t in fn.params], spec,
-                               random.Random(args.seed), args.max_exhaustive, args.samples))
-    if not tuples:  # --samples below 1 on a drawn domain, or an empty enumeration
+    sorts = [T.sort_of_type(t) for _, t in fn.params]
+    rng = random.Random(args.seed)
+    tuples = list(L.valuations(sorts, spec, rng, args.max_exhaustive, args.samples))
+    if not tuples:  # only a drawn domain gives none, when --samples is below 1
         _at_least(args.samples, 1, "--samples")
     rep = harness.oracle_diff(
         prog, args.fn, tuples, seeds=seeds, depth=depth,

@@ -423,12 +423,6 @@ def _check_finite(sort: Sort) -> None:
         parts += [p for p in S.children(s) if p not in parts]
 
 
-def _depth(sort: Sort, spec: SampleSpec) -> int:
-    """The depth a walk starts at: the spec's cap, once the sort passes `_check_finite`."""
-    _check_finite(sort)
-    return spec.max_depth
-
-
 def _values(sort: Sort, spec: SampleSpec, depth: int) -> Iterator[V.Value]:
     """The values of `enumerate_values`, lazily and in its order: the
     first value of a mut or pair costs the values of its two parts."""
@@ -440,10 +434,11 @@ def _values(sort: Sort, spec: SampleSpec, depth: int) -> Iterator[V.Value]:
     elif isinstance(s, BoxS):
         yield from map(V.Box, _values(s.inner, spec, depth))
     elif isinstance(s, MutS):
-        yield from itertools.starmap(V.MutPair, itertools.product(_values(s.inner, spec, depth), repeat=2))
+        inner = _values(s.inner, spec, depth)
+        yield from itertools.starmap(V.MutPair, itertools.product(inner, repeat=2))
     elif isinstance(s, ProdS):
-        yield from itertools.starmap(V.Pair, itertools.product(_values(s.left, spec, depth),
-                                                               _values(s.right, spec, depth)))
+        pairs = itertools.product(_values(s.left, spec, depth), _values(s.right, spec, depth))
+        yield from itertools.starmap(V.Pair, pairs)
     elif not isinstance(s, SumS):
         raise Undefined(f"cannot enumerate sort {render_sort(sort)}")
     elif depth > 0:
@@ -451,14 +446,17 @@ def _values(sort: Sort, spec: SampleSpec, depth: int) -> Iterator[V.Value]:
         yield from (V.Inj(1, v) for v in _values(s.right, spec, depth - 1))
 
 
-def enumerate_values(sort: Sort, spec: SampleSpec, depth: Optional[int] = None) -> list[V.Value]:
+def enumerate_values(sort: Sort, spec: SampleSpec) -> list[V.Value]:
     """All values of the sort within the bounds: ints in the interval,
     recursion cut at max_depth sums along each path, left parts major."""
-    return list(_values(sort, spec, _depth(sort, spec) if depth is None else depth))
+    _check_finite(sort)
+    return list(_values(sort, spec, spec.max_depth))
 
 
 def count_values(sort: Sort, spec: SampleSpec, depth: Optional[int] = None) -> int:
-    depth = _depth(sort, spec) if depth is None else depth
+    if depth is None:
+        _check_finite(sort)
+        depth = spec.max_depth
     s = S.whnf(sort)
     if isinstance(s, IntSort):
         return spec.int_hi - spec.int_lo + 1
@@ -478,9 +476,14 @@ def count_values(sort: Sort, spec: SampleSpec, depth: Optional[int] = None) -> i
 
 
 def random_value(sort: Sort, spec: SampleSpec, rng: random.Random, depth: Optional[int] = None) -> V.Value:
-    depth = _depth(sort, spec) if depth is None else depth
+    if depth is None:
+        _check_finite(sort)
+        depth = spec.max_depth
     s = S.whnf(sort)
-    typ = type(s)  # the sort classes have no subclasses
+    # dispatch on the exact class: the model check's draws spend most of
+    # their time here, and tests/test_logic.py checks that no sort class
+    # has a subclass
+    typ = type(s)
     if typ is IntSort:
         return rng.randint(spec.int_lo, spec.int_hi)
     if typ is UnitSort:
@@ -507,23 +510,28 @@ def random_value(sort: Sort, spec: SampleSpec, rng: random.Random, depth: Option
 def valuations(sorts: list[Sort], spec: SampleSpec, rng: random.Random,
                limit: int, samples: int) -> Iterator[tuple[V.Value, ...]]:
     """Tuples of values of the sorts, in their order: every combination
-    of their `enumerate_values` when there are at most `limit` (a sort
-    with none in the bounds counting as one), else `samples` tuples of
-    `random_value` draws, each drawn left to right."""
-    if math.prod(max(count_values(s, spec), 1) for s in sorts) <= limit:
+    of their `enumerate_values` when there are from 1 to `limit`, else
+    `samples` tuples of `random_value` draws, each drawn left to right.
+    A sort with no value within the depth cap is drawn past it."""
+    for s in sorts:
+        _check_finite(s)
+    depth = spec.max_depth
+    if 0 < math.prod(count_values(s, spec, depth) for s in sorts) <= limit:
         yield from itertools.product(*(enumerate_values(s, spec) for s in sorts))
     else:
-        for _ in range(samples):  # count_values has checked each sort
-            yield tuple([random_value(s, spec, rng, spec.max_depth) for s in sorts])
+        for _ in range(samples):
+            yield tuple([random_value(s, spec, rng, depth) for s in sorts])
 
 
 def default_value(sort: Sort, spec: Optional[SampleSpec] = None) -> V.Value:
-    """A canonical inhabitant: the first value `enumerate_values` gives with
-    ints 0..0 at the least depth, from the spec's cap up, that has any."""
+    """A canonical inhabitant: the first value `enumerate_values` gives
+    with ints 0..0, at the least depth from the spec's cap up that has one."""
     spec = spec or SampleSpec()
-    for depth in itertools.count(_depth(sort, spec)):
+    _check_finite(sort)
+    for depth in range(spec.max_depth, spec.max_depth + 8):
         for v in _values(sort, SampleSpec(0, 0, depth), depth):
             return v
+    raise Undefined(f"no inhabitant found for {render_sort(sort)}")
 
 
 @dataclass
@@ -548,8 +556,13 @@ def _clause_holds(model: dict[str, PredCheck], clause: Clause, valuation: dict[s
 EXHAUSTIVE_LIMIT = 10 ** 6  # the most valuations of a clause the model check enumerates
 
 
-def check_model_sampled(sys: CHCSystem, model: dict[str, PredCheck], spec: Optional[SampleSpec] = None,
-                        budget: int = 10 ** 5, seed: int = 0) -> Verdict:
+def check_model_sampled(
+    sys: CHCSystem,
+    model: dict[str, PredCheck],
+    spec: Optional[SampleSpec] = None,
+    budget: int = 10 ** 5,
+    seed: int = 0,
+) -> Verdict:
     """Check every clause under the predicate structure, which maps each
     predicate to a test on argument tuples.
 
@@ -563,7 +576,8 @@ def check_model_sampled(sys: CHCSystem, model: dict[str, PredCheck], spec: Optio
     checked = 0
     for clause in sys.clauses:
         names = [name for name, _ in clause.binders]
-        for combo in valuations([s for _, s in clause.binders], spec, rng, EXHAUSTIVE_LIMIT, budget):
+        sorts = [sort for _, sort in clause.binders]
+        for combo in valuations(sorts, spec, rng, EXHAUSTIVE_LIMIT, budget):
             valuation = dict(zip(names, combo))
             checked += 1
             if not _clause_holds(model, clause, valuation):

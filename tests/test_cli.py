@@ -287,6 +287,20 @@ def test_oracle_samples_0_is_fine_on_an_exhaustive_domain(capsys):
                    "--json") == (code, out, err)
 
 
+def test_oracle_draws_a_domain_empty_within_its_depth(capsys, tmp_path):
+    # each value of T needs 4 sums, past the oracle's depth of 3: with no
+    # input to enumerate the inputs are drawn, so --samples is read
+    t = "unit + unit"
+    for _ in range(3):
+        t = f"({t}) + ({t})"
+    src = tmp_path / "e.cor"
+    src.write_text(f"fn e(x: own ({t})) -> own ({t}) {{ entry: return x; }}")
+    code, out, _ = run_cli(capsys, "oracle", str(src), "--fn", "e", "--samples", "5", "--json")
+    assert (code, json.loads(out)["checked"]) == (0, 5)
+    code, out, err = run_cli(capsys, "oracle", str(src), "--fn", "e", "--samples", "0")
+    assert (code, out, err) == (2, "", "error: --samples: 0 is below 1, nothing would be checked\n")
+
+
 @pytest.mark.parametrize("command", [["oracle"], ["bisim", "--runs", "1"]], ids=["oracle", "bisim"])
 @pytest.mark.parametrize(
     "param, part",

@@ -104,6 +104,12 @@ def test_interpret_total_on_random_well_sorted_terms():
         assert L.interpret_term({}, v) == v
 
 
+def test_sort_classes_have_no_subclasses():
+    # random_value dispatches on type(s) is C, which sees no subclass
+    for cls in (L.IntSort, L.UnitSort, L.BoxS, L.MutS, L.ProdS, L.SumS):
+        assert cls.__subclasses__() == [], cls
+
+
 @pytest.mark.parametrize("term", [
     V.Var("x"),
     V.Box(V.Var("x")),

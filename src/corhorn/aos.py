@@ -40,7 +40,7 @@ from . import logic as L
 from . import syntax as S
 from . import values as V
 from .machine import (  # the shared names stay reachable as aos.Final, aos.RunError, ...
-    Final, Next, RunError, RunOutcome, StepResult, Stuck, StuckSignal, drive, entry_fn, is_final,
+    Final, Next, RunError, RunOutcome, StepResult, Stuck, StuckSignal, drive, entry_fn,
 )
 from .typeck import LftCtx, TypingResult, VarInfo, type_equiv, type_program
 
@@ -99,13 +99,6 @@ class AbsConfig:
             same = all(map(operator.is_, frame.values(), e.frame.values()))
             new.append(e if same else AbsFrameEntry(e.fn, e.label, e.theta, e.recv, frame))
         return AbsConfig(tuple(new), self.lft)
-
-    def absvar_uids(self) -> set[int]:
-        out: set[int] = set()
-        for e in self.stack:
-            for v in e.frame.values():
-                out |= V.absvars_in(v)
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -407,7 +400,7 @@ def run(
 
     def checked_step(cfg: AbsConfig) -> StepResult:
         if check_safety:
-            ok, diags = safe_abstract(prog, typing, cfg)
+            ok, diags = safe_abstract(typing, cfg)
             if not ok:
                 raise RunError("UnsafeConfig", "; ".join(diags))
         return step(prog, typing, cfg, rng, supply, rand_range)
@@ -560,7 +553,7 @@ class Walk:
             ok0 = self._data(mode, frz, addr, t.left, v.fst)
             snd = None if heap is None else addr + S.size_of(t.left)
             return self._data(mode, frz, snd, t.right, v.snd) and ok0
-        return self.diag(f"cannot read type {t}")
+        return self.diag(f"cannot read type {S.type_text(t)}")
 
 
 def walk_stack(typing: TypingResult, acfg: AbsConfig, cfg=None, memo: Optional[list] = None) -> Walk:
@@ -695,7 +688,7 @@ def lifetime_safe_frame(
     return diags
 
 
-def lifetime_safe(prog: S.Program, typing: TypingResult, cfg: AbsConfig) -> list[str]:
+def lifetime_safe(typing: TypingResult, cfg: AbsConfig) -> list[str]:
     diags = []
     n = len(cfg.stack)
     locals_total = 0
@@ -712,11 +705,11 @@ def lifetime_safe(prog: S.Program, typing: TypingResult, cfg: AbsConfig) -> list
     return diags
 
 
-def safe_abstract(prog: S.Program, typing: TypingResult, cfg: AbsConfig) -> tuple[bool, list[str]]:
+def safe_abstract(typing: TypingResult, cfg: AbsConfig) -> tuple[bool, list[str]]:
     """Full safety check: the stack walk without a heap (the summary)
     and its pairing discipline, plus lifetime safety."""
     walk = walk_stack(typing, cfg)
     if walk.diags:
         return False, walk.diags
-    diags = safe_summary(cfg.lft, walk.summary) + lifetime_safe(prog, typing, cfg)
+    diags = safe_summary(cfg.lft, walk.summary) + lifetime_safe(typing, cfg)
     return not diags, diags

@@ -25,13 +25,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import logic as L
 from . import syntax as S
 from . import values as V
 from .machine import (  # the shared names stay reachable as cos.Final, cos.RunError, ...
-    Final, Next, RunError, RunOutcome, StepResult, Stuck, StuckSignal, drive, entry_fn, is_final,
+    Final, Next, RunError, RunOutcome, StepResult, Stuck, StuckSignal, drive, entry_fn,
 )
-from .translate import sort_of_type
 from .typeck import TypingResult, type_program
 
 
@@ -80,7 +78,7 @@ class CosConfig:
 
 
 # ---------------------------------------------------------------------------
-# Readout and write
+# Readout, and the write of an input
 # ---------------------------------------------------------------------------
 
 
@@ -120,16 +118,7 @@ def readout(heap: dict[int, int], addr: int, t: S.Type) -> tuple[V.Value, list[i
         v0, m0 = readout(heap, addr, t.left)
         v1, m1 = readout(heap, addr + S.size_of(t.left), t.right)
         return V.Pair(v0, v1), m0 + m1
-    raise ReadoutError("IncompleteType", f"cannot read out at type {t}")
-
-
-def write_value(heap: dict[int, int], t: S.Type, v: V.Value, alloc: Alloc) -> int:
-    """Store v (of the sort of t) into fresh cells; inverse of readout."""
-    if not L.check_value(v, sort_of_type(t)):
-        raise RunError("SortMismatch", f"value {V.show(v)} does not have sort of {t}")
-    base = alloc.fresh(S.size_of(t))
-    _fill(heap, base, t, v, alloc)
-    return base
+    raise ReadoutError("IncompleteType", f"cannot read out at type {S.type_text(t)}")
 
 
 def _fill(heap: dict[int, int], base: int, t: S.Type, v: V.Value, alloc: Alloc) -> None:
@@ -141,8 +130,7 @@ def _fill(heap: dict[int, int], base: int, t: S.Type, v: V.Value, alloc: Alloc) 
     elif isinstance(t, S.Ptr):
         if t.kind != S.OWN:
             raise RunError("SortMismatch", "cannot write references at a simple boundary")
-        # the pointee was sort-checked with the whole value, by write_value
-        # or, for an input, by machine.entry_fn
+        # machine.entry_fn sort-checked the pointee with the whole input
         target = alloc.fresh(S.size_of(t.target))
         _fill(heap, target, t.target, v.inner, alloc)
         heap[base] = target
@@ -156,7 +144,7 @@ def _fill(heap: dict[int, int], base: int, t: S.Type, v: V.Value, alloc: Alloc) 
         _fill(heap, base, t.left, v.fst, alloc)
         _fill(heap, base + S.size_of(t.left), t.right, v.snd, alloc)
     else:
-        raise RunError("SortMismatch", f"cannot write at type {t}")
+        raise RunError("SortMismatch", f"cannot write at type {S.type_text(t)}")
 
 
 def safe_readout_frame(
@@ -401,9 +389,7 @@ def _step(prog, typing, cfg, rng, alloc, rand_range) -> StepResult:
 # ---------------------------------------------------------------------------
 
 
-def initial_config(
-    prog: S.Program, typing: TypingResult, fname: str, inputs: list[V.Value], alloc: Alloc
-) -> CosConfig:
+def initial_config(prog: S.Program, fname: str, inputs: list[V.Value], alloc: Alloc) -> CosConfig:
     fn = entry_fn(prog, fname, inputs)  # checks each input's sort
     heap: dict[int, int] = {}
     frame: dict[str, int] = {}
@@ -428,7 +414,7 @@ def run(
     typing = typing or type_program(prog)
     alloc = Alloc()
     rng = random.Random(seed)
-    cfg = initial_config(prog, typing, fname, inputs, alloc)
+    cfg = initial_config(prog, fname, inputs, alloc)
 
     return drive(lambda c: step(prog, typing, c, rng, alloc, rand_range),
                  cfg, fuel, keep_trace, lambda c: read_result(typing, c))

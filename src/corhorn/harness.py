@@ -42,7 +42,6 @@ from .typeck import TypingResult, type_program
 
 
 def safe_link(
-    prog: S.Program,
     typing: TypingResult,
     cfg: cos.CosConfig,
     acfg: aos.AbsConfig,
@@ -115,14 +114,14 @@ def lockstep_cos_aos(
     supply = aos.AbsSupply()
     rng_c = random.Random(seed)
     rng_a = random.Random(seed)
-    c = cos.initial_config(prog, typing, fname, inputs, alloc)
+    c = cos.initial_config(prog, fname, inputs, alloc)
     a = aos.initial_config(prog, fname, inputs)
     steps: list[LinkStep] = []
     memo: list = []
     for i in range(fuel + 1):
         point = f"{c.top.fn}:{c.top.label}"
-        _, diags = safe_link(prog, typing, c, a, memo)
-        diags += aos.lifetime_safe(prog, typing, a)
+        _, diags = safe_link(typing, c, a, memo)
+        diags += aos.lifetime_safe(typing, a)
         steps.append(LinkStep(i, point, not diags, diags))
         if diags:
             return LinkReport(False, steps, f"link failed at step {i} ({point})")

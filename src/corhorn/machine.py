@@ -15,7 +15,6 @@ from typing import Any, Callable, Optional, Union
 from . import logic as L
 from . import syntax as S
 from . import values as V
-from .printer import type_text
 from .translate import sort_of_type
 
 
@@ -67,13 +66,8 @@ def entry_fn(prog: S.Program, fname: str, inputs: list[V.Value]) -> S.FunctionDe
         raise RunError("SortMismatch", f"{fname} expects {len(fn.params)} arguments")
     for v, (x, t) in zip(inputs, fn.params):
         if not L.check_value(v, sort_of_type(t)):
-            raise RunError("SortMismatch", f"argument {x!r}: {V.show(v)} does not fit {type_text(t)}")
+            raise RunError("SortMismatch", f"argument {x!r}: {V.show(v)} does not fit {S.type_text(t)}")
     return fn
-
-
-def is_final(prog: S.Program, cfg) -> bool:
-    top = cfg.top
-    return len(cfg.stack) == 1 and isinstance(prog.fn(top.fn).body[top.label], S.StmtReturn)
 
 
 def drive(step: Callable[[Any], StepResult], cfg, fuel: int, keep_trace: bool,

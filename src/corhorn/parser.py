@@ -428,13 +428,6 @@ def parse_program(src: str) -> S.Program:
     return p.program()
 
 
-def parse_type(src: str) -> S.Type:
-    p = _Parser(src)
-    t = p.type_()
-    p.expect("eof")
-    return t
-
-
 def parse_value(src: str) -> V.Value:
     p = _Parser(src)
     v = p.value()

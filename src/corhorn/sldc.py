@@ -625,7 +625,7 @@ def _merge_pending(delta, binding, pending, spec):
     return options
 
 
-def _body_valuations(sys, clause, facts, spec, enum_cap):
+def _body_valuations(clause, facts, spec, enum_cap):
     delta = dict(clause.binders)
     states = [({}, {}, [])]  # (binding, pending, checks)
     for atom in clause.body:
@@ -691,7 +691,7 @@ def bottom_up_facts(
         changed = False
         for clause in rules:
             new = []
-            for valuation in _body_valuations(sys, clause, facts, spec, enum_cap):
+            for valuation in _body_valuations(clause, facts, spec, enum_cap):
                 fact = tuple(L.interpret_term(valuation, a) for a in clause.head.args)
                 if fact not in facts[clause.head.pred]:
                     new.append(fact)

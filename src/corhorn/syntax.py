@@ -7,11 +7,12 @@ joined by gotos), and borrows are delimited by explicitly introduced
 lifetime variables.
 
 This module defines the type and instruction ASTs plus the structural
-utilities the rest of the pipeline needs: memory size of a type and
-completeness of recursive types.  It also holds the hash-consed node
-base that types and CHC sorts share, and the walks over their
-mu-binders: capture-avoiding substitution, unfolding, and a canonical
-form for comparing nodes up to renaming of binders.
+utilities the rest of the pipeline needs: memory size of a type,
+completeness of recursive types, and the surface text of a type, which
+error messages print.  It also holds the hash-consed node base that
+types and CHC sorts share, and the walks over their mu-binders:
+capture-avoiding substitution, unfolding, and a canonical form for
+comparing nodes up to renaming of binders.
 """
 
 from __future__ import annotations
@@ -258,6 +259,37 @@ def immut(lft: str, t: Type) -> Ptr:
     return Ptr(IMMUT, lft, t)
 
 
+def type_text(t: Type) -> str:
+    """t in the surface syntax, which the parser reads back as t."""
+    return _type_text(t, 0)
+
+
+def _type_text(t: Type, prec: int) -> str:
+    # precedence: 0 sum < 1 prod < 2 atom
+    if t == BOOL:
+        return "bool"
+    if isinstance(t, Sum):
+        s = f"{_type_text(t.left, 0)} + {_type_text(t.right, 1)}"
+        return f"({s})" if prec > 0 else s
+    if isinstance(t, Prod):
+        s = f"{_type_text(t.left, 1)} * {_type_text(t.right, 2)}"
+        return f"({s})" if prec > 1 else s
+    if isinstance(t, Ptr):
+        if t.kind == OWN:
+            return f"own {_type_text(t.target, 2)}"
+        return f"{t.kind}<'{t.lft}> {_type_text(t.target, 2)}"
+    if isinstance(t, Mu):
+        s = f"mu {t.var}. {_type_text(t.body, 0)}"
+        return f"({s})" if prec > 0 else s
+    if isinstance(t, TypeVar):
+        return t.name
+    if isinstance(t, IntT):
+        return "int"
+    if isinstance(t, UnitT):
+        return "unit"
+    raise TypeError(f"not a type: {t!r}")
+
+
 @lru_cache(maxsize=None)
 def lifetimes_of(t: Type) -> frozenset[str]:
     """All lifetime variables occurring in t."""
@@ -326,7 +358,7 @@ def size_of(t: Type) -> int:
         return size_of(t.left) + size_of(t.right)
     if isinstance(t, Mu):
         return size_of(unfold(t))
-    raise IncompleteType(f"size of incomplete type: {t}")
+    raise IncompleteType(f"size of incomplete type: {type_text(t)}")
 
 
 def sum_side(t: Sum, tag: int) -> tuple[Type, range]:

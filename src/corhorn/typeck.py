@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import syntax as S
-from .syntax import Type
+from .syntax import Type, type_text
 
 
 class TypeCheckError(S.CorError):
@@ -231,7 +231,7 @@ def type_instruction(
             _err("LifetimeParamBorrow", "cannot borrow at a lifetime parameter")
         vi = _take_active(wc, instr.x, "BorrowOfFrozen")
         if not (isinstance(vi.ty, S.Ptr) and vi.ty.kind in (S.OWN, S.MUT)):
-            _err("TypeMismatch", f"mutbor needs an owning pointer or mut ref, got {vi.ty}")
+            _err("TypeMismatch", f"mutbor needs an owning pointer or mut ref, got {type_text(vi.ty)}")
         for gam in sorted(S.lifetimes_of(vi.ty)):
             if not lctx.leq(instr.lft, gam):
                 msg = f"'{instr.lft} must end before '{gam} of the borrowed data"
@@ -255,7 +255,7 @@ def type_instruction(
     if isinstance(instr, S.Immut):
         vi = _take_active(wc, instr.x, "FrozenVariable")
         if not (isinstance(vi.ty, S.Ptr) and vi.ty.kind == S.MUT):
-            _err("TypeMismatch", f"immut needs a mutable reference, got {vi.ty}")
+            _err("TypeMismatch", f"immut needs a mutable reference, got {type_text(vi.ty)}")
         gamma[instr.x] = VarInfo(S.immut(vi.ty.lft, vi.ty.target))
         return wc.with_gamma(gamma)
 
@@ -280,7 +280,7 @@ def type_instruction(
         vi = _take_active(wc, instr.x, "FrozenVariable")
         outer = vi.ty
         if not (isinstance(outer, S.Ptr) and isinstance(outer.target, S.Ptr)):
-            _err("TypeMismatch", f"deref needs a pointer to a pointer, got {outer}")
+            _err("TypeMismatch", f"deref needs a pointer to a pointer, got {type_text(outer)}")
         inner = outer.target
         if outer.kind == S.OWN:
             composed = inner
@@ -298,7 +298,7 @@ def type_instruction(
         if not isinstance(vi.ty, S.Ptr):
             _err("TypeMismatch", "copy needs a pointer")
         if not is_copy(vi.ty.target):
-            _err("NotCopyable", f"type {vi.ty.target} is not copyable")
+            _err("NotCopyable", f"type {type_text(vi.ty.target)} is not copyable")
         _bind_fresh(gamma, instr.y, VarInfo(S.own(vi.ty.target)))
         return wc.with_gamma(gamma)
 
@@ -308,7 +308,7 @@ def type_instruction(
         if not isinstance(instr.ty, S.Ptr):
             _err("TypeMismatch", "weakening target must be a pointer type")
         if not subtype(lctx, vi.ty, instr.ty):
-            _err("NotSubtype", f"{vi.ty} is not a subtype of {instr.ty}")
+            _err("NotSubtype", f"{type_text(vi.ty)} is not a subtype of {type_text(instr.ty)}")
         gamma[instr.x] = VarInfo(instr.ty)
         return wc.with_gamma(gamma)
 
@@ -330,7 +330,8 @@ def type_instruction(
             vi = _take_active(wc, x, "FrozenVariable")
             want = S.subst_lifetimes(pt, inst)
             if S.canon(vi.ty) != S.canon(want):
-                _err("TypeMismatch", f"argument {x!r}: expected {want}, got {vi.ty}")
+                msg = f"argument {x!r}: expected {type_text(want)}, got {type_text(vi.ty)}"
+                _err("TypeMismatch", msg)
             del gamma[x]
         ret = S.subst_lifetimes(g.ret, inst)
         _bind_fresh(gamma, instr.y, VarInfo(ret))
@@ -388,7 +389,8 @@ def type_instruction(
         if not (isinstance(vi.ty, S.Ptr) and vi.ty.kind == S.OWN):
             _err("TypeMismatch", "inj consumes an owning pointer")
         if S.canon(vi.ty.target) != S.canon(side):
-            _err("TypeMismatch", f"inj payload type mismatch: {vi.ty.target} vs {side}")
+            msg = f"inj payload type mismatch: {type_text(vi.ty.target)} vs {type_text(side)}"
+            _err("TypeMismatch", msg)
         del gamma[instr.x]
         _bind_fresh(gamma, instr.y, VarInfo(S.own(instr.sum_type)))
         return wc.with_gamma(gamma)
@@ -407,7 +409,7 @@ def type_instruction(
     if isinstance(instr, S.DestructPair):
         vi = _take_active(wc, instr.x, "FrozenVariable")
         if not (isinstance(vi.ty, S.Ptr) and isinstance(vi.ty.target, S.Prod)):
-            _err("TypeMismatch", f"pair destruction needs a pointer to a product, got {vi.ty}")
+            _err("TypeMismatch", f"pair destruction needs a pointer to a product, got {type_text(vi.ty)}")
         prod = vi.ty.target
         del gamma[instr.x]
         _bind_fresh(gamma, instr.y0, VarInfo(S.Ptr(vi.ty.kind, vi.ty.lft, prod.left)))
@@ -422,12 +424,10 @@ def type_instruction(
 # ---------------------------------------------------------------------------
 
 
-def match_branch_contexts(
-    prog: S.Program, fn: S.FunctionDef, stmt: S.StmtMatch, wc: WholeCtx
-) -> tuple[WholeCtx, WholeCtx]:
+def match_branch_contexts(stmt: S.StmtMatch, wc: WholeCtx) -> tuple[WholeCtx, WholeCtx]:
     vi = _take_active(wc, stmt.x, "FrozenVariable")
     if not (isinstance(vi.ty, S.Ptr) and isinstance(vi.ty.target, S.Sum)):
-        _err("MatchOnNonSum", f"match needs a pointer to a sum type, got {vi.ty}")
+        _err("MatchOnNonSum", f"match needs a pointer to a sum type, got {type_text(vi.ty)}")
     sum_t = vi.ty.target
     out = []
     for binder, side in ((stmt.y0, sum_t.left), (stmt.y1, sum_t.right)):
@@ -448,7 +448,7 @@ def check_return(fn: S.FunctionDef, stmt: S.StmtReturn, wc: WholeCtx):
     if extra:
         _err("ReturnLeftovers", f"variables still live at return: {sorted(extra)}")
     if S.canon(vi.ty) != S.canon(fn.ret):
-        _err("TypeMismatch", f"return type mismatch: {vi.ty} vs {fn.ret}")
+        _err("TypeMismatch", f"return type mismatch: {type_text(vi.ty)} vs {type_text(fn.ret)}")
     if wc.lft.carrier != frozenset(fn.lft_params):
         local = sorted(wc.lft.carrier - frozenset(fn.lft_params))
         _err("ReturnLeftovers", f"local lifetimes still live at return: {local}")
@@ -516,7 +516,7 @@ def type_program(prog: S.Program) -> TypingResult:
                 elif isinstance(stmt, S.StmtInstr):
                     register(stmt.goto, type_instruction(prog, fn, stmt.instr, wc))
                 elif isinstance(stmt, S.StmtMatch):
-                    c0, c1 = match_branch_contexts(prog, fn, stmt, wc)
+                    c0, c1 = match_branch_contexts(stmt, wc)
                     register(stmt.l0, c0)
                     register(stmt.l1, c1)
             except TypeCheckError as e:
@@ -527,13 +527,11 @@ def type_program(prog: S.Program) -> TypingResult:
 
 def context_json(wc: WholeCtx) -> dict:
     """Stable JSON form of a whole context, for --dump-contexts goldens."""
-    from . import printer
-
     return {
         "vars": {
             x: {
                 "activeness": "active" if vi.active else f"frozen '{vi.frozen_at}",
-                "type": printer.type_text(vi.ty),
+                "type": type_text(vi.ty),
             }
             for x, vi in sorted(wc.gamma.items())
         },

@@ -234,19 +234,6 @@ def subst_vars(t: Term, mapping: dict[str, Term]) -> Term:
     return map_children(t, lambda k: subst_vars(k, mapping))
 
 
-def absvars_in(t: Term) -> set[int]:
-    out: set[int] = set()
-
-    def go(u: Term):
-        if isinstance(u, AbsVar):
-            out.add(u.uid)
-        for k in children(u):
-            go(k)
-
-    go(t)
-    return out
-
-
 def vars_in(t: Term) -> set[str]:
     return {v.name for v in var_leaves(t)}
 

@@ -1,5 +1,7 @@
-"""Shared test kit: value builders, hand-written clause systems with
-their known models, and the trace comparators used by the goldens."""
+"""Shared test kit: the program printer and the type, heap and
+configuration helpers only tests use, value builders, hand-written
+clause systems with their known models, and the trace comparators used
+by the goldens."""
 
 from __future__ import annotations
 
@@ -10,7 +12,9 @@ import sys
 from pathlib import Path
 
 import corhorn
+from corhorn import cos, parser, translate
 from corhorn import logic as L
+from corhorn import syntax as S
 from corhorn import values as V
 from corhorn.logic import Atom, CHCSystem, Clause
 
@@ -53,6 +57,130 @@ def stuck_at_swap(module, monkeypatch) -> None:
         return real(prog_, typing_, cfg, *rest)
 
     monkeypatch.setattr(module, "_step", sabotaged)
+
+
+# -- program text --------------------------------------------------------------
+# The canonical .cor text of a program: deterministic, and it re-parses
+# to a structurally equal program (the parser round trip).
+
+
+def instr_text(i: S.Instruction) -> str:
+    if isinstance(i, S.MutBor):
+        return f"let {i.y} = mutbor '{i.lft} {i.x}"
+    if isinstance(i, S.Drop):
+        return f"drop {i.x}"
+    if isinstance(i, S.Immut):
+        return f"immut {i.x}"
+    if isinstance(i, S.Swap):
+        return f"swap(*{i.x}, *{i.y})"
+    if isinstance(i, S.MakePtr):
+        return f"let *{i.y} = {i.x}"
+    if isinstance(i, S.Deref):
+        return f"let {i.y} = *{i.x}"
+    if isinstance(i, S.CopyDeref):
+        return f"let *{i.y} = copy *{i.x}"
+    if isinstance(i, S.TypeWeaken):
+        return f"{i.x} as {S.type_text(i.ty)}"
+    if isinstance(i, S.Call):
+        lfts = f"<{', '.join(chr(39) + l for l in i.lfts)}>" if i.lfts else ""
+        return f"let {i.y} = {i.fn}{lfts}({', '.join(i.args)})"
+    if isinstance(i, S.IntroLft):
+        return f"intro '{i.lft}"
+    if isinstance(i, S.NowLft):
+        return f"now '{i.lft}"
+    if isinstance(i, S.LftLeq):
+        return f"'{i.lo} <= '{i.hi}"
+    if isinstance(i, S.ConstInstr):
+        lit = "()" if i.value == S.UNIT_CONST else str(i.value)
+        return f"let *{i.y} = {lit}"
+    if isinstance(i, S.BinOpInstr):
+        return f"let *{i.y} = *{i.x} {i.op} *{i.x2}"
+    if isinstance(i, S.RandInstr):
+        return f"let *{i.y} = rand()"
+    if isinstance(i, S.InjInstr):
+        return f"let *{i.y} = inj{i.index}<{S.type_text(i.sum_type)}> *{i.x}"
+    if isinstance(i, S.MakePair):
+        return f"let *{i.y} = (*{i.x0}, *{i.x1})"
+    if isinstance(i, S.DestructPair):
+        return f"let (*{i.y0}, *{i.y1}) = *{i.x}"
+    raise TypeError(f"not an instruction: {i!r}")
+
+
+def stmt_text(s: S.Statement) -> str:
+    if isinstance(s, S.StmtInstr):
+        return f"{instr_text(s.instr)}; goto {s.goto};"
+    if isinstance(s, S.StmtReturn):
+        return f"return {s.x};"
+    if isinstance(s, S.StmtMatch):
+        return (
+            f"match *{s.x} {{ inj0 *{s.y0} => goto {s.l0}, "
+            f"inj1 *{s.y1} => goto {s.l1} }};"
+        )
+    raise TypeError(f"not a statement: {s!r}")
+
+
+def function_text(fn: S.FunctionDef) -> str:
+    sig = ""
+    if fn.lft_params or fn.lft_constraints:
+        parts = ", ".join(f"'{l}" for l in fn.lft_params)
+        if fn.lft_constraints:
+            cons = ", ".join(f"'{lo} <= '{hi}" for lo, hi in fn.lft_constraints)
+            parts = f"{parts} | {cons}"
+        sig = f"<{parts}>"
+    params = ", ".join(f"{x}: {S.type_text(t)}" for x, t in fn.params)
+    lines = [f"fn {fn.name}{sig}({params}) -> {S.type_text(fn.ret)} {{"]
+    for label, stmt in fn.body.items():
+        lines.append(f"  {label}: {stmt_text(stmt)}")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def program_text(prog: S.Program) -> str:
+    if not prog.functions:
+        return ""
+    return "\n\n".join(function_text(fn) for fn in prog) + "\n"
+
+
+# -- types, heaps and configurations -----------------------------------------
+
+
+def parse_type(src: str) -> S.Type:
+    """The type src spells in the surface syntax."""
+    p = parser._Parser(src)
+    t = p.type_()
+    p.expect("eof")
+    return t
+
+
+def write_value(heap: dict[int, int], t: S.Type, v: V.Value, alloc: cos.Alloc) -> int:
+    """Store v (of the sort of t) into fresh cells; inverse of `cos.readout`."""
+    if not L.check_value(v, translate.sort_of_type(t)):
+        raise cos.RunError("SortMismatch", f"value {V.show(v)} does not have sort of {S.type_text(t)}")
+    base = alloc.fresh(S.size_of(t))
+    cos._fill(heap, base, t, v, alloc)
+    return base
+
+
+def is_final(prog: S.Program, cfg) -> bool:
+    """Is cfg, a configuration of either interpreter, one frame at a return?"""
+    top = cfg.top
+    return len(cfg.stack) == 1 and isinstance(prog.fn(top.fn).body[top.label], S.StmtReturn)
+
+
+def absvar_uids(cfg) -> set[int]:
+    """The uids of the prophecy variables in an AOS configuration's frames."""
+    out: set[int] = set()
+
+    def go(u):
+        if isinstance(u, V.AbsVar):
+            out.add(u.uid)
+        for k in V.children(u):
+            go(k)
+
+    for e in cfg.stack:
+        for v in e.frame.values():
+            go(v)
+    return out
 
 
 # -- value builders ----------------------------------------------------------

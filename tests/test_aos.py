@@ -11,11 +11,8 @@ from corhorn.aos import AbsSupply
 from corhorn.logic import SampleSpec
 from corhorn.typeck import VarInfo
 
-from helpers import HASH_SEEDS, mklist, python_under_hash_seed
-
-
-def T(src):
-    return parser.parse_type(src)
+from helpers import HASH_SEEDS, absvar_uids, is_final, mklist, python_under_hash_seed
+from helpers import parse_type as T
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +52,8 @@ def test_substitution_hygiene(inc_max_setup):
     out = aos.run(prog, "inc_max", [V.Box(4), V.Box(3)], typing=typing)
     dropped = None
     for prev, cur in zip(out.trace, out.trace[1:]):
-        before = prev.absvar_uids()
-        after = cur.absvar_uids()
+        before = absvar_uids(prev)
+        after = absvar_uids(cur)
         for uid in before - after:
             assert uid not in after
 
@@ -130,7 +127,7 @@ def test_safe_abstract_along_trace(inc_max_setup):
     prog, typing = inc_max_setup
     out = aos.run(prog, "inc_max", [V.Box(4), V.Box(3)], typing=typing)
     for cfg in out.trace:
-        ok, diags = aos.safe_abstract(prog, typing, cfg)
+        ok, diags = aos.safe_abstract(typing, cfg)
         assert ok, diags
 
 
@@ -144,14 +141,14 @@ def test_unsafe_double_give(inc_max_setup):
     bad = aos.AbsConfig(
         (aos.AbsFrameEntry(top.fn, top.label, top.theta, top.recv, frame),), cfg.lft
     )
-    ok, diags = aos.safe_abstract(prog, typing, bad)
+    ok, diags = aos.safe_abstract(typing, bad)
     assert not ok
 
 
 def test_initial_simple_config_safe(inc_max_setup):
     prog, typing = inc_max_setup
     cfg = aos.initial_config(prog, "inc_max", [V.Box(4), V.Box(3)])
-    ok, diags = aos.safe_abstract(prog, typing, cfg)
+    ok, diags = aos.safe_abstract(typing, cfg)
     assert ok, diags
 
 
@@ -170,7 +167,7 @@ def test_preservation_randomized():
             supply = AbsSupply()
             step_rng = random.Random(trial)
             cfg = aos.initial_config(prog, e.entry_fn, ins)
-            ok, diags = aos.safe_abstract(prog, typing, cfg)
+            ok, diags = aos.safe_abstract(typing, cfg)
             assert ok, diags
             for _ in range(400):
                 res = aos.step(prog, typing, cfg, step_rng, supply)
@@ -178,7 +175,7 @@ def test_preservation_randomized():
                     assert not isinstance(res, aos.Stuck), res
                     break
                 cfg = res.config
-                ok, diags = aos.safe_abstract(prog, typing, cfg)
+                ok, diags = aos.safe_abstract(typing, cfg)
                 assert ok, (e.name, diags)
                 total += 1
     assert total >= 10_000
@@ -192,9 +189,9 @@ def test_progression_on_safe_configs():
     rng = random.Random(1)
     cfg = aos.initial_config(prog, "inc_some", [V.Box(mklist(2, 1))])
     for _ in range(300):
-        if aos.is_final(prog, cfg):
+        if is_final(prog, cfg):
             break
-        ok, _ = aos.safe_abstract(prog, typing, cfg)
+        ok, _ = aos.safe_abstract(typing, cfg)
         assert ok
         res = aos.step(prog, typing, cfg, rng, supply)
         assert isinstance(res, aos.Next)
@@ -256,12 +253,12 @@ def _guard_verdicts(prog, typing, cfg):
     prophecy's give moved onto another (a double give), and a global
     lifetime that no frame accounts for."""
     faults = [cfg, aos.AbsConfig(cfg.stack, cfg.lft.add("z@99", frozenset()))]
-    uids = sorted(cfg.absvar_uids())
+    uids = sorted(absvar_uids(cfg))
     if uids:
         faults.append(_renamed(cfg, uids[0], 10_000, fin=False))
     if len(uids) > 1:
         faults.append(_renamed(cfg, uids[1], uids[0], fin=True))
-    return [list(aos.safe_abstract(prog, typing, c)) for c in faults]
+    return [list(aos.safe_abstract(typing, c)) for c in faults]
 
 
 # SHA-256 per program over safe_abstract's (ok, diags) on every step of
@@ -299,13 +296,13 @@ def test_safety_verdicts_pinned():
             seed = rng.randrange(2 ** 31)
             out = aos.run(prog, fn, inputs, seed=seed, fuel=300, typing=typing, rand_range=(-8, 8))
             for cfg in out.trace:
-                assert aos.safe_abstract(prog, typing, cfg) == (True, [])
+                assert aos.safe_abstract(typing, cfg) == (True, [])
                 # a shape fault: the top frame's first variable holds a bare int
                 top = cfg.top
                 if top.frame:
                     bad = dataclasses.replace(top, frame={**top.frame, min(top.frame): 0})
                     bad_cfg = aos.AbsConfig((bad,) + cfg.stack[1:], cfg.lft)
-                    assert aos.safe_abstract(prog, typing, bad_cfg)[0] is False
+                    assert aos.safe_abstract(typing, bad_cfg)[0] is False
                 blob.append(_guard_verdicts(prog, typing, cfg))
                 steps += 1
         got[name] = (steps, hashlib.sha256(json.dumps(blob).encode()).hexdigest())
@@ -335,7 +332,7 @@ def test_pairing_and_lifetime_faults_pinned(inc_max_setup):
     lost_lifetime = aos.AbsConfig(cfg.stack, lft.remove(min(lft.carrier)))
     mistagged = aos.AbsConfig(
         (dataclasses.replace(cfg.top, theta={k: "x@7" for k in cfg.top.theta}),) + cfg.stack[1:], lft)
-    got = [aos.safe_abstract(prog, typing, c)
+    got = [aos.safe_abstract(typing, c)
            for c in (double_give, dropped_take, extra_lifetime, lost_lifetime, mistagged)]
     assert got == [
         (False, ["abs var 0: 2 gives, 1 takes", "abs var 1: 0 gives, 1 takes"]),
@@ -380,8 +377,8 @@ def test_shape_faults_rejected(inc_max_setup):
     typings = {"inc_max": inc_max_setup, "inc_some": (some, typeck.type_program(some))}
     for good, bad in _shape_faults(inc_max_setup):
         prog, typing = typings[good.top.fn]
-        assert aos.safe_abstract(prog, typing, good) == (True, [])
-        assert aos.safe_abstract(prog, typing, bad)[0] is False
+        assert aos.safe_abstract(typing, good) == (True, [])
+        assert aos.safe_abstract(typing, bad)[0] is False
 
 
 def test_shape_fault_texts_pinned(inc_max_setup):
@@ -389,7 +386,7 @@ def test_shape_fault_texts_pinned(inc_max_setup):
     # side, less the address
     some = corpus.load("inc_some")
     typings = {"inc_max": inc_max_setup, "inc_some": (some, typeck.type_program(some))}
-    got = [aos.safe_abstract(*typings[good.top.fn], bad) for good, bad in _shape_faults(inc_max_setup)]
+    got = [aos.safe_abstract(typings[good.top.fn][1], bad) for good, bad in _shape_faults(inc_max_setup)]
     assert got == [(False, [d]) for d in [
         "expected box, abstract side has 3",
         "expected mut pair, abstract side has box(4)",

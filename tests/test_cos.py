@@ -4,16 +4,13 @@ from collections import Counter
 
 import pytest
 
-from corhorn import aos, corpus, cos, machine, parser, syntax as S, typeck, values as V
+from corhorn import aos, corpus, cos, machine, parser, syntax as S, translate, typeck, values as V
 from corhorn.cos import Alloc
 from corhorn.logic import SampleSpec
 from corhorn.machine import Final, Next, RunOutcome
 
-from helpers import mklist
-
-
-def T(src):
-    return parser.parse_type(src)
+from helpers import is_final, mklist, write_value
+from helpers import parse_type as T
 
 
 # -- readout -------------------------------------------------------------------
@@ -68,19 +65,19 @@ def test_readout_missing_cell():
 
 def test_write_pair():
     heap = {}
-    a = cos.write_value(heap, T("int * int"), V.Pair(7, 5), Alloc())
+    a = write_value(heap, T("int * int"), V.Pair(7, 5), Alloc())
     assert heap[a] == 7 and heap[a + 1] == 5
 
 
 def test_write_unit_touches_nothing():
     heap = {}
-    cos.write_value(heap, S.UNIT, V.UNIT, Alloc())
+    write_value(heap, S.UNIT, V.UNIT, Alloc())
     assert heap == {}
 
 
 def test_write_inj_is_single_cell_for_bool():
     heap = {}
-    a = cos.write_value(heap, S.BOOL, V.FALSE, Alloc())
+    a = write_value(heap, S.BOOL, V.FALSE, Alloc())
     assert heap == {a: 0}
 
 
@@ -102,7 +99,7 @@ def test_write_readout_roundtrip():
     for i, t in enumerate(sorts):
         for v in values[i]:
             heap = {}
-            a = cos.write_value(heap, t, v, Alloc())
+            a = write_value(heap, t, v, Alloc())
             got, m = cos.readout(heap, a, t)
             assert got == v
             assert sorted(set(m)) == sorted(m), "fresh cells, no duplicates"
@@ -112,13 +109,13 @@ def test_write_readout_roundtrip():
 def test_write_checks_the_sort_once(monkeypatch):
     # one top-level sort check, not one more per owned pointee
     calls = []
-    real = cos.sort_of_type
-    monkeypatch.setattr(cos, "sort_of_type", lambda t: calls.append(t) or real(t))
+    real = translate.sort_of_type
+    monkeypatch.setattr(translate, "sort_of_type", lambda t: calls.append(t) or real(t))
     t = T("mu X. int * own X + unit")
     for n in (0, 1, 5):
         calls.clear()
         heap = {}
-        a = cos.write_value(heap, t, mklist(*range(n)), Alloc())
+        a = write_value(heap, t, mklist(*range(n)), Alloc())
         assert len(calls) == 1
         assert cos.readout(heap, a, t)[0] == mklist(*range(n))
 
@@ -126,7 +123,7 @@ def test_write_checks_the_sort_once(monkeypatch):
 def test_run_checks_each_input_sort_once(monkeypatch):
     # machine.entry_fn checks each boxed input; initial_config does not again
     calls = []
-    for module in (cos, machine):
+    for module in (translate, machine):
         real = module.sort_of_type
         monkeypatch.setattr(module, "sort_of_type", lambda t, real=real: calls.append(t) or real(t))
     rng = random.Random(4)
@@ -140,7 +137,7 @@ def test_run_checks_each_input_sort_once(monkeypatch):
 
 def test_write_sort_mismatch():
     with pytest.raises(cos.RunError) as e:
-        cos.write_value({}, S.INT, V.UNIT, Alloc())
+        write_value({}, S.INT, V.UNIT, Alloc())
     assert e.value.code == "SortMismatch"
 
 
@@ -156,7 +153,7 @@ def inc_max_setup():
 def test_mutbor_step_shares_address(inc_max_setup):
     prog, typing = inc_max_setup
     alloc = Alloc()
-    cfg = cos.initial_config(prog, typing, "inc_max", [V.Box(4), V.Box(3)], alloc)
+    cfg = cos.initial_config(prog, "inc_max", [V.Box(4), V.Box(3)], alloc)
     rng = random.Random(0)
     res = cos.step(prog, typing, cfg, rng, alloc)  # intro
     res = cos.step(prog, typing, res.config, rng, alloc)  # mutbor
@@ -170,7 +167,7 @@ def test_final_rule(inc_max_setup):
     out = cos.run(prog, "inc_max", [V.Box(4), V.Box(3)])
     last = out.trace[-1]
     rng = random.Random(0)
-    assert cos.is_final(prog, last)
+    assert is_final(prog, last)
     assert isinstance(cos.step(prog, typing, last, rng, Alloc(start=10_000)), cos.Final)
 
 
@@ -293,7 +290,7 @@ def test_write_readout_identity_on_corpus_sorts():
             for _ in range(12):
                 v = L.random_value(sort_of_type(t.target), spec, rng)
                 heap = {}
-                a = cos.write_value(heap, t.target, v, Alloc())
+                a = write_value(heap, t.target, v, Alloc())
                 got, m = cos.readout(heap, a, t.target)
                 assert got == v
                 assert len(set(m)) == len(m)

@@ -55,7 +55,7 @@ def _heap_cell(cfg, addr, n):
 
 def test_entry_readout_is_abs_free(inc_max_setup):
     prog, typing = inc_max_setup
-    cfg = cos.initial_config(prog, typing, "inc_max", [V.Box(4), V.Box(3)], Alloc())
+    cfg = cos.initial_config(prog, "inc_max", [V.Box(4), V.Box(3)], Alloc())
     acfg = aos.initial_config(prog, "inc_max", [V.Box(4), V.Box(3)])
     walk = aos.walk_stack(typing, acfg, cfg)
     summary, footprint, diags = walk.summary, walk.footprint, walk.diags
@@ -94,7 +94,7 @@ def test_match_against_aos_trace(inc_max_setup):
     a_out = aos.run(prog, "inc_max", [V.Box(4), V.Box(3)], typing=typing)
     assert len(c_out.trace) == len(a_out.trace)
     for c, a in zip(c_out.trace, a_out.trace):
-        ok, diags = harness.safe_link(prog, typing, c, a)
+        ok, diags = harness.safe_link(typing, c, a)
         assert ok, (c.top.label, diags)
 
 
@@ -102,7 +102,7 @@ def test_safe_link_rejects_mismatched_label(inc_max_setup):
     prog, typing = inc_max_setup
     c_out = cos.run(prog, "inc_max", [V.Box(4), V.Box(3)], typing=typing)
     a_out = aos.run(prog, "inc_max", [V.Box(4), V.Box(3)], typing=typing)
-    ok, diags = harness.safe_link(prog, typing, c_out.trace[0], a_out.trace[1])
+    ok, diags = harness.safe_link(typing, c_out.trace[0], a_out.trace[1])
     assert not ok
 
 
@@ -116,7 +116,7 @@ def test_safe_link_rejects_wrong_value(inc_max_setup):
     bad = aos.AbsConfig(
         (aos.AbsFrameEntry(a0.top.fn, a0.top.label, a0.top.theta, None, frame),), a0.lft
     )
-    ok, diags = harness.safe_link(prog, typing, c_out.trace[0], bad)
+    ok, diags = harness.safe_link(typing, c_out.trace[0], bad)
     assert not ok
 
 
@@ -158,7 +158,7 @@ def test_frozen_resolved_owner_reads_out():
     by_label = {(c.top.fn, c.top.label): i for i, c in enumerate(c_out.trace)}
     i = by_label[("inc_some", "L3")]  # ms0 is an immut borrow, oxs frozen
     cfg, acfg = c_out.trace[i], a_out.trace[i]
-    ok, diags = harness.safe_link(prog, typing, cfg, acfg)
+    ok, diags = harness.safe_link(typing, cfg, acfg)
     assert ok, diags
     footprint = aos.walk_stack(typing, acfg, cfg).footprint
     kinds = {m[0] for m in footprint}
@@ -195,16 +195,16 @@ def test_frozen_resolved_owner_reads_out():
 )
 def test_guided_readout_diagnostics_pinned(name, inputs, step, corrupt, expected):
     prog, typing, cfg, acfg = _trace_pair(name, inputs, step)
-    assert harness.safe_link(prog, typing, cfg, acfg) == (True, [])
+    assert harness.safe_link(typing, cfg, acfg) == (True, [])
     cfg, acfg = corrupt(cfg, acfg)
-    ok, diags = harness.safe_link(prog, typing, cfg, acfg)
+    ok, diags = harness.safe_link(typing, cfg, acfg)
     assert (ok, diags) == expected
 
 
 def test_safe_link_rejects_extra_abstract_variable():
     prog, typing, cfg, acfg = _trace_pair("inc_max", INC_MAX_IN, 3)  # inc_max:L3
     bad = _guide_frame(acfg, 0, zz=V.Box(1))
-    assert harness.safe_link(prog, typing, cfg, bad) == (
+    assert harness.safe_link(typing, cfg, bad) == (
         False, ["frame 0: abstract side has variables ['zz'] outside the context"])
 
 
@@ -212,7 +212,7 @@ def test_hot_mut_without_prophecy_is_a_diagnostic():
     prog, typing, cfg, acfg = _trace_pair("inc_max", INC_MAX_IN, 3)  # inc_max:L3
     ma = acfg.top.frame["ma"]
     bad = _guide_frame(acfg, 0, ma=V.MutPair(ma.cur, 0))
-    assert harness.safe_link(prog, typing, cfg, bad) == (
+    assert harness.safe_link(typing, cfg, bad) == (
         False, ["hot mut at 100 without prophecy on the abstract side"])
 
 
@@ -221,8 +221,8 @@ def test_active_abstract_variable_same_diagnostic_on_both_sides():
     prog, typing, cfg, acfg = _trace_pair("inc_max", INC_MAX_IN, 0)
     bad = _guide_frame(acfg, 0, oa=V.Box(V.AbsVar(9, "x◦")))
     expected = (False, ["abstract variable x◦ in an active position"])
-    assert harness.safe_link(prog, typing, cfg, bad) == expected
-    assert aos.safe_abstract(prog, typing, bad) == expected
+    assert harness.safe_link(typing, cfg, bad) == expected
+    assert aos.safe_abstract(typing, bad) == expected
 
 
 def test_missing_frozen_lifetime_same_diagnostic_on_both_sides():
@@ -230,8 +230,8 @@ def test_missing_frozen_lifetime_same_diagnostic_on_both_sides():
     prog, typing, cfg, acfg = _trace_pair("inc_max", INC_MAX_IN, 3)
     bad = _with_frame(acfg, 0, theta={})
     expected = (False, ["frozen lifetime 'a not in frame context"])
-    assert harness.safe_link(prog, typing, cfg, bad) == expected
-    assert aos.safe_abstract(prog, typing, bad) == expected
+    assert harness.safe_link(typing, cfg, bad) == expected
+    assert aos.safe_abstract(typing, bad) == expected
 
 
 @pytest.mark.parametrize("changes, text", [
@@ -241,8 +241,8 @@ def test_missing_frozen_lifetime_same_diagnostic_on_both_sides():
 def test_abstract_frame_domain_same_diagnostic_on_both_sides(changes, text):
     prog, typing, cfg, acfg = _trace_pair("inc_max", INC_MAX_IN, 3)  # inc_max:L3
     bad = _guide_frame(acfg, 0, **changes)
-    assert harness.safe_link(prog, typing, cfg, bad) == (False, [text])
-    assert aos.safe_abstract(prog, typing, bad) == (False, [text])
+    assert harness.safe_link(typing, cfg, bad) == (False, [text])
+    assert aos.safe_abstract(typing, bad) == (False, [text])
 
 
 # -- lockstep ---------------------------------------------------------------------
@@ -426,7 +426,7 @@ def test_walk_memo_rereads_a_changed_lower_frame_cell():
     memo: list = []
     for c, a in zip(c_out.trace, a_out.trace):
         prev = list(memo)
-        assert harness.safe_link(prog, typing, c, a, memo) == (True, [])
+        assert harness.safe_link(typing, c, a, memo) == (True, [])
         kept = [any(r is p for p in prev) for r in memo]
         only = ({x for r, k in zip(memo, kept) if k for x in r[4]}
                 - {x for r, k in zip(memo, kept) if not k for x in r[4]})
@@ -434,9 +434,9 @@ def test_walk_memo_rereads_a_changed_lower_frame_cell():
             break
     addr = min(only)
     bad = _heap_cell(c, addr, c.heap[addr] + 7)
-    full = harness.safe_link(prog, typing, bad, a)
+    full = harness.safe_link(typing, bad, a)
     assert not full[0] and full[1]
-    assert harness.safe_link(prog, typing, bad, a, prev) == full
+    assert harness.safe_link(typing, bad, a, prev) == full
 
 
 def test_walk_memo_keeps_lower_frames_across_calls_and_returns():

@@ -2,16 +2,21 @@ import hashlib
 
 import pytest
 
-from corhorn import corpus, parser, printer, syntax as S, values as V
+from corhorn import corpus, parser, syntax as S, values as V
+
+from helpers import parse_type, program_text, stmt_text
+from test_features import CASES as FEATURES
 
 
 ALL_CORPUS = [e.name for e in corpus.CORPUS]
+FEATURE_SOURCES = {name: src for name, src, *_ in FEATURES}
 
 
-@pytest.mark.parametrize("name", ALL_CORPUS)
+@pytest.mark.parametrize("name", ALL_CORPUS + list(FEATURE_SOURCES))
 def test_roundtrip_corpus(name):
-    prog = corpus.load(name)
-    again = parser.parse_program(printer.program_text(prog))
+    src = FEATURE_SOURCES.get(name)
+    prog = corpus.load(name) if src is None else parser.parse_program(src)
+    again = parser.parse_program(program_text(prog))
     assert again == prog
 
 
@@ -27,7 +32,7 @@ def test_take_max_shape():
 def test_empty_input():
     prog = parser.parse_program("")
     assert prog.functions == {}
-    assert printer.program_text(prog) == ""
+    assert program_text(prog) == ""
 
 
 def test_undefined_goto_target():
@@ -45,7 +50,7 @@ def test_parse_error_has_position():
 
 def test_drop_statement_text():
     stmt = S.StmtInstr(S.Drop("x"), "L2")
-    assert printer.stmt_text(stmt) == "drop x; goto L2;"
+    assert stmt_text(stmt) == "drop x; goto L2;"
 
 
 def test_comments_and_whitespace():
@@ -89,18 +94,18 @@ def test_negative_literals():
 
 
 def test_type_precedence():
-    t = parser.parse_type("mu X. int * own X + unit")
+    t = parse_type("mu X. int * own X + unit")
     assert isinstance(t, S.Mu)
     assert isinstance(t.body, S.Sum)
     assert isinstance(t.body.left, S.Prod)
     # pointer binds tighter than product
-    t2 = parser.parse_type("own int * own int")
+    t2 = parse_type("own int * own int")
     assert isinstance(t2, S.Prod)
 
 
 def test_bool_sugar():
-    assert parser.parse_type("bool") == S.Sum(S.UNIT, S.UNIT)
-    assert printer.type_text(S.Sum(S.UNIT, S.UNIT)) == "bool"
+    assert parse_type("bool") == S.Sum(S.UNIT, S.UNIT)
+    assert S.type_text(S.Sum(S.UNIT, S.UNIT)) == "bool"
 
 
 def test_value_literals():

@@ -5,8 +5,10 @@ import pytest
 
 from corhorn import corpus, logic as L, parser, syntax as S, translate as T, typeck
 
+from helpers import parse_type
 
-LIST_T = parser.parse_type("mu X. int * own X + unit")
+
+LIST_T = parse_type("mu X. int * own X + unit")
 
 
 def test_size_of_product():
@@ -23,18 +25,18 @@ def test_size_of_list_type():
 
 
 def test_size_of_pointers_and_bool():
-    assert S.size_of(parser.parse_type("own int")) == 1
-    assert S.size_of(parser.parse_type("mut<'a> (int * int)")) == 1
+    assert S.size_of(parse_type("own int")) == 1
+    assert S.size_of(parse_type("mut<'a> (int * int)")) == 1
     assert S.size_of(S.BOOL) == 1
 
 
 def test_size_of_agrees_on_unfolding():
-    for t in (LIST_T, parser.parse_type("mu X. int * (own X * own X) + unit")):
+    for t in (LIST_T, parse_type("mu X. int * (own X * own X) + unit")):
         assert S.size_of(t) == S.size_of(S.unfold(t))
 
 
 def test_is_complete_guarded():
-    assert S.is_complete(parser.parse_type("mu X. own X"))
+    assert S.is_complete(parse_type("mu X. own X"))
     assert S.is_complete(S.INT)
     assert S.is_complete(LIST_T)
 
@@ -50,7 +52,7 @@ def test_is_complete_free_variable():
 
 def test_completeness_preserved_by_unfolding():
     for src in ("mu X. own X", "mu X. int * own X + unit"):
-        t = parser.parse_type(src)
+        t = parse_type(src)
         assert S.is_complete(S.unfold(t))
 
 
@@ -60,12 +62,12 @@ def test_size_of_incomplete_raises():
 
 
 def test_canon_type_alpha_equivalence():
-    a = parser.parse_type("mu X. own X")
-    b = parser.parse_type("mu Y. own Y")
+    a = parse_type("mu X. own X")
+    b = parse_type("mu Y. own Y")
     assert a != b
     assert S.canon(a) == S.canon(b)
-    c = parser.parse_type("mu X. mu Y. own (X * Y)")
-    d = parser.parse_type("mu P. mu Q. own (P * Q)")
+    c = parse_type("mu X. mu Y. own (X * Y)")
+    d = parse_type("mu P. mu Q. own (P * Q)")
     assert S.canon(c) == S.canon(d)
 
 
@@ -140,9 +142,9 @@ def test_unknown_function_is_a_cor_error():
 
 def test_types_and_sorts_are_interned():
     src = "mu X. own (int * mut<'a> X + unit)"
-    t = parser.parse_type(src)
-    assert parser.parse_type(src) is t
-    assert T.sort_of_type(t) is T.sort_of_type(parser.parse_type(src))
+    t = parse_type(src)
+    assert parse_type(src) is t
+    assert T.sort_of_type(t) is T.sort_of_type(parse_type(src))
     assert L.MuS("X", L.BoxS(L.SVar("X"))) is L.MuS("X", L.BoxS(L.SVar("X")))
     ptr = S.Ptr(S.MUT, "a", S.INT)
     assert S.Ptr(kind=S.MUT, lft="a", target=S.INT) is ptr
@@ -175,11 +177,11 @@ def test_unfold_mu_substitutes_once(monkeypatch):
 
 
 def test_subst_lifetimes_keys_on_own_lifetimes():
-    t = parser.parse_type("mut<'a> (immut<'b> int)")
+    t = parse_type("mut<'a> (immut<'b> int)")
     assert S.subst_lifetimes(S.INT, {"a": "c"}) is S.INT
     assert S.subst_lifetimes(t, {"x": "y"}) is t
     got = S.subst_lifetimes(t, {"a": "c", "x": "y"})
-    assert got is parser.parse_type("mut<'c> (immut<'b> int)")
+    assert got is parse_type("mut<'c> (immut<'b> int)")
     assert S.subst_lifetimes(t, {"a": "c"}) is got
 
 

@@ -6,10 +6,7 @@ from corhorn import corpus, logic as L, parser, smtlib, syntax as S, translate a
 from corhorn.logic import Atom, Clause
 
 from helpers import map_term_fields
-
-
-def Ty(src):
-    return parser.parse_type(src)
+from helpers import parse_type as Ty
 
 
 # -- sort erasure -----------------------------------------------------------

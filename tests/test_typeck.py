@@ -7,14 +7,11 @@ from corhorn import corpus, parser, syntax as S, typeck
 from corhorn.typeck import LftCtx, TypeCheckError, VarInfo, WholeCtx
 
 from helpers import HASH_SEEDS, python_under_hash_seed
+from helpers import parse_type as T
 
 
 LCTX_AB = LftCtx.make(["a", "b"], [("a", "b")])
 LCTX_A = LftCtx.make(["a"], [])
-
-
-def T(src):
-    return parser.parse_type(src)
 
 
 # -- subtyping ---------------------------------------------------------------
@@ -459,8 +456,14 @@ TYPE_ERROR_CASES = {
       entry: match *x { inj0 *a => goto L1, inj1 *b => goto L1 };
       L1: return x;
     }
-    """, "f:entry: [MatchOnNonSum] match needs a pointer to a sum type, "
-         "got Ptr(kind='own', lft=None, target=IntT())"),
+    """, "f:entry: [MatchOnNonSum] match needs a pointer to a sum type, got own int"),
+    "destruct_non_product": ("""
+    fn f(x: own int) -> own int {
+      entry: let *y = copy *x; goto L1;
+      L1: let (*a, *b) = *y; goto L2;
+      L2: return x;
+    }
+    """, "f:L1: [TypeMismatch] pair destruction needs a pointer to a product, got own int"),
     "constraint_unsatisfied": ("""
     fn g<'p, 'q | 'p <= 'q>(x: mut<'p> int) -> mut<'p> int {
       entry: return x;

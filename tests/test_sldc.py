@@ -793,25 +793,27 @@ def _step_successors(e):
 
 
 def _step_digest(e) -> str:
-    """SHA-256 over `_step_successors`, raw names included."""
+    """SHA-256 over `_step_successors`, raw names included; sorts hash
+    as their text, which names no Python class."""
     h = hashlib.sha256()
     for nxt in _step_successors(e):
-        h.update(repr((nxt.stack, nxt.result, sorted(nxt.sorts.items()))).encode())
+        sorts = [(x, L.render_sort(s)) for x, s in sorted(nxt.sorts.items())]
+        h.update(repr((nxt.stack, nxt.result, sorts)).encode())
     return h.hexdigest()
 
 
 # SHA-256 per corpus entry of _step_digest.
 PINNED_STEP_DIGESTS = {
-    "inc_max": "f0144ab0c8bd27b44b2446cd935e62cd2872018990c53949d86cc3aa493c50fa",
-    "inc_max_unsafe": "27c4942d64b8af0d81b2e3304c5675e6d9dfaf7d068ae834e2bd9793d9bd8673",
-    "just_rec": "edbaebfd96771e29f2f1b8590511ebcfc99ff56f46cc31e253d0fec75abd67b6",
-    "just_rec_unsafe": "c3a95c2e401bb0b62649ace88e4053235f63b244998df6c67d2c4a22ebb0b629",
-    "linger_dec": "9e478a97f6d55908cc469d4205d9217af5e1d798f8336d62e4718060e12c826b",
-    "linger_dec_unsafe": "57691446ae39edcabcb51b1b433f58e9e596975a9913d29f4793d8eca74a7a16",
-    "inc_some": "ef607cf9387db8ed73c74e77d7a8b46c3354ea62c964c45b063d45f5ddb240d0",
-    "inc_some_unsafe": "23bac5fb17a8bbad7e342d16a1a28fd4b33c16df6c481bc72d8a2a45c83ca69d",
-    "inc_some_t": "ddb0d24c110441fba99f409e3f3e53b918e1e5bea7e20aa24843cedf605aac60",
-    "inc_some_t_unsafe": "0d2760264bb423f3b4336666604f4735f947de22c1264e96d41de796e566c251",
+    "inc_max": "9830e46566d244b3050209628c636af306baadb7e0e2f32f0b3a6dc19abf1558",
+    "inc_max_unsafe": "30baf4f21fe684bdd42cba145a02fb7aa842afe477f01112f86c5a5663d75cb9",
+    "just_rec": "222a1926867a10713e6b95f3c22066d7125459bdc155ea122e0f4e55a98b3266",
+    "just_rec_unsafe": "9af43fdafcd11d6e147d2fc6449323b2d518c521a423dc662402a4ade8fddd07",
+    "linger_dec": "ee960c45029c33568dce30316979d0b801aaff15e79464b9e3988116b3130461",
+    "linger_dec_unsafe": "4376e555881fe2a761c7ccabd59f8d226b98c9aca107f4a4c1440b75c972e13c",
+    "inc_some": "6c40c117c88c611132d1381bf00fdd43329f2b2457ef4b5df68aec2a88f27019",
+    "inc_some_unsafe": "b7910f5dbfbdce209f64ce01e781c3f8fd6b280fa061735e79622f0f1c0d9c77",
+    "inc_some_t": "4c93e63783128d6c8247f1ec79bf71c995e1394190eec4a031c4a77f731fcc25",
+    "inc_some_t_unsafe": "2b2a1fac2327ad30f8f7339685620cab5b46b8688320ac153399e811010d2915",
 }
 
 
@@ -825,23 +827,24 @@ def _step_renaming_digest(e) -> str:
     `canon_config` and the sorts it records, without their names."""
     h = hashlib.sha256()
     for nxt in _step_successors(e):
-        h.update(repr((sldc.canon_config(nxt), sorted(map(repr, nxt.sorts.values())))).encode())
+        sorts = sorted(map(L.render_sort, nxt.sorts.values()))
+        h.update(repr((sldc.canon_config(nxt), sorts)).encode())
     return h.hexdigest()
 
 
 # SHA-256 per corpus entry of _step_renaming_digest: which side of a
 # unification is bound, and so which raw names survive, does not move it.
 PINNED_STEP_RENAMING_DIGESTS = {
-    "inc_max": "d6f828dd4619808917e4ed22dec8876ffd918bc118b80f241578dd89c807ef01",
-    "inc_max_unsafe": "3266d3383d504c3ef10e84c02dfb848f3a67904b0bc6df18b3e3b6c43becf725",
-    "just_rec": "beef4f1d61a76f876caeba45aefb2ebfe8794b1635b4dd08831addb7b93ce56e",
-    "just_rec_unsafe": "034e85c1886ac41a8a3a7d52e5a03414139f59feec415909ca6655d9e7151879",
-    "linger_dec": "175cb536f9f12291d55651bd2d9ac6d60982383bcee519882dad51dda3e6d927",
-    "linger_dec_unsafe": "8a9867124a0456a0d97c4ce82d95da40d5e7aeb685efe2cf3eb034af80340b76",
-    "inc_some": "507e747bc5e54e75d8ded1399a0ed6b2d8341c877e3983e0ed8014a6075d9fcf",
-    "inc_some_unsafe": "36bc4508cfdaa8f691700dee1845df756694fcc5b4780e26fec580f80e79c266",
-    "inc_some_t": "0b0fffc8d2d77cc5bf605b817bbb391fcfa65ee35b011546c53971a52ca620b4",
-    "inc_some_t_unsafe": "fda7f64d0afac30acf16e6bab6f0b417c0e6ee8bdd35bac34dd9f5d6e95bdc29",
+    "inc_max": "6370f5bce12733494535e9ccf58865781be037d5962f7a3e4931596589c6b95e",
+    "inc_max_unsafe": "0eabe8ae66e651bf4db25836e460b1a596c236543c7798f60941c6b4fdc5754c",
+    "just_rec": "3ba94aebd178e2b24fb15130d831380351544b7ef309a35e2d8be0dfee27d932",
+    "just_rec_unsafe": "96954409f8ea2ff18eba11d8f152fb05ca0fe438b33a7b0f8c7484d625b347bc",
+    "linger_dec": "8ed75f1c315475e97386bed47880ac4fbf988f8a16293344a0b309fa6da85182",
+    "linger_dec_unsafe": "cd7e2e0733701303d617f153883d9fd1edb8da988351eba9be3884fb7bcd7a56",
+    "inc_some": "38f53e4900afb3baed2864074dba09b6302e2d91396c03e571ac9c98a8380ffd",
+    "inc_some_unsafe": "891106f09e474eab69b5b6d449a36cda37e845470c99837ab3f6d0705be26693",
+    "inc_some_t": "d1f96b5cbd6e9466f2c5d9fd5c6c2e653e55a5d1ba83efdfc31382edbab37c74",
+    "inc_some_t_unsafe": "4a368d1e2c7085e71f86f3ed15551c8d1e169a5507e0bcfa2699985bddf3680c",
 }
 
 

@@ -315,12 +315,12 @@ def test_goal_attachment_well_sorted_for_all_corpus():
 # digest covers each clause's tag, binders (names, order, sorts) and
 # rendered text, then the SMT-LIB script.
 FEATURE_TRANSLATION_SHA256 = {
-    "swap_mm": "5f44bd2545880dab991c7c30b5bdd54f145ea85d95e5fc42e9a12a006b5acb37",
-    "dup_imm": "a22e66ffaef4fd9b3cef343ce10864d88f5309549a5de729eb2c9a83180d119b",
-    "read_thru": "a93c6b9bbd34de447fd9d9988382033af14f012e71c848b3cf4671a222321610",
-    "read_imm": "74510b06352bf463571de65139cee7d0f787411501602db0d25abadcea7d93ba",
-    "pair_mut": "91a6418cf075f4f55d44a99175e5b17c5e16855469cde55c10baadb926b23aa2",
-    "build_and_sum": "e63b9864f0bbad44fdf93a20f62fb3c5c00c64e6593bfa16c841af015fd3ff81",
+    "swap_mm": "cfb5264e2e73e0f36cfa6fba372040191008ba57eb9586f94cb93543ce273fdf",
+    "dup_imm": "29ba85324ab038253096a91135ceed9983b39c153d1926c887316a4aa9d5d911",
+    "read_thru": "055cc547f0a81a753eb95973cc24c6fca1d7a94700b7dfdf671d2fb0f2a9eb6a",
+    "read_imm": "46b314f8ff39a4b541cee9978332d2b175e850d8d241c7879659bb6ab51f3b7d",
+    "pair_mut": "ef1c571cd07d882de8fae09d9f4609c94db3b55ab5a9cfce32dd2dfc6bf6b1dc",
+    "build_and_sum": "4403a2ae643b4b43afcce27c5143ded5acb7160a70f966a9bc77aa2896f987e6",
 }
 
 
@@ -332,6 +332,7 @@ def test_feature_translations_pinned():
         sys = T.translate_program(parser.parse_program(src))
         h = hashlib.sha256()
         for c in sys.clauses:
-            h.update(f"{c.tag!r} {c.binders!r} {T.render_clause(c)}\n".encode())
+            binders = tuple((x, L.render_sort(s)) for x, s in c.binders)
+            h.update(f"{c.tag!r} {binders!r} {T.render_clause(c)}\n".encode())
         h.update(smtlib.emit_smt2(sys).encode())
         assert h.hexdigest() == FEATURE_TRANSLATION_SHA256[name], name

@@ -1,8 +1,9 @@
 """Multi-sorted constrained-Horn-clause logic.
 
-Sorts are trees over box/mut containers, sums, products, int and unit,
-with equi-recursive mu-sorts; substitution, unfolding and canonical
-renaming of mu-sorts are the binder walks `syntax` shares with types.
+A sort is a type whose pointers are box or mut: `BoxS` and `MutS` are
+the only nodes this module defines, and the sums, products, int, unit,
+type variables and equi-recursive mu-sorts are `syntax`'s own type
+nodes, so substitution, unfolding and canonical renaming are its walks.
 A clause has pattern arguments in its head and arbitrary term arguments
 in body atoms; there are no primitive constraints, arithmetic lives
 inside terms.  A clause with head None is a query (an implication to
@@ -51,45 +52,11 @@ class MutS(S.Interned):
     inner: "Sort"
 
 
-@dataclass(frozen=True, eq=False)
-class SumS(S.Interned):
-    left: "Sort"
-    right: "Sort"
+INT_S = S.INT
+UNIT_S = S.UNIT
+BOOL_S = S.BOOL
 
-
-@dataclass(frozen=True, eq=False)
-class ProdS(S.Interned):
-    left: "Sort"
-    right: "Sort"
-
-
-@dataclass(frozen=True, eq=False)
-class IntSort(S.Interned):
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class UnitSort(S.Interned):
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class SVar(S.Variable):
-    name: str
-
-
-@dataclass(frozen=True, eq=False)
-class MuS(S.Binder):
-    var: str
-    body: "Sort"
-    var_class = SVar
-
-
-INT_S = IntSort()
-UNIT_S = UnitSort()
-BOOL_S = SumS(UNIT_S, UNIT_S)
-
-Sort = Union[BoxS, MutS, SumS, ProdS, IntSort, UnitSort, SVar, MuS]
+Sort = Union[BoxS, MutS, S.Sum, S.Prod, S.IntT, S.UnitT, S.TypeVar, S.Mu]
 
 
 class IllSorted(S.CorError):
@@ -104,14 +71,8 @@ def sort_equiv(a: Sort, b: Sort, _seen: frozenset = frozenset()) -> bool:
         return True
     seen = _seen | {key}
     aw, bw = S.whnf(a), S.whnf(b)
-    if isinstance(aw, BoxS) and isinstance(bw, BoxS):
-        return sort_equiv(aw.inner, bw.inner, seen)
-    if isinstance(aw, MutS) and isinstance(bw, MutS):
-        return sort_equiv(aw.inner, bw.inner, seen)
-    if isinstance(aw, SumS) and isinstance(bw, SumS):
-        return sort_equiv(aw.left, bw.left, seen) and sort_equiv(aw.right, bw.right, seen)
-    if isinstance(aw, ProdS) and isinstance(bw, ProdS):
-        return sort_equiv(aw.left, bw.left, seen) and sort_equiv(aw.right, bw.right, seen)
+    if type(aw) is type(bw) and isinstance(aw, (BoxS, MutS, S.Sum, S.Prod)):
+        return all(sort_equiv(x, y, seen) for x, y in zip(S.children(aw), S.children(bw)))
     return S.canon(aw) == S.canon(bw)
 
 
@@ -120,26 +81,26 @@ def render_sort(s: Sort) -> str:
         return f"box {render_atom(s.inner)}"
     if isinstance(s, MutS):
         return f"mut {render_atom(s.inner)}"
-    if isinstance(s, SumS):
+    if isinstance(s, S.Sum):
         if s == BOOL_S:
             return "bool"
         return f"{render_atom(s.left)} + {render_atom(s.right)}"
-    if isinstance(s, ProdS):
+    if isinstance(s, S.Prod):
         return f"{render_atom(s.left)} * {render_atom(s.right)}"
-    if isinstance(s, IntSort):
+    if isinstance(s, S.IntT):
         return "int"
-    if isinstance(s, UnitSort):
+    if isinstance(s, S.UnitT):
         return "unit"
-    if isinstance(s, SVar):
+    if isinstance(s, S.TypeVar):
         return s.name
-    if isinstance(s, MuS):
+    if isinstance(s, S.Mu):
         return f"mu {s.var}. {render_sort(s.body)}"
     raise TypeError(f"not a sort: {s!r}")
 
 
 def render_atom(s: Sort) -> str:
     txt = render_sort(s)
-    if isinstance(s, (SumS, ProdS, MuS)) and s != BOOL_S:
+    if isinstance(s, (S.Sum, S.Prod, S.Mu)) and s != BOOL_S:
         return f"({txt})"
     return txt
 
@@ -186,16 +147,16 @@ def sort_of_term(delta: dict[str, Sort], t: V.Term, expect: Optional[Sort] = Non
         return MutS(cur)
     if isinstance(t, V.Inj):
         e = S.whnf(expect) if expect is not None else None
-        if not isinstance(e, SumS):
+        if not isinstance(e, S.Sum):
             raise IllSorted(f"cannot determine sum sort of {V.show(t)}")
         side = e.left if t.tag == 0 else e.right
         check_term(delta, t.payload, side)
         return e
     if isinstance(t, V.Pair):
         e = S.whnf(expect) if expect is not None else None
-        l = sort_of_term(delta, t.fst, e.left if isinstance(e, ProdS) else None)
-        r = sort_of_term(delta, t.snd, e.right if isinstance(e, ProdS) else None)
-        return ProdS(l, r)
+        l = sort_of_term(delta, t.fst, e.left if isinstance(e, S.Prod) else None)
+        r = sort_of_term(delta, t.snd, e.right if isinstance(e, S.Prod) else None)
+        return S.Prod(l, r)
     if isinstance(t, V.DerefT):
         inner = S.whnf(sort_of_term(delta, t.arg))
         if isinstance(inner, (BoxS, MutS)):
@@ -208,7 +169,7 @@ def sort_of_term(delta: dict[str, Sort], t: V.Term, expect: Optional[Sort] = Non
         raise IllSorted(f"^ applied to sort {render_sort(inner)}")
     if isinstance(t, V.ProjT):
         inner = S.whnf(sort_of_term(delta, t.arg))
-        if isinstance(inner, ProdS):
+        if isinstance(inner, S.Prod):
             return inner.left if t.index == 0 else inner.right
         raise IllSorted(f"projection applied to sort {render_sort(inner)}")
     if isinstance(t, V.BinOpT):
@@ -222,17 +183,17 @@ def sort_of_term(delta: dict[str, Sort], t: V.Term, expect: Optional[Sort] = Non
 
 def check_value(v: V.Value, s: Sort) -> bool:
     s = S.whnf(s)
-    if isinstance(s, IntSort):
+    if isinstance(s, S.IntT):
         return isinstance(v, int) and not isinstance(v, bool)
-    if isinstance(s, UnitSort):
+    if isinstance(s, S.UnitT):
         return isinstance(v, V.UnitVal)
     if isinstance(s, BoxS):
         return isinstance(v, V.Box) and check_value(v.inner, s.inner)
     if isinstance(s, MutS):
         return isinstance(v, V.MutPair) and check_value(v.cur, s.inner) and check_value(v.fin, s.inner)
-    if isinstance(s, SumS):
+    if isinstance(s, S.Sum):
         return isinstance(v, V.Inj) and check_value(v.payload, s.left if v.tag == 0 else s.right)
-    if isinstance(s, ProdS):
+    if isinstance(s, S.Prod):
         return isinstance(v, V.Pair) and check_value(v.fst, s.left) and check_value(v.snd, s.right)
     return False
 
@@ -407,7 +368,7 @@ def _void(s: Sort) -> bool:
     """Whether s has no finite value, each free variable taken as empty:
     the least fixpoint of mu X. b is empty just when b is, X empty."""
     parts = map(_void, S.children(s))
-    return isinstance(s, SVar) or (all if isinstance(s, SumS) else any)(parts)
+    return isinstance(s, S.TypeVar) or (all if isinstance(s, S.Sum) else any)(parts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -427,19 +388,19 @@ def _values(sort: Sort, spec: SampleSpec, depth: int) -> Iterator[V.Value]:
     """The values of `enumerate_values`, lazily and in its order: the
     first value of a mut or pair costs the values of its two parts."""
     s = S.whnf(sort)
-    if isinstance(s, IntSort):
+    if isinstance(s, S.IntT):
         yield from range(spec.int_lo, spec.int_hi + 1)
-    elif isinstance(s, UnitSort):
+    elif isinstance(s, S.UnitT):
         yield V.UNIT
     elif isinstance(s, BoxS):
         yield from map(V.Box, _values(s.inner, spec, depth))
     elif isinstance(s, MutS):
         inner = _values(s.inner, spec, depth)
         yield from itertools.starmap(V.MutPair, itertools.product(inner, repeat=2))
-    elif isinstance(s, ProdS):
+    elif isinstance(s, S.Prod):
         pairs = itertools.product(_values(s.left, spec, depth), _values(s.right, spec, depth))
         yield from itertools.starmap(V.Pair, pairs)
-    elif not isinstance(s, SumS):
+    elif not isinstance(s, S.Sum):
         raise Undefined(f"cannot enumerate sort {render_sort(sort)}")
     elif depth > 0:
         yield from (V.Inj(0, v) for v in _values(s.left, spec, depth - 1))
@@ -458,17 +419,17 @@ def count_values(sort: Sort, spec: SampleSpec, depth: Optional[int] = None) -> i
         _check_finite(sort)
         depth = spec.max_depth
     s = S.whnf(sort)
-    if isinstance(s, IntSort):
+    if isinstance(s, S.IntT):
         return spec.int_hi - spec.int_lo + 1
-    if isinstance(s, UnitSort):
+    if isinstance(s, S.UnitT):
         return 1
     if isinstance(s, BoxS):
         return count_values(s.inner, spec, depth)
     if isinstance(s, MutS):
         return count_values(s.inner, spec, depth) ** 2
-    if isinstance(s, ProdS):
+    if isinstance(s, S.Prod):
         return count_values(s.left, spec, depth) * count_values(s.right, spec, depth)
-    if isinstance(s, SumS):
+    if isinstance(s, S.Sum):
         if depth <= 0:
             return 0
         return count_values(s.left, spec, depth - 1) + count_values(s.right, spec, depth - 1)
@@ -484,19 +445,19 @@ def random_value(sort: Sort, spec: SampleSpec, rng: random.Random, depth: Option
     # their time here, and tests/test_logic.py checks that no sort class
     # has a subclass
     typ = type(s)
-    if typ is IntSort:
+    if typ is S.IntT:
         return rng.randint(spec.int_lo, spec.int_hi)
-    if typ is UnitSort:
+    if typ is S.UnitT:
         return V.UNIT
     if typ is BoxS:
         return V.Box(random_value(s.inner, spec, rng, depth))
     if typ is MutS:
         return V.MutPair(random_value(s.inner, spec, rng, depth),
                          random_value(s.inner, spec, rng, depth))
-    if typ is ProdS:
+    if typ is S.Prod:
         return V.Pair(random_value(s.left, spec, rng, depth),
                       random_value(s.right, spec, rng, depth))
-    if typ is SumS:
+    if typ is S.Sum:
         # prefer the cheaper side when the depth budget runs out
         sides = [(0, s.left), (1, s.right)]
         if depth <= 0:

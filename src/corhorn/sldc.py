@@ -190,7 +190,7 @@ def _expand_var(name: str, sorts: Mapping[str, Sort], renamer: Renamer):
     if isinstance(sort, L.MutS):
         c, p = renamer.fresh(name + "!c"), renamer.fresh(name + "!p")
         return V.MutPair(V.Var(c), V.Var(p)), {c: sort.inner, p: sort.inner}
-    if isinstance(sort, L.ProdS):
+    if isinstance(sort, S.Prod):
         a, b = renamer.fresh(name + "!0"), renamer.fresh(name + "!1")
         return V.Pair(V.Var(a), V.Var(b)), {a: sort.left, b: sort.right}
     raise CalculateError(f"cannot expand variable {name!r} of sort {L.render_sort(sort)}")
@@ -612,7 +612,7 @@ def _merge_pending(delta, binding, pending, spec):
                     options.append((name, [V.MutPair(cur, o) for o in dom]))
                 else:
                     options.append((name, [V.MutPair(o, fin) for o in dom]))
-        elif isinstance(sort, L.ProdS):
+        elif isinstance(sort, S.Prod):
             a, b = slot.get(("proj", 0)), slot.get(("proj", 1))
             if a is not None and b is not None:
                 binding[name] = V.Pair(a, b)

@@ -33,11 +33,13 @@ class EmitError(S.CorError):
     pass
 
 
-# The SMT datatype of each composite sort class: the prefix of its name,
-# then per constructor its selectors, each with the sort field it reads.
+# The SMT datatype of each composite sort node class (the unit, sum and
+# product nodes that sorts share with types, and logic's box and mut):
+# the prefix of its name, then per constructor its selectors, each with
+# the sort field it reads.
 # A datatype named N has constructors <ctor>_N and selectors <sel>_N.
 _DATATYPES = {
-    L.UnitSort: ("Unit", {
+    S.UnitT: ("Unit", {
         "mk": (),
     }),
     L.BoxS: ("Box", {
@@ -46,11 +48,11 @@ _DATATYPES = {
     L.MutS: ("Mut", {
         "mk": (("cur", "inner"), ("proph", "inner")),
     }),
-    L.SumS: ("Sum", {
+    S.Sum: ("Sum", {
         "inj0": (("pay0", "left"),),
         "inj1": (("pay1", "right"),),
     }),
-    L.ProdS: ("Prod", {
+    S.Prod: ("Prod", {
         "mk": (("fst", "left"), ("snd", "right")),
     }),
 }
@@ -103,7 +105,7 @@ class SortTable:
 
     def _name(self, sort: Sort) -> str:
         s = S.whnf(sort)
-        if isinstance(s, L.IntSort):
+        if isinstance(s, S.IntT):
             return "Int"
         shape = _shape(s)
         found = self._lookup(s, shape)
@@ -173,21 +175,21 @@ class _Emitter:
                 return t.name
             return str(t) if t >= 0 else f"(- {-t})"
         if isinstance(t, V.UnitVal):
-            return self._construct(t, delta, sort, L.UnitSort, "mk", ())
+            return self._construct(t, delta, sort, S.UnitT, "mk", ())
         if isinstance(t, V.Box):
             return self._construct(t, delta, sort, L.BoxS, "mk", (t.inner,))
         if isinstance(t, V.MutPair):
             return self._construct(t, delta, sort, L.MutS, "mk", (t.cur, t.fin))
         if isinstance(t, V.Inj):
-            return self._construct(t, delta, sort, L.SumS, f"inj{t.tag}", (t.payload,))
+            return self._construct(t, delta, sort, S.Sum, f"inj{t.tag}", (t.payload,))
         if isinstance(t, V.Pair):
-            return self._construct(t, delta, sort, L.ProdS, "mk", (t.fst, t.snd))
+            return self._construct(t, delta, sort, S.Prod, "mk", (t.fst, t.snd))
         if isinstance(t, V.DerefT):
             return self._select(t, delta, (L.BoxS, L.MutS), "cur")
         if isinstance(t, V.FinalT):
             return self._select(t, delta, (L.MutS,), "proph")
         if isinstance(t, V.ProjT):
-            return self._select(t, delta, (L.ProdS,), "fst" if t.index == 0 else "snd")
+            return self._select(t, delta, (S.Prod,), "fst" if t.index == 0 else "snd")
         if isinstance(t, V.BinOpT):
             a = self.term(t.left, delta, L.INT_S)
             b = self.term(t.right, delta, L.INT_S)

@@ -42,23 +42,13 @@ class TranslateError(S.CorError):
 
 @lru_cache(maxsize=None)
 def sort_of_type(t: S.Type) -> Sort:
-    """Erase lifetimes: own/immut -> box, mut -> mut, rest structurally."""
+    """Erase lifetimes: an own or immut pointer becomes a box, a mut
+    pointer a mut, and every other node stays, so a type that holds no
+    pointer is its own sort."""
     if isinstance(t, S.Ptr):
         inner = sort_of_type(t.target)
         return L.MutS(inner) if t.kind == S.MUT else L.BoxS(inner)
-    if isinstance(t, S.Sum):
-        return L.SumS(sort_of_type(t.left), sort_of_type(t.right))
-    if isinstance(t, S.Prod):
-        return L.ProdS(sort_of_type(t.left), sort_of_type(t.right))
-    if isinstance(t, S.IntT):
-        return L.INT_S
-    if isinstance(t, S.UnitT):
-        return L.UNIT_S
-    if isinstance(t, S.Mu):
-        return L.MuS(t.var, sort_of_type(t.body))
-    if isinstance(t, S.TypeVar):
-        return L.SVar(t.name)
-    raise TypeError(f"not a type: {t!r}")
+    return S.map_children(t, sort_of_type)
 
 
 def label_vars(wc: WholeCtx) -> list[str]:

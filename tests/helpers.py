@@ -217,7 +217,7 @@ def tree_sum(v) -> int:
     return 0
 
 
-LIST_SORT = L.MuS("X", L.SumS(L.ProdS(L.INT_S, L.BoxS(L.SVar("X"))), L.UNIT_S))
+LIST_SORT = S.Mu("X", S.Sum(S.Prod(L.INT_S, L.BoxS(S.TypeVar("X"))), L.UNIT_S))
 
 
 def sumf(xs: V.Value) -> int:

@@ -30,8 +30,8 @@ def test_sort_equiv_mu_unfolding():
 
 
 def test_sort_equiv_alpha():
-    a = L.MuS("X", L.BoxS(L.SVar("X")))
-    b = L.MuS("Y", L.BoxS(L.SVar("Y")))
+    a = S.Mu("X", L.BoxS(S.TypeVar("X")))
+    b = S.Mu("Y", L.BoxS(S.TypeVar("Y")))
     assert L.sort_equiv(a, b)
 
 
@@ -56,7 +56,7 @@ def test_sort_of_arith():
 def test_sort_of_inj_needs_expectation():
     with pytest.raises(L.IllSorted):
         L.sort_of_term({}, V.Inj(0, 3))
-    L.check_term({}, V.Inj(0, 3), L.SumS(L.INT_S, L.UNIT_S))
+    L.check_term({}, V.Inj(0, 3), S.Sum(L.INT_S, L.UNIT_S))
 
 
 def test_sort_check_through_mu():
@@ -96,7 +96,7 @@ def test_interpret_total_on_random_well_sorted_terms():
     rng = random.Random(7)
     spec = SampleSpec(-5, 5, max_depth=3)
     sorts = [L.INT_S, L.BoxS(L.INT_S), L.MutS(L.BOOL_S), LIST_SORT,
-             L.ProdS(L.INT_S, L.UNIT_S)]
+             S.Prod(L.INT_S, L.UNIT_S)]
     for _ in range(300):
         s = rng.choice(sorts)
         v = L.random_value(s, spec, rng)
@@ -106,7 +106,7 @@ def test_interpret_total_on_random_well_sorted_terms():
 
 def test_sort_classes_have_no_subclasses():
     # random_value dispatches on type(s) is C, which sees no subclass
-    for cls in (L.IntSort, L.UnitSort, L.BoxS, L.MutS, L.ProdS, L.SumS):
+    for cls in (S.IntT, S.UnitT, L.BoxS, L.MutS, S.Prod, S.Sum):
         assert cls.__subclasses__() == [], cls
 
 
@@ -375,7 +375,7 @@ def test_default_value_is_the_first_enumerated_value():
             sorts.update((S.canon(s), s) for s in sig)
     deep = L.UNIT_S
     for _ in range(6):
-        deep = L.SumS(deep, deep)
+        deep = S.Sum(deep, deep)
     for s in [*sorts.values(), deep]:
         d = SampleSpec().max_depth
         while not (values := L.enumerate_values(s, SampleSpec(0, 0, d))):

@@ -98,7 +98,7 @@ def test_var_head_keeps_rest_and_result_themselves():
 def test_match_arm_head_substitutes_rest():
     # p(box(inj0 c), y) <= q(c, y) against p(b, r): b binds to the head's
     # constructor, so the atoms and the result holding b are rebuilt
-    sum_s = L.SumS(L.INT_S, L.INT_S)
+    sum_s = S.Sum(L.INT_S, L.INT_S)
     c, y = V.Var("c"), V.Var("y")
     clause = Clause((("c", L.INT_S), ("y", L.INT_S)), Atom("p", (V.Box(V.Inj(0, c)), y)),
                     (Atom("q", (c, y)),))

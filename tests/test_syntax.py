@@ -145,7 +145,7 @@ def test_types_and_sorts_are_interned():
     t = parse_type(src)
     assert parse_type(src) is t
     assert T.sort_of_type(t) is T.sort_of_type(parse_type(src))
-    assert L.MuS("X", L.BoxS(L.SVar("X"))) is L.MuS("X", L.BoxS(L.SVar("X")))
+    assert S.Mu("X", L.BoxS(S.TypeVar("X"))) is S.Mu("X", L.BoxS(S.TypeVar("X")))
     ptr = S.Ptr(S.MUT, "a", S.INT)
     assert S.Ptr(kind=S.MUT, lft="a", target=S.INT) is ptr
     assert S.Ptr(S.MUT, target=S.INT, lft="a") is ptr
@@ -214,11 +214,11 @@ def test_lifetime_erasure_commutes_with_binder_walks():
 
 def test_subst_sort_capture_avoiding():
     # (mu Y. X * Y)[Y/X] must not capture the substituted Y
-    s = L.MuS("Y", L.ProdS(L.SVar("X"), L.SVar("Y")))
-    out = S.subst(s, "X", L.SVar("Y"))
-    assert isinstance(out, L.MuS)
+    s = S.Mu("Y", S.Prod(S.TypeVar("X"), S.TypeVar("Y")))
+    out = S.subst(s, "X", S.TypeVar("Y"))
+    assert isinstance(out, S.Mu)
     assert out.var != "Y"
-    assert out.body.left is L.SVar("Y")
+    assert out.body.left is S.TypeVar("Y")
 
 
 def test_subst_renames_binder_away_from_the_substituted_name():

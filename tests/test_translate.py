@@ -20,7 +20,7 @@ def test_sort_of_type_strips_lifetimes():
 
 def test_sort_of_type_mu_congruence():
     got = T.sort_of_type(Ty("mu X. int * own X + unit"))
-    want = L.MuS("X", L.SumS(L.ProdS(L.INT_S, L.BoxS(L.SVar("X"))), L.UNIT_S))
+    want = S.Mu("X", S.Sum(S.Prod(L.INT_S, L.BoxS(S.TypeVar("X"))), L.UNIT_S))
     assert got == want
 
 
@@ -217,7 +217,7 @@ def test_mu_types_translate_and_check():
     L.well_sorted_system(sys)
     entry_sig = sys.sigs["take_some!entry"]
     assert isinstance(entry_sig[0], L.MutS)
-    assert isinstance(entry_sig[0].inner, L.MuS)
+    assert isinstance(entry_sig[0].inner, S.Mu)
     # the unfolded context type at L1 is sort-equivalent to the folded one
     l1_sig = sys.sigs["take_some!L1"]
     assert L.sort_equiv(l1_sig[0], entry_sig[0])

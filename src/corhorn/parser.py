@@ -37,6 +37,12 @@ _TOKEN_RE = re.compile(
 )
 
 
+# The tallest type a program may write, in nodes on its longest path
+# (`int` is 1, `own int` 2): the walks over types and sorts recurse once
+# or more per level, and past about 240 levels exceed Python's stack.
+MAX_TYPE_HEIGHT = 128
+
+
 class Token(NamedTuple):
     kind: str  # 'ident' | 'lft' | 'int' | 'punct' | 'eof'
     text: str
@@ -111,18 +117,26 @@ class _Parser:
 
     # -- types -------------------------------------------------------------
 
+    def bounded(self, t: S.Type, tok: Token) -> S.Type:
+        """t, the type that starts at tok, unless it is taller than
+        MAX_TYPE_HEIGHT.  Every node the parser builds passes here, so
+        each height is cached before its parent's is asked for."""
+        if S.height(t) > MAX_TYPE_HEIGHT:
+            self.error(f"type taller than {MAX_TYPE_HEIGHT} nodes", tok)
+        return t
+
     def type_(self) -> S.Type:
+        tok = self.peek()
         t = self.prod_type()
         while self.accept("punct", "+"):
-            t2 = self.prod_type()
-            t = S.Sum(t, t2)
+            t = self.bounded(S.Sum(t, self.prod_type()), tok)
         return t
 
     def prod_type(self) -> S.Type:
+        tok = self.peek()
         t = self.atom_type()
         while self.accept("punct", "*"):
-            t2 = self.atom_type()
-            t = S.Prod(t, t2)
+            t = self.bounded(S.Prod(t, self.atom_type()), tok)
         return t
 
     def atom_type(self) -> S.Type:
@@ -134,21 +148,21 @@ class _Parser:
         if self.accept("ident", "bool"):
             return S.BOOL
         if self.accept("ident", "own"):
-            return S.own(self.atom_type())
+            return self.bounded(S.own(self.atom_type()), tok)
         if self.accept("ident", "mut"):
             self.expect("punct", "<")
             lft = self.expect("lft").text
             self.expect("punct", ">")
-            return S.mut(lft, self.atom_type())
+            return self.bounded(S.mut(lft, self.atom_type()), tok)
         if self.accept("ident", "immut"):
             self.expect("punct", "<")
             lft = self.expect("lft").text
             self.expect("punct", ">")
-            return S.immut(lft, self.atom_type())
+            return self.bounded(S.immut(lft, self.atom_type()), tok)
         if self.accept("ident", "mu"):
             var = self.ident("type variable")
             self.expect("punct", ".")
-            return S.Mu(var, self.type_())
+            return self.bounded(S.Mu(var, self.type_()), tok)
         if self.accept("punct", "("):
             t = self.type_()
             self.expect("punct", ")")

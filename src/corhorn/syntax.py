@@ -9,10 +9,11 @@ lifetime variables.
 This module defines the type and instruction ASTs plus the structural
 utilities the rest of the pipeline needs: memory size of a type,
 completeness of recursive types, and the surface text of a type, which
-error messages print.  It also holds the hash-consed node base that
-types and CHC sorts share, and the walks over their mu-binders:
-capture-avoiding substitution, unfolding, and a canonical form for
-comparing nodes up to renaming of binders.
+error messages print.  It also holds the hash-consed node base and the
+walks over mu-binders: capture-avoiding substitution, unfolding, and a
+canonical form for comparing nodes up to renaming of binders.  CHC
+sorts reuse these type nodes: a sort is a type whose pointers are
+`logic`'s box and mut nodes.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def check_ident(name: str, what: str = "identifier") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Interned nodes and the binder walks shared by types and sorts
+# Interned nodes and the binder walks
 # ---------------------------------------------------------------------------
 
 _INTERNED: dict[tuple, "Interned"] = {}
@@ -120,6 +121,12 @@ class Binder(Interned):
 def children(t: Interned) -> tuple:
     """The node-valued fields of t, in field order."""
     return tuple(f for f in t.__reduce__()[1] if isinstance(f, Interned))
+
+
+@lru_cache(maxsize=None)
+def height(t: Interned) -> int:
+    """The number of nodes on t's longest path from the root."""
+    return 1 + max(map(height, children(t)), default=0)
 
 
 def map_children(t: Interned, fn) -> Interned:

@@ -464,6 +464,38 @@ def test_deeply_nested_argument_exit_2(capsys, argv):
     assert (code, out, err) == (2, "", "error: input nested too deeply\n")
 
 
+def _tall_program(tmp_path, chain, height):
+    """A program whose parameter and result type is `height` nodes tall,
+    as a chain of owns or as summands under one own, and an argument."""
+    if chain == "own":
+        ty, arg = "own " * (height - 1) + "int", "box(" * (height - 1) + "1" + ")" * (height - 1)
+    else:
+        ty, arg = "own (" + " + ".join(["int"] * (height - 1)) + ")", "box(inj1 5)"
+    path = tmp_path / f"tall{height}.cor"
+    path.write_text(f"fn f(x: {ty}) -> {ty} {{ entry: return x; }}")
+    return str(path), arg
+
+
+TALL_COMMANDS = [["check"], ["translate"], ["translate", "--format", "smt2"],
+                 ["run", "--fn", "f"], ["run-abstract", "--fn", "f", "--check-safety"],
+                 ["oracle", "--fn", "f"], ["bisim", "--fn", "f", "--runs", "3"]]
+
+
+@pytest.mark.parametrize("chain", ["own", "sum"])
+def test_type_height_bound(capsys, tmp_path, chain):
+    # every command handles the tallest type the parser takes; one node
+    # more is a parse error at the type, not a RecursionError past parsing
+    for height, want in ((parser.MAX_TYPE_HEIGHT, 0), (parser.MAX_TYPE_HEIGHT + 1, 2)):
+        path, arg = _tall_program(tmp_path, chain, height)
+        for command, *flags in TALL_COMMANDS:
+            args = ["--args", arg] if command.startswith("run") else []
+            code, out, err = run_cli(capsys, command, path, *flags, *args)
+            assert code == want, (height, command)
+            if want:
+                want_err = f"error: 1:9: type taller than {parser.MAX_TYPE_HEIGHT} nodes (got 'own')\n"
+                assert (out, err) == ("", want_err)
+
+
 def test_recursion_error_past_parsing_propagates(monkeypatch):
     # Only parsing the command line's input blames the input; a
     # RecursionError anywhere else is a fault and keeps its traceback.

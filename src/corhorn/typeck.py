@@ -368,11 +368,7 @@ def type_instruction(
 
     if isinstance(instr, S.BinOpInstr):
         for x in (instr.x, instr.x2):
-            vi = wc.gamma.get(x)
-            if vi is None:
-                _err("UnknownVariable", f"variable {x!r} not in context")
-            if not vi.active:
-                _err("FrozenVariable", f"variable {x!r} is frozen")
+            vi = _take_active(wc, x, "FrozenVariable")
             if not (isinstance(vi.ty, S.Ptr) and isinstance(S.whnf(vi.ty.target), S.IntT)):
                 _err("TypeMismatch", f"operand {x!r} must point at int")
         _bind_fresh(gamma, instr.y, VarInfo(S.own(S.op_result_type(instr.op))))

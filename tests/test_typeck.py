@@ -500,6 +500,14 @@ TYPE_ERROR_CASES = {
       L3: return x;
     }
     """, "f:L2: [FrozenVariable] variable 'x' is frozen until 'a"),
+    "binop_of_frozen": ("""
+    fn f(x: own int) -> own int {
+      entry: intro 'a; goto L1;
+      L1: let m = mutbor 'a x; goto L2;
+      L2: let *y = *x + *x; goto L3;
+      L3: return x;
+    }
+    """, "f:L2: [FrozenVariable] variable 'x' is frozen until 'a"),
 }
 
 

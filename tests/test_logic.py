@@ -106,8 +106,19 @@ def test_interpret_total_on_random_well_sorted_terms():
 
 def test_sort_classes_have_no_subclasses():
     # random_value dispatches on type(s) is C, which sees no subclass
-    for cls in (S.IntT, S.UnitT, L.BoxS, L.MutS, S.Prod, S.Sum):
+    for cls in (S.IntT, S.UnitT, S.Sum, S.Prod, L.BoxS, L.MutS):
         assert cls.__subclasses__() == [], cls
+
+
+def test_logic_defines_no_node_class_but_box_and_mut():
+    # sorts are type nodes with box and mut pointers, not a node family
+    # of their own
+    family, todo = set(), [S.Interned]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        family.update(subs)
+        todo += subs
+    assert {cls for cls in family if cls.__module__ == L.__name__} == {L.BoxS, L.MutS}
 
 
 @pytest.mark.parametrize("term", [

@@ -212,6 +212,21 @@ def test_lifetime_erasure_commutes_with_binder_walks():
         assert S.whnf(T.sort_of_type(t)) is T.sort_of_type(S.whnf(t)), t
 
 
+def test_a_type_is_its_own_sort_exactly_when_it_holds_no_pointer():
+    def holds_ptr(t):
+        return isinstance(t, S.Ptr) or any(map(holds_ptr, S.children(t)))
+
+    nodes, todo = set(), list(_context_types())
+    while todo:
+        t = todo.pop()
+        if t not in nodes:
+            nodes.add(t)
+            todo += S.children(t)
+    assert {holds_ptr(t) for t in nodes} == {True, False}
+    for t in nodes:
+        assert (T.sort_of_type(t) is t) == (not holds_ptr(t)), t
+
+
 def test_subst_sort_capture_avoiding():
     # (mu Y. X * Y)[Y/X] must not capture the substituted Y
     s = S.Mu("Y", S.Prod(S.TypeVar("X"), S.TypeVar("Y")))

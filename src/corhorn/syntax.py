@@ -106,17 +106,6 @@ class Interned(metaclass=_Interning):
         return self
 
 
-class Variable(Interned):
-    """Base of a family's variable node, which has one field, `name`."""
-
-
-class Binder(Interned):
-    """Base of a family's equi-recursive mu node, with fields `var` and
-    `body`; `var_class` is the family's Variable subclass."""
-
-    var_class: type
-
-
 @lru_cache(maxsize=None)
 def children(t: Interned) -> tuple:
     """The node-valued fields of t, in field order."""
@@ -138,9 +127,9 @@ def map_children(t: Interned, fn) -> Interned:
 
 def subst(t: Interned, var: str, repl: Interned) -> Interned:
     """t[repl/var], capture-avoiding for mu-binders."""
-    if isinstance(t, Variable):
+    if isinstance(t, TypeVar):
         return repl if t.name == var else t
-    if isinstance(t, Binder):
+    if isinstance(t, Mu):
         if t.var == var:
             return t
         if t.var in free_vars(repl):
@@ -149,15 +138,15 @@ def subst(t: Interned, var: str, repl: Interned) -> Interned:
             taken = free_vars(repl) | free_vars(t.body) | {var}
             while fresh in taken:
                 fresh += "_"
-            t = type(t)(fresh, subst(t.body, t.var, t.var_class(fresh)))
+            t = Mu(fresh, subst(t.body, t.var, TypeVar(fresh)))
     return map_children(t, lambda c: subst(c, var, repl))
 
 
 def free_vars(t: Interned) -> frozenset[str]:
-    if isinstance(t, Variable):
+    if isinstance(t, TypeVar):
         return frozenset({t.name})
     out = frozenset().union(*map(free_vars, children(t)))
-    return out - {t.var} if isinstance(t, Binder) else out
+    return out - {t.var} if isinstance(t, Mu) else out
 
 
 @lru_cache(maxsize=None)
@@ -170,18 +159,18 @@ def canon(t: Interned) -> Interned:
     """
 
     def walk(u: Interned, env: dict[str, str], depth: int) -> Interned:
-        if isinstance(u, Variable):
-            return type(u)(env.get(u.name, u.name))
-        if isinstance(u, Binder):
+        if isinstance(u, TypeVar):
+            return TypeVar(env.get(u.name, u.name))
+        if isinstance(u, Mu):
             name = f"X!{depth}"
-            return type(u)(name, walk(u.body, {**env, u.var: name}, depth + 1))
+            return Mu(name, walk(u.body, {**env, u.var: name}, depth + 1))
         return map_children(u, lambda c: walk(c, env, depth))
 
     return walk(t, {}, 0)
 
 
 @lru_cache(maxsize=None)
-def unfold(t: Binder) -> Interned:
+def unfold(t: "Mu") -> Interned:
     """mu X. b to b[mu X. b/X]."""
     return subst(t.body, t.var, t)
 
@@ -189,7 +178,7 @@ def unfold(t: Binder) -> Interned:
 @lru_cache(maxsize=None)
 def whnf(t: Interned) -> Interned:
     """Unfold top-level mu-binders until a constructor appears."""
-    while isinstance(t, Binder):
+    while isinstance(t, Mu):
         t = unfold(t)
     return t
 
@@ -204,15 +193,14 @@ IMMUT = "immut"
 
 
 @dataclass(frozen=True, eq=False)
-class TypeVar(Variable):
+class TypeVar(Interned):
     name: str
 
 
 @dataclass(frozen=True, eq=False)
-class Mu(Binder):
+class Mu(Interned):
     var: str
     body: "Type"
-    var_class = TypeVar
 
 
 @dataclass(frozen=True, eq=False)

@@ -220,6 +220,13 @@ def tree_sum(v) -> int:
 LIST_SORT = S.Mu("X", S.Sum(S.Prod(L.INT_S, L.BoxS(S.TypeVar("X"))), L.UNIT_S))
 
 
+def sort_key(s) -> tuple:
+    """A sort as nested tuples of each node's class name and fields: what
+    the pinned digests hash, so no printer's choices move them."""
+    cls, fields = s.__reduce__()
+    return (cls.__name__, *(sort_key(f) if isinstance(f, S.Interned) else f for f in fields))
+
+
 def sumf(xs: V.Value) -> int:
     total = 0
     while isinstance(xs, V.Inj) and xs.tag == 0:

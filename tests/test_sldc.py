@@ -12,7 +12,7 @@ from corhorn import aos, corpus, logic as L, parser, sldc, syntax as S, translat
 from corhorn.logic import Atom, CHCSystem, Clause, SampleSpec
 
 from helpers import (canon_config_reference, fresh_copy, is_pattern_reference, map_term_fields,
-                     var_names_reference)
+                     sort_key, var_names_reference)
 
 
 @pytest.fixture(scope="module")
@@ -794,26 +794,26 @@ def _step_successors(e):
 
 def _step_digest(e) -> str:
     """SHA-256 over `_step_successors`, raw names included; sorts hash
-    as their text, which names no Python class."""
+    as their `sort_key`."""
     h = hashlib.sha256()
     for nxt in _step_successors(e):
-        sorts = [(x, L.render_sort(s)) for x, s in sorted(nxt.sorts.items())]
+        sorts = [(x, sort_key(s)) for x, s in sorted(nxt.sorts.items())]
         h.update(repr((nxt.stack, nxt.result, sorts)).encode())
     return h.hexdigest()
 
 
 # SHA-256 per corpus entry of _step_digest.
 PINNED_STEP_DIGESTS = {
-    "inc_max": "9830e46566d244b3050209628c636af306baadb7e0e2f32f0b3a6dc19abf1558",
-    "inc_max_unsafe": "30baf4f21fe684bdd42cba145a02fb7aa842afe477f01112f86c5a5663d75cb9",
-    "just_rec": "222a1926867a10713e6b95f3c22066d7125459bdc155ea122e0f4e55a98b3266",
-    "just_rec_unsafe": "9af43fdafcd11d6e147d2fc6449323b2d518c521a423dc662402a4ade8fddd07",
-    "linger_dec": "ee960c45029c33568dce30316979d0b801aaff15e79464b9e3988116b3130461",
-    "linger_dec_unsafe": "4376e555881fe2a761c7ccabd59f8d226b98c9aca107f4a4c1440b75c972e13c",
-    "inc_some": "6c40c117c88c611132d1381bf00fdd43329f2b2457ef4b5df68aec2a88f27019",
-    "inc_some_unsafe": "b7910f5dbfbdce209f64ce01e781c3f8fd6b280fa061735e79622f0f1c0d9c77",
-    "inc_some_t": "4c93e63783128d6c8247f1ec79bf71c995e1394190eec4a031c4a77f731fcc25",
-    "inc_some_t_unsafe": "2b2a1fac2327ad30f8f7339685620cab5b46b8688320ac153399e811010d2915",
+    "inc_max": "6f0016605545d29e1040304ff6d64b664f3b7b0a900c0cd5f80503f4b4846af8",
+    "inc_max_unsafe": "20ccdbe6c48fdbd47623ca1ee897d8eb9b8c75e38995c34ca518b610afe6b883",
+    "just_rec": "61e449636f0b3734e968d14e59e869475d30304ae3704f205e7a868b282b56a9",
+    "just_rec_unsafe": "3155330765f6aabf1d3a7c469e1ccb3d25932e4c448513155c91b4e51dc73be1",
+    "linger_dec": "9fe3e363060b6b5dc8533b3dc71ccefeef1e1a9edee7cdb4d7eeb7fdf75413cd",
+    "linger_dec_unsafe": "864d7b06722955f04d9a1751dfabaa85de44250b7ad28668f3d7db385311093c",
+    "inc_some": "8c0f265030eddf37470e10cad9a62b3213ad9c9433aacd526f5794bb3d2961ab",
+    "inc_some_unsafe": "13b6c47aab3490c649fb54d957b2c57e325a93f97a8ba3e9883575fa259c5ae3",
+    "inc_some_t": "2faf5cc9640d21460d0ea60d01a6453508400e855f181e26cea1186b8d230558",
+    "inc_some_t_unsafe": "2ebfc46a558f7b097137ecbe4134bc1e24a81cb4e2869d87aaff0667c4015109",
 }
 
 
@@ -827,7 +827,7 @@ def _step_renaming_digest(e) -> str:
     `canon_config` and the sorts it records, without their names."""
     h = hashlib.sha256()
     for nxt in _step_successors(e):
-        sorts = sorted(map(L.render_sort, nxt.sorts.values()))
+        sorts = sorted(map(sort_key, nxt.sorts.values()))
         h.update(repr((sldc.canon_config(nxt), sorts)).encode())
     return h.hexdigest()
 
@@ -835,16 +835,16 @@ def _step_renaming_digest(e) -> str:
 # SHA-256 per corpus entry of _step_renaming_digest: which side of a
 # unification is bound, and so which raw names survive, does not move it.
 PINNED_STEP_RENAMING_DIGESTS = {
-    "inc_max": "6370f5bce12733494535e9ccf58865781be037d5962f7a3e4931596589c6b95e",
-    "inc_max_unsafe": "0eabe8ae66e651bf4db25836e460b1a596c236543c7798f60941c6b4fdc5754c",
-    "just_rec": "3ba94aebd178e2b24fb15130d831380351544b7ef309a35e2d8be0dfee27d932",
-    "just_rec_unsafe": "96954409f8ea2ff18eba11d8f152fb05ca0fe438b33a7b0f8c7484d625b347bc",
-    "linger_dec": "8ed75f1c315475e97386bed47880ac4fbf988f8a16293344a0b309fa6da85182",
-    "linger_dec_unsafe": "cd7e2e0733701303d617f153883d9fd1edb8da988351eba9be3884fb7bcd7a56",
-    "inc_some": "38f53e4900afb3baed2864074dba09b6302e2d91396c03e571ac9c98a8380ffd",
-    "inc_some_unsafe": "891106f09e474eab69b5b6d449a36cda37e845470c99837ab3f6d0705be26693",
-    "inc_some_t": "d1f96b5cbd6e9466f2c5d9fd5c6c2e653e55a5d1ba83efdfc31382edbab37c74",
-    "inc_some_t_unsafe": "4a368d1e2c7085e71f86f3ed15551c8d1e169a5507e0bcfa2699985bddf3680c",
+    "inc_max": "97f50ae88b502af789622213c45e5434f0dbe4e6ca40e8ee6e351799185d1adb",
+    "inc_max_unsafe": "ca5a3f8fb2ed14a3a5b43878fbec028aef1a8dc3382df43bdaabe34052df68fb",
+    "just_rec": "a85ccdaeb6c86b3f83e26c4b17247bc56ce37f488d1c06e4985c483521fd1cc7",
+    "just_rec_unsafe": "fb27417d82cc471eedeb0d92b71d9930c38d86648eba8846baba401d842e0a3b",
+    "linger_dec": "d82f9889af999e2d21db58a53b0fbe085afa1c3746bb859f1af5e1e9da1c4f12",
+    "linger_dec_unsafe": "cb9a5211ca66f4ed5dd146abde4701eccb08d396afb24a474fd9f200e6b15128",
+    "inc_some": "f75b327d3c2f7ddfb4c357ee27fe7d41a4a5140b5d023e21098720c183cdbaf5",
+    "inc_some_unsafe": "b9bcb8a1caa5f26af86ddbaba10c3e9d1c8cf56d32a33cca80f6835f32bbdd48",
+    "inc_some_t": "a1cdb2ae3121b1c8023ce232b4e52f801ae030a6bd3765393c51b790afbb0d9f",
+    "inc_some_t_unsafe": "15aaf17e798eb9f5d8384e1bbd3276c48eec10628e2c717a1be6f0dfffc6896b",
 }
 
 

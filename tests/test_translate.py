@@ -5,7 +5,7 @@ import pytest
 from corhorn import corpus, logic as L, parser, smtlib, syntax as S, translate as T, typeck, values as V
 from corhorn.logic import Atom, Clause
 
-from helpers import map_term_fields
+from helpers import map_term_fields, sort_key
 from helpers import parse_type as Ty
 
 
@@ -312,15 +312,15 @@ def test_goal_attachment_well_sorted_for_all_corpus():
 
 # The corpus has no `let *y = x`, `(*x0, *x1)`, `'a <= 'b`, mut swap or
 # deref of a mut-of-mut / mut-of-immut; the feature programs do.  The
-# digest covers each clause's tag, binders (names, order, sorts) and
-# rendered text, then the SMT-LIB script.
+# digest covers each clause's tag, binders (names, order, `sort_key`s)
+# and rendered text, then the SMT-LIB script.
 FEATURE_TRANSLATION_SHA256 = {
-    "swap_mm": "cfb5264e2e73e0f36cfa6fba372040191008ba57eb9586f94cb93543ce273fdf",
-    "dup_imm": "29ba85324ab038253096a91135ceed9983b39c153d1926c887316a4aa9d5d911",
-    "read_thru": "055cc547f0a81a753eb95973cc24c6fca1d7a94700b7dfdf671d2fb0f2a9eb6a",
-    "read_imm": "46b314f8ff39a4b541cee9978332d2b175e850d8d241c7879659bb6ab51f3b7d",
-    "pair_mut": "ef1c571cd07d882de8fae09d9f4609c94db3b55ab5a9cfce32dd2dfc6bf6b1dc",
-    "build_and_sum": "4403a2ae643b4b43afcce27c5143ded5acb7160a70f966a9bc77aa2896f987e6",
+    "swap_mm": "d376d93342c1f2ec3ef64617af7e081749d602e456214f6e99d70e2b603cb114",
+    "dup_imm": "ae5caf9eee595739606a918abda87587853199c0befeccef075e142e22375fe8",
+    "read_thru": "06e3ef5795bf16cef6990b88d0af8e895bb28f2317024a2b1c0f4cea437b67dd",
+    "read_imm": "c5fc500d9eda91bdcfe7f5756e35e114811875081dbe095c6ac67c231455ebac",
+    "pair_mut": "dc35f0e7c61abf33f059497dff2f519a7e04fb6a6ecdab3d42ec33eafe35a7b9",
+    "build_and_sum": "424a9e169756cc6d72a36bcf26961803e07c0bfd6678286c96bdfd12362c600c",
 }
 
 
@@ -332,7 +332,7 @@ def test_feature_translations_pinned():
         sys = T.translate_program(parser.parse_program(src))
         h = hashlib.sha256()
         for c in sys.clauses:
-            binders = tuple((x, L.render_sort(s)) for x, s in c.binders)
+            binders = tuple((x, sort_key(s)) for x, s in c.binders)
             h.update(f"{c.tag!r} {binders!r} {T.render_clause(c)}\n".encode())
         h.update(smtlib.emit_smt2(sys).encode())
         assert h.hexdigest() == FEATURE_TRANSLATION_SHA256[name], name

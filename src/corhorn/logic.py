@@ -3,7 +3,9 @@
 A sort is a type whose pointers are box or mut: `BoxS` and `MutS` are
 the only nodes this module defines, and the sums, products, int, unit,
 type variables and equi-recursive mu-sorts are `syntax`'s own type
-nodes, so substitution, unfolding and canonical renaming are its walks.
+nodes, so substitution, unfolding and canonical renaming are its walks,
+`syntax.type_text` prints a sort, and `sort_equiv` is the type
+checker's equi-recursive `typeck.subtype`.
 A clause has pattern arguments in its head and arbitrary term arguments
 in body atoms; there are no primitive constraints, arithmetic lives
 inside terms.  A clause with head None is a query (an implication to
@@ -31,9 +33,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, ClassVar, Iterator, Optional, Union
 
 from . import syntax as S
+from . import typeck
 from . import values as V
 
 
@@ -45,11 +48,13 @@ from . import values as V
 @dataclass(frozen=True, eq=False)
 class BoxS(S.Interned):
     inner: "Sort"
+    keyword: ClassVar[str] = "box"
 
 
 @dataclass(frozen=True, eq=False)
 class MutS(S.Interned):
     inner: "Sort"
+    keyword: ClassVar[str] = "mut"
 
 
 INT_S = S.INT
@@ -63,46 +68,14 @@ class IllSorted(S.CorError):
     pass
 
 
-def sort_equiv(a: Sort, b: Sort, _seen: frozenset = frozenset()) -> bool:
+_NO_LIFETIMES = typeck.LftCtx.empty()
+
+
+def sort_equiv(a: Sort, b: Sort) -> bool:
     """Equality up to unfolding mu-sorts (the congruence generated by
-    mu X.s ~ s[mu X.s/X]); decided coinductively."""
-    key = (S.canon(a), S.canon(b))
-    if key[0] == key[1] or key in _seen:
-        return True
-    seen = _seen | {key}
-    aw, bw = S.whnf(a), S.whnf(b)
-    if type(aw) is type(bw) and isinstance(aw, (BoxS, MutS, S.Sum, S.Prod)):
-        return all(sort_equiv(x, y, seen) for x, y in zip(S.children(aw), S.children(bw)))
-    return S.canon(aw) == S.canon(bw)
-
-
-def render_sort(s: Sort) -> str:
-    if isinstance(s, BoxS):
-        return f"box {render_atom(s.inner)}"
-    if isinstance(s, MutS):
-        return f"mut {render_atom(s.inner)}"
-    if isinstance(s, S.Sum):
-        if s == BOOL_S:
-            return "bool"
-        return f"{render_atom(s.left)} + {render_atom(s.right)}"
-    if isinstance(s, S.Prod):
-        return f"{render_atom(s.left)} * {render_atom(s.right)}"
-    if isinstance(s, S.IntT):
-        return "int"
-    if isinstance(s, S.UnitT):
-        return "unit"
-    if isinstance(s, S.TypeVar):
-        return s.name
-    if isinstance(s, S.Mu):
-        return f"mu {s.var}. {render_sort(s.body)}"
-    raise TypeError(f"not a sort: {s!r}")
-
-
-def render_atom(s: Sort) -> str:
-    txt = render_sort(s)
-    if isinstance(s, (S.Sum, S.Prod, S.Mu)) and s != BOOL_S:
-        return f"({txt})"
-    return txt
+    mu X.s ~ s[mu X.s/X]): `typeck.subtype`, whose rules on a sort, which
+    has no Cor pointer, are all covariant and so symmetric."""
+    return typeck.subtype(_NO_LIFETIMES, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +87,7 @@ def check_term(delta: dict[str, Sort], t: V.Term, expect: Sort) -> None:
     """Check t against the expected sort (raises IllSorted)."""
     got = sort_of_term(delta, t, expect)
     if not sort_equiv(got, expect):
-        raise IllSorted(f"term {V.show(t)} has sort {render_sort(got)}, expected {render_sort(expect)}")
+        raise IllSorted(f"term {V.show(t)} has sort {S.type_text(got)}, expected {S.type_text(expect)}")
 
 
 def sort_of_term(delta: dict[str, Sort], t: V.Term, expect: Optional[Sort] = None) -> Sort:
@@ -143,7 +116,7 @@ def sort_of_term(delta: dict[str, Sort], t: V.Term, expect: Optional[Sort] = Non
         cur = sort_of_term(delta, t.cur, inner)
         fin = sort_of_term(delta, t.fin, inner)
         if not sort_equiv(cur, fin):
-            raise IllSorted(f"mut components disagree: {render_sort(cur)} vs {render_sort(fin)}")
+            raise IllSorted(f"mut components disagree: {S.type_text(cur)} vs {S.type_text(fin)}")
         return MutS(cur)
     if isinstance(t, V.Inj):
         e = S.whnf(expect) if expect is not None else None
@@ -161,17 +134,17 @@ def sort_of_term(delta: dict[str, Sort], t: V.Term, expect: Optional[Sort] = Non
         inner = S.whnf(sort_of_term(delta, t.arg))
         if isinstance(inner, (BoxS, MutS)):
             return inner.inner
-        raise IllSorted(f"*applied to sort {render_sort(inner)}")
+        raise IllSorted(f"*applied to sort {S.type_text(inner)}")
     if isinstance(t, V.FinalT):
         inner = S.whnf(sort_of_term(delta, t.arg))
         if isinstance(inner, MutS):
             return inner.inner
-        raise IllSorted(f"^ applied to sort {render_sort(inner)}")
+        raise IllSorted(f"^ applied to sort {S.type_text(inner)}")
     if isinstance(t, V.ProjT):
         inner = S.whnf(sort_of_term(delta, t.arg))
         if isinstance(inner, S.Prod):
             return inner.left if t.index == 0 else inner.right
-        raise IllSorted(f"projection applied to sort {render_sort(inner)}")
+        raise IllSorted(f"projection applied to sort {S.type_text(inner)}")
     if isinstance(t, V.BinOpT):
         check_term(delta, t.left, INT_S)
         check_term(delta, t.right, INT_S)
@@ -380,7 +353,7 @@ def _check_finite(sort: Sort) -> None:
     for s in parts:  # grows as it is walked
         s = S.whnf(s)
         if _void(s):
-            raise Undefined(f"sort {render_sort(s)} has no finite value")
+            raise Undefined(f"sort {S.type_text(s)} has no finite value")
         parts += [p for p in S.children(s) if p not in parts]
 
 
@@ -401,7 +374,7 @@ def _values(sort: Sort, spec: SampleSpec, depth: int) -> Iterator[V.Value]:
         pairs = itertools.product(_values(s.left, spec, depth), _values(s.right, spec, depth))
         yield from itertools.starmap(V.Pair, pairs)
     elif not isinstance(s, S.Sum):
-        raise Undefined(f"cannot enumerate sort {render_sort(sort)}")
+        raise Undefined(f"cannot enumerate sort {S.type_text(sort)}")
     elif depth > 0:
         yield from (V.Inj(0, v) for v in _values(s.left, spec, depth - 1))
         yield from (V.Inj(1, v) for v in _values(s.right, spec, depth - 1))
@@ -433,7 +406,7 @@ def count_values(sort: Sort, spec: SampleSpec, depth: Optional[int] = None) -> i
         if depth <= 0:
             return 0
         return count_values(s.left, spec, depth - 1) + count_values(s.right, spec, depth - 1)
-    raise Undefined(f"cannot count sort {render_sort(sort)}")
+    raise Undefined(f"cannot count sort {S.type_text(sort)}")
 
 
 def random_value(sort: Sort, spec: SampleSpec, rng: random.Random, depth: Optional[int] = None) -> V.Value:
@@ -465,7 +438,7 @@ def random_value(sort: Sort, spec: SampleSpec, rng: random.Random, depth: Option
             sides = finite or sides
         tag, side = rng.choice(sides)
         return V.Inj(tag, random_value(side, spec, rng, max(depth - 1, 0)))
-    raise Undefined(f"cannot sample sort {render_sort(sort)}")
+    raise Undefined(f"cannot sample sort {S.type_text(sort)}")
 
 
 def valuations(sorts: list[Sort], spec: SampleSpec, rng: random.Random,
@@ -492,7 +465,7 @@ def default_value(sort: Sort, spec: Optional[SampleSpec] = None) -> V.Value:
     for depth in range(spec.max_depth, spec.max_depth + 8):
         for v in _values(sort, SampleSpec(0, 0, depth), depth):
             return v
-    raise Undefined(f"no inhabitant found for {render_sort(sort)}")
+    raise Undefined(f"no inhabitant found for {S.type_text(sort)}")
 
 
 @dataclass

@@ -193,7 +193,7 @@ def _expand_var(name: str, sorts: Mapping[str, Sort], renamer: Renamer):
     if isinstance(sort, S.Prod):
         a, b = renamer.fresh(name + "!0"), renamer.fresh(name + "!1")
         return V.Pair(V.Var(a), V.Var(b)), {a: sort.left, b: sort.right}
-    raise CalculateError(f"cannot expand variable {name!r} of sort {L.render_sort(sort)}")
+    raise CalculateError(f"cannot expand variable {name!r} of sort {S.type_text(sort)}")
 
 
 def _map_atoms(atoms: Iterable[Atom], fn) -> tuple[Atom, ...]:
@@ -482,7 +482,7 @@ def enumerate_results(
         raise L.IllSorted(f"{pred} expects {len(sig) - 1} inputs")
     for v, s in zip(inputs, sig):
         if not L.check_value(v, s):
-            raise L.IllSorted(f"input {V.show(v)} does not have sort {L.render_sort(s)}")
+            raise L.IllSorted(f"input {V.show(v)} does not have sort {S.type_text(s)}")
     renamer = Renamer()
     index = sys.by_pred()
     merge = Merge(ignored_positions(index))

@@ -125,7 +125,7 @@ class SortTable:
 
     def _make_name(self, s: Sort) -> str:
         if type(s) not in _DATATYPES:
-            raise EmitError(f"cannot name sort {L.render_sort(s)}")
+            raise EmitError(f"cannot name sort {S.type_text(s)}")
         prefix, _ = _DATATYPES[type(s)]
         return "_".join([prefix] + [self.name(c) for c in S.children(s)])
 
@@ -170,7 +170,7 @@ class _Emitter:
         if isinstance(t, (int, V.Var)):
             own = L.INT_S if isinstance(t, int) else delta.get(t.name)
             if own is not sort and (own is None or self.table.name(own) != self.table.name(sort)):
-                raise EmitError(f"{V.show(t)} at sort {L.render_sort(sort)}")
+                raise EmitError(f"{V.show(t)} at sort {S.type_text(sort)}")
             if isinstance(t, V.Var):
                 return t.name
             return str(t) if t >= 0 else f"(- {-t})"
@@ -203,7 +203,7 @@ class _Emitter:
     def _construct(self, t, delta, sort: Sort, sort_class: type, ctor: str, args: tuple) -> str:
         s = S.whnf(sort)
         if not isinstance(s, sort_class):
-            raise EmitError(f"{V.show(t)} at sort {L.render_sort(s)}")
+            raise EmitError(f"{V.show(t)} at sort {S.type_text(s)}")
         name = self.table.name(s)
         _, ctors = _DATATYPES[sort_class]
         parts = [self.term(a, delta, getattr(s, f)) for a, (_, f) in zip(args, ctors[ctor])]
@@ -212,7 +212,7 @@ class _Emitter:
     def _select(self, t, delta, sort_classes: tuple, sel: str) -> str:
         s = S.whnf(L.sort_of_term(delta, t.arg))
         if not isinstance(s, sort_classes):
-            raise EmitError(f"{V.show(t)} at argument sort {L.render_sort(s)}")
+            raise EmitError(f"{V.show(t)} at argument sort {S.type_text(s)}")
         return f"({sel}_{self.table.name(s)} {self.term(t.arg, delta, s)})"
 
     def atom(self, atom: Atom, delta: dict[str, Sort]) -> str:

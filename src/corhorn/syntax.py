@@ -8,12 +8,13 @@ lifetime variables.
 
 This module defines the type and instruction ASTs plus the structural
 utilities the rest of the pipeline needs: memory size of a type,
-completeness of recursive types, and the surface text of a type, which
-error messages print.  It also holds the hash-consed node base and the
-walks over mu-binders: capture-avoiding substitution, unfolding, and a
-canonical form for comparing nodes up to renaming of binders.  CHC
-sorts reuse these type nodes: a sort is a type whose pointers are
-`logic`'s box and mut nodes.
+completeness of recursive types, and the surface text of a type or a
+sort, which error messages print.  It also holds the hash-consed node
+base and the walks over mu-binders: capture-avoiding substitution,
+unfolding, and a canonical form for comparing nodes up to renaming of
+binders.  CHC sorts reuse these type nodes: a sort is a type whose
+pointers are `logic`'s box and mut nodes, each a one-child node that
+names its own keyword, so this module imports nothing from `logic`.
 """
 
 from __future__ import annotations
@@ -255,7 +256,9 @@ def immut(lft: str, t: Type) -> Ptr:
 
 
 def type_text(t: Type) -> str:
-    """t in the surface syntax, which the parser reads back as t."""
+    """t in the surface syntax, which the parser reads back as t when t
+    is a type; a sort's box and mut print as their keyword before the
+    pointee, which no type is written as."""
     return _type_text(t, 0)
 
 
@@ -282,7 +285,8 @@ def _type_text(t: Type, prec: int) -> str:
         return "int"
     if isinstance(t, UnitT):
         return "unit"
-    raise TypeError(f"not a type: {t!r}")
+    (child,) = children(t)  # a sort's box or mut
+    return f"{t.keyword} {_type_text(child, 2)}"
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,10 @@ weakening, programs say `x as T` where they need it.
 The rules raise a `TypeCheckError` without a location; `type_program`,
 which knows the function and label it is typing, adds both.  Programs
 are well-formed by construction (`syntax.Program`).
+
+`subtype` has pointer rules and one covariant rule for every other
+node, so on sorts it is `logic.sort_equiv`; `is_copy` is the one Copy
+test, which both `copy` and `drop` ask.
 """
 
 from __future__ import annotations
@@ -145,11 +149,12 @@ def _subtype(lft: LftCtx, t: Type, u: Type, _seen: frozenset) -> bool:
                 and _subtype(lft, uw.target, tw.target, seen)
             )
         return False
-    if isinstance(tw, S.Sum) and isinstance(uw, S.Sum):
-        return _subtype(lft, tw.left, uw.left, seen) and _subtype(lft, tw.right, uw.right, seen)
-    if isinstance(tw, S.Prod) and isinstance(uw, S.Prod):
-        return _subtype(lft, tw.left, uw.left, seen) and _subtype(lft, tw.right, uw.right, seen)
-    return S.canon(tw) == S.canon(uw)
+    # every other node is covariant: its class, its other fields, and
+    # its node fields related pairwise
+    (tc, tf), (uc, uf) = tw.__reduce__(), uw.__reduce__()
+    return tc is uc and all(
+        _subtype(lft, a, b, seen) if isinstance(a, S.Interned) else a == b for a, b in zip(tf, uf)
+    )
 
 
 def type_equiv(lft: LftCtx, t: Type, u: Type) -> bool:
@@ -168,20 +173,6 @@ def is_copy(t: Type) -> bool:
     if isinstance(t, S.Mu):
         return is_copy(t.body)
     # a bare type variable is only reachable for incomplete types
-    return False
-
-
-def _has_unguarded_owner(t: Type) -> bool:
-    """True if t contains an owning pointer or mutable reference not
-    hidden behind an immutable reference (the drop side condition)."""
-    if isinstance(t, S.Ptr):
-        if t.kind in (S.OWN, S.MUT):
-            return True
-        return False  # immut guards everything beneath it
-    if isinstance(t, S.Mu):
-        return _has_unguarded_owner(t.body)
-    if isinstance(t, (S.Sum, S.Prod)):
-        return _has_unguarded_owner(t.left) or _has_unguarded_owner(t.right)
     return False
 
 
@@ -244,7 +235,7 @@ def type_instruction(
     if isinstance(instr, S.Drop):
         vi = _take_active(wc, instr.x, "FrozenVariable")
         t = vi.ty
-        if isinstance(t, S.Ptr) and t.kind == S.OWN and _has_unguarded_owner(t.target):
+        if isinstance(t, S.Ptr) and t.kind == S.OWN and not is_copy(t.target):
             _err(
                 "DropOfBorrowGuardedOwn",
                 "cannot drop an owner whose payload holds unguarded owners or mut refs",

@@ -906,7 +906,7 @@ def _shown_enumerations() -> dict[str, list[tuple[tuple, int]]]:
             inputs = tuple(corpus.random_inputs(prog, fn, rng, ENUM_SPEC))
             out = sldc.enumerate_results(system, pred, inputs, depth=depth, width=ENUM_WIDTH,
                                          spec=ENUM_SPEC)
-            shown = [(V.show(p), sorted((x, L.render_sort(s)) for x, s in sorts.items()))
+            shown = [(V.show(p), sorted((x, S.type_text(s)) for x, s in sorts.items()))
                      for p, sorts in out.patterns]
             rows.setdefault(name, []).append(((shown, out.budget_exceeded), out.steps))
     return rows

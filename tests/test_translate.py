@@ -85,7 +85,7 @@ def clause_canon(c: Clause):
     for atom in ((c.head,) if c.head else ()) + c.body:
         atoms.append((atom.pred, tuple(V.show(walk(a)) for a in atom.args)))
     sorts = tuple(
-        sorted(L.render_sort(S.canon(s)) for x, s in c.binders if x in mapping)
+        sorted(S.type_text(S.canon(s)) for x, s in c.binders if x in mapping)
     )
     return tuple(atoms), sorts
 

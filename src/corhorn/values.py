@@ -216,12 +216,18 @@ def map_children(t: Term, fn) -> Term:
 
 def subst_absvars(t: Term, mapping: dict[int, Term]) -> Term:
     """t with the abstract variables bound in mapping replaced; t
-    itself when it has none of them."""
-    if type(t) is AbsVar:
-        return mapping.get(t.uid, t)
-    if type(t) in _CHILDREN:
-        return map_children(t, lambda k: subst_absvars(k, mapping))
-    return t
+    itself when it has none of them.  Two frames per level, the walk
+    and its `_MAP` entry, so the abstract interpreter resolves a
+    prophecy inside a deep value."""
+
+    def walk(u: Term) -> Term:
+        typ = type(u)
+        if typ is AbsVar:
+            return mapping.get(u.uid, u)
+        m = _MAP.get(typ)
+        return m(u, walk) if m else u
+
+    return walk(t)
 
 
 def subst_vars(t: Term, mapping: dict[str, Term]) -> Term:

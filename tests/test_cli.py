@@ -122,6 +122,19 @@ def test_run_abstract_with_safety(capsys):
     assert json.loads(out)["value"] == {"box": {"inj": [1, "unit"]}}
 
 
+def test_run_abstract_returns_on_a_long_list(capsys):
+    # 85 cells, each three term levels deep: resolving a prophecy walks
+    # 255 levels of the list, which once overflowed the Python stack
+    xs = "box(inj1 ())"
+    for i in reversed(range(85)):
+        xs = f"box(inj0 ({i}, {xs}))"
+    argv = (str(corpus.source_path("inc_some")), "--fn", "inc_some", "--args", xs)
+    want = (0, "returned box(inj1 ()) after 2179 steps\n", "")
+    assert run_cli(capsys, "run", *argv) == want
+    assert run_cli(capsys, "run-abstract", *argv) == want
+    assert run_cli(capsys, "run-abstract", *argv, "--check-safety") == want
+
+
 def test_run_fuel_exhaustion_exit(capsys):
     code, out, _ = run_cli(
         capsys, "run", INC_MAX, "--fn", "inc_max", "--args", "box(4),box(3)",

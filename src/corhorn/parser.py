@@ -38,8 +38,9 @@ _TOKEN_RE = re.compile(
 
 
 # The tallest type a program may write, in nodes on its longest path
-# (`int` is 1, `own int` 2): the walks over types and sorts recurse once
-# or more per level, and past about 240 levels exceed Python's stack.
+# (`int` is 1, `own int` 2), and the tallest unfolding of a mu-type it
+# may write: the walks over types and sorts recurse once or more per
+# level, and past about 240 levels exceed Python's stack.
 MAX_TYPE_HEIGHT = 128
 
 
@@ -118,11 +119,13 @@ class _Parser:
     # -- types -------------------------------------------------------------
 
     def bounded(self, t: S.Type, tok: Token) -> S.Type:
-        """t, the type that starts at tok, unless it is taller than
-        MAX_TYPE_HEIGHT.  Every node the parser builds passes here, so
-        each height is cached before its parent's is asked for."""
-        if S.height(t) > MAX_TYPE_HEIGHT:
-            self.error(f"type taller than {MAX_TYPE_HEIGHT} nodes", tok)
+        """t, the type that starts at tok, unless it, or its unfolding
+        when it is a mu-type, is taller than MAX_TYPE_HEIGHT: unfolding
+        can double a height.  Every node the parser builds passes here,
+        so each height is cached before its parent's is asked for."""
+        mu = isinstance(t, S.Mu)
+        if S.height(S.unfold(t) if mu else t) > MAX_TYPE_HEIGHT:
+            self.error(f"type taller than {MAX_TYPE_HEIGHT} nodes" + " once unfolded" * mu, tok)
         return t
 
     def type_(self) -> S.Type:

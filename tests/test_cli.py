@@ -479,11 +479,18 @@ def test_deeply_nested_argument_exit_2(capsys, argv):
 
 def _tall_program(tmp_path, chain, height):
     """A program whose parameter and result type is `height` nodes tall,
-    as a chain of owns or as summands under one own, and an argument."""
+    as a chain of owns or as summands under one own, or holds a mu-type
+    whose unfolding is `height` or, if that is odd, `height` + 1 nodes
+    tall; and an argument."""
     if chain == "own":
         ty, arg = "own " * (height - 1) + "int", "box(" * (height - 1) + "1" + ")" * (height - 1)
-    else:
+    elif chain == "sum":
         ty, arg = "own (" + " + ".join(["int"] * (height - 1)) + ")", "box(inj1 5)"
+    else:
+        # mu X. own^k (X + unit) is k + 3 nodes tall and unfolds to 2k + 4
+        k = (height - 3) // 2
+        ty = f"own (mu X. {'own ' * k}(X + unit))"
+        arg = "box(" * (k + 1) + "inj1 ()" + ")" * (k + 1)
     path = tmp_path / f"tall{height}.cor"
     path.write_text(f"fn f(x: {ty}) -> {ty} {{ entry: return x; }}")
     return str(path), arg
@@ -494,10 +501,14 @@ TALL_COMMANDS = [["check"], ["translate"], ["translate", "--format", "smt2"],
                  ["oracle", "--fn", "f"], ["bisim", "--fn", "f", "--runs", "3"]]
 
 
-@pytest.mark.parametrize("chain", ["own", "sum"])
+@pytest.mark.parametrize("chain", ["own", "sum", "mu"])
 def test_type_height_bound(capsys, tmp_path, chain):
-    # every command handles the tallest type the parser takes; one node
-    # more is a parse error at the type, not a RecursionError past parsing
+    # every command handles the tallest type the parser takes, and the
+    # mu-type with the tallest unfolding; one node more (one own more in
+    # the mu-type) is a parse error at the type, not a RecursionError
+    # past parsing
+    taller = f"type taller than {parser.MAX_TYPE_HEIGHT} nodes"
+    where = f"1:14: {taller} once unfolded (got 'mu')" if chain == "mu" else f"1:9: {taller} (got 'own')"
     for height, want in ((parser.MAX_TYPE_HEIGHT, 0), (parser.MAX_TYPE_HEIGHT + 1, 2)):
         path, arg = _tall_program(tmp_path, chain, height)
         for command, *flags in TALL_COMMANDS:
@@ -505,8 +516,7 @@ def test_type_height_bound(capsys, tmp_path, chain):
             code, out, err = run_cli(capsys, command, path, *flags, *args)
             assert code == want, (height, command)
             if want:
-                want_err = f"error: 1:9: type taller than {parser.MAX_TYPE_HEIGHT} nodes (got 'own')\n"
-                assert (out, err) == ("", want_err)
+                assert (out, err) == ("", f"error: {where}\n")
 
 
 def test_recursion_error_past_parsing_propagates(monkeypatch):

@@ -35,6 +35,17 @@ def test_sort_equiv_alpha():
     assert L.sort_equiv(a, b)
 
 
+def test_sorts_print_in_the_type_grammar():
+    # one printer for types and sorts: box and mut print as their keyword
+    # before the pointee, under the type grammar's precedence
+    assert S.type_text(LIST_SORT) == "mu X. int * box X + unit"
+    assert S.type_text(L.MutS(L.BoxS(L.INT_S))) == "mut box int"
+    assert S.type_text(L.BOOL_S) == "bool"
+    with pytest.raises(L.IllSorted) as err:
+        L.check_term({"x": L.MutS(L.BoxS(L.INT_S))}, V.Var("x"), LIST_SORT)
+    assert str(err.value) == "term x has sort mut box int, expected mu X. int * box X + unit"
+
+
 # -- term sorting ----------------------------------------------------------------
 
 

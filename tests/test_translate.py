@@ -324,15 +324,19 @@ FEATURE_TRANSLATION_SHA256 = {
 }
 
 
+def _feature_digest(src: str) -> str:
+    sys = T.translate_program(parser.parse_program(src))
+    h = hashlib.sha256()
+    for c in sys.clauses:
+        binders = tuple((x, sort_key(s)) for x, s in c.binders)
+        h.update(f"{c.tag!r} {binders!r} {T.render_clause(c)}\n".encode())
+    h.update(smtlib.emit_smt2(sys).encode())
+    return h.hexdigest()
+
+
 def test_feature_translations_pinned():
     from test_features import CASES
 
     assert {c[0] for c in CASES} == set(FEATURE_TRANSLATION_SHA256)
     for name, src, *_ in CASES:
-        sys = T.translate_program(parser.parse_program(src))
-        h = hashlib.sha256()
-        for c in sys.clauses:
-            binders = tuple((x, sort_key(s)) for x, s in c.binders)
-            h.update(f"{c.tag!r} {binders!r} {T.render_clause(c)}\n".encode())
-        h.update(smtlib.emit_smt2(sys).encode())
-        assert h.hexdigest() == FEATURE_TRANSLATION_SHA256[name], name
+        assert _feature_digest(src) == FEATURE_TRANSLATION_SHA256[name], name

@@ -479,9 +479,9 @@ def test_deeply_nested_argument_exit_2(capsys, argv):
 
 def _tall_program(tmp_path, chain, height):
     """A program whose parameter and result type is `height` nodes tall,
-    as a chain of owns or as summands under one own, or holds a mu-type
-    whose unfolding is `height` or, if that is odd, `height` + 1 nodes
-    tall; and an argument."""
+    as a chain of owns or as summands under one own, or holds a chain of
+    owns in a mu-type whose unfolding is `height` nodes tall (`height`
+    + 1 when `height` is odd); and an argument."""
     if chain == "own":
         ty, arg = "own " * (height - 1) + "int", "box(" * (height - 1) + "1" + ")" * (height - 1)
     elif chain == "sum":

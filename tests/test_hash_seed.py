@@ -12,7 +12,7 @@ TESTS = str(Path(__file__).resolve().parent)
 # Prints, per corpus entry, the digests that the step, step-up-to-renaming,
 # enumeration and run/lockstep pins compare; then the feature translation
 # digests, the SMT-LIB script digests, and one oracle and one bisim report.
-DRIVER = f"""
+PRINT_DIGESTS = f"""
 import contextlib, hashlib, io, sys
 sys.path.insert(0, {TESTS!r})
 import test_features, test_harness, test_sldc, test_smtlib, test_translate
@@ -37,7 +37,7 @@ for command, entry, fn, flags in [("oracle", "linger_dec", "linger_dec_main", ["
 
 def test_pinned_outputs_do_not_depend_on_the_hash_seed():
     with concurrent.futures.ThreadPoolExecutor(2) as pool:
-        procs = list(pool.map(lambda seed: python_under_hash_seed(seed, "-c", DRIVER), (1, 2)))
+        procs = list(pool.map(lambda seed: python_under_hash_seed(seed, "-c", PRINT_DIGESTS), (1, 2)))
     for proc in procs:
         assert proc.returncode == 0, proc.stderr
     assert procs[0].stdout == procs[1].stdout

@@ -21,9 +21,10 @@ inputs from it, and the model check its clause valuations.
 The term forms *t, ^t, t.i and the operators get their meaning from one
 redex rule, `reduce`, and `apply_op` alone turns an operator's result
 into an int or V.TRUE/V.FALSE.  Every term evaluator is a walk plus that
-rule: `interpret_term` here, `sldc.simplify` in the resolution engine,
-and the prophecy interpreter's binop rule.  The rule lives here rather
-than in `values`, which imports no other module of the package.
+rule: `interpret_term` here, `subst_reduce` (substitution and reduction
+in one walk) for the resolution engine, and the prophecy interpreter's
+binop rule.  The rule lives here rather than in `values`, which imports
+no other module of the package.
 """
 
 from __future__ import annotations
@@ -300,6 +301,18 @@ def reduce(t: V.Term) -> V.Term:
     elif typ is V.BinOpT and type(t.left) is int and type(t.right) is int:
         return apply_op(t.op, t.left, t.right)
     return t
+
+
+def subst_reduce(t: V.Term, theta: dict[str, V.Term]) -> V.Term:
+    """t with the variables bound in theta replaced by their terms, which
+    should be patterns, and `reduce` applied to each node as it is
+    rebuilt, innermost first.  t itself when neither changes it; only a
+    value (a closed pattern) is returned without a walk."""
+    if type(t) is V.Var:
+        return theta.get(t.name, t)
+    if V.is_pattern(t) and V.is_closed(t):
+        return t
+    return reduce(V.map_children(t, lambda k: subst_reduce(k, theta)))
 
 
 def interpret_term(valuation: dict[str, V.Value], t: V.Term) -> V.Value:
@@ -622,4 +635,4 @@ def refine_default(p: V.Term, delta: dict[str, Sort], spec: Optional[SampleSpec]
     """Instantiate the don't-care variables of a result pattern with
     default values of their sorts."""
     spec = spec or SampleSpec()
-    return V.subst_vars(p, {x: default_value(delta[x], spec) for x in V.vars_in(p)})
+    return subst_reduce(p, {x: default_value(delta[x], spec) for x in V.vars_in(p)})

@@ -10,12 +10,13 @@ binds each to the goal's argument without unification, as the WAM's
 `get_variable` does (Warren 1983).  The rest of the stack and the result
 take only the bindings of configuration variables, and are kept as
 themselves when there are none.  The step replaces the first entry by
-the clause's body atoms, and then "calculates": reduces redexes like
-*box(t) or 3 + 4 by the one redex rule `logic.reduce`, expands a
-variable that blocks a *, ^ or projection redex into the constructor
-skeleton its sort decides (box, mut or pair of fresh variables), and
-branches over a bounded integer range when arithmetic is stuck on a
-symbolic operand (the engine's documented incompleteness boundary).
+the clause's body atoms and "calculates": one walk (`logic.subst_reduce`)
+binds the body's variables and reduces redexes like *box(t) or 3 + 4 by
+the one redex rule `logic.reduce`, and calculation expands a variable
+that blocks a *, ^ or projection redex into the constructor skeleton
+its sort decides (box, mut or pair of fresh variables), and branches
+over a bounded integer range when arithmetic is stuck on a symbolic
+operand (the engine's documented incompleteness boundary).
 Calculation normalizes only the clause body: clause heads are patterns,
 so the unifier maps variables to patterns and the rest of the stack and
 the result stay patterns.
@@ -107,6 +108,12 @@ class Sorts(Mapping):
     def __iter__(self):
         return iter(self._flat())
 
+    def items(self):
+        return self._flat().items()
+
+    def values(self):
+        return self._flat().values()
+
     def __len__(self) -> int:
         return len(self._flat())
 
@@ -150,16 +157,8 @@ def canon_config(cfg: ResConfig) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def simplify(t: V.Term) -> V.Term:
-    """t with its redexes reduced by `logic.reduce`, innermost first; t
-    itself when it has none, as a pattern has none."""
-    if V.is_pattern(t):
-        return t
-    return L.reduce(V.map_children(t, simplify))
-
-
 def _find_stuck(t: V.Term) -> Optional[tuple[V.Term, str]]:
-    """The innermost redex of a simplified t that a variable operand
+    """The innermost redex of a reduced t that a variable operand
     blocks, and that variable's name (the left operand's first); None
     when no variable blocks one."""
     if V.is_pattern(t):
@@ -196,19 +195,13 @@ def _expand_var(name: str, sorts: Mapping[str, Sort], renamer: Renamer):
     raise CalculateError(f"cannot expand variable {name!r} of sort {S.type_text(sort)}")
 
 
-def _map_atoms(atoms: Iterable[Atom], fn) -> tuple[Atom, ...]:
-    """The atoms with fn applied to every argument; an atom whose
-    arguments fn all returns unchanged is kept as itself."""
+def _subst_atoms(atoms: Iterable[Atom], theta: dict[str, V.Term]) -> tuple[Atom, ...]:
+    """The atoms through `logic.subst_reduce`; an atom it leaves unchanged is kept as itself."""
     out = []
     for a in atoms:
-        args = tuple([fn(x) for x in a.args])
+        args = tuple([L.subst_reduce(x, theta) for x in a.args])
         out.append(a if all(map(operator.is_, args, a.args)) else Atom(a.pred, args))
     return tuple(out)
-
-
-def _subst_atoms(atoms: Iterable[Atom], mapping: dict[str, V.Term]) -> tuple[Atom, ...]:
-    """The atoms with mapping applied; an atom it leaves unchanged is kept as itself."""
-    return _map_atoms(atoms, lambda x: V.subst_vars(x, mapping))
 
 
 _COMPARISONS = frozenset({">=", "<=", "<", ">", "==", "!="})
@@ -278,11 +271,12 @@ def _first_stuck(body: tuple[Atom, ...]) -> Optional[tuple[V.Term, str]]:
 
 
 def calculate(
-    body: tuple[Atom, ...], rest: tuple[Atom, ...], result: V.Term,
-    sorts: Mapping[str, Sort], renamer: Renamer, spec: SampleSpec,
+    body: tuple[Atom, ...], theta: dict[str, V.Term], rest: tuple[Atom, ...],
+    result: V.Term, sorts: Mapping[str, Sort], renamer: Renamer, spec: SampleSpec,
     merge: Optional[Merge] = None,
 ) -> list[ResConfig]:
-    """Normalize the pre-resolutive configuration with stack body + rest
+    """Normalize the pre-resolutive configuration with stack body + rest,
+    theta applied to body in the walk that reduces it (`_subst_atoms`),
     until every stack atom argument is a pattern.  May branch on stuck
     arithmetic, one branch per integer, or with `merge` one per class of
     `_branch_classes`: only the first value of a class is built, which is
@@ -295,8 +289,8 @@ def calculate(
     out: list[ResConfig] = []
     ignored = merge.ignored if merge else None
 
-    def branch(body, rest, res, srt):
-        body = _map_atoms(body, simplify)
+    def branch(body, theta, rest, res, srt):
+        body = _subst_atoms(body, theta)
         stuck = _first_stuck(body)
         if stuck is None:
             out.append(ResConfig(body + rest, res, srt))
@@ -305,8 +299,8 @@ def calculate(
         if type(redex) is not V.BinOpT:
             skel, fresh_sorts = _expand_var(name, srt, renamer)
             mapping = {name: skel}
-            branch(_subst_atoms(body, mapping), _subst_atoms(rest, mapping),
-                   V.subst_vars(res, mapping), Sorts(srt, fresh_sorts))
+            branch(body, mapping, _subst_atoms(rest, mapping),
+                   L.subst_reduce(res, mapping), Sorts(srt, fresh_sorts))
             return
         drawn: dict = {}  # per class, the names its first value drew
         classes = _branch_classes(name, body, rest, res, ignored, spec)
@@ -317,11 +311,10 @@ def calculate(
                 continue
             start = renamer.n
             mapping = {name: n}
-            branch(_subst_atoms(body, mapping), _subst_atoms(rest, mapping),
-                   V.subst_vars(res, mapping), srt)
+            branch(body, mapping, _subst_atoms(rest, mapping), L.subst_reduce(res, mapping), srt)
             drawn[cls] = renamer.n - start
 
-    branch(body, rest, result, sorts)
+    branch(body, theta, rest, result, sorts)
     return out
 
 
@@ -357,17 +350,16 @@ def step(
         if clause.var_head is not None:
             theta = fresh | dict(zip(clause.var_head, first.args))
         else:
-            mgu = L.unify(tuple(V.subst_vars(x, fresh) for x in clause.head.args), first.args)
+            mgu = L.unify(tuple(L.subst_reduce(x, fresh) for x in clause.head.args), first.args)
             if mgu is None:
                 continue
             theta = {x: mgu.get(v.name, v) for x, v in fresh.items()}
             names = {v.name for v in fresh.values()}
             own = {v: t for v, t in mgu.items() if v not in names}
             if own:
-                new_rest, result = _subst_atoms(rest, own), V.subst_vars(result, own)
-        body = _subst_atoms(clause.body, theta)
+                new_rest, result = _subst_atoms(rest, own), L.subst_reduce(result, own)
         sorts = Sorts(cfg.sorts, {fresh[x].name: s for x, s in clause.binders})
-        out.extend(calculate(body, new_rest, result, sorts, renamer, spec, merge))
+        out.extend(calculate(clause.body, theta, new_rest, result, sorts, renamer, spec, merge))
     return out
 
 

@@ -18,10 +18,10 @@ Each compound node caches facts about itself the first time a walk asks:
 whether it is closed (no Var below it), whether it is a pattern, and its
 distinct Var leaves.  A cached fact is a pure function of the node's
 immutable fields, so it can never go stale, and it is left out of
-equality, hashing, repr, copies and pickles.  Walks may therefore return
-a closed subterm unchanged under variable substitution, and a pattern
-unchanged under simplification; `logic.match_into` matches a term
-against itself through its cached leaves.
+equality, hashing, repr, copies and pickles.  `logic.subst_reduce`,
+which substitutes and reduces in one walk, may therefore return a value
+(a closed pattern) unchanged without walking it, and `logic.match_into`
+matches a term against itself through its cached leaves.
 """
 
 from __future__ import annotations
@@ -228,16 +228,6 @@ def subst_absvars(t: Term, mapping: dict[int, Term]) -> Term:
         return m(u, walk) if m else u
 
     return walk(t)
-
-
-def subst_vars(t: Term, mapping: dict[str, Term]) -> Term:
-    """t with the variables bound in mapping replaced; t itself when it
-    has none of them."""
-    if type(t) is Var:
-        return mapping.get(t.name, t)
-    if is_closed(t):
-        return t
-    return map_children(t, lambda k: subst_vars(k, mapping))
 
 
 def vars_in(t: Term) -> set[str]:

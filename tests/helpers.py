@@ -498,6 +498,20 @@ def map_term_fields(t, fn):
                      for f in fields))
 
 
+def subst_reduce_reference(t, theta: dict):
+    """`logic.subst_reduce` as the two passes it folds into one walk:
+    substitute theta's terms for its variables, then reduce every redex
+    by `logic.reduce`, innermost first, each pass through
+    `values.map_children`."""
+    def subst(u):
+        return theta.get(u.name, u) if type(u) is V.Var else V.map_children(u, subst)
+
+    def reduce_all(u):
+        return L.reduce(V.map_children(u, reduce_all))
+
+    return reduce_all(subst(t))
+
+
 def canon_config_reference(cfg) -> tuple:
     """`sldc.canon_config` as a rename pass followed by `V.show`: every
     variable renamed v0, v1, ... in first-occurrence order, then each

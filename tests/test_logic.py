@@ -141,6 +141,7 @@ def test_logic_defines_no_node_class_but_box_and_mut():
     V.DerefT(V.Pair(1, 2)),
     V.FinalT(V.Box(1)),
     V.ProjT(V.Box(1), 0),
+    V.ProjT(V.Pair(1, V.Var("x")), 0),
     V.BinOpT(V.Inj(0, V.UNIT), "+", 1),
     V.BinOpT(1, "<", V.Box(2)),
     True,
@@ -148,8 +149,9 @@ def test_logic_defines_no_node_class_but_box_and_mut():
     V.BinOpT(True, "+", 1),
 ], ids=V.show)
 def test_interpret_undefined(term):
-    # an unbound variable, an abstract variable, a redex stuck on the
-    # wrong constructor and a leaked Python bool have no value
+    # an unbound variable, even one a projection drops, an abstract
+    # variable, a redex stuck on the wrong constructor and a leaked
+    # Python bool have no value
     with pytest.raises(L.Undefined):
         L.interpret_term({"y": 0}, term)
 
@@ -283,7 +285,7 @@ def test_unify_call_pattern():
     right = (V.MutPair(V.Var("x"), V.Var("xo")), V.MutPair(V.Var("x"), V.Var("xo")))
     out = L.unify(left, right)
     assert out is not None
-    assert V.subst_vars(left[1], out) == V.subst_vars(right[1], out)
+    assert L.subst_reduce(left[1], out) == L.subst_reduce(right[1], out)
 
 
 def test_unify_nonlinear():
@@ -307,7 +309,7 @@ def test_unify_is_idempotent():
     assert out["a"] == V.Box(V.Box(V.Pair(V.Var("d"), 3)))
     for value in out.values():
         assert not V.vars_in(value) & set(out)
-    assert [V.subst_vars(p, out) for p in ps] == [V.subst_vars(q, out) for q in qs]
+    assert [L.subst_reduce(p, out) for p in ps] == [L.subst_reduce(q, out) for q in qs]
 
 
 def test_resolve_returns_unchanged_terms_themselves():

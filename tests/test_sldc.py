@@ -1,6 +1,7 @@
 import copy
 import functools
 import hashlib
+import itertools
 import json
 import pickle
 import random
@@ -12,7 +13,7 @@ from corhorn import aos, corpus, logic as L, parser, sldc, syntax as S, translat
 from corhorn.logic import Atom, CHCSystem, Clause, SampleSpec
 
 from helpers import (canon_config_reference, fresh_copy, is_pattern_reference, map_term_fields,
-                     sort_key, var_names_reference)
+                     sort_key, subst_reduce_reference, var_names_reference)
 
 
 @pytest.fixture(scope="module")
@@ -237,11 +238,11 @@ def test_canon_config_equals_rename_then_show(monkeypatch):
 def test_calculate_keeps_unchanged_body_atoms_themselves():
     x, y = V.Var("x"), V.Var("y")
     body = (Atom("p", (V.Box(x), 3)), Atom("q", (y, V.Pair(x, V.UNIT))))
-    (out,) = sldc.calculate(body, (), y, {}, sldc.Renamer(), SampleSpec(-1, 1))
+    (out,) = sldc.calculate(body, {}, (), y, {}, sldc.Renamer(), SampleSpec(-1, 1))
     assert out.stack == body and all(b is a for a, b in zip(body, out.stack))
     # a redex rebuilds only its own atom
     red = Atom("r", (V.DerefT(V.Box(2)), x))
-    (out,) = sldc.calculate(body + (red,), (), y, {}, sldc.Renamer(), SampleSpec(-1, 1))
+    (out,) = sldc.calculate(body + (red,), {}, (), y, {}, sldc.Renamer(), SampleSpec(-1, 1))
     assert out.stack[:2] == body and all(b is a for a, b in zip(body, out.stack))
     assert out.stack[2] == Atom("r", (2, x)) and out.stack[2].args[1] is x
 
@@ -258,7 +259,7 @@ def _calculated(body, result=R, rest=()):
     the configurations and the Merge."""
     merge = sldc.Merge(IGNORE_1)
     sorts = {"x": L.INT_S, "y": L.INT_S, "r": L.INT_S}
-    return sldc.calculate(body, rest, result, sorts, sldc.Renamer(), SampleSpec(-8, 8), merge), merge
+    return sldc.calculate(body, {}, rest, result, sorts, sldc.Renamer(), SampleSpec(-8, 8), merge), merge
 
 
 def test_coin_branches_once_per_outcome():
@@ -299,8 +300,8 @@ def test_merged_branches_draw_the_names_of_full_branching():
     body = (Atom("q", (COIN, X, V.DerefT(V.Var("b")))),)
     full_renamer, merge_renamer = sldc.Renamer(), sldc.Renamer()
     sorts = {"x": L.INT_S, "b": L.BoxS(L.INT_S)}
-    full = sldc.calculate(body, (), R, sorts, full_renamer, SampleSpec(-8, 8))
-    merged = sldc.calculate(body, (), R, sorts, merge_renamer, SampleSpec(-8, 8), sldc.Merge(IGNORE_1))
+    full = sldc.calculate(body, {}, (), R, sorts, full_renamer, SampleSpec(-8, 8))
+    merged = sldc.calculate(body, {}, (), R, sorts, merge_renamer, SampleSpec(-8, 8), sldc.Merge(IGNORE_1))
     assert merged == [full[0], full[9]]
     assert [c.stack[0].args[2] for c in merged] == [V.Var("b!c!1"), V.Var("b!c!10")]
     assert merge_renamer.n == full_renamer.n == 17
@@ -381,17 +382,17 @@ def test_walks_return_unchanged_terms_themselves():
     patterns = [x for x in terms if V.is_pattern(x)]
     assert len(patterns) > 1000 and len(terms) > len(patterns)
     for t in terms:
-        assert V.subst_vars(t, {"no such var": 0}) is t
+        assert L.subst_reduce(t, {"no such var": 0}) is t
         assert V.subst_absvars(t, {-1: 0}) is t
     for p in patterns:
-        assert sldc.simplify(p) is p
+        assert L.subst_reduce(p, {}) is p
     # a changed leaf rebuilds only its own path
     x, y = V.Var("x"), V.Var("y")
     t = V.Pair(V.Box(x), V.MutPair(y, V.Inj(0, 3)))
-    got = V.subst_vars(t, {"x": 1})
+    got = L.subst_reduce(t, {"x": 1})
     assert got == V.Pair(V.Box(1), t.snd) and got.snd is t.snd
     red = V.Pair(V.DerefT(V.Box(2)), t.snd)
-    assert sldc.simplify(red) == V.Pair(2, t.snd) and sldc.simplify(red).snd is t.snd
+    assert L.subst_reduce(red, {}) == V.Pair(2, t.snd) and L.subst_reduce(red, {}).snd is t.snd
 
 
 def test_map_children_maps_each_child_left_then_right():
@@ -449,9 +450,9 @@ VALUATION = {"x": V.Box(V.Inj(1, 3)), "y": -4}
 
 @pytest.mark.parametrize("term,want", REDEXES, ids=lambda t: V.show(t))
 def test_redex_equations(term, want):
-    got = sldc.simplify(term)
+    got = L.subst_reduce(term, {})
     assert got == want and type(got) is type(want)
-    got, want = L.interpret_term(VALUATION, term), V.subst_vars(want, VALUATION)
+    got, want = L.interpret_term(VALUATION, term), L.subst_reduce(want, VALUATION)
     assert got == want and type(got) is type(want)
 
 
@@ -474,12 +475,50 @@ def test_interpretation_is_simplification_of_the_instance():
                 for arg in args:
                     got = L.interpret_term(val, arg)
                     assert V.is_value(got), (name, c.tag, V.show(arg))
-                    assert got == sldc.simplify(V.subst_vars(arg, val)), (name, c.tag, V.show(arg))
+                    assert got == L.subst_reduce(arg, val), (name, c.tag, V.show(arg))
                     count += 1
                 seen.update(*map(_node_types, args))
     assert count > 10000
     assert seen == {int, V.UnitVal, V.Var, V.Box, V.MutPair, V.Inj, V.Pair,
                     V.DerefT, V.FinalT, V.ProjT, V.BinOpT}
+
+
+def _holes(v, rng, names):
+    """v with some of its subterms, drawn by rng, replaced by variables
+    named from names: a pattern."""
+    if rng.random() < 0.25:
+        return V.Var(f"h!{next(names)}")
+    return V.map_children(v, lambda k: _holes(k, rng, names))
+
+
+def test_subst_reduce_is_substitution_then_reduction():
+    # every clause argument of the translated programs, under seeded
+    # substitutions that leave some binders unbound and map the others
+    # to patterns, which hold fresh variables or are values
+    spec = SampleSpec(-4, 4, max_depth=3)
+    names = itertools.count()
+    count = kept = opened = 0
+    for name, system in _translations():
+        rng = random.Random(zlib.crc32(name.encode()))
+        for c in system.clauses:
+            args = [x for a in ((c.head,) if c.head else ()) + c.body for x in a.args]
+            for _ in range(3):
+                theta = {x: _holes(L.random_value(s, spec, rng), rng, names)
+                         for x, s in c.binders if rng.random() < 0.6}
+                opened += sum(not V.is_closed(t) for t in theta.values())
+                for arg in args:
+                    got, want = L.subst_reduce(arg, theta), subst_reduce_reference(arg, theta)
+                    assert got == want and type(got) is type(want), (name, c.tag, V.show(arg))
+                    # a term with no bound variable and no redex comes back as itself
+                    if V.is_pattern(arg) and not V.vars_in(arg) & theta.keys():
+                        assert got is arg, (name, c.tag, V.show(arg))
+                        kept += 1
+                    count += 1
+    assert count > 10000 and kept > 1000 and count - kept > 1000 and opened > 1000
+    # closed redexes, which no clause argument has
+    for term, _ in REDEXES:
+        for theta in ({}, VALUATION, {"x": V.Var("z")}):
+            assert L.subst_reduce(term, theta) == subst_reduce_reference(term, theta), V.show(term)
 
 
 def test_substitutions_return_untouched_atoms_and_frame_entries_themselves():
@@ -558,16 +597,16 @@ def test_cached_term_facts_agree(monkeypatch):
     assert V.show(hand[0]) == "inj0 1" and V.show(hand[4]) == "mut(p, x)"
     assert V.show(hand[8], _first_occurrence_renamer()) == "(v0, (v1, v0))"
     # a closed non-pattern still has its redex reduced
-    assert sldc.simplify(hand[6]) == V.Pair(1, 5)
+    assert L.subst_reduce(hand[6], {}) == V.Pair(1, 5)
     # a node asked about before and after its first use
     ground = V.Pair(V.Box(3), V.Inj(1, V.UNIT))
     t = V.MutPair(ground, y)
     assert (V.is_closed(t), V.is_closed(ground), V.is_pattern(t)) == (False, True, True)
-    got = V.subst_vars(t, {"y": ground})
+    got = L.subst_reduce(t, {"y": ground})
     assert got == V.MutPair(ground, ground) and got.cur is ground and got.fin is ground
     assert V.show(got) == "mut((box(3), inj1 ()), (box(3), inj1 ()))" == V.show(fresh_copy(got))
     assert (V.is_closed(t), V.is_closed(got), V.is_pattern(got)) == (False, True, True)
-    assert L.resolve(got, {"y": 0}) is got and sldc.simplify(got) is got
+    assert L.resolve(got, {"y": 0}) is got and L.subst_reduce(got, {}) is got
     # the cached facts are invisible to equality, hashing, printing,
     # copying and pickling
     for t in [got, *hand]:

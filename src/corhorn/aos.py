@@ -23,8 +23,9 @@ and the footprint gathered on the way must stay safe: every prophecy
 is shared by one borrower and one lender at one address, and every
 address is owned by one active access or by a frozen owner alongside
 readers whose lifetimes end first.  The lifetime-safety judgment ties
-the tags to the static contexts.  Given the previous step's records, the
-stack walk reuses each frame whose entries and read cells a step left alone.
+the tags to the static contexts.  Each frame entry records its walk, so
+the stack walk reuses each entry that a step left in place with its
+paired heap entry and its read cells.
 """
 
 from __future__ import annotations
@@ -79,6 +80,13 @@ class AbsFrameEntry:
     theta: dict[str, str] = field(hash=False)  # local lifetime -> tagged lifetime
     recv: Optional[str] = None
     frame: dict[str, V.PreValue] = field(hash=False, default_factory=dict)
+
+    # the entry's last stack-walk record (`walk_stack`) and rendering
+    # (`harness.resolutive_of`), cached in the instance __dict__ and, like
+    # the facts `values` caches on a term, left out of equality, hashing,
+    # repr, copies and pickles
+    _walk = _rendered = None
+    __getstate__ = V._Node.__getstate__
 
 
 @dataclass(frozen=True)
@@ -556,7 +564,7 @@ class Walk:
         return self.diag(f"cannot read type {S.type_text(t)}")
 
 
-def walk_stack(typing: TypingResult, acfg: AbsConfig, cfg=None, memo: Optional[list] = None) -> Walk:
+def walk_stack(typing: TypingResult, acfg: AbsConfig, cfg=None) -> Walk:
     """The give/take walk of every frame variable of acfg, in sorted
     order, at its static context (below the top, without the receiver,
     which is not populated until the callee returns).  With a heap
@@ -565,18 +573,13 @@ def walk_stack(typing: TypingResult, acfg: AbsConfig, cfg=None, memo: Optional[l
     and the walk reads cfg.heap.  Every fault is a diagnostic on the
     returned walk; a stack-level one ends the walk.
 
-    memo, the previous walk's records if given, is updated in place: each
-    frame that passes is recorded, by its place from the stack bottom,
-    with its two entries, summary, footprint and the cells it read.
-    Until a fault is found, a frame whose entries are its record's
-    objects, and whose recorded cells still hold their values, adds its
-    recorded counts without a walk.  A call or a return gives the frame
-    it touches new entries, so a reused frame keeps its top-or-not role."""
+    Each entry that passes records (`_walk`) its summary, footprint and
+    the cells it read, keyed by the typing, its paired heap entry (None
+    without a heap) and its top-or-not role.  Until a fault is found, an
+    entry whose record has the walk's key, and whose recorded cells
+    still hold their values, adds its recorded counts without a walk."""
     walk = Walk(None if cfg is None else cfg.heap)
     heap = walk.heap
-    memo = [] if memo is None else memo
-    n = len(acfg.stack)
-    prev, memo[:] = memo[:], [None] * n
 
     def fail(msg: str) -> Walk:
         walk.diags.append(msg)
@@ -586,12 +589,10 @@ def walk_stack(typing: TypingResult, acfg: AbsConfig, cfg=None, memo: Optional[l
         return fail(f"stack depth {len(cfg.stack)} vs abstract {len(acfg.stack)}")
     for i, a in enumerate(acfg.stack):
         c = None if cfg is None else cfg.stack[i]
-        j = n - 1 - i  # the place from the stack bottom
-        rec = prev[j] if j < len(prev) else None
-        if (rec is not None and not walk.diags and rec[0] is a and rec[1] is c
-                and (heap is None or rec[4].items() <= heap.items())):
-            walk.merge(rec[2], rec[3])
-            memo[j] = rec
+        rec = a._walk
+        if (rec is not None and not walk.diags and rec[0] is typing and rec[1] is c
+                and rec[2] == (i > 0) and (heap is None or rec[5].items() <= heap.items())):
+            walk.merge(rec[3], rec[4])
             continue
         if c is not None and (a.fn, a.label, a.recv) != (c.fn, c.label, c.recv):
             return fail(f"frame {i}: program point mismatch")
@@ -610,8 +611,9 @@ def walk_stack(typing: TypingResult, acfg: AbsConfig, cfg=None, memo: Optional[l
         extra = set(a.frame) - set(gamma)
         if extra:
             return fail(f"frame {i}: abstract side has variables {sorted(extra)} outside the context")
-        cells = {m[2]: heap[m[2]] for m in frame.footprint}
-        memo[j] = None if walk.diags else (a, c, frame.summary, frame.footprint, cells)
+        if not walk.diags:
+            cells = {m[2]: heap[m[2]] for m in frame.footprint}
+            a.__dict__["_walk"] = (typing, c, i > 0, frame.summary, frame.footprint, cells)
     return walk
 
 

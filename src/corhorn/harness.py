@@ -6,15 +6,17 @@ The heap-vs-prophecy link checks each concrete configuration against
 the prophecy configuration reached by the same steps: `aos.walk_stack`
 over the heap (the extended readout), the safety of the summary and
 footprint it gathers, and the abstract side's lifetime safety.  Each
-step walks again only the frames it changed (`aos.walk_stack`).
+step walks again only the frames it changed: an entry it kept, paired
+with the same heap entry, keeps its walk (`aos.walk_stack`).
 
 The prophecy-vs-resolution link renders each abstract configuration as
 a stack of predicate applications (a resolutive configuration) and
 checks that each interpreter step is matched by one resolution step
 using exactly the clause generated from the executed statement, taken
 from `translate.clauses_for_label`.  Each step renders again only the
-frames it changed, and a frame rendered again reuses the term of each
-pre-value the previous step rendered.  A resolution step keeps the
+frames it changed: an entry it kept at the same index keeps its atom,
+and a frame rendered again reuses the term each compound pre-value
+keeps for its sort.  A resolution step keeps the
 target's terms where it binds a clause variable to them, so most of a
 candidate's arguments, and many of its atoms, are the target's own
 objects; `logic.match_into` matches such an argument by identity,
@@ -45,7 +47,6 @@ def safe_link(
     typing: TypingResult,
     cfg: cos.CosConfig,
     acfg: aos.AbsConfig,
-    memo: Optional[list] = None,
 ) -> tuple[bool, list[str]]:
     """Does the concrete configuration read out safely as the abstract
     one?  Walks acfg's stack over cfg's heap (`aos.walk_stack`) and
@@ -53,9 +54,9 @@ def safe_link(
     visited every abstract pre-value at its type, and its summary is the
     abstract one (the walk that `aos.safe_abstract` runs without a heap)
     with addresses added, so only the abstract side's lifetime safety
-    (`aos.lifetime_safe`) is left to check.  With memo, the previous
-    step's records, the walk reuses each frame the step left unchanged."""
-    walk = aos.walk_stack(typing, acfg, cfg, memo)
+    (`aos.lifetime_safe`) is left to check.  The walk reuses the record
+    of each entry that a previous walk paired with the same heap entry."""
+    walk = aos.walk_stack(typing, acfg, cfg)
     if walk.diags:
         return False, walk.diags
     diags = aos.safe_summary(acfg.lft, walk.summary) + aos.safe_footprint(acfg.lft, walk.footprint)
@@ -117,10 +118,9 @@ def lockstep_cos_aos(
     c = cos.initial_config(prog, fname, inputs, alloc)
     a = aos.initial_config(prog, fname, inputs)
     steps: list[LinkStep] = []
-    memo: list = []
     for i in range(fuel + 1):
         point = f"{c.top.fn}:{c.top.label}"
-        _, diags = safe_link(typing, c, a, memo)
+        _, diags = safe_link(typing, c, a)
         diags += aos.lifetime_safe(typing, a)
         steps.append(LinkStep(i, point, not diags, diags))
         if diags:
@@ -145,70 +145,57 @@ def lockstep_cos_aos(
 # -- prophecy interpreter vs resolution -------------------------------------
 
 
-def resolutive_of(prog: S.Program, typing: TypingResult, acfg: aos.AbsConfig,
-                  memo: Optional[list] = None) -> sldc.ResConfig:
+def resolutive_of(prog: S.Program, typing: TypingResult, acfg: aos.AbsConfig) -> sldc.ResConfig:
     """Render an abstract configuration as a resolutive configuration:
     one atom per frame, prophecy variables as logic variables, fresh
-    result variables threading each receiver.  memo, the previous
-    rendering's (entry, atom, sorts, renderings) per frame if given, is
-    updated in place; a frame whose entry is the recorded object at the
-    same index keeps its atom and sorts (its r#i names depend only on
-    the index).  A frame rendered again reuses the term of each
-    pre-value that some frame of the previous rendering held, as the
-    same object at the same sort."""
+    result variables threading each receiver.  Each entry records its
+    atom and sorts (`_rendered`), keyed by the typing and its index from
+    the top, on which its r#i names depend; an entry whose record has
+    that key is not rendered again.  Each compound pre-value records its
+    term and the sorts of its prophecy variables at the sort it was
+    rendered at (`_term`); one with no prophecy variable is its own term."""
 
     def term_of(v: V.PreValue, sort: L.Sort, sorts: dict) -> V.Term:
         """v with each prophecy variable as a logic variable, whose sort
         is recorded in sorts."""
-        if isinstance(v, (int, V.UnitVal, V.Var)):
-            return v
-        sort = S.whnf(sort)
-        if isinstance(v, V.AbsVar):
-            sorts[f"a#{v.uid}"] = sort
+        if type(v) is V.AbsVar:
+            sorts[f"a#{v.uid}"] = S.whnf(sort)
             return V.Var(f"a#{v.uid}")
-        if isinstance(v, V.Box):
-            return V.Box(term_of(v.inner, sort.inner, sorts))
-        if isinstance(v, V.MutPair):
-            return V.MutPair(term_of(v.cur, sort.inner, sorts), term_of(v.fin, sort.inner, sorts))
-        if isinstance(v, V.Inj):
-            return V.Inj(v.tag, term_of(v.payload, sort.left if v.tag == 0 else sort.right, sorts))
-        return V.Pair(term_of(v.fst, sort.left, sorts), term_of(v.snd, sort.right, sorts))
+        if V.is_pattern(v):
+            return v
+        rec = v._term
+        if rec is None or rec[0] is not sort:
+            mine: dict[str, L.Sort] = {}
+            s = S.whnf(sort)
+            if isinstance(v, V.Box):
+                t = V.Box(term_of(v.inner, s.inner, mine))
+            elif isinstance(v, V.MutPair):
+                t = V.MutPair(term_of(v.cur, s.inner, mine), term_of(v.fin, s.inner, mine))
+            elif isinstance(v, V.Inj):
+                t = V.Inj(v.tag, term_of(v.payload, s.left if v.tag == 0 else s.right, mine))
+            else:
+                t = V.Pair(term_of(v.fst, s.left, mine), term_of(v.snd, s.right, mine))
+            rec = v.__dict__["_term"] = (sort, t, tuple(mine.items()))
+        sorts.update(rec[2])
+        return rec[1]
 
-    memo = [] if memo is None else memo
-    prev, memo[:] = memo[:], []
-    # the previous rendering's (pre-value, sort, term, sorts it records)
-    # by id of the pre-value, which each entry holds, so no id is reused
-    pool: dict[int, tuple] = {}
-    for rec in prev:
-        pool.update(rec[3])
     atoms = []
     sorts: dict[str, L.Sort] = {}
     for i, entry in enumerate(acfg.stack):
-        rec = prev[i] if i < len(prev) else None
-        if rec is None or rec[0] is not entry:
+        rec = entry._rendered
+        if rec is None or rec[0] is not typing or rec[1] != i:
             gamma = typing.ctx(entry.fn, entry.label).gamma
             frame_sorts: dict[str, L.Sort] = {}
-            renders: dict[int, tuple] = {}
             args: dict[str, V.Term] = {}
             for x, info in sorted(gamma.items()):
-                v = V.Var(f"r#{i - 1}") if i > 0 and x == entry.recv else entry.frame[x]
-                if isinstance(v, (int, V.UnitVal, V.Var)):
-                    args[x] = v
-                    continue
-                sort = T.sort_of_type(info.ty)
-                hit = pool.get(id(v))
-                if hit is None or hit[1] is not sort:
-                    v_sorts: dict[str, L.Sort] = {}
-                    hit = (v, sort, term_of(v, sort, v_sorts), tuple(v_sorts.items()))
-                renders[id(v)] = hit
-                frame_sorts.update(hit[3])
-                args[x] = hit[2]
+                args[x] = (V.Var(f"r#{i - 1}") if i > 0 and x == entry.recv
+                           else term_of(entry.frame[x], T.sort_of_type(info.ty), frame_sorts))
             frame_sorts[f"r#{i}"] = T.sort_of_type(prog.fn(entry.fn).ret)
             args[T.RES] = V.Var(f"r#{i}")
-            rec = (entry, T.label_atom(typing, entry.fn, entry.label, args), frame_sorts, renders)
-        atoms.append(rec[1])
-        sorts.update(rec[2])
-        memo.append(rec)
+            atom = T.label_atom(typing, entry.fn, entry.label, args)
+            rec = entry.__dict__["_rendered"] = (typing, i, atom, frame_sorts)
+        atoms.append(rec[2])
+        sorts.update(rec[3])
     n = len(acfg.stack) - 1
     return sldc.ResConfig(tuple(atoms), V.Var(f"r#{n}"), sorts)
 
@@ -246,8 +233,7 @@ def lockstep_aos_sldc(
     rng = random.Random(seed)
     renamer = sldc.Renamer()
     a = aos.initial_config(prog, fname, inputs)
-    memo: list = []
-    k = resolutive_of(prog, typing, a, memo)
+    k = resolutive_of(prog, typing, a)
     steps: list[LinkStep] = []
     for i in range(fuel + 1):
         top = a.top
@@ -273,7 +259,7 @@ def lockstep_aos_sldc(
         if isinstance(stmt, S.StmtMatch):
             clauses = [clauses[0 if a2.top.label == stmt.l0 else 1]]
         cands = sldc.step(k, clauses, renamer, spec)
-        target = resolutive_of(prog, typing, a2, memo)
+        target = resolutive_of(prog, typing, a2)
         ok = any(_config_refines(c, target) for c in cands if not c.done)
         steps.append(
             LinkStep(i, point, ok, [] if ok else [f"{len(cands)} candidates, none refines to the target"])

@@ -16,9 +16,13 @@ node type, which keeps the node itself when no child changed.
 
 Each compound node caches facts about itself the first time a walk asks:
 whether it is closed (no Var below it), whether it is a pattern, and its
-distinct Var leaves.  A cached fact is a pure function of the node's
-immutable fields, so it can never go stale, and it is left out of
-equality, hashing, repr, copies and pickles.  `logic.subst_reduce`,
+distinct Var leaves.  A pre-value with a prophecy variable also caches
+its term (`_term`, by `harness.resolutive_of`): the term with logic
+variables for its prophecy variables, with the sort it was rendered at
+and the sorts of those variables.  A cached fact is a pure function of
+the node's immutable fields (and of the sort it records), so it can
+never go stale, and it is left out of equality, hashing, repr, copies
+and pickles.  `logic.subst_reduce`,
 which substitutes and reduces in one walk, may therefore return a value
 (a closed pattern) unchanged without walking it, and `logic.match_into`
 matches a term against itself through its cached leaves.
@@ -43,7 +47,7 @@ class _Node:
     """Base of the compound terms: the lazily cached facts (None until
     first asked) live in the instance __dict__, beside the fields."""
 
-    _closed = _pattern = _vars = None
+    _closed = _pattern = _vars = _term = None
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k[0] != "_"}

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
 import json
+import pickle
 import random
 import zlib
 from collections import Counter
@@ -363,28 +365,35 @@ def test_lockstep_checks_link_and_render_once_per_step(inc_max_setup, monkeypatc
     assert calls == {"safe_link": len(r1.steps), "resolutive_of": len(r2.steps)}
 
 
+def _record_free(acfg):
+    """acfg built of new entries and pre-values, none of which holds a
+    record yet."""
+    return aos.AbsConfig(tuple(dataclasses.replace(e, frame={x: fresh_copy(v) for x, v in e.frame.items()})
+                               for e in acfg.stack), acfg.lft)
+
+
 def test_incremental_lockstep_agrees_with_full_checks(monkeypatch):
     """At every step of both lockstep checks, on a few criterion-6 draws
     of each corpus entry, the stack walk, the rendering and the
-    refinement verdicts with the previous step's records equal those
-    computed from scratch."""
+    refinement verdicts with the records the entries hold equal those
+    computed on record-free copies."""
     real_walk, real_render, real_refines = aos.walk_stack, harness.resolutive_of, harness._config_refines
     reused = Counter()
 
-    def walk_stack(typing, acfg, cfg=None, memo=None):
-        prev = list(memo or ())
-        walk, full = real_walk(typing, acfg, cfg, memo), real_walk(typing, acfg, cfg)
+    def walk_stack(typing, acfg, cfg=None):
+        prev = [e._walk for e in acfg.stack]
+        walk, full = real_walk(typing, acfg, cfg), real_walk(typing, _record_free(acfg), cfg)
         assert (list(walk.summary.items()), list(walk.footprint.items()), walk.diags) == (
             list(full.summary.items()), list(full.footprint.items()), full.diags)
-        reused["frames"] += sum(r is not None and r is p for r, p in zip(memo, prev))
+        reused["frames"] += sum(p is not None and e._walk is p for e, p in zip(acfg.stack, prev))
         return walk
 
-    def resolutive_of(prog, typing, acfg, memo=None):
-        prev = list(memo or ())
-        k, full = real_render(prog, typing, acfg, memo), real_render(prog, typing, acfg)
+    def resolutive_of(prog, typing, acfg):
+        prev = [e._rendered for e in acfg.stack]
+        k, full = real_render(prog, typing, acfg), real_render(prog, typing, _record_free(acfg))
         assert (k.stack, k.result, list(k.sorts.items())) == (
             full.stack, full.result, list(full.sorts.items()))
-        reused["atoms"] += sum(r is p for r, p in zip(memo, prev))
+        reused["atoms"] += sum(p is not None and e._rendered is p for e, p in zip(acfg.stack, prev))
         return k
 
     def config_refines(cand, target):
@@ -418,31 +427,32 @@ def test_incremental_lockstep_agrees_with_full_checks(monkeypatch):
 
 def test_walk_memo_rereads_a_changed_lower_frame_cell():
     # a step that changes a cell only a lower frame read: that frame's
-    # record is not reused, and the diagnostic is the full walk's
+    # record is not reused, and the diagnostic is the walk's on
+    # record-free copies
     prog = corpus.load("inc_some")
     typing = typeck.type_program(prog)
     c_out = cos.run(prog, "inc_some", INC_SOME_IN, typing=typing)
     a_out = aos.run(prog, "inc_some", INC_SOME_IN, typing=typing)
-    memo: list = []
     for c, a in zip(c_out.trace, a_out.trace):
-        prev = list(memo)
-        assert harness.safe_link(typing, c, a, memo) == (True, [])
-        kept = [any(r is p for p in prev) for r in memo]
-        only = ({x for r, k in zip(memo, kept) if k for x in r[4]}
-                - {x for r, k in zip(memo, kept) if not k for x in r[4]})
+        prev = [e._walk for e in a.stack]
+        assert harness.safe_link(typing, c, a) == (True, [])
+        recs = [e._walk for e in a.stack]
+        kept = [r is p for r, p in zip(recs, prev)]
+        only = ({x for r, k in zip(recs, kept) if k for x in r[5]}
+                - {x for r, k in zip(recs, kept) if not k for x in r[5]})
         if only:
             break
     addr = min(only)
     bad = _heap_cell(c, addr, c.heap[addr] + 7)
-    full = harness.safe_link(typing, bad, a)
+    full = harness.safe_link(typing, bad, _record_free(a))
     assert not full[0] and full[1]
-    assert harness.safe_link(typing, bad, a, prev) == full
+    assert harness.safe_link(typing, bad, a) == full
 
 
 def test_walk_memo_keeps_lower_frames_across_calls_and_returns():
-    # a call or a return shifts every lower frame by one; a lower frame
-    # whose two entries are recorded and whose read cells are unchanged
-    # is not walked again
+    # a call or a return shifts every lower frame by one; a lower entry
+    # whose record pairs it with the same heap entry, and whose read
+    # cells are unchanged, is not walked again
     kept = Counter()
     for name, seed in itertools.product(("just_rec", "linger_dec", "inc_some", "inc_some_t"), range(3)):
         e = corpus.entry(name)
@@ -451,20 +461,96 @@ def test_walk_memo_keeps_lower_frames_across_calls_and_returns():
         inputs = corpus.random_inputs(prog, e.entry_fn, random.Random(seed), L.SampleSpec(-4, 4, max_depth=3))
         kw = dict(seed=seed, fuel=250, typing=typing, rand_range=(-8, 8))
         c_out, a_out = cos.run(prog, e.entry_fn, inputs, **kw), aos.run(prog, e.entry_fn, inputs, **kw)
-        memo: list = []
         depth = None
         for c, a in zip(c_out.trace, a_out.trace):
-            recs = {(id(r[0]), id(r[1])): r for r in memo if r is not None}
-            assert not aos.walk_stack(typing, a, c, memo).diags
+            prev = [e._walk for e in a.stack]
+            assert not aos.walk_stack(typing, a, c).diags
             if depth is not None and depth != len(a.stack):
                 kind = "call" if depth < len(a.stack) else "return"
                 for i in range(1, len(a.stack)):
-                    rec = recs.get((id(a.stack[i]), id(c.stack[i])))
-                    if rec is not None and rec[4].items() <= c.heap.items():
-                        assert any(r is rec for r in memo), (name, kind, i)
+                    rec = prev[i]
+                    if (rec is not None and rec[0] is typing and rec[1] is c.stack[i]
+                            and rec[5].items() <= c.heap.items()):
+                        assert a.stack[i]._walk is rec, (name, kind, i)
                         kept[kind] += 1
             depth = len(a.stack)
     assert min(kept["call"], kept["return"]) > 20, kept
+
+
+def _entries_and_nodes(acfg):
+    """acfg's entries, then the compound nodes of their pre-values."""
+    def nodes(v):
+        return [v, *(n for k in V.children(v) for n in nodes(k))] if V.children(v) else []
+
+    return [*acfg.stack, *(n for e in acfg.stack for v in e.frame.values() for n in nodes(v))]
+
+
+def test_cached_records_are_invisible():
+    # the records each step leaves on entries (`_walk`, `_rendered`) and
+    # on rendered pre-values (`_term`) are left out of equality, hashing,
+    # printing, copying and pickling, like the facts cached on terms
+    termed = 0
+    for name, inputs in (("inc_max", INC_MAX_IN), ("inc_some", INC_SOME_IN)):
+        prog = corpus.load(name)
+        typing = typeck.type_program(prog)
+        c_out = cos.run(prog, name, inputs, typing=typing)
+        a_out = aos.run(prog, name, inputs, typing=typing)
+        for c, a in zip(c_out.trace, a_out.trace):
+            fresh = _record_free(a)
+            objs = _entries_and_nodes(fresh)
+            before = [(hash(x), repr(x), pickle.dumps(x)) for x in objs]
+            assert harness.safe_link(typing, c, fresh) == (True, [])
+            harness.resolutive_of(prog, typing, fresh)
+            assert [(hash(x), repr(x), pickle.dumps(x)) for x in objs] == before
+            assert all("_walk" in vars(e) and "_rendered" in vars(e) for e in fresh.stack)
+            for n in objs[len(fresh.stack):]:
+                assert ("_term" in vars(n)) is not V.is_pattern(n)
+                termed += "_term" in vars(n)
+            for x, y in zip(objs, _entries_and_nodes(a), strict=True):
+                assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+                for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                    assert twin == y and hash(twin) == hash(y) and repr(twin) == repr(y)
+                    assert vars(twin) == {f.name: getattr(twin, f.name) for f in dataclasses.fields(x)}
+        # a rendered ground input argument is the input object itself
+        (atom,) = harness.resolutive_of(prog, typing, aos.initial_config(prog, name, inputs)).stack
+        params = [x for x, _ in prog.fn(name).params]
+        args = dict(zip(sorted(params), atom.args))
+        assert all(args[x] is v for x, v in zip(params, inputs))
+    assert termed > 10
+
+
+def test_records_are_not_reused_outside_their_key():
+    # an entry's walk record is reused only with the typing and the
+    # paired heap entry it was made with: walked against a heap entry
+    # whose variables swap addresses, or under a second typing, every
+    # configuration gives exactly the diagnostics of its record-free copy
+    faults = Counter()
+    for name, inputs in (("inc_max", INC_MAX_IN), ("inc_some", INC_SOME_IN)):
+        prog = corpus.load(name)
+        typing = typeck.type_program(prog)
+        # a second typing of the program, with each context's first
+        # variable frozen at a lifetime that no frame holds
+        other = typeck.type_program(prog)
+        for key, ctx in other.contexts.items():
+            if ctx.gamma:
+                x = min(ctx.gamma)
+                other.contexts[key] = ctx.with_gamma({**ctx.gamma, x: typeck.VarInfo(ctx.gamma[x].ty, "zz")})
+        c_out = cos.run(prog, name, inputs, typing=typing)
+        a_out = aos.run(prog, name, inputs, typing=typing)
+        for c, a in zip(c_out.trace, a_out.trace):
+            assert harness.safe_link(typing, c, a) == (True, [])
+            got = harness.safe_link(other, c, a)
+            assert got == harness.safe_link(other, c, _record_free(a))
+            faults["typing"] += not got[0]
+            if len(c.top.frame) < 2:
+                continue
+            x, y = sorted(c.top.frame)[:2]
+            top = dataclasses.replace(c.top, frame={**c.top.frame, x: c.top.frame[y], y: c.top.frame[x]})
+            swapped = cos.CosConfig((top, *c.stack[1:]), c.heap)
+            got = harness.safe_link(typing, swapped, a)
+            assert got == harness.safe_link(typing, swapped, _record_free(a))
+            faults["swap"] += not got[0]
+    assert min(faults["typing"], faults["swap"]) > 10, faults
 
 
 def test_config_refines_binds_the_variables_of_a_shared_atom():

@@ -327,7 +327,9 @@ def oracle_diff(
     returns a value, some resolution result pattern must refine to it.
     Enumeration runs to `depth` with the default width of 4000.  A heap
     run that stutters is out of fuel at once (`machine.drive`); like a
-    stuck run, it adds no value, and the report counts both."""
+    stuck run, it adds no value, and the report counts both.  The system
+    is the one recorded on typing (`translate.translate_program`), so
+    checks of one program under one typing translate it once."""
     typing = typing or type_program(prog)
     spec = L.SampleSpec(int_lo=rand_range[0], int_hi=rand_range[1])
     sys = T.translate_program(prog, typing)

@@ -220,7 +220,13 @@ def clauses_for_label(
 
 
 def translate_program(prog: S.Program, typing: Optional[TypingResult] = None) -> CHCSystem:
+    """prog's clause system under typing (typed afresh when None), kept
+    on the typing (`TypingResult._system`) with prog: a second call with
+    the same program and typing returns the same system, facts cached on
+    its clauses included.  It is shared, so no caller may mutate it."""
     typing = typing or type_program(prog)
+    if typing._system and typing._system[0] is prog:
+        return typing._system[1]
     sigs: dict[str, tuple[Sort, ...]] = {}
     clauses: list[Clause] = []
     for fn in prog:
@@ -228,7 +234,8 @@ def translate_program(prog: S.Program, typing: Optional[TypingResult] = None) ->
             binders = _binders(typing, prog, fn.name, label)
             sigs[pred_name(fn.name, label)] = tuple(s for _, s in binders)
             clauses += clauses_for_label(prog, typing, fn.name, label, stmt, order)
-    return CHCSystem(clauses, sigs)
+    typing._system = (prog, CHCSystem(clauses, sigs))
+    return typing._system[1]
 
 
 # ---------------------------------------------------------------------------

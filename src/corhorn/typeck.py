@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import syntax as S
+from . import values as V
 from .syntax import Type, type_text
 
 
@@ -443,10 +444,16 @@ def check_return(fn: S.FunctionDef, stmt: S.StmtReturn, wc: WholeCtx):
 
 @dataclass
 class TypingResult:
-    """Per-label whole contexts plus each function's lifetime parameters."""
+    """Per-label whole contexts plus each function's lifetime parameters,
+    and the (program, clause system) last translated under them
+    (`_system`, by `translate.translate_program`), which like the facts
+    `values` caches on a term is left out of equality, repr, copies and pickles."""
 
     contexts: dict[tuple[str, str], WholeCtx]
     a_ex: dict[str, frozenset[str]]
+
+    _system = None
+    __getstate__ = V._Node.__getstate__
 
     def ctx(self, fn: str, label: str) -> WholeCtx:
         return self.contexts[(fn, label)]

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from corhorn import aos, corpus, cos, harness, logic as L, sldc, syntax as S, typeck, values as V
+from corhorn import aos, corpus, cos, harness, logic as L, sldc, syntax as S, translate as T, typeck, values as V
 from corhorn.cos import Alloc
 
 from helpers import drop_swap_exchange, fresh_copy, mklist, stuck_at_swap
@@ -516,6 +516,17 @@ def test_cached_records_are_invisible():
         params = [x for x, _ in prog.fn(name).params]
         args = dict(zip(sorted(params), atom.args))
         assert all(args[x] is v for x, v in zip(params, inputs))
+        # so is the system the typing records (`_system`); a twin holds none
+        # and translates afresh
+        typed = typeck.type_program(prog)
+        before = (repr(typed), pickle.dumps(typed))
+        system = T.translate_program(prog, typed)
+        assert vars(typed)["_system"] == (prog, system)
+        assert typed == typing and (repr(typed), pickle.dumps(typed)) == before
+        for twin in (copy.copy(typed), copy.deepcopy(typed), pickle.loads(pickle.dumps(typed))):
+            assert twin == typed and repr(twin) == repr(typed)
+            assert vars(twin) == {f.name: getattr(twin, f.name) for f in dataclasses.fields(typed)}
+            assert T.translate_program(prog, twin) is not system
     assert termed > 10
 
 
@@ -584,6 +595,42 @@ def test_oracle_diff_counts_how_runs_end(inc_max_setup, monkeypatch):
     rep = harness.oracle_diff(prog, "inc_max", [(V.Box(4), V.Box(3)), (V.Box(1), V.Box(1))],
                               seeds=(0, 1, 2), typing=typing)
     assert (rep.stuck, rep.out_of_fuel, rep.returned, rep.ok) == (6, 0, 0, True)
+
+
+def test_oracle_translates_once_per_typing(monkeypatch):
+    # the system is recorded on the typing, so a second check of the
+    # program under the same typing translates no label
+    prog = corpus.load("inc_max")
+    typing = typeck.type_program(prog)
+    calls = []
+    real = T.clauses_for_label
+    monkeypatch.setattr(T, "clauses_for_label", lambda *a: calls.append(a[3]) or real(*a))
+    inputs = [(V.Box(4), V.Box(3)), (V.Box(1), V.Box(1))]
+    reps = [harness.oracle_diff(prog, "inc_max", inputs, seeds=(0,), depth=40, typing=typing)
+            for _ in range(2)]
+    assert len(calls) == sum(len(fn.body) for fn in prog)
+    assert reps[0] == reps[1] and reps[0].ok
+
+
+def test_warm_oracle_reports_equal_cold_ones():
+    # a check under a typing that already holds the system, with the facts
+    # the earlier checks cached on its clauses, reports what a check under
+    # a fresh typing reports, counters included
+    spec = L.SampleSpec(-4, 4, max_depth=3)
+    depth = {"linger_dec_unsafe": 60, "inc_some": 300, "inc_some_unsafe": 300,
+             "inc_some_t": 600, "inc_some_t_unsafe": 600}
+    for e in corpus.CORPUS:
+        prog = corpus.load(e.name)
+        warm = typeck.type_program(prog)
+        system = T.translate_program(prog, warm)
+        rng = random.Random(zlib.crc32(e.name.encode()))
+        for _ in range(3):
+            inputs = [tuple(corpus.random_inputs(prog, e.entry_fn, rng, spec))]
+            kw = dict(seeds=(0, 1, 2), depth=depth.get(e.name, 40), rand_range=(-8, 8))
+            cold = harness.oracle_diff(prog, e.entry_fn, inputs, typing=typeck.type_program(prog), **kw)
+            hot = harness.oracle_diff(prog, e.entry_fn, inputs, typing=warm, **kw)
+            assert hot.to_json() == cold.to_json() and hot == cold, (e.name, inputs)
+        assert T.translate_program(prog, warm) is system
 
 
 def test_oracle_diff_inc_max_small():

@@ -11,12 +11,14 @@ TESTS = str(Path(__file__).resolve().parent)
 
 # Prints, per corpus entry, the digests that the step, step-up-to-renaming,
 # enumeration and run/lockstep pins compare; then the feature translation
-# digests, the SMT-LIB script digests, and one oracle and one bisim report.
+# digests, the SMT-LIB script digests, and one oracle and one bisim report;
+# then one oracle report twice under one typing, the second from the system
+# the first recorded on it.
 PRINT_DIGESTS = f"""
-import contextlib, hashlib, io, sys
+import contextlib, hashlib, io, random, sys
 sys.path.insert(0, {TESTS!r})
 import test_features, test_harness, test_sldc, test_smtlib, test_translate
-from corhorn import cli, corpus
+from corhorn import cli, corpus, harness, logic, translate, typeck
 
 for e in corpus.CORPUS:
     print(e.name, test_sldc._step_digest(e), test_sldc._step_renaming_digest(e),
@@ -32,6 +34,13 @@ for command, entry, fn, flags in [("oracle", "linger_dec", "linger_dec_main", ["
         code = cli.main([command, str(corpus.source_path(entry)), "--fn", fn, "--seed", "5",
                          "--json", *flags])
     print(command, code, out.getvalue())
+prog = corpus.load("linger_dec")
+typing = typeck.type_program(prog)
+sorts = [translate.sort_of_type(t) for _, t in prog.fn("linger_dec_main").params]
+tuples = list(logic.valuations(sorts, logic.SampleSpec(-8, 8, max_depth=3), random.Random(5), 1000, 20))
+for _ in range(2):
+    print("oracle warm", harness.oracle_diff(prog, "linger_dec_main", tuples, seeds=range(3),
+                                             typing=typing))
 """
 
 

@@ -223,6 +223,66 @@ def test_mu_types_translate_and_check():
     assert L.sort_equiv(l1_sig[0], entry_sig[0])
 
 
+# -- the system recorded on the typing ------------------------------------------
+
+
+def test_system_is_recorded_on_the_typing(monkeypatch):
+    # the same program and typing give the same system without translating
+    # again; an equal program parsed again, or no typing, translates afresh
+    src = corpus.source_path("inc_max").read_text()
+    prog = parser.parse_program(src)
+    typing = typeck.type_program(prog)
+    sys = T.translate_program(prog, typing)
+    calls = []
+    real = T.clauses_for_label
+    monkeypatch.setattr(T, "clauses_for_label", lambda *a: calls.append(a[3]) or real(*a))
+    assert T.translate_program(prog, typing) is sys and not calls
+    labels = sum(len(fn.body) for fn in prog)
+
+    again = parser.parse_program(src)
+    assert again == prog and again is not prog
+    fresh = T.translate_program(again, typing)
+    assert fresh is not sys and fresh == sys and len(calls) == labels
+    assert fresh.clauses[0] is not sys.clauses[0]
+
+    del calls[:]
+    cold = [T.translate_program(prog) for _ in range(2)]
+    assert cold[0] is not cold[1] and cold[0] == cold[1] == sys
+    assert len(calls) == 2 * labels
+
+
+SHARED_GOALS_SRC = """
+fn t() -> own bool {
+  entry: let *u = (); goto L1;
+  L1: let *r = inj1<bool> *u; goto L2;
+  L2: return r;
+}
+fn f(x: own int) -> own int {
+  entry: return x;
+}
+"""
+
+
+def test_recorded_system_is_not_changed_by_its_users():
+    # attaching a goal of either kind, emitting and rendering leave the
+    # recorded system as a fresh translation, so a goal attached on a warm
+    # typing cannot change a later check under it
+    prog = parser.parse_program(SHARED_GOALS_SRC)
+    typing = typeck.type_program(prog)
+    sys = T.translate_program(prog, typing)
+    n_clauses, n_sigs = len(sys.clauses), len(sys.sigs)
+    for goal in ("t returns true", "f equals box(7)"):
+        out = T.attach_goal(sys, prog, T.GoalSpec.parse(goal))
+        assert len(out.clauses) > n_clauses and len(out.sigs) > n_sigs
+        smtlib.emit_smt2(out)
+    smtlib.emit_smt2(sys)
+    T.render_system(sys)
+    assert T.translate_program(prog, typing) is sys
+    fresh = T.translate_program(prog)
+    assert sys.clauses == fresh.clauses and sys.sigs == fresh.sigs
+    assert (len(sys.clauses), len(sys.sigs)) == (n_clauses, n_sigs) == (len(fresh.clauses), len(fresh.sigs))
+
+
 # -- goals -------------------------------------------------------------------
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,11 +61,11 @@ class AbsSupply:
 
     def __init__(self):
         self.next_uid = 0
-        self.used: Counter = Counter()
+        self.used: dict[str, int] = {}
 
     def fresh(self, base: str) -> V.AbsVar:
-        n = self.used[base]
-        self.used[base] += 1
+        n = self.used.get(base, 0)
+        self.used[base] = n + 1
         label = f"{base}◦" if n == 0 else f"{base}◦{n}"
         uid = self.next_uid
         self.next_uid += 1
@@ -457,13 +456,15 @@ class Walk:
     readout of a heap configuration: each pre-value must be the data at
     its address (cells, sum tags, zero padding), items carry addresses,
     and each cell read is a footprint mark (hot, frozen tag, address)
-    or (cold, lft, address).  Faults are diagnostics; the walk stops
-    after the first variable that has one."""
+    or (cold, lft, address).  `summary` and `footprint` count the items
+    and marks in plain dicts (item -> number of times walked).  Faults
+    are diagnostics; the walk stops after the first variable that has
+    one."""
 
     def __init__(self, heap: Optional[dict[int, int]] = None, diags: Optional[list[str]] = None):
         self.heap = heap
-        self.summary: Counter = Counter()
-        self.footprint: Counter = Counter()
+        self.summary: dict = {}
+        self.footprint: dict = {}
         self.diags: list[str] = [] if diags is None else diags
 
     def diag(self, msg: str) -> bool:
@@ -481,13 +482,18 @@ class Walk:
             self._ptr(HOT, frz, addr, S.subst_lifetimes(vi.ty, theta), v)
         return self
 
-    def merge(self, summary: Counter, footprint: Counter) -> None:
+    def merge(self, summary: dict, footprint: dict) -> None:
         """Add another walk's counts (by dict.update where no key is shared)."""
         for total, part in ((self.summary, summary), (self.footprint, footprint)):
-            (dict.update if total.keys().isdisjoint(part) else Counter.update)(total, part)
+            if total.keys().isdisjoint(part):
+                total.update(part)
+            else:
+                for k, n in part.items():
+                    total[k] = total.get(k, 0) + n
 
     def _mark(self, mode, frz: Optional[str], addr: int) -> None:
-        self.footprint[(HOT, frz, addr) if mode == HOT else (*mode, addr)] += 1
+        mark = (HOT, frz, addr) if mode == HOT else (*mode, addr)
+        self.footprint[mark] = self.footprint.get(mark, 0) + 1
 
     def _ptr(self, mode, frz, addr, t: S.Ptr, v) -> bool:
         """The pointer pre-value v at pointer type t, pointing at addr."""
@@ -504,7 +510,8 @@ class Walk:
             return self.diag(f"hot mut{_at(addr)} without prophecy on the abstract side")
         ok = self._data(mode, frz, addr, t.target, v.cur)
         if ok and mode == HOT:
-            self.summary[Give(t.lft, v.fin.uid, S.canon(t.target), addr)] += 1
+            give = Give(t.lft, v.fin.uid, S.canon(t.target), addr)
+            self.summary[give] = self.summary.get(give, 0) + 1
         return ok
 
     def _data(self, mode, frz, addr, t: S.Type, v) -> bool:
@@ -513,7 +520,8 @@ class Walk:
         if isinstance(v, V.AbsVar):
             if frz is None:
                 return self.diag(f"abstract variable {V.show(v)} in an active position")
-            self.summary[Take(frz, v.uid, S.canon(t), addr)] += 1
+            take = Take(frz, v.uid, S.canon(t), addr)
+            self.summary[take] = self.summary.get(take, 0) + 1
             return True
         t = S.whnf(t)
         heap = self.heap
@@ -617,7 +625,7 @@ def walk_stack(typing: TypingResult, acfg: AbsConfig, cfg=None) -> Walk:
     return walk
 
 
-def safe_summary(lctx: LftCtx, summary: Counter) -> list[str]:
+def safe_summary(lctx: LftCtx, summary: dict) -> list[str]:
     """Every abstract variable has one give and one take, at the same
     address, of equivalent types, the give's lifetime ending first."""
     by_uid: dict[int, list] = {}
@@ -640,11 +648,13 @@ def safe_summary(lctx: LftCtx, summary: Counter) -> list[str]:
     return diags
 
 
-def safe_footprint(lctx: LftCtx, footprint: Counter) -> list[str]:
+def safe_footprint(lctx: LftCtx, footprint: dict) -> list[str]:
     """Every address is read by one hot access, or by a frozen hot owner
     alongside cold readers whose lifetimes end first."""
     diags = []
-    reads = Counter(mark[2] for mark in footprint.elements())
+    reads: dict[int, int] = {}
+    for mark, k in footprint.items():
+        reads[mark[2]] = reads.get(mark[2], 0) + k
     by_addr: dict[int, list] = {}
     for mark, k in footprint.items():
         if mark[0] != HOT or reads[mark[2]] != 1:  # one hot access alone is safe

@@ -13,7 +13,10 @@ The prophecy-vs-resolution link renders each abstract configuration as
 a stack of predicate applications (a resolutive configuration) and
 checks that each interpreter step is matched by one resolution step
 using exactly the clause generated from the executed statement, taken
-from `translate.clauses_for_label`.  Each step renders again only the
+from `translate.clauses_for_label` once per label per typing: the
+typing records each label's clauses with the program
+(`translate.label_clauses`), so later checks reuse the clause objects
+and the facts SLDC cached on them.  Each step renders again only the
 frames it changed: an entry it kept at the same index keeps its atom,
 and a frame rendered again reuses the term each compound pre-value
 keeps for its sort.  A resolution step keeps the
@@ -223,12 +226,12 @@ def lockstep_aos_sldc(
 ) -> LinkReport:
     """Check that every prophecy-interpreter step corresponds to one
     resolution step using the clause generated from the executed
-    statement (`translate.clauses_for_label`, once per label; of a
-    match, the arm taken), ending in an empty-stack configuration whose
-    result refines to the returned value.  Translates nothing else."""
+    statement (`translate.clauses_for_label`, once per label per typing
+    and program, as `translate.label_clauses` records them; of a match,
+    the arm taken), ending in an empty-stack configuration whose result
+    refines to the returned value.  Translates nothing else."""
     typing = typing or type_program(prog)
     spec = L.SampleSpec(int_lo=rand_range[0], int_hi=rand_range[1])
-    label_clauses: dict[tuple[str, str], list[L.Clause]] = {}
     supply = aos.AbsSupply()
     rng = random.Random(seed)
     renamer = sldc.Renamer()
@@ -239,10 +242,7 @@ def lockstep_aos_sldc(
         top = a.top
         point = f"{top.fn}:{top.label}"
         stmt = prog.fn(top.fn).body[top.label]
-        clauses = label_clauses.get((top.fn, top.label))
-        if clauses is None:
-            clauses = label_clauses[top.fn, top.label] = T.clauses_for_label(
-                prog, typing, top.fn, top.label, stmt)
+        clauses = T.label_clauses(prog, typing, top.fn, top.label)
         ra = aos.step(prog, typing, a, rng, supply, rand_range)
         if isinstance(ra, Final):
             cands = sldc.step(k, clauses, renamer, spec)

@@ -53,18 +53,31 @@ def sort_of_type(t: S.Type) -> Sort:
 
 def label_vars(wc: WholeCtx) -> list[str]:
     """A label predicate's argument order: its live variables, sorted,
-    then the result.  Only `label_atom` and `_binders` read it."""
+    then the result.  Only `label_record` and `_binders` read it."""
     return sorted(wc.gamma)
+
+
+def label_record(typing: TypingResult, f: str, label: str) -> tuple:
+    """f's label record, kept on typing (`TypingResult._labels`): the
+    label predicate's name, its argument names (`label_vars`, then RES),
+    and the program and clauses that `label_clauses` last took for it
+    (None, None until then).  It is shared, so no caller may mutate it."""
+    labels = typing._labels
+    if labels is None:
+        labels = typing._labels = {}
+    rec = labels.get((f, label))
+    if rec is None:
+        names = (*label_vars(typing.ctx(f, label)), RES)
+        rec = labels[f, label] = (pred_name(f, label), names, None, None)
+    return rec
 
 
 def label_atom(typing: TypingResult, f: str, label: str, subst: dict[str, V.Term]) -> Atom:
     """f's label predicate applied to subst, keyed by variable name and
     RES, in `label_vars` order; a name missing from subst stands for
     itself.  Every atom of a label predicate is built here."""
-    wc = typing.ctx(f, label)
-    args = [subst.get(x, V.Var(x)) for x in label_vars(wc)]
-    args.append(subst.get(RES, V.Var(RES)))
-    return Atom(pred_name(f, label), tuple(args))
+    pred, names = label_record(typing, f, label)[:2]
+    return Atom(pred, tuple([V.Var(x) if (t := subst.get(x)) is None else t for x in names]))
 
 
 def _binders(
@@ -217,6 +230,18 @@ def clauses_for_label(
         return clause(goto, subst={instr.y0: part(0), instr.y1: part(1)})
 
     raise TypeError(f"not an instruction: {instr!r}")
+
+
+def label_clauses(prog: S.Program, typing: TypingResult, f: str, label: str) -> list[Clause]:
+    """`clauses_for_label` of f's label, recorded on its label record
+    (`label_record`) with prog: a later call with the same program and
+    typing returns the same list, facts cached on its clauses included.
+    It is shared, so no caller may mutate it."""
+    rec = label_record(typing, f, label)
+    if rec[2] is not prog:
+        clauses = clauses_for_label(prog, typing, f, label, prog.fn(f).body[label])
+        rec = typing._labels[f, label] = (*rec[:2], prog, clauses)
+    return rec[3]
 
 
 def translate_program(prog: S.Program, typing: Optional[TypingResult] = None) -> CHCSystem:

@@ -444,15 +444,17 @@ def check_return(fn: S.FunctionDef, stmt: S.StmtReturn, wc: WholeCtx):
 
 @dataclass
 class TypingResult:
-    """Per-label whole contexts plus each function's lifetime parameters,
-    and the (program, clause system) last translated under them
-    (`_system`, by `translate.translate_program`), which like the facts
-    `values` caches on a term is left out of equality, repr, copies and pickles."""
+    """Per-label whole contexts plus each function's lifetime parameters.
+    Two records are kept on them: the (program, clause system) last
+    translated under them (`_system`, by `translate.translate_program`)
+    and each label's predicate layout and lockstep clauses (`_labels`, by
+    `translate.label_record`).  Like the facts `values` caches on a term,
+    they are left out of equality, repr, copies and pickles."""
 
     contexts: dict[tuple[str, str], WholeCtx]
     a_ex: dict[str, frozenset[str]]
 
-    _system = None
+    _system = _labels = None
     __getstate__ = V._Node.__getstate__
 
     def ctx(self, fn: str, label: str) -> WholeCtx:

@@ -120,8 +120,9 @@ def test_mixed_sort_call_translates(capsys, tmp_path):
 
 
 def test_lockstep_takes_each_labels_clauses_once_without_translating(monkeypatch):
+    # once per label per typing and program: the typing records each
+    # label's clauses with the program (`translate.label_clauses`)
     prog = corpus.load("inc_some")
-    typing = typeck.type_program(prog)
     calls = Counter()
     real = T.clauses_for_label
 
@@ -135,15 +136,35 @@ def test_lockstep_takes_each_labels_clauses_once_without_translating(monkeypatch
     monkeypatch.setattr(T, "clauses_for_label", counted)
     monkeypatch.setattr(T, "translate_program", no_translation)
     rng = random.Random(5)
+    draws = []
     for _ in range(3):
         inputs = corpus.random_inputs(prog, "inc_some", rng, L.SampleSpec(-4, 4, max_depth=3))
+        draws.append((inputs, rng.randrange(100)))
+
+    def check(prog_, typing_, inputs, seed):
         calls.clear()
-        rep = harness.lockstep_aos_sldc(prog, "inc_some", inputs, seed=rng.randrange(100),
-                                        fuel=250, typing=typing, rand_range=(-8, 8))
+        rep = harness.lockstep_aos_sldc(prog_, "inc_some", inputs, seed=seed,
+                                        fuel=250, typing=typing_, rand_range=(-8, 8))
         assert rep.ok
-        executed = {s.point for s in rep.steps}
+        assert len(rep.steps) > len({s.point for s in rep.steps})  # labels ran more than once
+        return {s.point for s in rep.steps}
+
+    # the first check under a typing takes exactly its executed labels,
+    # once each; a later one only labels that no earlier check took
+    typing = typeck.type_program(prog)
+    taken, reused = set(), 0
+    for inputs, seed in draws:
+        executed = check(prog, typing, inputs, seed)
+        assert set(calls) == executed - taken and set(calls.values()) <= {1}
+        reused += len(executed & taken)
+        taken |= executed
+    assert reused
+    # a fresh typing, or the same typing with a program parsed again,
+    # takes them again
+    for prog_, typing_ in ((prog, typeck.type_program(prog)), (corpus.load("inc_some"), typing)):
+        inputs, seed = draws[0]
+        executed = check(prog_, typing_, inputs, seed)
         assert set(calls) == executed and set(calls.values()) == {1}
-        assert len(rep.steps) > len(executed)  # labels ran more than once
 
 
 @pytest.mark.parametrize("name, prog", PROGRAMS, ids=[name for name, _ in PROGRAMS])

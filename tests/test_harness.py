@@ -122,19 +122,29 @@ def test_safe_link_rejects_wrong_value(inc_max_setup):
     assert not ok
 
 
-def test_duplicate_hot_footprint_unsafe(inc_max_setup):
-    prog, typing = inc_max_setup
+# The walks count in plain dicts; each check below also passes the
+# Counters' counts as plain dicts and requires the same diagnostics.
+
+
+def _both_counts(check):
+    """check(Counter), which must equal check(dict)."""
+    out = check(Counter)
+    assert check(dict) == out
+    return out
+
+
+def test_duplicate_hot_footprint_unsafe():
     lctx = typeck.LftCtx.empty()
     footprint = {("hot", None, 100): 2}
-    from collections import Counter
-
-    diags = aos.safe_summary(lctx, Counter()) + aos.safe_footprint(lctx, Counter(footprint))
+    diags = _both_counts(lambda counts: aos.safe_summary(lctx, counts())
+                         + aos.safe_footprint(lctx, counts(footprint)))
     assert diags
 
 
 def test_lone_cold_footprint_mark_unsafe():
     lctx = typeck.LftCtx.make({"a@0"}, set())
-    assert aos.safe_footprint(lctx, Counter({("cold", "a@0", 100): 1, ("hot", None, 101): 1})) == [
+    marks = {("cold", "a@0", 100): 1, ("hot", None, 101): 1}
+    assert _both_counts(lambda counts: aos.safe_footprint(lctx, counts(marks))) == [
         "address 100: access marks [\"('cold', 'a@0', 100)\"]"
     ]
 
@@ -142,12 +152,14 @@ def test_lone_cold_footprint_mark_unsafe():
 def test_give_and_take_at_different_addresses_unsafe():
     lctx = typeck.LftCtx.make({"a@0"}, set())
     ty = S.IntT()
-    summary = Counter({aos.Give("a@0", 7, ty, addr=100): 1, aos.Take("a@0", 7, ty, addr=101): 1})
-    assert aos.safe_summary(lctx, summary) + aos.safe_footprint(lctx, Counter()) == [
+    items = {aos.Give("a@0", 7, ty, addr=100): 1, aos.Take("a@0", 7, ty, addr=101): 1}
+    assert _both_counts(lambda counts: aos.safe_summary(lctx, counts(items))
+                        + aos.safe_footprint(lctx, counts())) == [
         "abs var 7: give at 100, take at 101"
     ]
-    same = Counter({aos.Give("a@0", 7, ty, addr=100): 1, aos.Take("a@0", 7, ty, addr=100): 1})
-    assert aos.safe_summary(lctx, same) + aos.safe_footprint(lctx, Counter()) == []
+    same = {aos.Give("a@0", 7, ty, addr=100): 1, aos.Take("a@0", 7, ty, addr=100): 1}
+    assert _both_counts(lambda counts: aos.safe_summary(lctx, counts(same))
+                        + aos.safe_footprint(lctx, counts())) == []
 
 
 def test_frozen_resolved_owner_reads_out():
@@ -516,17 +528,26 @@ def test_cached_records_are_invisible():
         params = [x for x, _ in prog.fn(name).params]
         args = dict(zip(sorted(params), atom.args))
         assert all(args[x] is v for x, v in zip(params, inputs))
-        # so is the system the typing records (`_system`); a twin holds none
-        # and translates afresh
+        # so are the system the typing records (`_system`) and its label
+        # records (`_labels`: layouts, and the lockstep's clauses); a twin
+        # holds neither and translates afresh
         typed = typeck.type_program(prog)
         before = (repr(typed), pickle.dumps(typed))
         system = T.translate_program(prog, typed)
+        rep = harness.lockstep_aos_sldc(prog, name, inputs, typing=typed)
         assert vars(typed)["_system"] == (prog, system)
+        labels = vars(typed)["_labels"]
+        assert set(labels) == set(typed.contexts)
+        taken = {(f, label): rec[3] for (f, label), rec in labels.items() if rec[2] is prog}
+        assert {f"{f}:{label}" for f, label in taken} == {s.point for s in rep.steps}
         assert typed == typing and (repr(typed), pickle.dumps(typed)) == before
         for twin in (copy.copy(typed), copy.deepcopy(typed), pickle.loads(pickle.dumps(typed))):
             assert twin == typed and repr(twin) == repr(typed)
             assert vars(twin) == {f.name: getattr(twin, f.name) for f in dataclasses.fields(typed)}
             assert T.translate_program(prog, twin) is not system
+            for (f, label), clauses in taken.items():
+                again = T.label_clauses(prog, twin, f, label)
+                assert again is not clauses and again == clauses
     assert termed > 10
 
 
@@ -631,6 +652,32 @@ def test_warm_oracle_reports_equal_cold_ones():
             hot = harness.oracle_diff(prog, e.entry_fn, inputs, typing=warm, **kw)
             assert hot.to_json() == cold.to_json() and hot == cold, (e.name, inputs)
         assert T.translate_program(prog, warm) is system
+
+
+def test_warm_lockstep_reports_equal_cold_ones():
+    # checks under a typing that already holds the label records (layouts
+    # and the clauses, with the facts SLDC cached on them, of every label
+    # earlier checks took) and the system report what checks under a
+    # fresh typing report, every step included
+    spec = L.SampleSpec(-4, 4, max_depth=3)
+    for e in corpus.CORPUS:
+        prog = corpus.load(e.name)
+        rng = random.Random(zlib.crc32(e.name.encode()))
+        draws = [(corpus.random_inputs(prog, e.entry_fn, rng, spec), rng.randrange(2 ** 31))
+                 for _ in range(3)]
+        warm = typeck.type_program(prog)
+        T.translate_program(prog, warm)
+        for inputs, seed in draws:
+            harness.lockstep_aos_sldc(prog, e.entry_fn, inputs, seed=seed, fuel=250, typing=warm,
+                                      rand_range=(-8, 8))
+        assert any(rec[2] is prog for rec in vars(warm)["_labels"].values())
+        for inputs, seed in draws:
+            kw = dict(seed=seed, fuel=250, rand_range=(-8, 8))
+            for check in (harness.lockstep_cos_aos, harness.lockstep_aos_sldc):
+                cold = check(prog, e.entry_fn, inputs, typing=typeck.type_program(prog), **kw)
+                hot = check(prog, e.entry_fn, inputs, typing=warm, **kw)
+                assert hot.to_json() == cold.to_json() and hot.steps == cold.steps, (
+                    e.name, check.__name__, [V.show(v) for v in inputs], seed)
 
 
 def test_oracle_diff_inc_max_small():

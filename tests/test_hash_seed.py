@@ -13,7 +13,9 @@ TESTS = str(Path(__file__).resolve().parent)
 # enumeration and run/lockstep pins compare; then the feature translation
 # digests, the SMT-LIB script digests, and one oracle and one bisim report;
 # then one oracle report twice under one typing, the second from the system
-# the first recorded on it.
+# the first recorded on it; then one bisim pair (both lockstep reports, every
+# step) twice under one typing, the second from the label clauses the first
+# recorded on it.
 PRINT_DIGESTS = f"""
 import contextlib, hashlib, io, random, sys
 sys.path.insert(0, {TESTS!r})
@@ -41,6 +43,15 @@ tuples = list(logic.valuations(sorts, logic.SampleSpec(-8, 8, max_depth=3), rand
 for _ in range(2):
     print("oracle warm", harness.oracle_diff(prog, "linger_dec_main", tuples, seeds=range(3),
                                              typing=typing))
+prog = corpus.load("inc_some")
+typing = typeck.type_program(prog)
+rng = random.Random(5)
+inputs = corpus.random_inputs(prog, "inc_some", rng, logic.SampleSpec(-4, 4, max_depth=3))
+seed = rng.randrange(2 ** 31)
+for _ in range(2):
+    for check in (harness.lockstep_cos_aos, harness.lockstep_aos_sldc):
+        print("bisim warm", check(prog, "inc_some", inputs, seed=seed, fuel=250, typing=typing,
+                                  rand_range=(-8, 8)))
 """
 
 

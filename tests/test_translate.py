@@ -40,6 +40,10 @@ def test_take_max_entry_signature(inc_max_setup):
     head = T.label_atom(typing, "take_max", "entry", {})
     assert sorts == (L.MutS(L.INT_S), L.MutS(L.INT_S), L.MutS(L.INT_S))
     assert head == Atom("take_max!entry", (V.Var("ma"), V.Var("mb"), V.Var("res")))
+    # a given term stands, falsy ones (int 0) included; a missing name stands for itself
+    given = V.MutPair(0, V.Var("x"))
+    atom = T.label_atom(typing, "take_max", "entry", {"mb": given, T.RES: 0})
+    assert atom == Atom("take_max!entry", (V.Var("ma"), given, 0)) and atom.args[1] is given
 
 
 def test_result_only_signature():

@@ -57,18 +57,28 @@ def label_vars(wc: WholeCtx) -> list[str]:
     return sorted(wc.gamma)
 
 
-def label_record(typing: TypingResult, f: str, label: str) -> tuple:
-    """f's label record, kept on typing (`TypingResult._labels`): the
-    label predicate's name, its argument names (`label_vars`, then RES),
-    and the program and clauses that `label_clauses` last took for it
-    (None, None until then).  It is shared, so no caller may mutate it."""
+class LabelRecord:
+    """One label's record on a typing (`TypingResult._labels`): its
+    predicate name and argument names (`label_vars`, then RES), and the
+    program and clauses that `label_clauses` last took for it (None until
+    then).  It is shared, so no caller outside this module may mutate it."""
+
+    __slots__ = ("pred", "names", "prog", "clauses")
+
+    def __init__(self, pred: str, names: tuple[str, ...]):
+        self.pred, self.names = pred, names
+        self.prog = self.clauses = None
+
+
+def label_record(typing: TypingResult, f: str, label: str) -> LabelRecord:
+    """f's label record, made on first use and kept on typing."""
     labels = typing._labels
     if labels is None:
         labels = typing._labels = {}
     rec = labels.get((f, label))
     if rec is None:
         names = (*label_vars(typing.ctx(f, label)), RES)
-        rec = labels[f, label] = (pred_name(f, label), names, None, None)
+        rec = labels[f, label] = LabelRecord(pred_name(f, label), names)
     return rec
 
 
@@ -76,8 +86,8 @@ def label_atom(typing: TypingResult, f: str, label: str, subst: dict[str, V.Term
     """f's label predicate applied to subst, keyed by variable name and
     RES, in `label_vars` order; a name missing from subst stands for
     itself.  Every atom of a label predicate is built here."""
-    pred, names = label_record(typing, f, label)[:2]
-    return Atom(pred, tuple([V.Var(x) if (t := subst.get(x)) is None else t for x in names]))
+    rec = label_record(typing, f, label)
+    return Atom(rec.pred, tuple([V.Var(x) if (t := subst.get(x)) is None else t for x in rec.names]))
 
 
 def _binders(
@@ -238,10 +248,9 @@ def label_clauses(prog: S.Program, typing: TypingResult, f: str, label: str) -> 
     typing returns the same list, facts cached on its clauses included.
     It is shared, so no caller may mutate it."""
     rec = label_record(typing, f, label)
-    if rec[2] is not prog:
-        clauses = clauses_for_label(prog, typing, f, label, prog.fn(f).body[label])
-        rec = typing._labels[f, label] = (*rec[:2], prog, clauses)
-    return rec[3]
+    if rec.prog is not prog:
+        rec.prog, rec.clauses = prog, clauses_for_label(prog, typing, f, label, prog.fn(f).body[label])
+    return rec.clauses
 
 
 def translate_program(prog: S.Program, typing: Optional[TypingResult] = None) -> CHCSystem:

@@ -538,7 +538,7 @@ def test_cached_records_are_invisible():
         assert vars(typed)["_system"] == (prog, system)
         labels = vars(typed)["_labels"]
         assert set(labels) == set(typed.contexts)
-        taken = {(f, label): rec[3] for (f, label), rec in labels.items() if rec[2] is prog}
+        taken = {(f, label): rec.clauses for (f, label), rec in labels.items() if rec.prog is prog}
         assert {f"{f}:{label}" for f, label in taken} == {s.point for s in rep.steps}
         assert typed == typing and (repr(typed), pickle.dumps(typed)) == before
         for twin in (copy.copy(typed), copy.deepcopy(typed), pickle.loads(pickle.dumps(typed))):
@@ -670,7 +670,7 @@ def test_warm_lockstep_reports_equal_cold_ones():
         for inputs, seed in draws:
             harness.lockstep_aos_sldc(prog, e.entry_fn, inputs, seed=seed, fuel=250, typing=warm,
                                       rand_range=(-8, 8))
-        assert any(rec[2] is prog for rec in vars(warm)["_labels"].values())
+        assert any(rec.prog is prog for rec in vars(warm)["_labels"].values())
         for inputs, seed in draws:
             kw = dict(seed=seed, fuel=250, rand_range=(-8, 8))
             for check in (harness.lockstep_cos_aos, harness.lockstep_aos_sldc):

@@ -14,10 +14,10 @@ def test_sample_profile_samples_one_frontend_round(monkeypatch):
     spec = importlib.util.spec_from_file_location("sample_profile", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    t0 = time.perf_counter()
+    t0 = time.process_time()  # CPU time, so load from other processes does not count
     prof = tool.sample("frontend", seed=3, rounds=1)
-    assert time.perf_counter() - t0 < 3
+    assert time.process_time() - t0 < 3
     assert prof.samples > 0 and sum(prof.self_counts.values()) == prof.samples
     assert max(prof.cum_counts.values()) <= prof.samples
     assert "workloads.py:Frontend.execute" in prof.cum_counts
-    assert tool.report(prof, 5).startswith(f"{prof.samples} samples")
+    assert tool.report(prof).startswith(f"{prof.samples} samples")

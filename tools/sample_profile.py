@@ -4,17 +4,17 @@
 
 Builds a `perfbench/workloads.py` workload at the seed, runs one warm-up
 round, then --rounds rounds of it in this process while a SIGPROF timer
-(`signal.setitimer(ITIMER_PROF)`) fires every --interval seconds of
-process CPU time.  Each tick records the Python stack it interrupts.  The
-report lists, per function, its self share (samples with the function on
-top) and its cumulative share (samples with the function anywhere on the
-stack), both over all samples.
+(`signal.setitimer(ITIMER_PROF)`) asks for a tick every INTERVAL seconds
+of process CPU time.  Each tick records the Python stack it interrupts.
+The report lists the TOP functions by self share (samples with the
+function on top) and by cumulative share (samples with the function
+anywhere on the stack), both over all samples.
 
 Unlike cProfile, which adds a fixed cost to every call and so inflates
 small functions, a tick costs the same wherever it lands.  Time spent in
 native code counts for the Python function that called it.  Ticks come
-no faster than the kernel's timer rate: on a 2-core Linux host, a 1 ms
-interval gave about 250 samples per CPU second.  The workloads module
+no faster than the kernel's timer rate: on a 2-core Linux host, the
+1 ms INTERVAL gave about 250 samples per CPU second.  The workloads module
 is only imported, never changed.
 """
 
@@ -29,6 +29,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+INTERVAL = 0.001  # seconds of process CPU time asked for between ticks
+TOP = 30  # functions listed per share
 
 
 class Profile(NamedTuple):
@@ -41,7 +43,7 @@ def _name(code) -> str:
     return f"{os.path.basename(code.co_filename)}:{getattr(code, 'co_qualname', code.co_name)}"
 
 
-def sample(workload: str, seed: int, rounds: int, interval: float = 0.001) -> Profile:
+def sample(workload: str, seed: int, rounds: int) -> Profile:
     """Profile `rounds` rounds of the workload after one warm-up round."""
     for path in (ROOT / "src", ROOT / "perfbench"):
         if str(path) not in sys.path:
@@ -70,7 +72,7 @@ def sample(workload: str, seed: int, rounds: int, interval: float = 0.001) -> Pr
         cum_counts.update(seen)
 
     previous = signal.signal(signal.SIGPROF, tick)
-    signal.setitimer(signal.ITIMER_PROF, interval, interval)
+    signal.setitimer(signal.ITIMER_PROF, INTERVAL, INTERVAL)
     try:
         for r in range(1, rounds + 1):
             for op in wl.rounds[r % len(wl.rounds)]:
@@ -81,11 +83,11 @@ def sample(workload: str, seed: int, rounds: int, interval: float = 0.001) -> Pr
     return Profile(samples, self_counts, cum_counts)
 
 
-def report(prof: Profile, top: int) -> str:
+def report(prof: Profile) -> str:
     lines = [f"{prof.samples} samples"]
     for title, counts in (("self", prof.self_counts), ("cumulative", prof.cum_counts)):
-        lines.append(f"\n{title} share, top {top}:")
-        for name, n in counts.most_common(top):
+        lines.append(f"\n{title} share, top {TOP}:")
+        for name, n in counts.most_common(TOP):
             lines.append(f"  {100 * n / max(prof.samples, 1):6.2f}%  {name}")
     return "\n".join(lines)
 
@@ -95,10 +97,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, help="a workload named in perfbench/workloads.py")
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--rounds", type=int, default=30)
-    ap.add_argument("--interval", type=float, default=0.001, help="seconds of CPU time per sample")
-    ap.add_argument("--top", type=int, default=30)
     args = ap.parse_args(argv)
-    print(report(sample(args.workload, args.seed, args.rounds, args.interval), args.top))
+    print(report(sample(args.workload, args.seed, args.rounds)))
     return 0
 
 
